@@ -8,7 +8,8 @@ Subcommands select stage sets of the verification pipeline:
     hopfreal closure   --input doc.hra     # S^r closure iteration
     hopfreal report    --input doc.hra     # everything (or --stages a,b,c)
 
-Exit codes: 0 all executed stages passed, 1 a stage failed, 2 input error.
+Exit codes: 0 all executed stages passed, 1 a stage failed, 2 input error
+(or an unwritable --emit path).
 Reports are deterministic; --emit writes computed bases and antipode
 expressions in a machine-readable block format.
 """
@@ -90,8 +91,12 @@ def main(argv=None) -> int:
 
     sys.stdout.write(report.render())
     if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as handle:
-            handle.write(stage_artifacts_text(pipe, stages))
+        try:
+            with open(args.emit, "w", encoding="utf-8") as handle:
+                handle.write(stage_artifacts_text(pipe, stages))
+        except OSError as err:
+            print(f"error: cannot write --emit output: {err}", file=sys.stderr)
+            return 2
     return 0 if report.ok else 1
 
 

@@ -40,19 +40,18 @@ from .errors import (
     PreconditionError,
     UnsupportedStructureError,
 )
-from .exactlin import Matrix, ONE, SpanBasis, ZERO, kernel_basis, solve
+from .exactlin import Matrix, ONE, SpanBasis, ZERO, kernel_basis, solve, vec_add_scaled
 from .free_tensor import concat_product, graded_key, word_coproduct
 from .invariant import (
     LinOp,
-    op_add,
-    op_apply,
+    op_combination,
     op_compose,
     op_identity,
     op_scale,
     op_vector,
     op_zero,
 )
-from .lifting import RealizationSpec, lift_operator
+from .lifting import RealizationSpec, lift_operator, split_witness
 from .realization import (
     RelationSpace,
     delta_on_l_element,
@@ -79,14 +78,6 @@ class AntipodeTable:
     determination: dict = None   # diagonal id -> chosen inverse id
     unique: bool = True
     report: CheckReport = None
-
-
-def _op_linear_combination(spec, ops_with_coeffs) -> LinOp:
-    total = op_zero(spec.f_ctx)
-    for op, coeff in ops_with_coeffs:
-        if coeff:
-            total = op_add(total, op_scale(op, coeff))
-    return total
 
 
 def reduce_expression(spec: RealizationSpec, op: LinOp, max_degree: int):
@@ -154,14 +145,14 @@ def triangular_systems_ok(spec: RealizationSpec, ops: dict) -> bool:
         for i in range(1, n + 1):
             for j in range(1, i + 1):
                 want = ident if i == j else zero
-                left = _op_linear_combination(spec, [
+                left = op_combination(spec.f_ctx, [
                     (op_compose(lift_operator(spec, BasisId.tri(k, j, block)),
                                 ops[BasisId.tri(i, k, block)]), ONE)
                     for k in range(j, i + 1)
                 ])
                 if left != want:
                     return False
-                right = _op_linear_combination(spec, [
+                right = op_combination(spec.f_ctx, [
                     (op_compose(ops[BasisId.tri(k, j, block)],
                                 lift_operator(spec, BasisId.tri(i, k, block))), ONE)
                     for k in range(j, i + 1)
@@ -186,19 +177,15 @@ def antipode_triangular(spec: RealizationSpec) -> AntipodeTable:
             entries[diag] = {(inverse[diag],): ONE}
             for j in range(i - 1, 0, -1):
                 target = BasisId.tri(i, j, block)
-                acc = op_zero(spec.f_ctx)
+                steps = [(BasisId.tri(k, j, block), BasisId.tri(i, k, block))
+                         for k in range(j + 1, i + 1)]
+                acc = op_combination(spec.f_ctx, [
+                    (op_compose(lift_operator(spec, step), ops[rest]), ONE)
+                    for step, rest in steps
+                ])
                 acc_expr = {}
-                for k in range(j + 1, i + 1):
-                    step = BasisId.tri(k, j, block)
-                    acc = op_add(acc, op_compose(
-                        lift_operator(spec, step), ops[BasisId.tri(i, k, block)]))
-                    for w, c in raw[BasisId.tri(i, k, block)].items():
-                        key = (step,) + w
-                        s = acc_expr.get(key, ZERO) + c
-                        if s:
-                            acc_expr[key] = s
-                        else:
-                            del acc_expr[key]
+                for step, rest in steps:
+                    vec_add_scaled(acc_expr, concat_product({(step,): ONE}, raw[rest]), ONE)
                 diag_j = BasisId.tri(j, j, block)
                 ops[target] = op_scale(op_compose(ops[diag_j], acc), -ONE)
                 raw[target] = {
@@ -219,33 +206,6 @@ def antipode_triangular(spec: RealizationSpec) -> AntipodeTable:
     if not triangular_systems_ok(spec, ops):
         raise InternalInconsistencyError("triangular antipode systems failed to verify")
     return AntipodeTable(entries, raw, ops, "triangular", determination=dict(inverse))
-
-
-def _split_product_check(spec, outer: LinOp, parts, bound: int) -> bool:
-    """outer(w1 . w2) == sum over parts (left_op, right_op, coeff) of
-    left_op(w1) . right_op(w2), for all word pairs within the bound."""
-    ctx = spec.f_ctx
-    bound = min(bound, ctx.max_degree)
-    for n1 in range(bound + 1):
-        for n2 in range(bound + 1 - n1):
-            for w1 in ctx.word_basis(n1):
-                for w2 in ctx.word_basis(n2):
-                    lhs = op_apply(ctx, outer, {w1 + w2: ONE})
-                    rhs = {}
-                    for (left_op, right_op, coeff) in parts:
-                        left = op_apply(ctx, left_op, {w1: ONE})
-                        right = op_apply(ctx, right_op, {w2: ONE})
-                        for a, ca in left.items():
-                            for b, cb in right.items():
-                                key = a + b
-                                s = rhs.get(key, ZERO) + coeff * ca * cb
-                                if s:
-                                    rhs[key] = s
-                                else:
-                                    del rhs[key]
-                    if lhs != rhs:
-                        return False
-    return True
 
 
 def verify_Y_coproduct(spec: RealizationSpec, table: AntipodeTable, bound: int,
@@ -269,7 +229,7 @@ def verify_Y_coproduct(spec: RealizationSpec, table: AntipodeTable, bound: int,
              table.ops[BasisId.tri(k, b.j, b.block)], ONE)
             for k in range(b.j, b.i + 1)
         ]
-        ok = _split_product_check(spec, table.ops[b], parts, bound)
+        ok = split_witness(spec.f_ctx, table.ops[b], parts, bound) is None
         report.record(f"splitting of Y at {b}", ok)
 
     if composite_pairs is None:
@@ -291,7 +251,7 @@ def verify_Y_coproduct(spec: RealizationSpec, table: AntipodeTable, bound: int,
                 right = op_compose(table.ops[BasisId.tri(k2, v.j, v.block)],
                                    table.ops[BasisId.tri(k1, u.j, u.block)])
                 parts.append((left, right, ONE))
-        ok = _split_product_check(spec, outer, parts, bound)
+        ok = split_witness(spec.f_ctx, outer, parts, bound) is None
         report.record(f"splitting of composite Y at ({u},{v})", ok)
     return report
 
@@ -317,12 +277,7 @@ def extend_antihom(spec: RealizationSpec, table: AntipodeTable, w, cap: int = No
                 if len(pruned) != len(acc):
                     truncated = True
                     acc = pruned
-        for u, c in acc.items():
-            s = out.get(u, ZERO) + c
-            if s:
-                out[u] = s
-            else:
-                del out[u]
+        vec_add_scaled(out, acc, ONE)
     return out, truncated
 
 
@@ -463,18 +418,8 @@ def verify_hopf_quotient(spec: RealizationSpec, table: AntipodeTable,
             s2, t2 = extend_antihom(spec, table, w2)
             if t1 or t2:
                 raise InternalInconsistencyError("uncapped S^r truncated")
-            for u, c in concat_product(s1, {w2: ONE}).items():
-                v = left.get(u, ZERO) + coeff * c
-                if v:
-                    left[u] = v
-                else:
-                    del left[u]
-            for u, c in concat_product({w1: ONE}, s2).items():
-                v = right.get(u, ZERO) + coeff * c
-                if v:
-                    right[u] = v
-                else:
-                    del right[u]
+            vec_add_scaled(left, concat_product(s1, {w2: ONE}), coeff)
+            vec_add_scaled(right, concat_product({w1: ONE}, s2), coeff)
         eps = eps_extension(spec.l_coalg, w)
         for vec, tag in ((left, "sum S(w')w''"), (right, "sum w'S(w'')")):
             test = dict(vec)
@@ -591,18 +536,18 @@ def antipode_general(spec: RealizationSpec, bound: int):
                 expr[mono] = c
                 parts.append((a_op, c))
         entries_out[b] = expr
-        ops_out[b] = _op_linear_combination(spec, parts)
+        ops_out[b] = op_combination(spec.f_ctx, parts)
 
     report = CheckReport(f"general antipode verification at bound {bound}")
     ident = op_identity(spec.f_ctx)
     for b in basis_l:
         eps = spec.l_coalg.eps(b)
         want = op_scale(ident, eps) if eps else op_zero(spec.f_ctx)
-        left = _op_linear_combination(spec, [
+        left = op_combination(spec.f_ctx, [
             (op_compose(lifts[p], ops_out[q]), c)
             for (p, q, c) in spec.l_coalg.delta_terms(b)
         ])
-        right = _op_linear_combination(spec, [
+        right = op_combination(spec.f_ctx, [
             (op_compose(ops_out[p], lifts[q]), c)
             for (p, q, c) in spec.l_coalg.delta_terms(b)
         ])
@@ -612,7 +557,7 @@ def antipode_general(spec: RealizationSpec, bound: int):
             (ops_out[q], ops_out[p], c)
             for (p, q, c) in spec.l_coalg.delta_terms(b)
         ]
-        law_ok = _split_product_check(spec, ops_out[b], parts, bound)
+        law_ok = split_witness(spec.f_ctx, ops_out[b], parts, bound) is None
         report.record(f"reversed coproduct law at {b}", law_ok)
     if not all(ok for d, ok in report.checks if "system" in d):
         raise InternalInconsistencyError("general antipode solve failed re-verification")
@@ -638,10 +583,9 @@ def verify_uniqueness_perturbations(spec: RealizationSpec, table: AntipodeTable,
         target = ids[rng.randrange(len(ids))]
         coeffs = [Fraction(rng.randint(-2, 2)) for _ in alg]
         coeffs[rng.randrange(len(alg))] = Fraction(rng.choice([1, -1, 2]))
-        perturbation = _op_linear_combination(
-            spec, [(op, c) for (_, op), c in zip(alg, coeffs) if c])
         perturbed = dict(table.ops)
-        perturbed[target] = op_add(perturbed[target], perturbation)
+        perturbed[target] = op_combination(spec.f_ctx, [(table.ops[target], ONE)] + [
+            (op, c) for (_, op), c in zip(alg, coeffs)])
         broke = not triangular_systems_ok(spec, perturbed)
         report.record(f"trial {t}: perturbing Y at {target} breaks a system", broke)
     return report

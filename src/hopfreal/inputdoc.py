@@ -130,6 +130,15 @@ class _Parser:
     def line_error(self, toks, message):
         raise ParseError(toks[0].line, toks[0].col, message)
 
+    def number(self, tok, kind=Fraction):
+        """A numeric token as an exact Fraction, or as an int for counts."""
+        try:
+            return kind(tok.text)
+        except ZeroDivisionError:
+            self.error(tok, f"zero denominator in {tok.text!r}")
+        except ValueError:
+            self.error(tok, f"expected an integer, got {tok.text!r}")
+
     def next_line(self):
         if self.idx >= len(self.lines):
             return None
@@ -150,7 +159,7 @@ class _Parser:
             if i + 1 >= len(toks) or toks[i + 1].kind != "rat":
                 self.error(name, f"expected a rational coefficient after {name.text!r}")
             key = resolve(name)
-            coeff = Fraction(toks[i + 1].text)
+            coeff = self.number(toks[i + 1])
             if coeff:
                 out[key] = out.get(key, Fraction(0)) + coeff
             i += 2
@@ -240,7 +249,7 @@ class _Parser:
         elif kind == "triangular":
             if len(toks) != 5 or toks[4].kind != "rat":
                 self.line_error(toks, "expected: coalgebra NAME = triangular N")
-            n = int(toks[4].text)
+            n = self.number(toks[4], int)
             if n < 1:
                 raise ValidationError([f"triangular size must be >= 1, got {n}"])
             coalg = triangular_coalgebra(n)
@@ -292,7 +301,7 @@ class _Parser:
             stmt = toks[0].text
             if len(toks) != 2 or toks[1].kind != "rat":
                 self.line_error(toks, f"expected: {stmt} N")
-            value = int(toks[1].text)
+            value = self.number(toks[1], int)
             if stmt == "truncation":
                 self.doc.truncation = value
             elif stmt == "max-degree":
@@ -351,13 +360,13 @@ class _Parser:
                 if part == "id":
                     if i + 1 >= len(toks) or toks[i + 1].kind != "rat":
                         self.error(toks[i], "expected: id C")
-                    id_coeff += Fraction(toks[i + 1].text)
+                    id_coeff += self.number(toks[i + 1])
                     i += 2
                 elif part == "form":
                     if i + 2 >= len(toks) or toks[i + 2].kind != "rat":
                         self.error(toks[i], "expected: form FID C")
                     fid = self.resolve_label(real.f_name, toks[i + 1])
-                    form[fid] = form.get(fid, Fraction(0)) + Fraction(toks[i + 2].text)
+                    form[fid] = form.get(fid, Fraction(0)) + self.number(toks[i + 2])
                     i += 3
                 else:
                     self.error(toks[i], f"expected 'id' or 'form', got {part!r}")

@@ -32,6 +32,7 @@ from .exactlin import (
     mat_scale,
     mat_vec,
     solve,
+    vec_add_scaled,
     vec_clean,
 )
 from .free_tensor import TensorContext, word_coproduct
@@ -102,6 +103,17 @@ def op_add(a: LinOp, b: LinOp) -> LinOp:
 
 def op_scale(a: LinOp, coeff: Fraction) -> LinOp:
     return LinOp({n: mat_scale(m, coeff) for n, m in a.blocks.items()})
+
+
+def op_combination(ctx: TensorContext, terms) -> LinOp:
+    """sum coeff * op over (op, coeff) terms, summed block by block in place;
+    the zero operator when there are no terms."""
+    blocks = {n: {} for n in range(ctx.max_degree + 1)}
+    for op, coeff in terms:
+        for n, acc in blocks.items():
+            vec_add_scaled(acc, op.blocks[n].entries, coeff)
+    return LinOp({n: Matrix(len(ctx.word_basis(n)), len(ctx.word_basis(n)), acc)
+                  for n, acc in blocks.items()})
 
 
 def op_compose(a: LinOp, b: LinOp) -> LinOp:

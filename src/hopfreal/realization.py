@@ -25,10 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coalgebra import Coalgebra
-from .exactlin import Matrix, ONE, SpanBasis, ZERO, kernel_basis
+from .exactlin import Matrix, ONE, SpanBasis, ZERO, kernel_basis, vec_add_scaled
 from .free_tensor import TensorContext, graded_key, word_coproduct
-from .invariant import LinOp, op_apply, op_compose, op_identity, op_vector
-from .lifting import RealizationSpec, lift_operator
+from .invariant import LinOp, op_combination, op_compose, op_identity, op_vector
+from .lifting import RealizationSpec, lift_operator, split_witness
 from .reportkit import CheckReport
 
 # Monomials over L and sparse combinations of them reuse the word machinery
@@ -90,25 +90,10 @@ def represent(spec: RealizationSpec, w) -> LinOp:
     """pi extended linearly to sparse combinations of monomials."""
     if isinstance(w, tuple):
         w = {w: ONE}
-    blocks = None
-    for mono, coeff in sorted(w.items(), key=lambda kv: graded_key(kv[0])):
-        op = represent_word(spec, mono)
-        if blocks is None:
-            blocks = {n: {} for n in op.blocks}
-        for n, m in op.blocks.items():
-            acc = blocks[n]
-            for key, v in m.entries.items():
-                s = acc.get(key, ZERO) + coeff * v
-                if s:
-                    acc[key] = s
-                else:
-                    del acc[key]
-    if blocks is None:
-        from .invariant import op_zero
-
-        return op_zero(spec.f_ctx)
-    dim = spec.f_ctx.f.dim
-    return LinOp({n: Matrix(dim ** n, dim ** n, acc) for n, acc in blocks.items()})
+    return op_combination(spec.f_ctx, [
+        (represent_word(spec, mono), coeff)
+        for mono, coeff in sorted(w.items(), key=lambda kv: graded_key(kv[0]))
+    ])
 
 
 def verify_splitting(spec: RealizationSpec, w: tuple, bound: int) -> bool:
@@ -119,31 +104,9 @@ def verify_splitting(spec: RealizationSpec, w: tuple, bound: int) -> bool:
     over the letterwise coproduct of w, for all word pairs with
     deg w1 + deg w2 <= min(bound, N).  Exact.
     """
-    ctx = spec.f_ctx
-    bound = min(bound, ctx.max_degree)
-    op = represent_word(spec, w)
     splits = [(represent_word(spec, w1), represent_word(spec, w2), coeff)
               for (w1, w2), coeff in sorted(word_coproduct(l_context(spec), w).items())]
-    for n1 in range(bound + 1):
-        for n2 in range(bound + 1 - n1):
-            for u1 in ctx.word_basis(n1):
-                for u2 in ctx.word_basis(n2):
-                    lhs = op_apply(ctx, op, {u1 + u2: ONE})
-                    rhs = {}
-                    for (p1, p2, coeff) in splits:
-                        left = op_apply(ctx, p1, {u1: ONE})
-                        right = op_apply(ctx, p2, {u2: ONE})
-                        for a, ca in left.items():
-                            for b, cb in right.items():
-                                key = a + b
-                                s = rhs.get(key, ZERO) + coeff * ca * cb
-                                if s:
-                                    rhs[key] = s
-                                else:
-                                    del rhs[key]
-                    if lhs != rhs:
-                        return False
-    return True
+    return split_witness(spec.f_ctx, represent_word(spec, w), splits, bound) is None
 
 
 def _kernel_of_columns(columns) -> list:
@@ -252,12 +215,7 @@ def delta_on_l_element(spec: RealizationSpec, elem: dict) -> dict:
     ctx = l_context(spec)
     out = {}
     for w, coeff in elem.items():
-        for key, c in word_coproduct(ctx, w).items():
-            s = out.get(key, ZERO) + coeff * c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
+        vec_add_scaled(out, word_coproduct(ctx, w), coeff)
     return out
 
 

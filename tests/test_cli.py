@@ -176,3 +176,48 @@ def test_cli_projection_reports_no_antipode(capsys):
     assert "no antipode found at degree bound" in out
     assert "[closure] FAILED-PRECONDITION" in out
     assert "[hopf-check] FAILED-PRECONDITION" in out
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("example_w", 0),
+    ("trivial", 0),
+    ("projection", 1),
+])
+def test_cli_report_matches_golden(name, expected, capsys):
+    code = main(["report", "--input", str(FIXTURES / f"{name}.hra")])
+    out = capsys.readouterr().out
+    assert code == expected
+    assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def _cli_on_text(tmp_path, capsys, text, *extra):
+    doc = tmp_path / "doc.hra"
+    doc.write_text(text)
+    code = main(["report", "--input", str(doc), *extra])
+    return code, capsys.readouterr().err
+
+
+def test_cli_zero_denominator_is_input_error(tmp_path, capsys):
+    text = MINIMAL.replace("x l[2,1] = form e12 1", "x l[2,1] = form e12 1/0")
+    code, err = _cli_on_text(tmp_path, capsys, text)
+    assert code == 2
+    assert "error:" in err and "zero denominator" in err and "line 16, col 23" in err
+
+
+def test_cli_fractional_parameter_is_input_error(tmp_path, capsys):
+    text = MINIMAL.replace("truncation 3", "truncation 1/0")
+    code, err = _cli_on_text(tmp_path, capsys, text)
+    assert code == 2
+    assert "error:" in err and "expected an integer" in err and "line 22" in err
+
+
+def test_cli_unwritable_emit_path_is_error(tmp_path, capsys):
+    emit = tmp_path / "missing" / "out.hra"
+    code = main(["report", "--input", str(FIXTURES / "trivial.hra"),
+                 "--stages", "verify-coalgebras", "--emit", str(emit)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err and not emit.exists()

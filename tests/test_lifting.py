@@ -9,12 +9,14 @@ from hopfreal.coalgebra import BasisId, triangular_coalgebra
 from hopfreal.errors import ValidationError
 from hopfreal.exactlin import Matrix
 from hopfreal.free_tensor import TensorContext
-from hopfreal.invariant import RIOp, op_apply, op_identity
+from hopfreal.invariant import LinOp, RIOp, op_apply, op_identity
 from hopfreal.lifting import (
+    _kron_entries,
     iterated_coproduct,
     lift_operator,
     lift_operator_recursive,
     make_spec,
+    split_witness,
     verify_lift,
 )
 
@@ -167,3 +169,58 @@ def test_make_spec_validates_diag_pairs():
     }
     with pytest.raises(ValidationError):
         make_spec(l_coalg, ctx, x_map, [(tri(2, 2), tri(2, 2))])
+
+
+def _split_parts(spec, b):
+    return [(lift_operator(spec, p), lift_operator(spec, q), c)
+            for (p, q), c in sorted(spec.l_coalg.delta_vect({b: ONE}).items())]
+
+
+def test_split_witness_passes_on_lifted_operators(example_w):
+    ctx = example_w.f_ctx
+    for b in example_w.l_coalg.basis:
+        x = lift_operator(example_w, b)
+        assert split_witness(ctx, x, _split_parts(example_w, b), ctx.max_degree) is None
+
+
+@pytest.mark.parametrize("b, n, cells", [
+    (tri(2, 1), 1, [(2, 1)]),
+    (tri(2, 1), 2, [(0, 4)]),
+    (tri(1, 1), 3, [(5, 26)]),
+    (tri(2, 2), 3, [(0, 13)]),
+    (tri(2, 1), 0, [(0, 0)]),
+    (tri(2, 1), 2, [(3, 7), (8, 2)]),
+])
+def test_split_witness_names_planted_defect(example_w, b, n, cells):
+    # a perturbed column c of block n fails every split (n1, n2) with
+    # n1 + n2 = n; the last of those in sweep order is (n, 0), and within it
+    # the witness is the largest perturbed column
+    ctx = example_w.f_ctx
+    x = lift_operator(example_w, b)
+    entries = dict(x.blocks[n].entries)
+    for cell in cells:
+        entries[cell] = entries.get(cell, F(0)) + 1
+    bad = LinOp({**x.blocks, n: Matrix(x.blocks[n].rows, x.blocks[n].cols, entries)})
+    witness = split_witness(ctx, bad, _split_parts(example_w, b), ctx.max_degree)
+    assert witness == (ctx.word_basis(n)[max(c for _, c in cells)], ())
+
+
+def test_kron_entries_uses_each_factor_shape():
+    # row counts multiply (1 * 2) and column counts multiply (2 * 1), so a
+    # 1x2 row (x) a 2x1 column is the 2x2 outer product col . row
+    row = Matrix(1, 2, {(0, 0): F(1), (0, 1): F(2)})
+    col = Matrix(2, 1, {(0, 0): F(3), (1, 0): F(5)})
+    acc = {}
+    _kron_entries([row, col], F(1), acc)
+    assert acc == {(0, 0): F(3), (1, 0): F(5), (0, 1): F(6), (1, 1): F(10)}
+
+
+def test_word_index_is_lex_product(example_w):
+    ctx = example_w.f_ctx
+    dim = ctx.f.dim
+    for n1 in range(4):
+        for n2 in range(4 - n1):
+            for w1 in ctx.word_basis(n1):
+                for w2 in ctx.word_basis(n2):
+                    assert ctx.word_index(n1 + n2)[w1 + w2] == (
+                        ctx.word_index(n1)[w1] * dim ** n2 + ctx.word_index(n2)[w2])
