@@ -3,9 +3,15 @@
 
 The bad_* fixtures and the projection fixture are supposed to fail (input
 errors and a stage failure respectively); this script checks each exit code
-against the expected value and reports the matrix.
+against the expected value, and stdout against tests/golden/<name>.out
+wherever that file exists, and reports the matrix.
+
+    python3 scripts/run_all_fixtures.py
+
+The package is run from the src/ directory of this checkout.
 """
 
+import os
 import pathlib
 import subprocess
 import sys
@@ -27,6 +33,10 @@ EXPECTED = {
 def main() -> int:
     root = pathlib.Path(__file__).resolve().parent.parent
     fixtures = root / "fixtures"
+    golden = root / "tests" / "golden"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
     failures = 0
     print(f"{'fixture':22} {'expected':>8} {'got':>4} {'time':>7}  status")
     for name, expected in EXPECTED.items():
@@ -34,14 +44,16 @@ def main() -> int:
         proc = subprocess.run(
             [sys.executable, "-m", "hopfreal.cli", "report",
              "--input", str(fixtures / name)],
-            capture_output=True, text=True)
+            capture_output=True, env=env)
         elapsed = time.perf_counter() - start
-        ok = proc.returncode == expected
+        expected_out = golden / (pathlib.Path(name).stem + ".out")
+        ok = proc.returncode == expected and (
+            not expected_out.exists() or proc.stdout == expected_out.read_bytes())
         failures += 0 if ok else 1
         print(f"{name:22} {expected:>8} {proc.returncode:>4} {elapsed:6.2f}s  "
               f"{'ok' if ok else 'MISMATCH'}")
         if not ok:
-            sys.stderr.write(proc.stdout + proc.stderr)
+            sys.stderr.write((proc.stdout + proc.stderr).decode("utf-8", "replace"))
     print(f"\n{len(EXPECTED) - failures}/{len(EXPECTED)} fixtures behave as expected")
     return 1 if failures else 0
 

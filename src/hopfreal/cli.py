@@ -9,7 +9,7 @@ Subcommands select stage sets of the verification pipeline:
     hopfreal report    --input doc.hra     # everything (or --stages a,b,c)
 
 Exit codes: 0 all executed stages passed, 1 a stage failed, 2 input error
-(or an unwritable --emit path).
+(or an unwritable --emit path, in which case nothing goes to stdout).
 Reports are deterministic; --emit writes computed bases and antipode
 expressions in a machine-readable block format.
 """
@@ -89,7 +89,6 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
-    sys.stdout.write(report.render())
     if args.emit:
         try:
             with open(args.emit, "w", encoding="utf-8") as handle:
@@ -97,6 +96,7 @@ def main(argv=None) -> int:
         except OSError as err:
             print(f"error: cannot write --emit output: {err}", file=sys.stderr)
             return 2
+    sys.stdout.write(report.render())
     return 0 if report.ok else 1
 
 

@@ -21,8 +21,9 @@ idx(w1) . dim^n2 + idx(w2), and the rule on all word pairs of degrees
 (n1, n2) is one block identity between the degree n1 + n2 block of the
 outer operator and a sum of Kronecker products of blocks n1 and n2.
 
-Lifted blocks are memoized per spec and basis element; the caches are pure
-(same key, same value) so concurrent use is safe.
+Lifted blocks and the operators X(b) are memoized per spec and basis
+element; the caches are pure (same key, same value) so concurrent use is
+safe.
 """
 
 from __future__ import annotations
@@ -199,15 +200,17 @@ def lift_basis_block(spec: RealizationSpec, b: BasisId, n: int) -> Matrix:
 def lift_operator(spec: RealizationSpec, l) -> LinOp:
     """X(l) on T(F) up to the truncation degree; linear in l.
 
-    l may be a BasisId or a sparse vector over the basis of L.
+    l may be a BasisId or a sparse vector over the basis of L.  X(b) for a
+    single basis element is memoized per spec and shares the memoized
+    blocks; no LinOp or Matrix is written to after it is built.
     """
     if isinstance(l, BasisId):
-        l = {l: ONE}
-    degrees = range(spec.max_degree + 1)
-    return op_combination(spec.f_ctx, [
-        (LinOp({n: lift_basis_block(spec, b, n) for n in degrees}), coeff)
-        for b, coeff in l.items()
-    ])
+        key = ("X", l)
+        if key not in spec._cache:
+            spec._cache[key] = LinOp({n: lift_basis_block(spec, l, n)
+                                      for n in range(spec.max_degree + 1)})
+        return spec._cache[key]
+    return op_combination(spec.f_ctx, [(lift_operator(spec, b), coeff) for b, coeff in l.items()])
 
 
 def _recursive_block(spec: RealizationSpec, b: BasisId, n: int) -> Matrix:
@@ -302,7 +305,7 @@ def verify_lift(spec: RealizationSpec, l, max_pair_degree: int = None) -> CheckR
     report.record("degree-1 action agrees with x", degree_one == expected)
 
     pairs = spec.l_coalg.delta_vect(l)
-    split_ops = [(lift_operator(spec, {p: ONE}), lift_operator(spec, {q: ONE}), coeff)
+    split_ops = [(lift_operator(spec, p), lift_operator(spec, q), coeff)
                  for (p, q), coeff in sorted(pairs.items())]
     witness = split_witness(ctx, x, split_ops, bound)
     report.record(

@@ -13,6 +13,13 @@ T(F) up to degree N.  :func:`kernel_persistence` recomputes the kernel at
 N + 1 and flags candidates that fail to persist, which is the honest finite
 criterion available here (true relations kill every degree).
 
+The degree-bounded span of the two-sided ideal generated by a set of
+relations is built by a degree sweep: level k adds the generators of top
+degree k and multiplies, by one letter on either side, the vectors that
+enlarged the span at level k - 1.  This gives the span of every a . g . b
+with deg a + top g + deg b <= bound, stored as a canonical reduced basis
+that does not depend on insertion order.
+
 Coideal verification works in T(L) (x) T(L) modulo the degree-bounded ideal
 span; membership is decided by reducing both tensor legs modulo the ideal
 span, since (V (x) V)/(I (x) V + V (x) I) is (V/I) (x) (V/I).
@@ -167,24 +174,35 @@ def kernel_persistence(spec: RealizationSpec, degree: int, upto: bool = False):
 
 
 def ideal_span(l_coalg: Coalgebra, gens, bound: int) -> SpanBasis:
-    """Span of a . g . b over monomial cofactors, inside degree <= bound.
+    """Span of a . g . b over monomial cofactors with top degree <= bound.
 
     Cofactor degrees are limited by the top degree of each generator, so
     every spanned element honestly lies in the two-sided ideal.
+
+    Built by a degree sweep  S_k = S_{k-1} + G_k + L . S_{k-1} + S_{k-1} . L
+    for k = 0..bound, where G_k holds the generators of top degree exactly k.
+    Only the vectors that added a new direction at level k - 1 are multiplied
+    by a letter on each side at level k: any a . g . b with |a| + |b| > 0 is
+    l . (a' . g . b) or (a . g . b') . l with the inner factor in S_{k-1}, and
+    L . S_{k-2} + S_{k-2} . L already lies in S_{k-1}.  The span is therefore
+    that of all cofactor pairs, and its canonical basis is the same.
     """
-    span = SpanBasis(graded_key)
+    by_top = {}
     for g in gens:
-        if not g:
-            continue
-        top = max(len(w) for w in g)
-        room = bound - top
-        if room < 0:
-            continue
-        for da in range(room + 1):
-            for a in monomials(l_coalg, da):
-                for db in range(room - da + 1):
-                    for b in monomials(l_coalg, db):
-                        span.add({a + w + b: c for w, c in g.items()})
+        if g:
+            by_top.setdefault(max(len(w) for w in g), []).append(g)
+
+    def candidates(level, fresh):
+        yield from by_top.get(level, ())
+        for x in fresh:
+            for letter in l_coalg.basis:
+                yield {(letter,) + w: c for w, c in x.items()}
+                yield {w + (letter,): c for w, c in x.items()}
+
+    span = SpanBasis(graded_key)
+    fresh = []
+    for level in range(bound + 1):
+        fresh = [x for x in candidates(level, fresh) if span.add(x)]
     return span
 
 

@@ -185,6 +185,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
     ("example_w", 0),
     ("trivial", 0),
     ("projection", 1),
+    ("three_block", 0),
 ])
 def test_cli_report_matches_golden(name, expected, capsys):
     code = main(["report", "--input", str(FIXTURES / f"{name}.hra")])
@@ -221,3 +222,12 @@ def test_cli_unwritable_emit_path_is_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "error:" in err and not emit.exists()
+
+
+def test_cli_unwritable_emit_path_prints_no_report(tmp_path, capsys):
+    emit = tmp_path / "missing" / "out.hra"
+    code = main(["report", "--input", str(FIXTURES / "trivial.hra"), "--emit", str(emit)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write --emit output")

@@ -81,6 +81,13 @@ def test_lift_agrees_with_recursive_oracle_trivial(trivial):
         assert lift_operator(trivial, b) == lift_operator_recursive(trivial, b)
 
 
+def test_lift_operator_of_basis_element_is_memoized(example_w):
+    for b in example_w.l_coalg.basis:
+        x = lift_operator(example_w, b)
+        assert lift_operator(example_w, b) is x
+        assert x == lift_operator(example_w, {b: ONE})
+
+
 def test_verify_lift_all_properties_example_w(example_w):
     for b in example_w.l_coalg.basis:
         report = verify_lift(example_w, b)

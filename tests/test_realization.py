@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from conftest import example_w_spec, tri, trivial_spec
 from hopfreal.coalgebra import BasisId
@@ -13,6 +15,7 @@ from hopfreal.realization import (
     eps_extension,
     ideal_span,
     kernel_persistence,
+    monomials,
     relation_kernel,
     relation_kernel_upto,
     represent,
@@ -169,3 +172,53 @@ def test_ideal_span_respects_bound(trivial):
     z = {(tri(2, 1),): ONE}
     assert span.contains({(tri(1, 1), tri(2, 1)): ONE})
     assert span.contains(z)
+
+
+def enumerated_ideal_span(l_coalg, gens, bound):
+    """Reference: a . g . b for every cofactor pair with deg a + top g +
+    deg b <= bound, added one by one (the construction the sweep replaces)."""
+    span = SpanBasis(graded_key)
+    for g in gens:
+        if not g:
+            continue
+        room = bound - max(len(w) for w in g)
+        if room < 0:
+            continue
+        for da in range(room + 1):
+            for a in monomials(l_coalg, da):
+                for db in range(room - da + 1):
+                    for b in monomials(l_coalg, db):
+                        span.add({a + w + b: c for w, c in g.items()})
+    return span
+
+
+def assert_same_ideal_span(l_coalg, gens, bound):
+    got = ideal_span(l_coalg, gens, bound)
+    want = enumerated_ideal_span(l_coalg, gens, bound)
+    assert got.pivots() == want.pivots()
+    assert got.basis() == want.basis()
+
+
+LETTERS = example_w_spec().l_coalg.basis
+COEFFS = st.builds(F, st.integers(-3, 3).filter(bool), st.sampled_from([1, 1, 2, 3]))
+WORDS = st.lists(st.sampled_from(LETTERS), max_size=5).map(tuple)
+GENERATORS = st.lists(st.dictionaries(WORDS, COEFFS, max_size=3), max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gens=GENERATORS, bound=st.integers(0, 4), which=st.sampled_from([example_w_spec, trivial_spec]))
+def test_ideal_span_sweep_matches_enumeration(gens, bound, which):
+    assert_same_ideal_span(which(truncation=2).l_coalg, gens, bound)
+
+
+@pytest.mark.parametrize("bound", range(5))
+def test_ideal_span_sweep_matches_enumeration_on_shaped_generators(example_w, trivial, bound):
+    z, d1, d2 = tri(2, 1), tri(1, 1), tri(2, 2)
+    homogeneous = [{(z,): ONE}, {(d1, z): ONE, (z, d2): F(-1)}]
+    mixed = [{(d1,): ONE, (): F(-1)}, {(z, z): F(1, 2), (d2,): F(3)}]
+    empty = [{}, {(z,): ONE}, {}]
+    above = [{(z,) * 5: ONE}, {(d1,) * 3: ONE, (d2,): F(-1)}]
+    kernels = relation_kernel(trivial, 1).basis + relation_kernel(example_w, 2).basis
+    for spec in (example_w, trivial):
+        for gens in (homogeneous, mixed, empty, above, kernels, []):
+            assert_same_ideal_span(spec.l_coalg, gens, bound)
