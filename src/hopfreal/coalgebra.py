@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidAlgebraError
-from .exactlin import ONE, ZERO, vec_clean
+from .exactlin import ONE, ZERO, vec_add_scaled, vec_clean
 from .reportkit import CheckReport
 
 
@@ -98,12 +98,7 @@ class AlgebraPresentation:
         out = {}
         for l, ca in a.items():
             for m, cb in b.items():
-                for i, c in self.basis_product(l, m).items():
-                    w = out.get(i, ZERO) + ca * cb * c
-                    if w:
-                        out[i] = w
-                    else:
-                        del out[i]
+                vec_add_scaled(out, self.basis_product(l, m), ca * cb)
         return out
 
     def validate(self) -> list:
@@ -181,12 +176,7 @@ def _norm_delta(delta: dict) -> dict:
     for b, terms in delta.items():
         acc = {}
         for (p, q, c) in terms:
-            key = (p, q)
-            w = acc.get(key, ZERO) + Fraction(c)
-            if w:
-                acc[key] = w
-            else:
-                del acc[key]
+            vec_add_scaled(acc, {(p, q): ONE}, Fraction(c))
         out[b] = tuple((p, q, c) for (p, q), c in sorted(acc.items()))
     return out
 
@@ -213,13 +203,7 @@ class Coalgebra:
         """Coproduct of a sparse vector, as (BasisId, BasisId) -> Fraction."""
         out = {}
         for b, coeff in v.items():
-            for (p, q, c) in self.delta_terms(b):
-                key = (p, q)
-                w = out.get(key, ZERO) + coeff * c
-                if w:
-                    out[key] = w
-                else:
-                    del out[key]
+            vec_add_scaled(out, {(p, q): c for (p, q, c) in self.delta_terms(b)}, coeff)
         return out
 
     def eps_vect(self, v: dict) -> Fraction:
@@ -300,27 +284,16 @@ def verify_coalgebra(c: Coalgebra) -> CheckReport:
     for b in c.basis:
         left = {}
         right = {}
-        for (p, q, coeff) in c.delta_terms(b):
-            for (p1, p2, c2) in c.delta_terms(p):
-                key = (p1, p2, q)
-                left[key] = left.get(key, ZERO) + coeff * c2
-            for (q1, q2, c2) in c.delta_terms(q):
-                key = (p, q1, q2)
-                right[key] = right.get(key, ZERO) + coeff * c2
-        left = {k: v for k, v in left.items() if v}
-        right = {k: v for k, v in right.items() if v}
-        report.record(f"coassociativity on {b}", left == right)
         lcounit = {}
         rcounit = {}
         for (p, q, coeff) in c.delta_terms(b):
-            ec = c.eps(p) * coeff
-            if ec:
-                lcounit[q] = lcounit.get(q, ZERO) + ec
-            ec = c.eps(q) * coeff
-            if ec:
-                rcounit[p] = rcounit.get(p, ZERO) + ec
-        report.record(f"left counit law on {b}", vec_clean(lcounit) == {b: ONE})
-        report.record(f"right counit law on {b}", vec_clean(rcounit) == {b: ONE})
+            vec_add_scaled(left, {(p1, p2, q): c2 for (p1, p2, c2) in c.delta_terms(p)}, coeff)
+            vec_add_scaled(right, {(p, q1, q2): c2 for (q1, q2, c2) in c.delta_terms(q)}, coeff)
+            vec_add_scaled(lcounit, {q: coeff}, c.eps(p))
+            vec_add_scaled(rcounit, {p: coeff}, c.eps(q))
+        report.record(f"coassociativity on {b}", left == right)
+        report.record(f"left counit law on {b}", lcounit == {b: ONE})
+        report.record(f"right counit law on {b}", rcounit == {b: ONE})
     return report
 
 

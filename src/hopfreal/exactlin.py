@@ -10,6 +10,10 @@ yes/no question; that is what turns the algebraic identities downstream into
 testable equalities.
 
 Sparse vectors are plain dicts ``key -> Fraction`` with no stored zeros.
+This module is the only one that writes the cancel-and-drop step: every
+sparse sum elsewhere goes through :func:`vec_add_scaled`, which keeps that
+rule.  The inline loops of ``mat_mul``, ``mat_vec`` and ``SpanBasis.reduce``
+are this module's own kernels.
 """
 
 from __future__ import annotations
@@ -88,12 +92,6 @@ class Matrix:
         for (r, c), v in self.entries.items():
             rows[r][c] = v
         return rows
-
-    def col_maps(self) -> list:
-        cols = [dict() for _ in range(self.cols)]
-        for (r, c), v in self.entries.items():
-            cols[c][r] = v
-        return cols
 
     def is_zero(self) -> bool:
         return not self.entries

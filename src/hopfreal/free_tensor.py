@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .coalgebra import AlgebraPresentation, Coalgebra
 from .errors import UnsupportedStructureError
-from .exactlin import ONE, ZERO, vec_clean
+from .exactlin import ONE, ZERO, vec_add_scaled
 from .reportkit import CheckReport
 
 # A word is a tuple of BasisId; a tensor element maps words to Fractions;
@@ -45,11 +45,6 @@ def unit_elem(coeff=ONE) -> TensorElement:
 
 def word_elem(w: Word, coeff=ONE) -> TensorElement:
     return {tuple(w): Fraction(coeff)} if coeff else {}
-
-
-def degree(t: TensorElement) -> int:
-    """Largest word length in t (0 for the zero element)."""
-    return max((len(w) for w in t), default=0)
 
 
 def graded_key(w: Word):
@@ -95,13 +90,7 @@ def concat_product(a: TensorElement, b: TensorElement) -> TensorElement:
     """Bilinear concatenation with no truncation (free product in T)."""
     out = {}
     for w1, c1 in a.items():
-        for w2, c2 in b.items():
-            w = w1 + w2
-            s = out.get(w, ZERO) + c1 * c2
-            if s:
-                out[w] = s
-            else:
-                del out[w]
+        vec_add_scaled(out, {w1 + w2: c2 for w2, c2 in b.items()}, c1)
     return out
 
 
@@ -114,46 +103,32 @@ def word_product(ctx: TensorContext, a: TensorElement, b: TensorElement):
     out = {}
     truncated = False
     for w1, c1 in a.items():
-        for w2, c2 in b.items():
-            if len(w1) + len(w2) > ctx.max_degree:
-                truncated = True
-                continue
-            w = w1 + w2
-            s = out.get(w, ZERO) + c1 * c2
-            if s:
-                out[w] = s
-            else:
-                del out[w]
+        room = ctx.max_degree - len(w1)
+        kept = {w1 + w2: c2 for w2, c2 in b.items() if len(w2) <= room}
+        truncated = truncated or len(kept) < len(b)
+        vec_add_scaled(out, kept, c1)
     return out, truncated
 
 
 def word_coproduct(ctx: TensorContext, w: Word) -> PairElement:
-    """Letterwise coproduct of a single word; both legs keep the word's length."""
+    """Letterwise coproduct of a single word; both legs keep the word's length.
+
+    No accumulator is needed: the coproduct terms of a letter have distinct
+    (p, q) and nonzero coefficients, so every extended key is new and every
+    product is nonzero.
+    """
     pairs = {(EMPTY_WORD, EMPTY_WORD): ONE}
     for letter in w:
         terms = ctx.f.delta_terms(letter)
-        nxt = {}
-        for (w1, w2), coeff in pairs.items():
-            for (p, q, c) in terms:
-                key = (w1 + (p,), w2 + (q,))
-                s = nxt.get(key, ZERO) + coeff * c
-                if s:
-                    nxt[key] = s
-                else:
-                    del nxt[key]
-        pairs = nxt
+        pairs = {(w1 + (p,), w2 + (q,)): coeff * c
+                 for (w1, w2), coeff in pairs.items() for (p, q, c) in terms}
     return pairs
 
 
 def coproduct(ctx: TensorContext, t: TensorElement) -> PairElement:
     out = {}
     for w, coeff in t.items():
-        for key, c in word_coproduct(ctx, w).items():
-            s = out.get(key, ZERO) + coeff * c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
+        vec_add_scaled(out, word_coproduct(ctx, w), coeff)
     return out
 
 
@@ -173,13 +148,7 @@ def pair_product(a: PairElement, b: PairElement) -> PairElement:
     """Componentwise product in T(F) (x) T(F) (no truncation)."""
     out = {}
     for (a1, a2), c1 in a.items():
-        for (b1, b2), c2 in b.items():
-            key = (a1 + b1, a2 + b2)
-            s = out.get(key, ZERO) + c1 * c2
-            if s:
-                out[key] = s
-            else:
-                del out[key]
+        vec_add_scaled(out, {(a1 + b1, a2 + b2): c2 for (b1, b2), c2 in b.items()}, c1)
     return out
 
 
@@ -202,26 +171,17 @@ def verify_free_bialgebra(ctx: TensorContext, sample_degree: int = 3) -> CheckRe
 
         left = {}
         right = {}
-        for (w1, w2), coeff in pairs.items():
-            for (u1, u2), c2 in word_coproduct(ctx, w1).items():
-                key = (u1, u2, w2)
-                left[key] = left.get(key, ZERO) + coeff * c2
-            for (u1, u2), c2 in word_coproduct(ctx, w2).items():
-                key = (w1, u1, u2)
-                right[key] = right.get(key, ZERO) + coeff * c2
-        report.record(f"coassociativity on {w}",
-                      vec_clean(left) == vec_clean(right))
-
         lcounit = {}
         rcounit = {}
         for (w1, w2), coeff in pairs.items():
-            c = coeff * counit(ctx, {w1: ONE})
-            if c:
-                lcounit[w2] = lcounit.get(w2, ZERO) + c
-            c = coeff * counit(ctx, {w2: ONE})
-            if c:
-                rcounit[w1] = rcounit.get(w1, ZERO) + c
-        ok = vec_clean(lcounit) == {w: ONE} and vec_clean(rcounit) == {w: ONE}
+            vec_add_scaled(left, {(u1, u2, w2): c2
+                                  for (u1, u2), c2 in word_coproduct(ctx, w1).items()}, coeff)
+            vec_add_scaled(right, {(w1, u1, u2): c2
+                                   for (u1, u2), c2 in word_coproduct(ctx, w2).items()}, coeff)
+            vec_add_scaled(lcounit, {w2: coeff}, counit(ctx, {w1: ONE}))
+            vec_add_scaled(rcounit, {w1: coeff}, counit(ctx, {w2: ONE}))
+        report.record(f"coassociativity on {w}", left == right)
+        ok = lcounit == {w: ONE} and rcounit == {w: ONE}
         report.record(f"counit laws on {w}", ok)
 
     for w1 in words:
@@ -276,11 +236,7 @@ def tensor_power_product(e: AlgebraPresentation, t1: tuple, t2: tuple) -> dict:
         expansion = e.basis_product(a, b)
         nxt = {}
         for prefix, coeff in acc.items():
-            for i, c in expansion.items():
-                key = prefix + (i,)
-                s = nxt.get(key, ZERO) + coeff * c
-                if s:
-                    nxt[key] = s
+            vec_add_scaled(nxt, {prefix + (i,): c for i, c in expansion.items()}, coeff)
         acc = nxt
     return acc
 

@@ -334,8 +334,6 @@ def closure_iterate(spec: RealizationSpec, table: AntipodeTable, r0,
     """
     if isinstance(r0, RelationSpace):
         r0 = r0.basis
-    elif r0 and isinstance(r0[0], RelationSpace):
-        r0 = [rel for space in r0 for rel in space.basis]
     current = _span_from(r0)
     ideal = ideal_span(spec.l_coalg, current.basis(), degree_bound)
     r0_coideal_ok = all(
@@ -422,12 +420,7 @@ def verify_hopf_quotient(spec: RealizationSpec, table: AntipodeTable,
             vec_add_scaled(right, concat_product({w1: ONE}, s2), coeff)
         eps = eps_extension(spec.l_coalg, w)
         for vec, tag in ((left, "sum S(w')w''"), (right, "sum w'S(w'')")):
-            test = dict(vec)
-            s = test.get((), ZERO) - eps
-            if s:
-                test[()] = s
-            else:
-                test.pop((), None)
+            test = vec_add_scaled(dict(vec), {(): ONE}, -eps)
             bound = max(degree_bound, max((len(u) for u in test), default=0))
             ok = bounded_ideal(bound).contains(test)
             report.record(
@@ -498,21 +491,11 @@ def antipode_general(spec: RealizationSpec, bound: int):
         for (p, q, c) in terms:
             for s in range(r):
                 col = col_of[(q, s)]
-                for key, v in xa[(p, s)].items():
-                    rk = row(("L", b, key))
-                    w = entries.get((rk, col), ZERO) + c * v
-                    if w:
-                        entries[(rk, col)] = w
-                    else:
-                        del entries[(rk, col)]
+                vec_add_scaled(entries, {(row(("L", b, key)), col): v
+                                         for key, v in xa[(p, s)].items()}, c)
                 col = col_of[(p, s)]
-                for key, v in ax[(q, s)].items():
-                    rk = row(("R", b, key))
-                    w = entries.get((rk, col), ZERO) + c * v
-                    if w:
-                        entries[(rk, col)] = w
-                    else:
-                        del entries[(rk, col)]
+                vec_add_scaled(entries, {(row(("R", b, key)), col): v
+                                         for key, v in ax[(q, s)].items()}, c)
         if eps:
             for key, v in ident_vec.items():
                 rhs[row(("L", b, key))] = eps * v

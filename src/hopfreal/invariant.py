@@ -35,7 +35,7 @@ from .exactlin import (
     vec_add_scaled,
     vec_clean,
 )
-from .free_tensor import TensorContext, word_coproduct
+from .free_tensor import TensorContext, coproduct, word_coproduct
 
 # A form is a sparse dict BasisId -> Fraction (finite support by nature).
 Form = dict
@@ -76,9 +76,6 @@ class LinOp:
     matrix per degree, on the lexicographic word basis of that degree."""
 
     blocks: dict  # degree -> Matrix
-
-    def block(self, n: int) -> Matrix:
-        return self.blocks[n]
 
     def __eq__(self, other):
         return isinstance(other, LinOp) and self.blocks == other.blocks
@@ -129,14 +126,8 @@ def op_apply(ctx: TensorContext, op: LinOp, t: dict) -> dict:
         idx = ctx.word_index(n)
         words = ctx.word_basis(n)
         col = idx[w]
-        for (r, c), v in op.blocks[n].entries.items():
-            if c == col:
-                key = words[r]
-                s = out.get(key, ZERO) + coeff * v
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
+        vec_add_scaled(out, {words[r]: v for (r, c), v in op.blocks[n].entries.items()
+                             if c == col}, coeff)
     return out
 
 
@@ -155,16 +146,9 @@ def op_from_form(f: Coalgebra, x: RIOp) -> Matrix:
     index = {b: k for k, b in enumerate(basis)}
     entries = {}
     for col, b in enumerate(basis):
-        out = {}
         for (p, q, c) in f.delta_terms(b):
-            w = x.form.get(p)
-            if w:
-                out[q] = out.get(q, ZERO) + w * c
-        if x.id_coeff:
-            out[b] = out.get(b, ZERO) + x.id_coeff
-        for q, v in out.items():
-            if v:
-                entries[(index[q], col)] = v
+            vec_add_scaled(entries, {(index[q], col): c}, x.form.get(p, ZERO))
+        vec_add_scaled(entries, {(col, col): ONE}, x.id_coeff)
     return Matrix(len(basis), len(basis), entries)
 
 
@@ -173,18 +157,13 @@ def right_invariance_witness(f: Coalgebra, m: Matrix):
     basis = list(f.basis)
     index = {b: k for k, b in enumerate(basis)}
     for b in basis:
-        lhs = {}
         image = mat_vec(m, {index[b]: ONE})
-        for r, coeff in image.items():
-            for (p, q, c) in f.delta_terms(basis[r]):
-                key = (p, q)
-                lhs[key] = lhs.get(key, ZERO) + coeff * c
+        lhs = f.delta_vect({basis[r]: coeff for r, coeff in image.items()})
         rhs = {}
         for (p, q, c) in f.delta_terms(b):
-            for r, v in mat_vec(m, {index[p]: ONE}).items():
-                key = (basis[r], q)
-                rhs[key] = rhs.get(key, ZERO) + c * v
-        if vec_clean(lhs) != vec_clean(rhs):
+            column = mat_vec(m, {index[p]: ONE})
+            vec_add_scaled(rhs, {(basis[r], q): v for r, v in column.items()}, c)
+        if lhs != rhs:
             return b
     return None
 
@@ -201,17 +180,12 @@ def verify_right_invariance(cx, x):
     ctx = cx
     for n in range(ctx.max_degree + 1):
         for w in ctx.word_basis(n):
-            image = op_apply(ctx, x, {w: ONE})
-            lhs = {}
-            for w2, coeff in image.items():
-                for key, c in word_coproduct(ctx, w2).items():
-                    lhs[key] = lhs.get(key, ZERO) + coeff * c
+            lhs = coproduct(ctx, op_apply(ctx, x, {w: ONE}))
             rhs = {}
             for (w1, w2), coeff in word_coproduct(ctx, w).items():
-                for u, v in op_apply(ctx, x, {w1: ONE}).items():
-                    key = (u, w2)
-                    rhs[key] = rhs.get(key, ZERO) + coeff * v
-            if vec_clean(lhs) != vec_clean(rhs):
+                image = op_apply(ctx, x, {w1: ONE})
+                vec_add_scaled(rhs, {(u, w2): v for u, v in image.items()}, coeff)
+            if lhs != rhs:
                 return False, w
     return True, None
 
@@ -225,14 +199,7 @@ def form_of_op(f: Coalgebra, m: Matrix) -> Form:
     basis = list(f.basis)
     form = {}
     for (r, c), v in m.entries.items():
-        e = f.eps(basis[r])
-        if e:
-            b = basis[c]
-            w = form.get(b, ZERO) + e * v
-            if w:
-                form[b] = w
-            else:
-                del form[b]
+        vec_add_scaled(form, {basis[c]: v}, f.eps(basis[r]))
     return form
 
 
@@ -267,14 +234,7 @@ def convolution_inverse(f: Coalgebra, a: Form):
     entries = {}
     for row, v in enumerate(basis):
         for (p, q, c) in f.delta_terms(v):
-            ca = a.get(p)
-            if ca:
-                key = (row, index[q])
-                s = entries.get(key, ZERO) + c * ca
-                if s:
-                    entries[key] = s
-                else:
-                    del entries[key]
+            vec_add_scaled(entries, {(row, index[q]): c}, a.get(p, ZERO))
     m = Matrix(len(basis), len(basis), entries)
     eps = counit_form(f)
     rhs = {index[b]: c for b, c in eps.items()}

@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .coalgebra import BasisId, Coalgebra, grouplikes
 from .errors import InternalInconsistencyError, ValidationError
-from .exactlin import Matrix, ONE, ZERO, mat_add, mat_mul, mat_scale, vec_scale
+from .exactlin import Matrix, ONE, mat_add, mat_mul, mat_scale, vec_add_scaled, vec_scale
 from .free_tensor import TensorContext
 from .invariant import (
     LinOp,
@@ -110,13 +110,7 @@ def _iterate_last(c: Coalgebra, terms: dict, steps: int) -> dict:
         nxt = {}
         for tup, coeff in terms.items():
             head, last = tup[:-1], tup[-1]
-            for (p, q, cc) in c.delta_terms(last):
-                key = head + (p, q)
-                s = nxt.get(key, ZERO) + coeff * cc
-                if s:
-                    nxt[key] = s
-                else:
-                    del nxt[key]
+            vec_add_scaled(nxt, {head + (p, q): cc for (p, q, cc) in c.delta_terms(last)}, coeff)
         terms = nxt
     return terms
 
@@ -126,13 +120,7 @@ def _iterate_first(c: Coalgebra, terms: dict, steps: int) -> dict:
         nxt = {}
         for tup, coeff in terms.items():
             first, tail = tup[0], tup[1:]
-            for (p, q, cc) in c.delta_terms(first):
-                key = (p, q) + tail
-                s = nxt.get(key, ZERO) + coeff * cc
-                if s:
-                    nxt[key] = s
-                else:
-                    del nxt[key]
+            vec_add_scaled(nxt, {(p, q) + tail: cc for (p, q, cc) in c.delta_terms(first)}, coeff)
         terms = nxt
     return terms
 
@@ -160,24 +148,14 @@ def _kron_entries(mats, coeff: Fraction, acc: dict):
 
     Each factor contributes its own row and column count to the index, so
     idx(u_1 ... u_n) = (...(idx(u_1) * size_2 + idx(u_2)) ...) on both sides.
+    The product is built factor by factor with no accumulator: distinct
+    entries of the factors give distinct indices, and every entry is nonzero.
     """
-    items = [(m.rows, m.cols, list(m.entries.items())) for m in mats]
-    if any(not it for _, _, it in items):
-        return
-
-    def rec(k, row, col, value):
-        if k == len(items):
-            s = acc.get((row, col), ZERO) + value
-            if s:
-                acc[(row, col)] = s
-            else:
-                del acc[(row, col)]
-            return
-        rows, cols, entries = items[k]
-        for (r, c), v in entries:
-            rec(k + 1, row * rows + r, col * cols + c, value * v)
-
-    rec(0, 0, 0, coeff)
+    kron = mats[0].entries
+    for m in mats[1:]:
+        kron = {(row * m.rows + r, col * m.cols + c): value * v
+                for (row, col), value in kron.items() for (r, c), v in m.entries.items()}
+    vec_add_scaled(acc, kron, coeff)
 
 
 def lift_basis_block(spec: RealizationSpec, b: BasisId, n: int) -> Matrix:
@@ -229,13 +207,8 @@ def _recursive_block(spec: RealizationSpec, b: BasisId, n: int) -> Matrix:
             first = spec.x_matrix(p)
             rest = _recursive_block(spec, q, n - 1)
             for (r1, c1), v1 in first.entries.items():
-                for (r2, c2), v2 in rest.entries.items():
-                    key2 = (r1 * sub + r2, c1 * sub + c2)
-                    s = acc.get(key2, ZERO) + coeff * v1 * v2
-                    if s:
-                        acc[key2] = s
-                    else:
-                        del acc[key2]
+                vec_add_scaled(acc, {(r1 * sub + r2, c1 * sub + c2): v2
+                                     for (r2, c2), v2 in rest.entries.items()}, coeff * v1)
         block = Matrix(dim ** n, dim ** n, acc)
     spec._cache[key] = block
     return block

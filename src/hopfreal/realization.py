@@ -35,7 +35,7 @@ from .coalgebra import Coalgebra
 from .exactlin import Matrix, ONE, SpanBasis, ZERO, kernel_basis, vec_add_scaled
 from .free_tensor import TensorContext, graded_key, word_coproduct
 from .invariant import LinOp, op_combination, op_compose, op_identity, op_vector
-from .lifting import RealizationSpec, lift_operator, split_witness
+from .lifting import RealizationSpec, lift_operator, split_witness, with_truncation
 from .reportkit import CheckReport
 
 # Monomials over L and sparse combinations of them reuse the word machinery
@@ -132,14 +132,18 @@ def _kernel_of_columns(columns) -> list:
 
 
 def relation_kernel(spec: RealizationSpec, degree: int) -> RelationSpace:
-    """Canonical basis of ker pi restricted to homogeneous degree-d monomials."""
+    """Canonical basis of ker pi restricted to homogeneous degree-d monomials
+    (cached per spec and degree; callers never write into the result)."""
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    mons = monomials(spec.l_coalg, degree)
-    columns = [(w, op_vector(represent_word(spec, w))) for w in mons]
-    vectors = _kernel_of_columns(columns)
-    basis = [{mons[i]: c for i, c in vec.items()} for vec in vectors]
-    return RelationSpace(degree, basis, spec.max_degree)
+    key = ("relker", degree)
+    if key not in spec._cache:
+        mons = monomials(spec.l_coalg, degree)
+        columns = [(w, op_vector(represent_word(spec, w))) for w in mons]
+        vectors = _kernel_of_columns(columns)
+        basis = [{mons[i]: c for i, c in vec.items()} for vec in vectors]
+        spec._cache[key] = RelationSpace(degree, basis, spec.max_degree)
+    return spec._cache[key]
 
 
 def relation_kernel_upto(spec: RealizationSpec, degree: int) -> RelationSpace:
@@ -154,18 +158,15 @@ def relation_kernel_upto(spec: RealizationSpec, degree: int) -> RelationSpace:
     return RelationSpace(degree, basis, spec.max_degree, upto=True)
 
 
-def kernel_persistence(spec: RealizationSpec, degree: int, upto: bool = False):
+def kernel_persistence(spec: RealizationSpec, degree: int):
     """Kernels at truncation N and N + 1 and the truncation-sensitive residue.
 
     Returns (kernel_at_N, kernel_at_N_plus_1, flagged) where flagged counts
     basis elements of the N-kernel that are not relations on the larger
     window.  The N+1 kernel is always contained in the N kernel.
     """
-    from .lifting import with_truncation
-
-    kern = (relation_kernel_upto if upto else relation_kernel)(spec, degree)
-    wider_spec = with_truncation(spec, spec.max_degree + 1)
-    wider = (relation_kernel_upto if upto else relation_kernel)(wider_spec, degree)
+    kern = relation_kernel(spec, degree)
+    wider = relation_kernel(with_truncation(spec, spec.max_degree + 1), degree)
     span = SpanBasis(graded_key)
     for r in wider.basis:
         span.add(r)
@@ -218,13 +219,7 @@ def pair_reduce(span: SpanBasis, pairs: dict) -> dict:
         if not right:
             continue
         for u1, c1 in left.items():
-            for u2, c2 in right.items():
-                key = (u1, u2)
-                s = out.get(key, ZERO) + coeff * c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
+            vec_add_scaled(out, {(u1, u2): c2 for u2, c2 in right.items()}, coeff * c1)
     return out
 
 

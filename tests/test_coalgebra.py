@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from hopfreal.coalgebra import (
+    AlgebraPresentation,
     BasisId,
     dual_coalgebra,
     dual_numbers,
@@ -171,3 +172,15 @@ def test_is_cotriangular():
     assert is_cotriangular(triangular_coalgebra(3))
     assert is_cotriangular(direct_sum([triangular_coalgebra(1), triangular_coalgebra(2)]))
     assert not is_cotriangular(dual_coalgebra(dual_numbers()))
+
+
+def test_algebra_product_with_zero_first_term_stores_no_zero():
+    e = AlgebraPresentation(1, {(0, 0): {0: F(0)}}, {0: F(1)})
+    assert e.product({0: F(1)}, {0: F(1)}) == {}
+
+
+def test_make_coalgebra_drops_zero_coproduct_term():
+    b = BasisId.plain(0)
+    c = make_coalgebra([b], {b: [(b, b, 0)]}, {b: 1})
+    assert c.delta_terms(b) == ()
+    assert c.delta_vect({b: F(1)}) == {}

@@ -1,8 +1,11 @@
+import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+import hopfreal
 from hopfreal.exactlin import (
     Matrix,
     SpanBasis,
@@ -13,6 +16,7 @@ from hopfreal.exactlin import (
     rank,
     rref,
     solve,
+    vec_add_scaled,
 )
 
 
@@ -175,3 +179,33 @@ def test_mat_mul_against_dense():
     a = Matrix.from_rows([[1, 2], [0, 1]])
     b = Matrix.from_rows([[3, 0], [1, 1]])
     assert mat_mul(a, b).to_rows() == [[5, 2], [1, 1]]
+
+
+# --- the sparse sum ------------------------------------------------------------
+
+SPARSE = st.dictionaries(st.integers(0, 5), st.integers(-3, 3).filter(bool).map(F), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dst=SPARSE, src=SPARSE, coeff=st.integers(-2, 2).map(F))
+def test_vec_add_scaled_matches_dense_sum(dst, src, coeff):
+    before = dict(dst)
+    assert vec_add_scaled(dst, src, coeff) is dst
+    assert dense(dst, 6) == tuple(a + coeff * b for a, b in zip(dense(before, 6), dense(src, 6)))
+    assert all(dst.values())
+    if not coeff:
+        assert dst == before
+
+
+def test_sparse_sums_live_in_exactlin():
+    # the cancel-and-drop step is written once, in exactlin; every other
+    # module sums sparse dicts through vec_add_scaled
+    pattern = re.compile(r"\.get\(.*, ZERO\) [-+]")
+    hits = []
+    for path in sorted(Path(hopfreal.__file__).parent.glob("*.py")):
+        if path.name == "exactlin.py":
+            continue
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            if pattern.search(line):
+                hits.append(f"{path.name}:{lineno}: {line.strip()}")
+    assert not hits, "hand-written sparse sums outside exactlin:\n" + "\n".join(hits)

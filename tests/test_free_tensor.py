@@ -1,11 +1,22 @@
 from fractions import Fraction as F
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from hopfreal.coalgebra import BasisId, dual_numbers, triangular_coalgebra, upper_triangular_algebra
+from conftest import example_w_spec
+from hopfreal.coalgebra import (
+    BasisId,
+    dual_numbers,
+    make_coalgebra,
+    triangular_coalgebra,
+    upper_triangular_algebra,
+)
 from hopfreal.errors import UnsupportedStructureError
+from hopfreal.exactlin import vec_add_scaled
 from hopfreal.free_tensor import (
     TensorContext,
+    concat_product,
     context_from_algebra,
     coproduct,
     counit,
@@ -145,3 +156,38 @@ def test_pairing_intertwines_product_small_algebras():
     for alg in (dual_numbers(), upper_triangular_algebra(2)):
         ctx = context_from_algebra(alg, 2)
         assert verify_pairing(ctx, max_deg=2).ok
+
+
+def test_concat_product_with_zero_first_term_stores_no_zero():
+    b = BasisId.plain(0)
+    assert concat_product({(): F(0)}, {(b,): F(1)}) == {}
+    assert concat_product({(): F(1)}, {(b,): F(0)}) == {}
+
+
+# the F of example_w has only unit coproduct coefficients; the second
+# (not coassociative, which word_coproduct does not need) has others
+_A, _B = BasisId.plain(0), BasisId.plain(1)
+_CTXS = (
+    example_w_spec().f_ctx,
+    TensorContext(make_coalgebra([_A, _B], {_A: [(_A, _A, 2), (_B, _A, F(-1, 2))],
+                                            _B: [(_B, _B, 3)]}, {_A: 1}), 4),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_word_coproduct_matches_accumulated_sum(data):
+    # the comprehension in word_coproduct needs no accumulator: compare it
+    # with a letter-by-letter sum through vec_add_scaled
+    ctx = data.draw(st.sampled_from(_CTXS))
+    w = tuple(data.draw(st.lists(st.sampled_from(ctx.f.basis), max_size=4)))
+    ref = {((), ()): ONE}
+    for letter in w:
+        nxt = {}
+        for (w1, w2), coeff in ref.items():
+            for (p, q, c) in ctx.f.delta_terms(letter):
+                vec_add_scaled(nxt, {(w1 + (p,), w2 + (q,)): c}, coeff)
+        ref = nxt
+    pairs = word_coproduct(ctx, w)
+    assert pairs == ref
+    assert all(pairs.values())

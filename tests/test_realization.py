@@ -222,3 +222,8 @@ def test_ideal_span_sweep_matches_enumeration_on_shaped_generators(example_w, tr
     for spec in (example_w, trivial):
         for gens in (homogeneous, mixed, empty, above, kernels, []):
             assert_same_ideal_span(spec.l_coalg, gens, bound)
+
+
+def test_relation_kernel_is_memoized(example_w):
+    assert relation_kernel(example_w, 2) is relation_kernel(example_w, 2)
+    assert relation_kernel(example_w, 1) is not relation_kernel(example_w, 2)
