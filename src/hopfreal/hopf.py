@@ -60,6 +60,7 @@ from .realization import (
     l_context,
     monomials_upto,
     pair_reduce,
+    relation_kernel_upto,
     represent,
     represent_word,
 )
@@ -437,16 +438,21 @@ def verify_hopf_quotient(spec: RealizationSpec, table: AntipodeTable,
 
 def operator_algebra_basis(spec: RealizationSpec, bound: int) -> list:
     """Monomials (graded-lex order) whose pi-images form a basis of the span
-    of pi(monomials of degree <= bound); cached on the spec."""
+    of pi(monomials of degree <= bound), with those images; cached on the spec.
+
+    A monomial belongs to the basis iff its image is independent of the
+    images of the monomials before it, i.e. iff it is not the free (last)
+    column of a vector of the canonical kernel basis of pi on the same
+    monomials, so only the basis monomials are composed.
+    """
     key = ("opalg", bound)
     if key in spec._cache:
         return spec._cache[key]
-    span = SpanBasis()
-    basis = []
-    for w in monomials_upto(spec.l_coalg, bound):
-        op = represent_word(spec, w)
-        if span.add(op_vector(op)):
-            basis.append((w, op))
+    mons = monomials_upto(spec.l_coalg, bound)
+    order = {w: i for i, w in enumerate(mons)}
+    free = {max(rel, key=order.__getitem__)
+            for rel in relation_kernel_upto(spec, bound).basis}
+    basis = [(w, represent_word(spec, w)) for w in mons if w not in free]
     spec._cache[key] = basis
     return basis
 

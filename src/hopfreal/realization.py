@@ -5,13 +5,18 @@ ordered composition X(l_1) o ... o X(l_n) of lifted operators on the
 truncated T(F); the empty monomial goes to the identity.  Its kernel is the
 ideal of relations of the generated bialgebra, computed degree by degree as
 the nullspace of an exact sparse matrix whose columns are monomials (in the
-global lexicographic order over the sorted basis of L) and whose rows are the
-entries of the image operator blocks.
+global lexicographic order over the sorted basis of L).  The rows never hold
+the blocks of pi(w): block n of pi is fixed by blocks 1 and n - 1 through the
+coproduct, B_n(r) = (B_1 (x) B_{n-1})(delta r), so the kernel of block n is
+read off the classes of the coproduct legs modulo the kernels of blocks 1
+and n - 1 (see :func:`_window_kernel`), and only the counit and the
+|F| x |F| products x(l_1) ... x(l_d) are ever computed.
 
 A kernel element is certified *relative to the truncation N*: it kills
-T(F) up to degree N.  :func:`kernel_persistence` recomputes the kernel at
-N + 1 and flags candidates that fail to persist, which is the honest finite
-criterion available here (true relations kill every degree).
+T(F) up to degree N.  :func:`kernel_persistence` computes the kernel at
+N + 1, one more step of the same recursion, and flags candidates that fail
+to persist, which is the honest finite criterion available here (true
+relations kill every degree).
 
 The degree-bounded span of the two-sided ideal generated by a set of
 relations is built by a degree sweep: level k adds the generators of top
@@ -32,9 +37,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coalgebra import Coalgebra
-from .exactlin import Matrix, ONE, SpanBasis, ZERO, kernel_basis, vec_add_scaled
+from .exactlin import Matrix, ONE, SpanBasis, ZERO, kernel_basis, mat_mul, rref, vec_add_scaled
 from .free_tensor import TensorContext, graded_key, word_coproduct
-from .invariant import LinOp, op_combination, op_compose, op_identity, op_vector
+from .invariant import LinOp, op_combination, op_compose, op_identity
 from .lifting import RealizationSpec, lift_operator, split_witness, with_truncation
 from .reportkit import CheckReport
 
@@ -116,19 +121,73 @@ def verify_splitting(spec: RealizationSpec, w: tuple, bound: int) -> bool:
     return split_witness(spec.f_ctx, represent_word(spec, w), splits, bound) is None
 
 
-def _kernel_of_columns(columns) -> list:
-    """Kernel of the linear map (coefficients on columns) -> operators."""
+def _column_matrix(columns) -> Matrix:
+    """The matrix whose columns are the given sparse vectors, with rows keyed
+    in order of first appearance."""
     row_keys = {}
-    for _, vec in columns:
-        for key in vec:
-            if key not in row_keys:
-                row_keys[key] = len(row_keys)
     entries = {}
-    for col, (_, vec) in enumerate(columns):
+    for col, vec in enumerate(columns):
         for key, v in vec.items():
-            entries[(row_keys[key], col)] = v
-    m = Matrix(len(row_keys), len(columns), entries)
-    return kernel_basis(m)
+            entries[(row_keys.setdefault(key, len(row_keys)), col)] = v
+    return Matrix(len(row_keys), len(columns), entries)
+
+
+def _classes(columns) -> list:
+    """Coordinates of each column in a basis of the column span: the columns
+    of the reduced echelon form, which has the same kernel and is injective
+    on the span.  Column i is the class of monomial i modulo the kernel."""
+    red, _ = rref(_column_matrix(columns))
+    classes = [{} for _ in columns]
+    for (row, col), v in red.entries.items():
+        classes[col][row] = v
+    return classes
+
+
+def _window_kernel(spec: RealizationSpec, mons: tuple) -> list:
+    """Canonical basis of ker pi on the monomials mons, as sparse dicts over
+    monomials, from the coproduct recursion of the blocks of pi.
+
+    Block n of pi(w) is B_n(w) = X(l_1)_n ... X(l_d)_n.  The lift expands the
+    last tensor factor, X(l)_n = sum c kron(x(l'), X(l'')_{n-1}) over
+    delta(l), so the mixed-product rule gives B_n(r) = (B_1 (x) B_{n-1})(delta r)
+    for every combination r, with no coassociativity assumed.  Hence
+    K_n = ker B_n is {r : delta r in K_1 (x) V + V (x) K_{n-1}}: with each leg
+    replaced by its class modulo K_1 and K_{n-1}, K_n is a kernel over the
+    columns of mons.  Only B_0 (products of counits) and B_1 (products of
+    |F| x |F| matrices) are ever formed.  The window kernel is the
+    intersection of K_0 .. K_N, the kernel of the stacked classes; the
+    canonical kernel_basis depends only on that subspace and the column order.
+    mons must be closed under the legs of delta, as monomials of one degree
+    or of degree <= d are.
+    """
+    index = {w: i for i, w in enumerate(mons)}
+    ctx = l_context(spec)
+    legs = [[(index[w1], index[w2], coeff) for (w1, w2), coeff in word_coproduct(ctx, w).items()]
+            for w in mons]
+    products = {(): Matrix.identity(spec.f_ctx.f.dim)}
+
+    def degree_one(w):
+        if w not in products:
+            products[w] = mat_mul(degree_one(w[:-1]), spec.x_matrix(w[-1]))
+        return products[w]
+
+    first = _classes([degree_one(w).entries for w in mons])
+    layers = [_classes([{0: eps_extension(spec.l_coalg, w)} for w in mons]), first]
+    for _ in range(2, spec.max_degree + 1):
+        prev = layers[-1]
+        columns = []
+        for terms in legs:
+            col = {}
+            for i1, i2, coeff in terms:
+                right = prev[i2]
+                for u1, c1 in first[i1].items():
+                    vec_add_scaled(col, {(u1, u2): c2 for u2, c2 in right.items()}, coeff * c1)
+            columns.append(col)
+        layers.append(_classes(columns))
+    stacked = [{(n, row): v for n, layer in enumerate(layers) for row, v in layer[i].items()}
+               for i in range(len(mons))]
+    return [{mons[i]: c for i, c in vec.items()}
+            for vec in kernel_basis(_column_matrix(stacked))]
 
 
 def relation_kernel(spec: RealizationSpec, degree: int) -> RelationSpace:
@@ -138,24 +197,22 @@ def relation_kernel(spec: RealizationSpec, degree: int) -> RelationSpace:
         raise ValueError("degree must be >= 1")
     key = ("relker", degree)
     if key not in spec._cache:
-        mons = monomials(spec.l_coalg, degree)
-        columns = [(w, op_vector(represent_word(spec, w))) for w in mons]
-        vectors = _kernel_of_columns(columns)
-        basis = [{mons[i]: c for i, c in vec.items()} for vec in vectors]
+        basis = _window_kernel(spec, monomials(spec.l_coalg, degree))
         spec._cache[key] = RelationSpace(degree, basis, spec.max_degree)
     return spec._cache[key]
 
 
 def relation_kernel_upto(spec: RealizationSpec, degree: int) -> RelationSpace:
     """Canonical basis of ker pi on all monomials of degree <= d (empty word
-    included), so degree-mixing relations such as unit relations appear."""
+    included), so degree-mixing relations such as unit relations appear
+    (cached per spec and degree)."""
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    mons = monomials_upto(spec.l_coalg, degree)
-    columns = [(w, op_vector(represent_word(spec, w))) for w in mons]
-    vectors = _kernel_of_columns(columns)
-    basis = [{mons[i]: c for i, c in vec.items()} for vec in vectors]
-    return RelationSpace(degree, basis, spec.max_degree, upto=True)
+    key = ("relker_upto", degree)
+    if key not in spec._cache:
+        basis = _window_kernel(spec, monomials_upto(spec.l_coalg, degree))
+        spec._cache[key] = RelationSpace(degree, basis, spec.max_degree, upto=True)
+    return spec._cache[key]
 
 
 def kernel_persistence(spec: RealizationSpec, degree: int):
@@ -163,7 +220,9 @@ def kernel_persistence(spec: RealizationSpec, degree: int):
 
     Returns (kernel_at_N, kernel_at_N_plus_1, flagged) where flagged counts
     basis elements of the N-kernel that are not relations on the larger
-    window.  The N+1 kernel is always contained in the N kernel.
+    window.  The N+1 kernel is always contained in the N kernel; on the
+    wider spec it costs one more block of the coproduct recursion, since
+    blocks 0 and 1 do not depend on the truncation.
     """
     kern = relation_kernel(spec, degree)
     wider = relation_kernel(with_truncation(spec, spec.max_degree + 1), degree)

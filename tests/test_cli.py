@@ -1,8 +1,13 @@
+import contextlib
+import io
 import os
+import tempfile
 from fractions import Fraction as F
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from hopfreal.cli import main
 from hopfreal.coalgebra import BasisId
@@ -231,3 +236,43 @@ def test_cli_unwritable_emit_path_prints_no_report(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: cannot write --emit output")
+
+
+FIXTURE_TEXTS = {p.name: p.read_text() for p in sorted(FIXTURES.glob("*.hra"))}
+# Tokens of the fixtures plus malformed ones.  No number above 3, so no
+# mutation can ask for a large coalgebra or window.
+TOKENS = sorted({tok for text in FIXTURE_TEXTS.values() for tok in text.split()
+                 if not tok.lstrip("-").isdigit() or abs(int(tok)) <= 3}
+                | {"0", "-1", "1/0", "1/2", "-2/3", "{", "}", "=", ",", "#", "l[3,3]",
+                   "l[0,1]", "l[1,2]", "P.l[1,1]", "Q.l[9,9]", "e33", "dual", "sum"})
+EDITS = st.lists(st.tuples(st.sampled_from(["replace", "delete", "insert"]),
+                           st.integers(0, 10 ** 6), st.sampled_from(TOKENS)),
+                 min_size=1, max_size=3)
+
+
+def mutate(text, edits):
+    """Apply token edits; a position counts the tokens of the whole text,
+    and line breaks are kept."""
+    lines = [line.split() for line in text.splitlines()]
+    for op, pos, token in edits:
+        slots = [(i, j) for i, line in enumerate(lines) for j in range(len(line) + 1)]
+        i, j = slots[pos % len(slots)]
+        if op == "insert":
+            lines[i].insert(j, token)
+        elif j < len(lines[i]):
+            if op == "replace":
+                lines[i][j] = token
+            else:
+                del lines[i][j]
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(FIXTURE_TEXTS)), edits=EDITS)
+def test_cli_mutated_fixtures_never_raise(name, edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = Path(tmp) / name
+        doc.write_text(mutate(FIXTURE_TEXTS[name], edits))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["report", "--input", str(doc), "--truncation", "2", "--max-degree", "2"])
+    assert code in (0, 1, 2)

@@ -12,19 +12,21 @@ from conftest import (
 )
 from hopfreal.coalgebra import BasisId
 from hopfreal.errors import PreconditionError, UnsupportedStructureError
+from hopfreal.exactlin import SpanBasis
 from hopfreal.hopf import (
     antipode_general,
     antipode_triangular,
     closure_iterate,
     extend_antihom,
+    operator_algebra_basis,
     triangular_systems_ok,
     verify_hopf_quotient,
     verify_uniqueness_perturbations,
     verify_Y_coproduct,
 )
-from hopfreal.invariant import op_identity, op_scale
+from hopfreal.invariant import op_identity, op_scale, op_vector
 from hopfreal.lifting import lift_operator, make_spec
-from hopfreal.realization import monomials_upto, relation_kernel_upto, represent
+from hopfreal.realization import monomials_upto, relation_kernel_upto, represent, represent_word
 
 ONE = F(1)
 
@@ -268,3 +270,23 @@ def test_three_block_antipode():
     assert table.entries[corner] == {(corner,): ONE}
     assert triangular_systems_ok(spec, table.ops)
     assert verify_Y_coproduct(spec, table, 2).ok
+
+
+def spanned_operator_basis(spec, bound):
+    """Reference: keep each monomial whose pi-image enlarges the span of the
+    images kept so far (the construction the kernel columns replace)."""
+    span = SpanBasis()
+    basis = []
+    for w in monomials_upto(spec.l_coalg, bound):
+        op = represent_word(spec, w)
+        if span.add(op_vector(op)):
+            basis.append((w, op))
+    return basis
+
+
+@pytest.mark.parametrize("make", [example_w_spec, three_block_spec, primitive_spec])
+@pytest.mark.parametrize("bound", [1, 2, 3])
+def test_operator_algebra_basis_matches_span_of_images(make, bound):
+    spec = make()
+    assert operator_algebra_basis(spec, bound) == spanned_operator_basis(spec, bound)
+    assert operator_algebra_basis(spec, bound) is operator_algebra_basis(spec, bound)

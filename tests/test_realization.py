@@ -4,18 +4,19 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import example_w_spec, tri, trivial_spec
+from conftest import example_w_spec, primitive_spec, projection_spec, tri, trivial_spec
 from hopfreal.coalgebra import BasisId
-from hopfreal.exactlin import SpanBasis
+from hopfreal.exactlin import Matrix, SpanBasis, kernel_basis
 from hopfreal.free_tensor import graded_key
-from hopfreal.invariant import op_apply, op_identity
-from hopfreal.lifting import with_truncation
+from hopfreal.invariant import RIOp, op_apply, op_identity, op_vector
+from hopfreal.lifting import make_spec, with_truncation
 from hopfreal.realization import (
     counit_check,
     eps_extension,
     ideal_span,
     kernel_persistence,
     monomials,
+    monomials_upto,
     relation_kernel,
     relation_kernel_upto,
     represent,
@@ -227,3 +228,62 @@ def test_ideal_span_sweep_matches_enumeration_on_shaped_generators(example_w, tr
 def test_relation_kernel_is_memoized(example_w):
     assert relation_kernel(example_w, 2) is relation_kernel(example_w, 2)
     assert relation_kernel(example_w, 1) is not relation_kernel(example_w, 2)
+
+
+def test_relation_kernel_upto_is_memoized(example_w):
+    assert relation_kernel_upto(example_w, 2) is relation_kernel_upto(example_w, 2)
+    assert relation_kernel_upto(example_w, 2) is not relation_kernel_upto(example_w, 3)
+    assert relation_kernel_upto(example_w, 1) is not relation_kernel(example_w, 1)
+
+
+def operator_column_kernel(spec, mons):
+    """Reference: the kernel of the matrix whose column w is pi(w) flattened
+    over every block of the window (the construction the recursion replaces)."""
+    columns = [op_vector(represent_word(spec, w)) for w in mons]
+    rows = {}
+    entries = {}
+    for col, vec in enumerate(columns):
+        for key, v in vec.items():
+            entries[(rows.setdefault(key, len(rows)), col)] = v
+    vectors = kernel_basis(Matrix(len(rows), len(columns), entries))
+    return [{mons[i]: c for i, c in vec.items()} for vec in vectors]
+
+
+SMALL = st.sampled_from([0, 0, 1, -1, 2, F(1, 2)])
+FORMS = st.builds(lambda c, f0, f1, f2: RIOp(c, {f(0): f0, f(1): f1, f(2): f2}),
+                  SMALL, SMALL, SMALL, SMALL)
+
+
+def random_x_spec(truncation, x11, x21, x22):
+    w = example_w_spec(truncation)
+    return make_spec(w.l_coalg, w.f_ctx, {tri(1, 1): x11, tri(2, 1): x21, tri(2, 2): x22})
+
+
+SPECS = st.one_of(
+    st.builds(lambda forms: lambda n: random_x_spec(n, *forms), st.tuples(FORMS, FORMS, FORMS)),
+    st.sampled_from([trivial_spec, primitive_spec, projection_spec]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(make=SPECS, truncation=st.integers(1, 4), degree=st.integers(1, 3))
+def test_relation_kernel_recursion_matches_operator_columns(make, truncation, degree):
+    spec = make(truncation)
+    l_coalg = spec.l_coalg
+    assert relation_kernel(spec, degree).basis == operator_column_kernel(
+        spec, monomials(l_coalg, degree))
+    assert relation_kernel_upto(spec, degree).basis == operator_column_kernel(
+        spec, monomials_upto(l_coalg, degree))
+
+
+def test_relation_kernel_recursion_keeps_counit_and_truncation_cases():
+    # x(l[2,1]) = x(l[1,1]) = id: l[2,1] - l[1,1] dies on F but not on the
+    # unit word, so the degree-0 block must stay in the window kernel; at N=1
+    # the degree-2 kernel of example_w holds truncation-sensitive candidates
+    same = random_x_spec(1, RIOp.identity(), RIOp.identity(), RIOp.identity())
+    w = example_w_spec(truncation=1)
+    for spec, d in ((same, 1), (same, 2), (w, 2), (with_truncation(w, 2), 2)):
+        assert relation_kernel(spec, d).basis == operator_column_kernel(
+            spec, monomials(spec.l_coalg, d))
+        assert relation_kernel_upto(spec, d).basis == operator_column_kernel(
+            spec, monomials_upto(spec.l_coalg, d))
