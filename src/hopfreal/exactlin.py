@@ -67,6 +67,19 @@ class Matrix:
         self.entries = clean
 
     @classmethod
+    def trusted(cls, rows: int, cols: int, entries: dict) -> "Matrix":
+        """Adopt entries that are already clean: in range, nonzero Fractions.
+
+        For the kernels of this package that build entries by exact
+        arithmetic on clean matrices; the dict is taken, not copied.  Every
+        other caller goes through the checking constructor."""
+        m = cls.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m.entries = entries
+        return m
+
+    @classmethod
     def from_rows(cls, data) -> "Matrix":
         rows = len(data)
         cols = len(data[0]) if rows else 0
@@ -132,7 +145,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                 out[key] = s
             else:
                 del out[key]
-    return Matrix(a.rows, b.cols, out)
+    return Matrix.trusted(a.rows, b.cols, out)
 
 
 def mat_vec(a: Matrix, v: dict) -> dict:
@@ -181,7 +194,7 @@ def rref(m: Matrix):
     rows = m.row_maps()
     pivots = _rref_rows(rows, m.cols)
     entries = {(r, c): v for r, row in enumerate(rows) for c, v in row.items()}
-    return Matrix(m.rows, m.cols, entries), pivots
+    return Matrix.trusted(m.rows, m.cols, entries), pivots
 
 
 def rank(m: Matrix) -> int:

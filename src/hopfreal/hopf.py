@@ -20,7 +20,10 @@ R_{n+1} = R_n + S^r(R_n) inside the bounded monomial space and testing
 S^r(R_n) against the bounded ideal span of R_n yields the minimal S^r-stable
 coideal-ideal containing the relations, whose quotient is then checked
 against both antipode identities (everything modulo degree-bounded ideal
-spans, with the bound recorded on every claim).
+spans, with the bound recorded on every claim).  Membership in a bounded
+ideal span is a normal form modulo a degree-truncated Groebner basis of the
+generators (see ``realization.ideal_span``), and the quotient dimensions
+are the numbers of standard words of each length.
 
 The general solver drops cotriangularity: it looks for Y(l) inside the span
 of pi-images of bounded monomials satisfying the two convolution systems,
@@ -313,16 +316,6 @@ def _span_from(elements) -> SpanBasis:
     return span
 
 
-def _quotient_dims(l_coalg, ideal: SpanBasis, bound: int) -> dict:
-    pivot_lengths = {}
-    for p in ideal.pivots():
-        pivot_lengths[len(p)] = pivot_lengths.get(len(p), 0) + 1
-    return {
-        k: len(l_coalg.basis) ** k - pivot_lengths.get(k, 0)
-        for k in range(bound + 1)
-    }
-
-
 def closure_iterate(spec: RealizationSpec, table: AntipodeTable, r0,
                     max_stages: int, degree_bound: int) -> ClosureResult:
     """Iterate R_{n+1} = R_n + S^r(R_n) in the bounded monomial space.
@@ -378,7 +371,7 @@ def closure_iterate(spec: RealizationSpec, table: AntipodeTable, r0,
         ideal = ideal_next
 
     final_basis = current.basis()
-    quotient = _quotient_dims(spec.l_coalg, ideal, degree_bound)
+    quotient = {k: len(ideal.standard_words(k)) for k in range(degree_bound + 1)}
     return ClosureResult(stages, stabilized, stable_at, degree_bound,
                          spec.max_degree, final_basis, quotient,
                          r0_coideal_ok=r0_coideal_ok, overflow=overflow)

@@ -109,7 +109,7 @@ def op_combination(ctx: TensorContext, terms) -> LinOp:
     for op, coeff in terms:
         for n, acc in blocks.items():
             vec_add_scaled(acc, op.blocks[n].entries, coeff)
-    return LinOp({n: Matrix(len(ctx.word_basis(n)), len(ctx.word_basis(n)), acc)
+    return LinOp({n: Matrix.trusted(len(ctx.word_basis(n)), len(ctx.word_basis(n)), acc)
                   for n, acc in blocks.items()})
 
 

@@ -170,7 +170,7 @@ def lift_basis_block(spec: RealizationSpec, b: BasisId, n: int) -> Matrix:
         acc = {}
         for tup, coeff in iterated_coproduct(spec.l_coalg, {b: ONE}, n - 1).items():
             _kron_entries([spec.x_matrix(p) for p in tup], coeff, acc)
-        block = Matrix(size, size, acc)
+        block = Matrix.trusted(size, size, acc)
     spec._cache[key] = block
     return block
 

@@ -18,12 +18,14 @@ N + 1, one more step of the same recursion, and flags candidates that fail
 to persist, which is the honest finite criterion available here (true
 relations kill every degree).
 
-The degree-bounded span of the two-sided ideal generated by a set of
-relations is built by a degree sweep: level k adds the generators of top
-degree k and multiplies, by one letter on either side, the vectors that
-enlarged the span at level k - 1.  This gives the span of every a . g . b
-with deg a + top g + deg b <= bound, stored as a canonical reduced basis
-that does not depend on insertion order.
+The degree-bounded span S_b of the two-sided ideal generated by a set of
+relations (every a . g . c with deg a + top g + deg c <= b) is never built
+as a span: membership is decided by normal forms modulo a degree-truncated
+Groebner basis of the generators homogenized by a central variable t, whose
+degree-b part is S_b once t = 1 (see :func:`ideal_span`).  A basis element
+of sugar degree s and leading word m may reduce a word a . m . c only while
+s + |a| + |c| <= b, and the normal form is the unique representative of a
+vector modulo S_b supported on standard words.
 
 Coideal verification works in T(L) (x) T(L) modulo the degree-bounded ideal
 span; membership is decided by reducing both tensor legs modulo the ideal
@@ -233,48 +235,209 @@ def kernel_persistence(spec: RealizationSpec, degree: int):
     return kern, wider, flagged
 
 
-def ideal_span(l_coalg: Coalgebra, gens, bound: int) -> SpanBasis:
-    """Span of a . g . b over monomial cofactors with top degree <= bound.
+class BoundedIdeal:
+    """The bounded ideal span S_b of :func:`ideal_span`, decided by normal
+    forms modulo a degree-truncated Groebner basis.
 
+    ``lead`` maps each leading word m to (sugar s, m, monic element).  Reads
+    like a ``SpanBasis(graded_key)`` holding S_b, with the same values:
+    ``reduce`` gives the unique representative supported on standard words,
+    ``pivots()`` are the words of length <= b that are not standard (the
+    leading words of S_b), and ``basis()`` the canonical reduced rows
+    p - NF(p).  Word normal forms are memoized; ``dim`` and ``pivots()`` are
+    computed on first use.
+    """
+
+    def __init__(self, letters, lead: dict, bound: int):
+        self.bound = bound
+        self._letters = tuple(sorted(letters))
+        self._lead = lead
+        self._longest = max((len(m) for m in lead), default=0)
+        self._nf = {}
+        self._dim = None
+
+    def _reducer(self, u: tuple):
+        """(a, lm, g, c) with u = a . lm . c for a basis element g with
+        leading word lm and sugar(g) + |a| + |c| <= b; None when u is
+        standard."""
+        slack = self.bound - len(u)
+        if slack < 0:
+            return None
+        hit = self._lead.get(())
+        if hit is not None and hit[0] <= slack:
+            return u, (), hit[2], ()
+        n = len(u)
+        for i in range(n):
+            for j in range(i + 1, min(n, i + self._longest) + 1):
+                hit = self._lead.get(u[i:j])
+                if hit is not None and hit[0] - (j - i) <= slack:
+                    return u[:i], u[i:j], hit[2], u[j:]
+        return None
+
+    def normal_form(self, word: tuple) -> dict:
+        """Memoized normal form of a word (shared; do not write to it).
+        Iterative, since a chain of reductions can be long; every step
+        replaces a word by smaller ones."""
+        memo = self._nf
+        stack = [word]
+        tails = {}
+        while stack:
+            u = stack[-1]
+            if u in memo:
+                stack.pop()
+                continue
+            if u not in tails:
+                found = self._reducer(u)
+                if found is None:
+                    memo[u] = {u: ONE}
+                    stack.pop()
+                    continue
+                a, lm, g, c = found
+                tails[u] = [(a + w + c, coeff) for w, coeff in g.items() if w != lm]
+            todo = [v for v, _ in tails[u] if v not in memo]
+            if todo:
+                stack.extend(todo)
+                continue
+            out = {}
+            for v, coeff in tails.pop(u):
+                vec_add_scaled(out, memo[v], -coeff)
+            memo[u] = out
+            stack.pop()
+        return memo[word]
+
+    def reduce(self, vec: dict) -> dict:
+        """Canonical representative of vec modulo S_b."""
+        out = {}
+        for w, coeff in vec.items():
+            vec_add_scaled(out, self.normal_form(w), Fraction(coeff))
+        return out
+
+    def contains(self, vec: dict) -> bool:
+        return not self.reduce(vec)
+
+    def standard_words(self, length: int) -> list:
+        """Words of the given length over the letters that no basis element
+        reduces, in lexicographic order.  A leading word m of sugar s occurs
+        in a reducible word of this length iff s - |m| <= b - length, so
+        these are the words avoiding that set of leading words, grown letter
+        by letter."""
+        slack = self.bound - length
+        banned = {m for m, (s, _, _) in self._lead.items() if s - len(m) <= slack}
+        words = [] if () in banned else [()]
+        for _ in range(length):
+            words = [w + (x,) for w in words for x in self._letters
+                     if not any((w + (x,))[i:] in banned
+                                for i in range(max(0, len(w) + 1 - self._longest), len(w) + 1))]
+        return words
+
+    @property
+    def dim(self) -> int:
+        if self._dim is None:
+            self._dim = sum(len(self._letters) ** k - len(self.standard_words(k))
+                            for k in range(self.bound + 1))
+        return self._dim
+
+    def pivots(self) -> list:
+        return [w for k in range(self.bound + 1) for w in itertools.product(self._letters, repeat=k)
+                if self._reducer(w) is not None]
+
+    def basis(self) -> list:
+        """Rows in increasing pivot order (canonical)."""
+        rows = []
+        for p in self.pivots():
+            row = {p: ONE}
+            vec_add_scaled(row, self.normal_form(p), -ONE)
+            rows.append(row)
+        return rows
+
+    def __repr__(self):
+        return f"BoundedIdeal(bound={self.bound}, {len(self._lead)} basis elements)"
+
+
+def _critical_pairs(f: tuple, g: tuple):
+    """Overlaps and inclusions of the leading words of f and g, each as
+    (sugar, c1, a2, c2) for the S-polynomial f . c1 - a2 . g . c2
+    (f and g are (sugar, leading word, monic element))."""
+    s1, m1, _ = f
+    s2, m2, _ = g
+    for k in range(1, min(len(m1), len(m2))):
+        if m1[-k:] == m2[:k]:
+            x, y = m1[:-k], m2[k:]
+            yield max(s1 + len(y), s2 + len(x)), y, x, ()
+    if f is not g and len(m2) <= len(m1):
+        for i in range(len(m1) - len(m2) + 1):
+            if m1[i:i + len(m2)] == m2:
+                x, y = m1[:i], m1[i + len(m2):]
+                yield max(s1, s2 + len(x) + len(y)), (), x, y
+
+
+def ideal_span(l_coalg: Coalgebra, gens, bound: int) -> BoundedIdeal:
+    """S_b: the span of a . g . c over monomial cofactors with
+    |a| + top(g) + |c| <= bound, where top(g) is the longest word of g.
     Cofactor degrees are limited by the top degree of each generator, so
     every spanned element honestly lies in the two-sided ideal.
 
-    Built by a degree sweep  S_k = S_{k-1} + G_k + L . S_{k-1} + S_{k-1} . L
-    for k = 0..bound, where G_k holds the generators of top degree exactly k.
-    Only the vectors that added a new direction at level k - 1 are multiplied
-    by a letter on each side at level k: any a . g . b with |a| + |b| > 0 is
-    l . (a' . g . b) or (a . g . b') . l with the inner factor in S_{k-1}, and
-    L . S_{k-2} + S_{k-2} . L already lies in S_{k-1}.  The span is therefore
-    that of all cofactor pairs, and its canonical basis is the same.
+    Decided by normal forms, not built as a span.  With a central variable t,
+    homogenize g to the sum of c t^(top(g) - |w|) w over its terms; then
+    t^j a g^h c has degree j + |a| + top(g) + |c|, so setting t = 1 maps the
+    degree-b part of the ideal generated by the g^h one to one onto S_b (a
+    monomial t^(b - |u|) u of degree b is the word u).  In degree b, order
+    t^j u by (|u|, u), i.e. by ``graded_key`` on u; the degree-truncated
+    Groebner basis of the homogenized ideal (Buchberger on word overlaps and
+    inclusions, each S-polynomial of sugar degree above b dropped) then has
+    leading monomials t^(s - |m|) m for an element of sugar s and leading
+    word m.  That monomial divides t^(b - |u|) u iff u = a . m . c with
+    s + |a| + |c| <= b: the sugar rule for reducers.  The normal form of a
+    word has kernel exactly S_b and is the unique representative supported
+    on standard words, the value ``SpanBasis.reduce`` gives.
+
+    The basis is built degree by degree.  The generators of top degree D
+    and the S-polynomials of sugar D are reduced by the elements of lower
+    degree (in degree D), and the canonical reduced basis of their span
+    gives the new elements of degree D: two elements of one degree act on
+    each other only linearly.  Their critical pairs with every element are
+    queued at their sugar degree, or dropped above the bound.
     """
-    by_top = {}
+    pending = {}
     for g in gens:
         if g:
-            by_top.setdefault(max(len(w) for w in g), []).append(g)
+            top = max(len(w) for w in g)
+            if top <= bound:
+                pending.setdefault(top, []).append(g)
+    lead = {}
+    for degree in range(bound + 1):
+        items = pending.pop(degree, ())
+        if not items:
+            continue
+        below = BoundedIdeal(l_coalg.basis, dict(lead), degree)
+        span = SpanBasis(graded_key)
+        for vec in items:
+            span.add(below.reduce(vec))
+        fresh = [(degree, lm, row) for lm, row in zip(span.pivots(), span.basis())]
+        for elem in fresh:
+            lead[elem[1]] = elem
+        for f in fresh:
+            for g in list(lead.values()):
+                pairs = [(f, g)] if g[0] == degree else [(f, g), (g, f)]
+                for first, second in pairs:
+                    for sugar, c1, a2, c2 in _critical_pairs(first, second):
+                        if sugar <= bound:
+                            s_poly = {w + c1: v for w, v in first[2].items()}
+                            vec_add_scaled(s_poly, {a2 + w + c2: v for w, v in second[2].items()},
+                                           -ONE)
+                            pending.setdefault(sugar, []).append(s_poly)
+    return BoundedIdeal(l_coalg.basis, lead, bound)
 
-    def candidates(level, fresh):
-        yield from by_top.get(level, ())
-        for x in fresh:
-            for letter in l_coalg.basis:
-                yield {(letter,) + w: c for w, c in x.items()}
-                yield {w + (letter,): c for w, c in x.items()}
 
-    span = SpanBasis(graded_key)
-    fresh = []
-    for level in range(bound + 1):
-        fresh = [x for x in candidates(level, fresh) if span.add(x)]
-    return span
-
-
-def pair_reduce(span: SpanBasis, pairs: dict) -> dict:
-    """Reduce both legs of an element of T(L) (x) T(L) modulo a subspace span;
-    the result is zero iff the element lies in I (x) T + T (x) I."""
+def pair_reduce(ideal: BoundedIdeal, pairs: dict) -> dict:
+    """Reduce both legs of an element of T(L) (x) T(L) modulo a bounded ideal
+    span; the result is zero iff the element lies in I (x) T + T (x) I."""
     out = {}
     for (w1, w2), coeff in pairs.items():
-        left = span.reduce({w1: ONE})
+        left = ideal.normal_form(w1)
         if not left:
             continue
-        right = span.reduce({w2: ONE})
+        right = ideal.normal_form(w2)
         if not right:
             continue
         for u1, c1 in left.items():
@@ -291,7 +454,7 @@ def delta_on_l_element(spec: RealizationSpec, elem: dict) -> dict:
     return out
 
 
-def computed_relation_ideal(spec: RealizationSpec, degree_bound: int) -> SpanBasis:
+def computed_relation_ideal(spec: RealizationSpec, degree_bound: int) -> BoundedIdeal:
     """Bounded span of the ideal generated by the computed homogeneous
     relation kernels of degree 1..d (cached per bound)."""
     key = ("relideal", degree_bound)

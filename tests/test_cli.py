@@ -1,6 +1,8 @@
 import contextlib
 import io
 import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction as F
 from pathlib import Path
@@ -9,6 +11,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import hopfreal
 from hopfreal.cli import main
 from hopfreal.coalgebra import BasisId
 from hopfreal.errors import ParseError, ResolutionError, ValidationError
@@ -197,6 +200,17 @@ def test_cli_report_matches_golden(name, expected, capsys):
     out = capsys.readouterr().out
     assert code == expected
     assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_python_m_hopfreal_runs_the_cli():
+    env = dict(os.environ)
+    src = str(Path(hopfreal.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hopfreal", "report", "--input", str(FIXTURES / "trivial.hra")],
+        capture_output=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / "trivial.out").read_bytes()
 
 
 def _cli_on_text(tmp_path, capsys, text, *extra):

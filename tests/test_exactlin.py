@@ -3,6 +3,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 import hopfreal
@@ -179,6 +180,38 @@ def test_mat_mul_against_dense():
     a = Matrix.from_rows([[1, 2], [0, 1]])
     b = Matrix.from_rows([[3, 0], [1, 1]])
     assert mat_mul(a, b).to_rows() == [[5, 2], [1, 1]]
+
+
+def assert_clean(m):
+    """Entries a checked constructor would keep unchanged: in range, nonzero,
+    of type Fraction."""
+    assert all(0 <= r < m.rows and 0 <= c < m.cols for r, c in m.entries)
+    assert all(type(v) is F and v for v in m.entries.values())
+    assert m == Matrix(m.rows, m.cols, m.entries)
+
+
+@given(matrices(), matrices(), st.integers(-2, 2))
+@settings(max_examples=80, deadline=None)
+def test_trusted_products_and_echelon_forms_match_checked_path(a, b, shift):
+    # b is cut or padded to a.cols rows, and some entries cancel in the product
+    b = Matrix.from_rows([[v + shift for v in row] for row in (b.to_rows() * a.cols)[:a.cols]])
+    prod = mat_mul(a, b)
+    dense_prod = [[sum((x * y for x, y in zip(row, col)), F(0)) for col in zip(*b.to_rows())]
+                  for row in a.to_rows()]
+    assert prod == Matrix.from_rows(dense_prod)
+    assert_clean(prod)
+    red, pivots = rref(a)
+    assert_clean(red)
+    assert red == Matrix(a.rows, a.cols, {(r, c): v for r, row in enumerate(red.to_rows())
+                                          for c, v in enumerate(row)})
+    assert sorted(pivots) == pivots
+
+
+def test_checked_constructor_still_rejects_bad_entries():
+    with pytest.raises(IndexError):
+        Matrix(2, 2, {(2, 0): F(1)})
+    m = Matrix(2, 2, {(0, 0): 0, (1, 1): 3})
+    assert m.entries == {(1, 1): F(3)} and type(m.entries[(1, 1)]) is F
 
 
 # --- the sparse sum ------------------------------------------------------------

@@ -4,12 +4,12 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import example_w_spec, tri, trivial_spec
+from conftest import example_w_spec, three_block_spec, tri, trivial_spec
 from hopfreal.coalgebra import BasisId, triangular_coalgebra
 from hopfreal.errors import ValidationError
 from hopfreal.exactlin import Matrix
 from hopfreal.free_tensor import TensorContext
-from hopfreal.invariant import LinOp, RIOp, op_apply, op_identity
+from hopfreal.invariant import LinOp, RIOp, op_apply, op_combination, op_identity
 from hopfreal.lifting import (
     _kron_entries,
     iterated_coproduct,
@@ -86,6 +86,20 @@ def test_lift_operator_of_basis_element_is_memoized(example_w):
         x = lift_operator(example_w, b)
         assert lift_operator(example_w, b) is x
         assert x == lift_operator(example_w, {b: ONE})
+
+
+def test_trusted_lift_blocks_and_combinations_are_clean():
+    # lifted blocks and op_combination adopt their entries unchecked; a
+    # checked copy must be equal, and no entry may be zero or non-Fraction
+    spec = three_block_spec()
+    ops = [lift_operator(spec, b) for b in spec.l_coalg.basis]
+    sums = [op_combination(spec.f_ctx, [(ops[0], ONE), (ops[0], -ONE)]),
+            op_combination(spec.f_ctx, [(op, F(k - 2, 3)) for k, op in enumerate(ops)])]
+    for op in ops + sums:
+        for m in op.blocks.values():
+            assert all(type(v) is F and v for v in m.entries.values())
+            assert m == Matrix(m.rows, m.cols, m.entries)
+    assert sums[0].is_zero()
 
 
 def test_verify_lift_all_properties_example_w(example_w):

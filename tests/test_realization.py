@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -6,10 +7,13 @@ from hypothesis import given, settings
 
 from conftest import example_w_spec, primitive_spec, projection_spec, tri, trivial_spec
 from hopfreal.coalgebra import BasisId
+from hopfreal.errors import InputError, InvalidAlgebraError
 from hopfreal.exactlin import Matrix, SpanBasis, kernel_basis
 from hopfreal.free_tensor import graded_key
+from hopfreal.inputdoc import parse_input
 from hopfreal.invariant import RIOp, op_apply, op_identity, op_vector
 from hopfreal.lifting import make_spec, with_truncation
+from hopfreal.pipeline import _run
 from hopfreal.realization import (
     counit_check,
     eps_extension,
@@ -177,7 +181,7 @@ def test_ideal_span_respects_bound(trivial):
 
 def enumerated_ideal_span(l_coalg, gens, bound):
     """Reference: a . g . b for every cofactor pair with deg a + top g +
-    deg b <= bound, added one by one (the construction the sweep replaces)."""
+    deg b <= bound, added one by one: the oracle for the normal forms."""
     span = SpanBasis(graded_key)
     for g in gens:
         if not g:
@@ -210,6 +214,73 @@ GENERATORS = st.lists(st.dictionaries(WORDS, COEFFS, max_size=3), max_size=4)
 @given(gens=GENERATORS, bound=st.integers(0, 4), which=st.sampled_from([example_w_spec, trivial_spec]))
 def test_ideal_span_sweep_matches_enumeration(gens, bound, which):
     assert_same_ideal_span(which(truncation=2).l_coalg, gens, bound)
+
+
+def assert_same_normal_forms(l_coalg, gens, bound):
+    """The Groebner normal forms against the enumerated span: dim, pivots,
+    quotient counts, contains on the generators, and reduce on every word
+    up to one letter past the bound."""
+    got = ideal_span(l_coalg, gens, bound)
+    want = enumerated_ideal_span(l_coalg, gens, bound)
+    assert got.dim == want.dim
+    pivots = want.pivots()
+    assert got.pivots() == pivots
+    for k in range(bound + 1):
+        assert len(got.standard_words(k)) == len(l_coalg.basis) ** k - sum(len(p) == k for p in pivots)
+    for g in gens:
+        assert got.contains(g) == want.contains(g)
+    for k in range(bound + 2):
+        for w in monomials(l_coalg, k):
+            assert got.reduce({w: F(3)}) == want.reduce({w: F(3)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(gens=GENERATORS, bound=st.integers(0, 4), which=st.sampled_from([example_w_spec, trivial_spec]))
+def test_ideal_span_normal_forms_match_enumeration(gens, bound, which):
+    assert_same_normal_forms(which(truncation=2).l_coalg, gens, bound)
+
+
+Z, D1, D2 = tri(2, 1), tri(1, 1), tri(2, 2)
+
+
+@pytest.mark.parametrize("gens, bound", [
+    # zz - d1 and zz - d2 give d2 - d1 of sugar 2 above its top degree 1: it
+    # may act on the word d2 but not on z.d2 inside degree 2
+    ([{(Z, Z): ONE, (D1,): F(-1)}, {(Z, Z): ONE, (D2,): F(-1)}], 2),
+    # the self-overlap d2.d2.d2 of d2.d2 - d1 gives d2.d1 - d1.d2
+    ([{(D2, D2): ONE, (D1,): F(-1)}], 3),
+    # the overlap d1.d2.d2 gives d2 of sugar 3; its inclusion in d1.d2 - 1
+    # gives the constant 1 at sugar 4, so S_4 is everything
+    ([{(D1, D2): ONE, (): F(-1)}, {(D2, D2): F(-1)}], 4),
+], ids=["sugar-rule", "overlap", "inclusion"])
+def test_ideal_span_groebner_shaped_cases(example_w, gens, bound):
+    for b in range(bound + 1):
+        assert_same_normal_forms(example_w.l_coalg, gens, b)
+
+
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURE_DIR.glob("*.hra")))
+def test_ideal_span_matches_enumeration_on_fixture_closures(name):
+    # every ideal the report builds from a fixture: the relation kernels, the
+    # starting relations and the final closure basis, at bounds up to d + 1
+    # (three_block up to 3; its bound-4 memberships are in the golden report)
+    try:
+        doc = parse_input((FIXTURE_DIR / f"{name}.hra").read_text(encoding="utf-8"))
+        report, pipe = _run(doc, ("relations", "antipode", "closure"))
+    except (InputError, InvalidAlgebraError):
+        assert name.startswith("bad_")
+        return
+    if not report.ok:
+        assert name == "projection", report.render()
+        return
+    spec, d = pipe.spec, doc.max_degree
+    kernels = [r for k in range(1, d + 1) for r in relation_kernel(spec, k).basis]
+    generator_sets = (kernels, pipe.r0().basis, pipe.closure().final_basis)
+    for bound in range((3 if name == "three_block" else d + 1) + 1):
+        for gens in generator_sets:
+            assert_same_normal_forms(spec.l_coalg, gens, bound)
 
 
 @pytest.mark.parametrize("bound", range(5))
