@@ -21,6 +21,7 @@ EXPECTED = {
     "example_w.hra": 0,
     "trivial.hra": 0,
     "three_block.hra": 0,
+    "general_w.hra": 0,
     "projection.hra": 1,
     "bad_syntax.hra": 2,
     "bad_dangling.hra": 2,

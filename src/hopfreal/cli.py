@@ -8,8 +8,9 @@ Subcommands select stage sets of the verification pipeline:
     hopfreal closure   --input doc.hra     # S^r closure iteration
     hopfreal report    --input doc.hra     # everything (or --stages a,b,c)
 
-Exit codes: 0 all executed stages passed, 1 a stage failed, 2 input error
-(or an unwritable --emit path, in which case nothing goes to stdout).
+Exit codes: 0 all executed stages passed, 1 a stage failed, 2 input error,
+a window past the preflight's size limits, or an unwritable --emit path (in
+each case nothing goes to stdout).
 Reports are deterministic; --emit writes computed bases and antipode
 expressions in a machine-readable block format.
 """
@@ -20,7 +21,7 @@ import argparse
 import os
 import sys
 
-from .errors import InputError, InvalidAlgebraError
+from .errors import InputError, InvalidAlgebraError, ResourceLimitError
 from .inputdoc import parse_input
 from .pipeline import STAGE_ORDER, _run, stage_artifacts_text
 
@@ -85,7 +86,7 @@ def main(argv=None) -> int:
             print("error: parameters must be positive", file=sys.stderr)
             return 2
         report, pipe = _run(doc, stages, os.path.basename(args.input))
-    except (InputError, InvalidAlgebraError) as err:
+    except (InputError, InvalidAlgebraError, ResourceLimitError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

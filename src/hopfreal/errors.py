@@ -35,6 +35,11 @@ class InternalInconsistencyError(HopfrealError):
     """A verification that must hold by construction failed; indicates a bug."""
 
 
+class ResourceLimitError(HopfrealError):
+    """A requested window exceeds a fixed size limit; refused before any of
+    it is built."""
+
+
 class InputError(HopfrealError):
     """Base class for errors raised while reading an input document."""
 

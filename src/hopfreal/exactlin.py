@@ -9,16 +9,28 @@ All arithmetic is exact, so "is this vector in that span?" is a decidable
 yes/no question; that is what turns the algebraic identities downstream into
 testable equalities.
 
+The two block kernels under every operator product and linear combination,
+:func:`mat_mul` and :func:`mat_combination`, run over Python ints: each
+operand is scaled to integer numerators over one common denominator (the lcm
+of its denominators, times the coefficient's for a combination term), the
+integer products are summed, and each nonzero sum becomes one Fraction over
+that denominator.  Their results are the same clean matrices the Fraction
+loops gave: nonzero, lowest-terms ``Fraction`` entries.  Elimination
+(``rref``, ``solve``, ``SpanBasis``) and ``mat_vec`` stay in Fraction
+arithmetic.
+
 Sparse vectors are plain dicts ``key -> Fraction`` with no stored zeros.
 This module is the only one that writes the cancel-and-drop step: every
-sparse sum elsewhere goes through :func:`vec_add_scaled`, which keeps that
-rule.  The inline loops of ``mat_mul``, ``mat_vec`` and ``SpanBasis.reduce``
-are this module's own kernels.
+sparse sum elsewhere goes through :func:`vec_add_scaled` or
+:func:`mat_combination`, which keep that rule.  The inline loops of
+``mat_mul``, ``mat_combination``, ``mat_vec`` and ``SpanBasis.reduce`` are
+this module's own kernels.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 Scalar = Fraction
 
@@ -132,20 +144,81 @@ def mat_scale(a: Matrix, coeff: Fraction) -> Matrix:
     return Matrix(a.rows, a.cols, vec_scale(a.entries, coeff))
 
 
+def _integer_view(entries: dict):
+    """(den, numerators): den is the lcm of the entries' denominators, and
+    numerators lists each entry times den, in the entries' order."""
+    ratios = [v.as_integer_ratio() for v in entries.values()]
+    den = lcm(*{q for _, q in ratios})
+    if den == 1:
+        return 1, [p for p, _ in ratios]
+    return den, [p * (den // q) for p, q in ratios]
+
+
+def _entries_over(acc: dict, den: int) -> dict:
+    """Entries (r, c) -> Fraction(s, den) of the row-keyed integer sums
+    acc[r][c] = s, dropping the sums that cancelled to zero; equal sums
+    share one Fraction."""
+    values = {}
+    entries = {}
+    for r, out in acc.items():
+        for c, s in out.items():
+            if s:
+                v = values.get(s)
+                if v is None:
+                    v = values[s] = Fraction(s, den)
+                entries[(r, c)] = v
+    return entries
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """Exact product a b.  Each operand is scaled to integer numerators over
+    the lcm of its denominators; the products are summed over the integers,
+    and each nonzero sum s becomes Fraction(s, da * db)."""
     if a.cols != b.rows:
         raise ValueError("shape mismatch")
-    b_rows = b.row_maps()
-    out = {}
-    for (r, k), v in a.entries.items():
-        for c, w in b_rows[k].items():
-            key = (r, c)
-            s = out.get(key, ZERO) + v * w
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-    return Matrix.trusted(a.rows, b.cols, out)
+    da, na = _integer_view(a.entries)
+    db, nb = _integer_view(b.entries)
+    b_rows = [[] for _ in range(b.rows)]
+    for (k, c), y in zip(b.entries, nb):
+        b_rows[k].append((c, y))
+    acc = {}
+    for (r, k), x in zip(a.entries, na):
+        row = b_rows[k]
+        if row:
+            out = acc.get(r)
+            if out is None:
+                out = acc[r] = {}
+            for c, y in row:
+                out[c] = out.get(c, 0) + x * y
+    return Matrix.trusted(a.rows, b.cols, _entries_over(acc, da * db))
+
+
+def mat_combination(rows: int, cols: int, terms) -> Matrix:
+    """sum coeff * m over the (m, coeff) terms, each m a rows x cols matrix;
+    the zero matrix when there are no terms.
+
+    Term i is coeff = p/q times a block with integer numerators over the lcm
+    d_i of its denominators, so it has denominator q * d_i; the sum is taken
+    over the integers on den, the lcm of those, and each nonzero sum s
+    becomes Fraction(s, den)."""
+    views = []
+    for m, coeff in terms:
+        if (m.rows, m.cols) != (rows, cols):
+            raise ValueError("shape mismatch")
+        if coeff:
+            p, q = coeff.as_integer_ratio()
+            d, nums = _integer_view(m.entries)
+            views.append((m.entries, p, q * d, nums))
+    den = lcm(*{d for _, _, d, _ in views})
+    acc = {}
+    for entries, p, d, nums in views:
+        f = p * (den // d)
+        for (r, c), x in zip(entries, nums):
+            out = acc.get(r)
+            if out is None:
+                out = acc[r] = {}
+            out[c] = out.get(c, 0) + f * x
+    return Matrix.trusted(rows, cols, _entries_over(acc, den))
 
 
 def mat_vec(a: Matrix, v: dict) -> dict:

@@ -53,7 +53,7 @@ from .coalgebra import (
     dual_coalgebra,
     triangular_coalgebra,
 )
-from .errors import ParseError, ResolutionError, ValidationError
+from .errors import ParseError, ResolutionError, ResourceLimitError, ValidationError
 from .free_tensor import TensorContext
 from .invariant import RIOp
 from .lifting import RealizationSpec, make_spec
@@ -426,9 +426,47 @@ def parse_input(text: str) -> InputDocument:
     return _Parser(text).parse()
 
 
+# Size limits of a window: the words of T(F) up to the truncation N, and the
+# monomials of T(L) up to the degree bound d.  The shipped fixtures and the
+# benchmark workloads stay under 400 words and 130 monomials; the limits
+# leave room for the relations stage, which also builds degree N + 1.
+MAX_WINDOW_WORDS = 50_000
+MAX_WINDOW_MONOMIALS = 50_000
+
+
+def _graded_count(dim: int, degree: int, limit: int) -> int:
+    """sum of dim**n over n <= degree, or the first partial sum past limit
+    (at most limit + 1 terms are needed: each is at least 1 once dim >= 1)."""
+    total, term = 0, 1
+    for _ in range(min(degree, limit) + 1):
+        total += term
+        if total > limit:
+            break
+        term *= dim
+    return total
+
+
+def preflight(doc: InputDocument) -> None:
+    """Refuse a window past MAX_WINDOW_WORDS or MAX_WINDOW_MONOMIALS
+    (ResourceLimitError), before any word basis or monomial list exists."""
+    real = doc.realization
+    for space, name, degree, unit, limit_name, limit in (
+            ("T(F)", real.f_name, doc.truncation, "words",
+             "MAX_WINDOW_WORDS", MAX_WINDOW_WORDS),
+            ("T(L)", real.l_name, doc.max_degree, "monomials",
+             "MAX_WINDOW_MONOMIALS", MAX_WINDOW_MONOMIALS)):
+        dim = doc.coalgebras[name].dim
+        if _graded_count(dim, degree, limit) > limit:
+            raise ResourceLimitError(
+                f"window too large: {space} up to degree {degree} has more than {limit} "
+                f"{unit} (dim {name} = {dim}); the limit is {limit_name} = {limit}")
+
+
 def build_spec(doc: InputDocument) -> RealizationSpec:
     """Realize the document: checks x covers the basis of L and the diagonal
-    pairs are genuine inverses (ValidationError lists every failure)."""
+    pairs are genuine inverses (ValidationError lists every failure), after
+    the window preflight."""
+    preflight(doc)
     real = doc.realization
     f_coalg = doc.coalgebras[real.f_name]
     f_def = doc.coalgebra_defs.get(real.f_name, "")

@@ -27,7 +27,7 @@ from .exactlin import (
     Matrix,
     ONE,
     ZERO,
-    mat_add,
+    mat_combination,
     mat_mul,
     mat_scale,
     mat_vec,
@@ -94,23 +94,19 @@ def op_zero(ctx: TensorContext) -> LinOp:
                   for n in range(ctx.max_degree + 1)})
 
 
-def op_add(a: LinOp, b: LinOp) -> LinOp:
-    return LinOp({n: mat_add(m, b.blocks[n]) for n, m in a.blocks.items()})
-
-
 def op_scale(a: LinOp, coeff: Fraction) -> LinOp:
     return LinOp({n: mat_scale(m, coeff) for n, m in a.blocks.items()})
 
 
 def op_combination(ctx: TensorContext, terms) -> LinOp:
-    """sum coeff * op over (op, coeff) terms, summed block by block in place;
-    the zero operator when there are no terms."""
-    blocks = {n: {} for n in range(ctx.max_degree + 1)}
-    for op, coeff in terms:
-        for n, acc in blocks.items():
-            vec_add_scaled(acc, op.blocks[n].entries, coeff)
-    return LinOp({n: Matrix.trusted(len(ctx.word_basis(n)), len(ctx.word_basis(n)), acc)
-                  for n, acc in blocks.items()})
+    """sum coeff * op over (op, coeff) terms, block by block; the zero
+    operator when there are no terms."""
+    terms = list(terms)
+    blocks = {}
+    for n in range(ctx.max_degree + 1):
+        size = len(ctx.word_basis(n))
+        blocks[n] = mat_combination(size, size, [(op.blocks[n], coeff) for op, coeff in terms])
+    return LinOp(blocks)
 
 
 def op_compose(a: LinOp, b: LinOp) -> LinOp:

@@ -1,9 +1,13 @@
 import contextlib
+import hashlib
+import importlib.util
 import io
+import json
 import os
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -12,10 +16,11 @@ import pytest
 from hypothesis import given, settings
 
 import hopfreal
+from hopfreal import inputdoc
 from hopfreal.cli import main
 from hopfreal.coalgebra import BasisId
-from hopfreal.errors import ParseError, ResolutionError, ValidationError
-from hopfreal.inputdoc import build_spec, parse_input
+from hopfreal.errors import ParseError, ResolutionError, ResourceLimitError, ValidationError
+from hopfreal.inputdoc import build_spec, parse_input, preflight
 from hopfreal.pipeline import run_pipeline
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -194,6 +199,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
     ("trivial", 0),
     ("projection", 1),
     ("three_block", 0),
+    ("general_w", 0),
 ])
 def test_cli_report_matches_golden(name, expected, capsys):
     code = main(["report", "--input", str(FIXTURES / f"{name}.hra")])
@@ -250,6 +256,70 @@ def test_cli_unwritable_emit_path_prints_no_report(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: cannot write --emit output")
+
+
+# --- the benchmark's documents --------------------------------------------------
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _perfbench_workloads():
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _perfbench_workloads()
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS.WORKLOADS))
+def test_benchmark_documents_reproduce_recorded_digests(workload, tmp_path, capsys):
+    # the report prints the input's file name, so the document keeps the
+    # name the benchmark gives it
+    seed = WORKLOADS.DEFAULT_SEED
+    doc = tmp_path / f"{workload}.hra"
+    doc.write_text(WORKLOADS.generate(workload, seed), encoding="utf-8")
+    digests = json.loads((PERFBENCH / "digests.json").read_text(encoding="utf-8"))
+    code = main(["report", "--input", str(doc)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert (hashlib.sha256(out.encode("utf-8")).hexdigest()
+            == digests[workload][str(WORKLOADS.variant(seed))])
+
+
+# --- the window preflight ---------------------------------------------------------
+
+
+def test_preflight_refuses_a_huge_truncation_quickly(tmp_path, capsys):
+    doc = tmp_path / "trivial.hra"
+    doc.write_text((FIXTURES / "trivial.hra").read_text().replace("truncation 3", "truncation 25"))
+    start = time.process_time()
+    code = main(["report", "--input", str(doc)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "MAX_WINDOW_WORDS" in captured.err
+    assert time.process_time() - start < 5
+
+
+def test_preflight_limits_are_inclusive_and_read_at_call_time(monkeypatch, capsys):
+    # example_w: dim F = dim L = 3 at N = d = 3, so 40 words and 40 monomials
+    doc = parse_input((FIXTURES / "example_w.hra").read_text())
+    monkeypatch.setattr(inputdoc, "MAX_WINDOW_WORDS", 40)
+    monkeypatch.setattr(inputdoc, "MAX_WINDOW_MONOMIALS", 40)
+    preflight(doc)
+    monkeypatch.setattr(inputdoc, "MAX_WINDOW_MONOMIALS", 39)
+    with pytest.raises(ResourceLimitError, match="MAX_WINDOW_MONOMIALS = 39"):
+        build_spec(doc)
+    code = main(["report", "--input", str(FIXTURES / "example_w.hra")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: window too large: T(L) up to degree 3")
+    monkeypatch.setattr(inputdoc, "MAX_WINDOW_WORDS", 39)
+    with pytest.raises(ResourceLimitError, match="MAX_WINDOW_WORDS = 39"):
+        preflight(doc)
+    assert main(["report", "--input", str(FIXTURES / "example_w.hra"),
+                 "--truncation", "2", "--max-degree", "2"]) == 0
 
 
 FIXTURE_TEXTS = {p.name: p.read_text() for p in sorted(FIXTURES.glob("*.hra"))}

@@ -4,13 +4,14 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import hopfreal
 from hopfreal.exactlin import (
     Matrix,
     SpanBasis,
     kernel_basis,
+    mat_combination,
     mat_mul,
     mat_vec,
     membership,
@@ -205,6 +206,108 @@ def test_trusted_products_and_echelon_forms_match_checked_path(a, b, shift):
     assert red == Matrix(a.rows, a.cols, {(r, c): v for r, row in enumerate(red.to_rows())
                                           for c, v in enumerate(row)})
     assert sorted(pivots) == pivots
+
+
+# --- integer-scaled block kernels ----------------------------------------------
+#
+# mat_mul and mat_combination sum over the integers on one common
+# denominator; these are the Fraction loops they replaced, kept as oracles.
+
+
+def fraction_mat_mul(a, b):
+    b_rows = b.row_maps()
+    out = {}
+    for (r, k), v in a.entries.items():
+        for c, w in b_rows[k].items():
+            key = (r, c)
+            s = out.get(key, F(0)) + v * w
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    return Matrix.trusted(a.rows, b.cols, out)
+
+
+def fraction_combination(rows, cols, terms):
+    acc = {}
+    for m, coeff in terms:
+        vec_add_scaled(acc, m.entries, coeff)
+    return Matrix.trusted(rows, cols, acc)
+
+
+# p/q with q up to 13, so operands carry several coprime denominators
+MIXED = st.sampled_from([F(p, q) for p in (-5, -2, -1, 1, 3, 7) for q in (1, 2, 3, 7, 12, 13)])
+
+
+def mixed_matrices(rows, cols):
+    return st.dictionaries(
+        st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)) if rows and cols
+        else st.nothing(), MIXED, max_size=rows * cols,
+    ).map(lambda entries: Matrix(rows, cols, entries))
+
+
+@st.composite
+def cancelling_products(draw):
+    """(a, b) with a = [A | k A | C] and b = [B ; -B / k ; D], so that
+    a b = C D: the first two column blocks cancel entry by entry."""
+    r, c = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    i, j = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    k = draw(MIXED)
+    A, B = draw(mixed_matrices(r, i)), draw(mixed_matrices(i, c))
+    C, D = draw(mixed_matrices(r, j)), draw(mixed_matrices(j, c))
+    a = {**A.entries, **{(x, y + i): k * v for (x, y), v in A.entries.items()},
+         **{(x, y + 2 * i): v for (x, y), v in C.entries.items()}}
+    b = {**B.entries, **{(x + i, y): -v / k for (x, y), v in B.entries.items()},
+         **{(x + 2 * i, y): v for (x, y), v in D.entries.items()}}
+    return Matrix(r, 2 * i + j, a), Matrix(2 * i + j, c, b), fraction_mat_mul(C, D)
+
+
+@given(cancelling_products())
+@settings(max_examples=150, deadline=None)
+@example((Matrix(1, 2, {(0, 0): F(1, 2), (0, 1): F(1, 3)}),
+          Matrix(2, 1, {(0, 0): F(2, 3), (1, 0): F(-1, 2)}),
+          Matrix(1, 1, {(0, 0): F(1, 6)})))
+def test_mat_mul_matches_fraction_loop(case):
+    a, b, cd = case
+    prod = mat_mul(a, b)
+    assert prod == fraction_mat_mul(a, b) == cd
+    assert_clean(prod)
+
+
+@st.composite
+def combinations(draw):
+    """A shape and (m, coeff) terms with mixed denominators, zero
+    coefficients, and negated copies of earlier terms that cancel them."""
+    r, c = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    terms = draw(st.lists(st.tuples(mixed_matrices(r, c), MIXED | st.just(F(0))), max_size=5))
+    for m, coeff in draw(st.lists(st.sampled_from(terms), max_size=2) if terms else st.just([])):
+        terms.append((m, -coeff))
+    return r, c, draw(st.permutations(terms))
+
+
+@given(combinations())
+@settings(max_examples=150, deadline=None)
+@example((1, 1, [(Matrix(1, 1, {(0, 0): F(1, 2)}), F(1, 3))]))
+def test_mat_combination_matches_fraction_loop(case):
+    rows, cols, terms = case
+    total = mat_combination(rows, cols, terms)
+    assert total == fraction_combination(rows, cols, terms)
+    assert_clean(total)
+    assert mat_combination(rows, cols, []) == Matrix(rows, cols)
+
+
+def test_block_kernels_cancel_to_clean_zero_and_check_shapes():
+    m = Matrix(2, 2, {(0, 0): F(1, 3), (1, 0): F(-5, 13), (1, 1): F(7, 12)})
+    assert mat_combination(2, 2, [(m, F(2, 7)), (m, F(-2, 7))]).entries == {}
+    assert mat_combination(2, 2, [(m, F(0))]).entries == {}
+    assert mat_mul(Matrix(0, 2), m) == Matrix(0, 2)
+    assert mat_mul(Matrix(2, 0), Matrix(0, 3)) == Matrix(2, 3)
+    with pytest.raises(ValueError):
+        mat_mul(m, Matrix(3, 2))
+    with pytest.raises(ValueError):
+        mat_combination(2, 2, [(m, F(1)), (Matrix(2, 3), F(1))])
+    with pytest.raises(ValueError):
+        mat_combination(2, 3, [(m, F(0))])
 
 
 def test_checked_constructor_still_rejects_bad_entries():

@@ -55,13 +55,13 @@ def test_both_systems_hold(example_w, w_table):
 
 def test_second_system_cancellation(example_w, w_table):
     # Y_1^1 o X(l[2,1]) + Y_2^1 o X(l[2,2]) = X(l[2,1]) - X(l[2,1]) = 0
-    from hopfreal.invariant import op_add, op_compose
+    from hopfreal.invariant import op_combination, op_compose
 
     z = tri(2, 1)
-    lhs = op_add(
-        op_compose(w_table.ops[tri(1, 1)], lift_operator(example_w, z)),
-        op_compose(w_table.ops[z], lift_operator(example_w, tri(2, 2))),
-    )
+    lhs = op_combination(example_w.f_ctx, [
+        (op_compose(w_table.ops[tri(1, 1)], lift_operator(example_w, z)), F(1)),
+        (op_compose(w_table.ops[z], lift_operator(example_w, tri(2, 2))), F(1)),
+    ])
     assert lhs.is_zero()
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
+from test_exactlin import MIXED, assert_clean, fraction_combination, mixed_matrices
 
 from hopfreal.coalgebra import (
     BasisId,
@@ -16,12 +17,15 @@ from hopfreal.coalgebra import (
 )
 from hopfreal.errors import InvarianceError
 from hopfreal.exactlin import Matrix, mat_mul
+from hopfreal.free_tensor import TensorContext
 from hopfreal.invariant import (
+    LinOp,
     RIOp,
     convolution,
     convolution_inverse,
     counit_form,
     form_of_op,
+    op_combination,
     op_from_form,
     transpose_left_mult,
     verify_right_invariance,
@@ -214,3 +218,42 @@ def test_verify_right_invariance_false_with_witness():
     bad = Matrix(3, 3, {(1, 0): ONE})
     ok, witness = verify_right_invariance(f, bad)
     assert not ok and witness is not None
+
+
+# --- operator sums ---------------------------------------------------------------
+
+CTX = TensorContext(triangular_coalgebra(2), 2)  # blocks of size 1, 3 and 9
+
+
+def fraction_op_combination(ctx, terms):
+    """The Fraction loop op_combination replaced, block by block."""
+    sizes = {n: len(ctx.word_basis(n)) for n in range(ctx.max_degree + 1)}
+    return LinOp({n: fraction_combination(k, k, [(op.blocks[n], c) for op, c in terms])
+                  for n, k in sizes.items()})
+
+
+def linops(ctx):
+    sizes = [len(ctx.word_basis(n)) for n in range(ctx.max_degree + 1)]
+    return st.tuples(*(mixed_matrices(k, k) for k in sizes)).map(
+        lambda blocks: LinOp(dict(enumerate(blocks))))
+
+
+@st.composite
+def op_terms(draw):
+    """Terms with mixed denominators and zero coefficients; a negated copy of
+    an earlier term cancels it block by block."""
+    terms = draw(st.lists(st.tuples(linops(CTX), MIXED | st.just(F(0))), max_size=4))
+    if terms and draw(st.booleans()):
+        op, coeff = draw(st.sampled_from(terms))
+        terms.insert(draw(st.integers(0, len(terms))), (op, -coeff))
+    return terms
+
+
+@given(op_terms())
+@settings(max_examples=60, deadline=None)
+def test_op_combination_matches_fraction_loop(terms):
+    total = op_combination(CTX, iter(terms))
+    assert total == fraction_op_combination(CTX, terms)
+    for m in total.blocks.values():
+        assert_clean(m)
+    assert op_combination(CTX, []).is_zero()
