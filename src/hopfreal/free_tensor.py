@@ -152,15 +152,15 @@ def pair_product(a: PairElement, b: PairElement) -> PairElement:
     return out
 
 
-def verify_free_bialgebra(ctx: TensorContext, sample_degree: int = 3) -> CheckReport:
+def verify_free_bialgebra(ctx: TensorContext) -> CheckReport:
     """Exhaustive exact check of the bialgebra identities on low-degree words.
 
-    On all words of degree <= min(N, sample_degree): coassociativity, both
+    On all words of degree <= min(N, 3): coassociativity, both
     counit laws, the grading of the coproduct, and multiplicativity
     delta(w1 w2) = delta(w1) delta(w2) for all pairs within the bound.
     """
     report = CheckReport("free bialgebra structure")
-    bound = min(ctx.max_degree, sample_degree)
+    bound = min(ctx.max_degree, 3)
     words = [w for n in range(bound + 1) for w in ctx.word_basis(n)]
 
     for w in words:
@@ -241,12 +241,12 @@ def tensor_power_product(e: AlgebraPresentation, t1: tuple, t2: tuple) -> dict:
     return acc
 
 
-def verify_pairing(ctx: TensorContext, max_deg: int = 2) -> CheckReport:
+def verify_pairing(ctx: TensorContext) -> CheckReport:
     """Check <delta(w), t1 (x) t2> = <w, t1 . t2> on all basis words of degree
-    <= max_deg and all pairs of basis tensors of the matching rank."""
+    <= min(N, 2) and all pairs of basis tensors of the matching rank."""
     e = _require_algebra(ctx)
     report = CheckReport("duality pairing intertwines coproduct and product")
-    for n in range(min(max_deg, ctx.max_degree) + 1):
+    for n in range(min(2, ctx.max_degree) + 1):
         tensors = list(itertools.product(range(e.dim), repeat=n))
         for w in ctx.word_basis(n):
             pairs = word_coproduct(ctx, w)

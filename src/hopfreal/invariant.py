@@ -13,7 +13,11 @@ coefficient split off explicitly.
 
 Grade-preserving operators on the truncated tensor algebra are stored
 block-per-degree (:class:`LinOp`), one exact sparse matrix on the word basis
-of each degree up to the truncation.
+of each degree up to the truncation.  Right-invariance of such an operator
+is checked as one block identity per degree, D_n X_n = (X_n (x) I) D_n with
+D_n the letterwise coproduct matrix of degree-n words
+(:func:`verify_right_invariance`); a degree-1 operator on F is the same
+check at n = 1.
 """
 
 from __future__ import annotations
@@ -30,12 +34,11 @@ from .exactlin import (
     mat_combination,
     mat_mul,
     mat_scale,
-    mat_vec,
     solve,
     vec_add_scaled,
     vec_clean,
 )
-from .free_tensor import TensorContext, coproduct, word_coproduct
+from .free_tensor import TensorContext, word_coproduct
 
 # A form is a sparse dict BasisId -> Fraction (finite support by nature).
 Form = dict
@@ -114,19 +117,6 @@ def op_compose(a: LinOp, b: LinOp) -> LinOp:
     return LinOp({n: mat_mul(m, b.blocks[n]) for n, m in a.blocks.items()})
 
 
-def op_apply(ctx: TensorContext, op: LinOp, t: dict) -> dict:
-    """Apply a block operator to a tensor element (degree by degree)."""
-    out = {}
-    for w, coeff in t.items():
-        n = len(w)
-        idx = ctx.word_index(n)
-        words = ctx.word_basis(n)
-        col = idx[w]
-        vec_add_scaled(out, {words[r]: v for (r, c), v in op.blocks[n].entries.items()
-                             if c == col}, coeff)
-    return out
-
-
 def op_vector(op: LinOp) -> dict:
     """Flatten to a sparse vector keyed (degree, row, col), for span work."""
     out = {}
@@ -148,49 +138,53 @@ def op_from_form(f: Coalgebra, x: RIOp) -> Matrix:
     return Matrix(len(basis), len(basis), entries)
 
 
-def right_invariance_witness(f: Coalgebra, m: Matrix):
-    """None if delta o X = (X (x) id) o delta on every basis element, else a witness."""
-    basis = list(f.basis)
-    index = {b: k for k, b in enumerate(basis)}
-    for b in basis:
-        image = mat_vec(m, {index[b]: ONE})
-        lhs = f.delta_vect({basis[r]: coeff for r, coeff in image.items()})
-        rhs = {}
-        for (p, q, c) in f.delta_terms(b):
-            column = mat_vec(m, {index[p]: ONE})
-            vec_add_scaled(rhs, {(basis[r], q): v for r, v in column.items()}, c)
-        if lhs != rhs:
-            return b
-    return None
+def _coproduct_blocks(ctx: TensorContext, n: int):
+    """The letterwise coproduct of degree-n words as an s^2 x s matrix D_n
+    (s = dim F^n), with D_n[idx(u) * s + idx(v), idx(w)] the coefficient of
+    u (x) v in delta(w), and the same entries as an s x s^2 matrix at
+    [idx(u), idx(v) * s + idx(w)].  Memoized per context."""
+    key = ("coproduct", n)
+    if key not in ctx._cache:
+        words = ctx.word_basis(n)
+        index = ctx.word_index(n)
+        s = len(words)
+        d = {(index[u] * s + index[v], col): c
+             for col, w in enumerate(words) for (u, v), c in word_coproduct(ctx, w).items()}
+        legs = {(r // s, r % s * s + col): c for (r, col), c in d.items()}
+        ctx._cache[key] = (Matrix.trusted(s * s, s, d), Matrix.trusted(s, s * s, legs))
+    return ctx._cache[key]
 
 
 def verify_right_invariance(cx, x):
-    """Exact right-invariance check; returns (ok, witness or None).
+    """Exact check of delta o X = (X (x) id) o delta; returns (ok, witness or None).
 
-    Accepts a Coalgebra with a degree-1 Matrix, or a TensorContext with a
-    LinOp (checked on every word basis element up to the truncation).
+    Accepts a TensorContext with a LinOp, checked on every block, or a
+    Coalgebra F with a degree-1 Matrix, which is the same check on
+    TensorContext(F, 1) with a basis element of F as the witness.  Each
+    degree is one exact identity D_n X_n = (X_n (x) I) D_n; its column w is
+    the equation at the word w, and the witness is the first failing word in
+    (degree, index) order.  The right side is X_n times the s x s^2 reading
+    of D_n, with its entry [u, v * s + w] read back at [u * s + v, w].
     """
     if isinstance(cx, Coalgebra):
-        witness = right_invariance_witness(cx, x)
-        return witness is None, witness
-    ctx = cx
-    for n in range(ctx.max_degree + 1):
-        for w in ctx.word_basis(n):
-            lhs = coproduct(ctx, op_apply(ctx, x, {w: ONE}))
-            rhs = {}
-            for (w1, w2), coeff in word_coproduct(ctx, w).items():
-                image = op_apply(ctx, x, {w1: ONE})
-                vec_add_scaled(rhs, {(u, w2): v for u, v in image.items()}, coeff)
-            if lhs != rhs:
-                return False, w
+        ok, w = verify_right_invariance(TensorContext(cx, 1), LinOp({1: x}))
+        return ok, (w[0] if w else None)
+    for n, m in sorted(x.blocks.items()):
+        d, legs = _coproduct_blocks(cx, n)
+        s = d.cols
+        lhs = mat_mul(d, m).entries
+        rhs = {(u * s + vw // s, vw % s): c for (u, vw), c in mat_mul(m, legs).entries.items()}
+        bad = [key[1] for key in lhs.keys() | rhs.keys() if lhs.get(key) != rhs.get(key)]
+        if bad:
+            return False, cx.word_basis(n)[min(bad)]
     return True, None
 
 
 def form_of_op(f: Coalgebra, m: Matrix) -> Form:
     """eps o X for a right-invariant degree-1 operator X; the inverse of
     op_from_form on such operators.  Raises on a non-invariant input."""
-    witness = right_invariance_witness(f, m)
-    if witness is not None:
+    ok, witness = verify_right_invariance(f, m)
+    if not ok:
         raise InvarianceError(witness)
     basis = list(f.basis)
     form = {}

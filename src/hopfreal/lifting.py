@@ -255,15 +255,16 @@ def split_witness(ctx: TensorContext, outer: LinOp, parts, bound: int):
     return witness
 
 
-def verify_lift(spec: RealizationSpec, l, max_pair_degree: int = None) -> CheckReport:
+def verify_lift(spec: RealizationSpec, l) -> CheckReport:
     """Exhaustive exact check of the five lifted-operator properties up to
     the truncation: the unit action, agreement with x on F, the splitting
-    rule on all word pairs, grade preservation, and right-invariance on T(F).
+    rule on all word pairs, grade preservation, and right-invariance on
+    every word of T(F) (one block identity per degree, see
+    :func:`~hopfreal.invariant.verify_right_invariance`).
     """
     if isinstance(l, BasisId):
         l = {l: ONE}
     ctx = spec.f_ctx
-    bound = min(max_pair_degree or ctx.max_degree, ctx.max_degree)
     report = CheckReport("lifted operator properties")
     x = lift_operator(spec, l)
 
@@ -280,7 +281,7 @@ def verify_lift(spec: RealizationSpec, l, max_pair_degree: int = None) -> CheckR
     pairs = spec.l_coalg.delta_vect(l)
     split_ops = [(lift_operator(spec, p), lift_operator(spec, q), coeff)
                  for (p, q), coeff in sorted(pairs.items())]
-    witness = split_witness(ctx, x, split_ops, bound)
+    witness = split_witness(ctx, x, split_ops, ctx.max_degree)
     report.record(
         "splitting rule on word pairs" + ("" if witness is None else f" (witness {witness})"),
         witness is None)

@@ -19,6 +19,7 @@ from hopfreal.coalgebra import (
     triangular_coalgebra,
     upper_triangular_algebra,
 )
+from hopfreal.exactlin import mat_vec
 from hopfreal.free_tensor import TensorContext, context_from_algebra
 from hopfreal.invariant import RIOp
 from hopfreal.lifting import make_spec
@@ -28,6 +29,13 @@ ONE = F(1)
 
 def tri(i, j, block=0):
     return BasisId.tri(i, j, block)
+
+
+def apply_to_word(ctx, op, w):
+    """op(w) for a LinOp and a word: column idx(w) of the block of degree len(w)."""
+    words = ctx.word_basis(len(w))
+    column = mat_vec(op.blocks[len(w)], {ctx.word_index(len(w))[w]: ONE})
+    return {words[r]: v for r, v in column.items()}
 
 
 def example_w_spec(truncation=3):

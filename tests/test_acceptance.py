@@ -126,7 +126,7 @@ def test_criterion_03_anti_isomorphism():
 def test_criterion_04_duality_pairing():
     with _Timer(4, "duality pairing", 1.0):
         ctx = context_from_algebra(upper_triangular_algebra(2), 3)
-        report = verify_pairing(ctx, max_deg=2)
+        report = verify_pairing(ctx)
         assert report.ok, report.failures()
 
 
@@ -177,7 +177,7 @@ def test_criterion_07_triangular_antipode():
         assert triangular_systems_ok(spec, table.ops)
         cop = verify_Y_coproduct(spec, table, 3)
         assert cop.ok, cop.failures()
-        uniq = verify_uniqueness_perturbations(spec, table, trials=10)
+        uniq = verify_uniqueness_perturbations(spec, table)
         assert uniq.ok, uniq.failures()
 
 
@@ -188,7 +188,7 @@ def test_criterion_08_closure_and_hopf_quotient():
         r0 = relation_kernel_upto(spec, 3)
         closure = closure_iterate(spec, table, r0, 4, 3)
         assert closure.stabilized and closure.stable_at <= 3
-        report = verify_hopf_quotient(spec, table, closure, 3, sample_degree=2)
+        report = verify_hopf_quotient(spec, table, closure, 3)
         assert report.ok, report.failures()
 
 

@@ -149,13 +149,13 @@ def test_pairing_requires_algebra():
 
 def test_pairing_intertwines_product():
     ctx = context_from_algebra(upper_triangular_algebra(2), 3)
-    assert verify_pairing(ctx, max_deg=2).ok
+    assert verify_pairing(ctx).ok
 
 
 def test_pairing_intertwines_product_small_algebras():
     for alg in (dual_numbers(), upper_triangular_algebra(2)):
         ctx = context_from_algebra(alg, 2)
-        assert verify_pairing(ctx, max_deg=2).ok
+        assert verify_pairing(ctx).ok
 
 
 def test_concat_product_with_zero_first_term_stores_no_zero():

@@ -10,10 +10,12 @@ from conftest import (
     tri,
     trivial_spec,
 )
-from hopfreal.coalgebra import BasisId
+from hopfreal.coalgebra import BasisId, triangular_blocks
 from hopfreal.errors import PreconditionError, UnsupportedStructureError
 from hopfreal.exactlin import SpanBasis
 from hopfreal.hopf import (
+    _composite_split_ok,
+    _system_checks,
     antipode_general,
     antipode_triangular,
     closure_iterate,
@@ -24,7 +26,14 @@ from hopfreal.hopf import (
     verify_uniqueness_perturbations,
     verify_Y_coproduct,
 )
-from hopfreal.invariant import op_identity, op_scale, op_vector
+from hopfreal.invariant import (
+    op_combination,
+    op_compose,
+    op_identity,
+    op_scale,
+    op_vector,
+    op_zero,
+)
 from hopfreal.lifting import lift_operator, make_spec
 from hopfreal.realization import monomials_upto, relation_kernel_upto, represent, represent_word
 
@@ -55,8 +64,6 @@ def test_both_systems_hold(example_w, w_table):
 
 def test_second_system_cancellation(example_w, w_table):
     # Y_1^1 o X(l[2,1]) + Y_2^1 o X(l[2,2]) = X(l[2,1]) - X(l[2,1]) = 0
-    from hopfreal.invariant import op_combination, op_compose
-
     z = tri(2, 1)
     lhs = op_combination(example_w.f_ctx, [
         (op_compose(w_table.ops[tri(1, 1)], lift_operator(example_w, z)), F(1)),
@@ -91,10 +98,11 @@ def test_expressions_represent_their_operators(example_w, w_table):
 
 
 def test_verify_y_coproduct(example_w, w_table):
-    z = tri(2, 1)
-    pairs = [(u, v) for u in example_w.l_coalg.basis for v in example_w.l_coalg.basis]
-    report = verify_Y_coproduct(example_w, w_table, 3, composite_pairs=pairs)
+    report = verify_Y_coproduct(example_w, w_table, 3)
     assert report.ok, report.failures()
+    # the report samples composite pairs; every ordered pair splits
+    basis = example_w.l_coalg.basis
+    assert all(_composite_split_ok(example_w, w_table, u, v, 3) for u in basis for v in basis)
 
 
 def test_extend_antihom_unit(example_w, w_table):
@@ -205,7 +213,7 @@ def test_general_solver_non_cotriangular_primitive():
 
 
 def test_uniqueness_perturbations(example_w, w_table):
-    report = verify_uniqueness_perturbations(example_w, w_table, trials=10)
+    report = verify_uniqueness_perturbations(example_w, w_table)
     assert report.ok, report.failures()
 
 
@@ -290,3 +298,55 @@ def test_operator_algebra_basis_matches_span_of_images(make, bound):
     spec = make()
     assert operator_algebra_basis(spec, bound) == spanned_operator_basis(spec, bound)
     assert operator_algebra_basis(spec, bound) is operator_algebra_basis(spec, bound)
+
+
+def triangular_system_flags(spec, ops):
+    """The block/i/j loops the system generator replaced, as flags
+    (b, side) -> ok over the triangular systems of the module docstring."""
+    ident = op_identity(spec.f_ctx)
+    zero = op_zero(spec.f_ctx)
+    flags = {}
+    for block, n in sorted(triangular_blocks(spec.l_coalg).items()):
+        for i in range(1, n + 1):
+            for j in range(1, i + 1):
+                want = ident if i == j else zero
+                ks = range(j, i + 1)
+                left = op_combination(spec.f_ctx, [
+                    (op_compose(lift_operator(spec, tri(k, j, block)), ops[tri(i, k, block)]), ONE)
+                    for k in ks])
+                right = op_combination(spec.f_ctx, [
+                    (op_compose(ops[tri(k, j, block)], lift_operator(spec, tri(i, k, block))), ONE)
+                    for k in ks])
+                flags[(tri(i, j, block), "left")] = left == want
+                flags[(tri(i, j, block), "right")] = right == want
+    return flags
+
+
+@pytest.mark.parametrize("make", [example_w_spec, three_block_spec])
+def test_system_flags_match_triangular_loops_on_planted_defects(make):
+    # perturb one off-diagonal Y entry at a time by a lifted operator or the
+    # identity; the generator's flags must be the old loops' flags
+    spec = make()
+    table = antipode_triangular(spec)
+    assert all(triangular_system_flags(spec, table.ops).values())
+    for target in (b for b in spec.l_coalg.basis if b.i != b.j):
+        for extra in [op_identity(spec.f_ctx)] + [lift_operator(spec, b) for b in spec.l_coalg.basis]:
+            ops = dict(table.ops)
+            ops[target] = op_combination(spec.f_ctx, [(ops[target], ONE), (extra, F(1, 2))])
+            flags = {(b, side): ok for b, side, ok in _system_checks(spec, ops)}
+            assert flags == triangular_system_flags(spec, ops)
+            assert not all(flags.values())
+            assert not triangular_systems_ok(spec, ops)
+
+
+def test_a_right_system_failure_alone_at_its_b_fails_the_check():
+    # three_block, Y(l[2,1]) of the 3-block plus X(l[2,1]): at l[3,1] the
+    # left system does not involve Y(l[2,1]) and still holds, the right one
+    # (through Y(l[2,1]) o X(l[3,2])) breaks
+    spec = three_block_spec()
+    ops = dict(antipode_triangular(spec).ops)
+    z = tri(2, 1, 2)
+    ops[z] = op_combination(spec.f_ctx, [(ops[z], ONE), (lift_operator(spec, z), ONE)])
+    flags = {(b, side): ok for b, side, ok in _system_checks(spec, ops)}
+    assert flags[(tri(3, 1, 2), "left")] and not flags[(tri(3, 1, 2), "right")]
+    assert not triangular_systems_ok(spec, ops)

@@ -1,5 +1,7 @@
 import itertools
+import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -16,8 +18,9 @@ from hopfreal.coalgebra import (
     upper_triangular_algebra,
 )
 from hopfreal.errors import InvarianceError
-from hopfreal.exactlin import Matrix, mat_mul
-from hopfreal.free_tensor import TensorContext
+from hopfreal.exactlin import Matrix, mat_mul, mat_vec, vec_add_scaled
+from hopfreal.free_tensor import TensorContext, coproduct, word_coproduct
+from hopfreal.inputdoc import build_spec, parse_input
 from hopfreal.invariant import (
     LinOp,
     RIOp,
@@ -30,6 +33,7 @@ from hopfreal.invariant import (
     transpose_left_mult,
     verify_right_invariance,
 )
+from hopfreal.lifting import lift_operator
 
 ONE = F(1)
 
@@ -257,3 +261,104 @@ def test_op_combination_matches_fraction_loop(terms):
     for m in total.blocks.values():
         assert_clean(m)
     assert op_combination(CTX, []).is_zero()
+
+
+# --- right-invariance as one block identity per degree ---------------------------
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SHIPPED = ["example_w", "general_w", "projection", "three_block", "trivial"]
+
+
+def word_apply(ctx, op, t):
+    """op applied to a tensor element, one block column per word."""
+    out = {}
+    for w, coeff in t.items():
+        col = ctx.word_index(len(w))[w]
+        words = ctx.word_basis(len(w))
+        vec_add_scaled(out, {words[r]: v for (r, c), v in op.blocks[len(w)].entries.items()
+                             if c == col}, coeff)
+    return out
+
+
+def per_word_invariance(ctx, x):
+    """The per-word loop the block identity replaced: delta(X w) against
+    (X (x) id) delta(w) on every word, in (degree, index) order."""
+    for n in range(ctx.max_degree + 1):
+        for w in ctx.word_basis(n):
+            lhs = coproduct(ctx, word_apply(ctx, x, {w: ONE}))
+            rhs = {}
+            for (w1, w2), coeff in word_coproduct(ctx, w).items():
+                image = word_apply(ctx, x, {w1: ONE})
+                vec_add_scaled(rhs, {(u, w2): v for u, v in image.items()}, coeff)
+            if lhs != rhs:
+                return False, w
+    return True, None
+
+
+def per_basis_invariance(f, m):
+    """The degree-1 loop the block identity replaced, over the basis of F."""
+    basis = list(f.basis)
+    index = {b: k for k, b in enumerate(basis)}
+    for b in basis:
+        image = mat_vec(m, {index[b]: ONE})
+        lhs = f.delta_vect({basis[r]: coeff for r, coeff in image.items()})
+        rhs = {}
+        for (p, q, c) in f.delta_terms(b):
+            column = mat_vec(m, {index[p]: ONE})
+            vec_add_scaled(rhs, {(basis[r], q): v for r, v in column.items()}, c)
+        if lhs != rhs:
+            return False, b
+    return True, None
+
+
+def planted(m, r, c, delta):
+    """m with delta added at (r, c): a single-entry perturbation."""
+    entries = dict(m.entries)
+    entries[(r, c)] = entries.get((r, c), F(0)) + delta
+    return Matrix(m.rows, m.cols, entries)
+
+
+def fixture_spec(name):
+    return build_spec(parse_input((FIXTURES / f"{name}.hra").read_text(encoding="utf-8")))
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_block_identity_matches_per_word_loop_on_planted_defects(name):
+    # single-entry perturbations of every lifted X(b) at every degree, degree
+    # 0 included, on positions inside and outside the support: (ok, witness)
+    # must equal the per-word loop's, and both outcomes must occur
+    spec = fixture_spec(name)
+    ctx = spec.f_ctx
+    rng = random.Random(name)
+    outcomes = set()
+    for b in spec.l_coalg.basis:
+        x = lift_operator(spec, b)
+        assert verify_right_invariance(ctx, x) == per_word_invariance(ctx, x) == (True, None)
+        for n, m in x.blocks.items():
+            # zero the first stored entry (add 1 in an empty block), then add
+            # 1/2 and -3 at two random positions
+            positions = sorted(m.entries)[:1] + [
+                (rng.randrange(m.rows), rng.randrange(m.cols)) for _ in range(2)]
+            first = -m.get(*positions[0]) or ONE
+            for (r, c), delta in zip(positions, (first, F(1, 2), F(-3))):
+                bad = LinOp({**x.blocks, n: planted(m, r, c, delta)})
+                got = verify_right_invariance(ctx, bad)
+                assert got == per_word_invariance(ctx, bad), (b, n, r, c)
+                outcomes.add(got[0])
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_degree_one_check_matches_per_basis_loop_on_planted_defects(name):
+    spec = fixture_spec(name)
+    f = spec.f_ctx.f
+    outcomes = set()
+    for b in spec.l_coalg.basis:
+        m = spec.x_matrix(b)
+        assert verify_right_invariance(f, m) == per_basis_invariance(f, m) == (True, None)
+        for r, c in itertools.product(range(f.dim), repeat=2):
+            bad = planted(m, r, c, F(2, 3))
+            got = verify_right_invariance(f, bad)
+            assert got == per_basis_invariance(f, bad), (b, r, c)
+            outcomes.add(got[0])
+    assert False in outcomes

@@ -4,12 +4,12 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import example_w_spec, three_block_spec, tri, trivial_spec
+from conftest import apply_to_word, example_w_spec, three_block_spec, tri, trivial_spec
 from hopfreal.coalgebra import BasisId, triangular_coalgebra
 from hopfreal.errors import ValidationError
 from hopfreal.exactlin import Matrix
 from hopfreal.free_tensor import TensorContext
-from hopfreal.invariant import LinOp, RIOp, op_apply, op_combination, op_identity
+from hopfreal.invariant import LinOp, RIOp, op_combination, op_identity
 from hopfreal.lifting import (
     _kron_entries,
     iterated_coproduct,
@@ -58,9 +58,9 @@ def test_lift_identity_for_grouplike_with_identity_action(example_w):
 def test_lift_leibniz_on_degree_two(example_w):
     # X(l[2,1]) acts on degree 2 as D (x) id + id (x) D
     x = lift_operator(example_w, tri(2, 1))
-    out = op_apply(example_w.f_ctx, x, {(f(1), f(1)): ONE})
+    out = apply_to_word(example_w.f_ctx, x, (f(1), f(1)))
     assert out == {(f(2), f(1)): ONE, (f(1), f(2)): ONE}
-    out2 = op_apply(example_w.f_ctx, x, {(f(1), f(0)): ONE})
+    out2 = apply_to_word(example_w.f_ctx, x, (f(1), f(0)))
     assert out2 == {(f(2), f(0)): ONE}
 
 
@@ -126,8 +126,8 @@ def test_verify_lift_fails_on_non_invariant_x():
         tri(2, 1): bad,
     })
     report = verify_lift(spec, tri(2, 1))
-    assert not report.ok
-    assert any("right-invariance" in d for d in report.failures())
+    # the first failing word in (degree, index) order: bad sends l[1,1] to l[2,1]
+    assert report.failures() == [f"right-invariance on T(F) (witness {(tri(1, 1),)})"]
 
 
 def test_grouplike_lift_is_letterwise_power(example_w):

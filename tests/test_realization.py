@@ -5,13 +5,13 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import example_w_spec, primitive_spec, projection_spec, tri, trivial_spec
+from conftest import apply_to_word, example_w_spec, primitive_spec, projection_spec, tri, trivial_spec
 from hopfreal.coalgebra import BasisId
 from hopfreal.errors import InputError, InvalidAlgebraError
 from hopfreal.exactlin import Matrix, SpanBasis, kernel_basis
 from hopfreal.free_tensor import graded_key
 from hopfreal.inputdoc import parse_input
-from hopfreal.invariant import RIOp, op_apply, op_identity, op_vector
+from hopfreal.invariant import RIOp, op_identity, op_vector
 from hopfreal.lifting import make_spec, with_truncation
 from hopfreal.pipeline import _run
 from hopfreal.realization import (
@@ -57,7 +57,7 @@ def test_represent_square_of_off_diagonal(example_w):
     # pi(l[2,1} (x) l[2,1]) sends f[1] (x) f[1] to 2 f[2] (x) f[2]
     op = represent_word(example_w, (tri(2, 1), tri(2, 1)))
     assert not op.is_zero()
-    out = op_apply(example_w.f_ctx, op, {(f(1), f(1)): ONE})
+    out = apply_to_word(example_w.f_ctx, op, (f(1), f(1)))
     assert out == {(f(2), f(2)): F(2)}
 
 
