@@ -9,22 +9,20 @@ All arithmetic is exact, so "is this vector in that span?" is a decidable
 yes/no question; that is what turns the algebraic identities downstream into
 testable equalities.
 
-The two block kernels under every operator product and linear combination,
-:func:`mat_mul` and :func:`mat_combination`, run over Python ints: each
-operand is scaled to integer numerators over one common denominator (the lcm
-of its denominators, times the coefficient's for a combination term), the
-integer products are summed, and each nonzero sum becomes one Fraction over
-that denominator.  Their results are the same clean matrices the Fraction
-loops gave: nonzero, lowest-terms ``Fraction`` entries.  Elimination
-(``rref``, ``solve``, ``SpanBasis``) and ``mat_vec`` stay in Fraction
-arithmetic.
+The block kernels under every operator product and linear combination,
+:func:`mat_mul` and :func:`kron_combination` (sums of Kronecker products; its
+one-factor case is :func:`mat_combination`), run over Python ints: each
+operand is scaled to integer numerators over the lcm of its denominators,
+the integer products are summed on one common denominator, and each nonzero
+sum becomes one clean Fraction, as the Fraction loops gave.  Elimination
+(``rref``, ``solve``, ``SpanBasis``) stays in Fraction arithmetic, as does
+``mat_vec``, which has no caller in the package (only the tests use it).
 
 Sparse vectors are plain dicts ``key -> Fraction`` with no stored zeros.
 This module is the only one that writes the cancel-and-drop step: every
-sparse sum elsewhere goes through :func:`vec_add_scaled` or
-:func:`mat_combination`, which keep that rule.  The inline loops of
-``mat_mul``, ``mat_combination``, ``mat_vec`` and ``SpanBasis.reduce`` are
-this module's own kernels.
+sparse sum elsewhere goes through :func:`vec_add_scaled` or the kernels.
+The inline loops of ``mat_mul``, ``kron_combination``, ``mat_vec`` and
+``SpanBasis.reduce`` are this module's own kernels.
 """
 
 from __future__ import annotations
@@ -48,12 +46,6 @@ def vec_add_scaled(dst: dict, src: dict, coeff: Fraction) -> dict:
             else:
                 dst.pop(k, None)
     return dst
-
-
-def vec_scale(v: dict, coeff: Fraction) -> dict:
-    if not coeff:
-        return {}
-    return {k: coeff * c for k, c in v.items()}
 
 
 def vec_clean(v: dict) -> dict:
@@ -141,7 +133,7 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_scale(a: Matrix, coeff: Fraction) -> Matrix:
-    return Matrix(a.rows, a.cols, vec_scale(a.entries, coeff))
+    return Matrix(a.rows, a.cols, {k: coeff * v for k, v in a.entries.items()})
 
 
 def _integer_view(entries: dict):
@@ -194,26 +186,43 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_combination(rows: int, cols: int, terms) -> Matrix:
-    """sum coeff * m over the (m, coeff) terms, each m a rows x cols matrix;
-    the zero matrix when there are no terms.
+    """sum coeff * m over the (m, coeff) terms, each m rows x cols: the
+    one-factor case of :func:`kron_combination`."""
+    return kron_combination(rows, cols, [((m,), coeff) for m, coeff in terms])
 
-    Term i is coeff = p/q times a block with integer numerators over the lcm
-    d_i of its denominators, so it has denominator q * d_i; the sum is taken
-    over the integers on den, the lcm of those, and each nonzero sum s
-    becomes Fraction(s, den)."""
-    views = []
-    for m, coeff in terms:
-        if (m.rows, m.cols) != (rows, cols):
+
+def kron_combination(rows: int, cols: int, terms) -> Matrix:
+    """sum coeff * kron(m_1, ..., m_k) over the (mats, coeff) terms, k >= 1,
+    each product rows x cols with kron(a, m)[r_a * m.rows + r_m, c_a *
+    m.cols + c_m] = a[r_a, c_a] m[r_m, c_m]; ValueError on any other shape.
+    A term p/q times factors with integer numerators over the lcm d_j of their
+    denominators has denominator q * prod d_j; the sum runs over the integers
+    on den, the lcm of those, and each nonzero sum s is Fraction(s, den)."""
+    scaled = []
+    for mats, coeff in terms:
+        r = c = 1
+        for m in mats:
+            r, c = r * m.rows, c * m.cols
+        if not mats or (r, c) != (rows, cols):
             raise ValueError("shape mismatch")
         if coeff:
-            p, q = coeff.as_integer_ratio()
-            d, nums = _integer_view(m.entries)
-            views.append((m.entries, p, q * d, nums))
-    den = lcm(*{d for _, _, d, _ in views})
+            p, d = coeff.as_integer_ratio()
+            views = []
+            for m in mats:
+                dm, nums = _integer_view(m.entries)
+                d *= dm
+                views.append((m, nums))
+            scaled.append((p, d, views))
+    den = lcm(*{d for _, d, _ in scaled})
     acc = {}
-    for entries, p, d, nums in views:
+    for p, d, ((m, nums), *tail) in scaled:
+        items = zip(m.entries, nums)
+        for m, nums in tail:
+            mr, mc = m.rows, m.cols
+            items = [((row * mr + r, col * mc + c), x * y)
+                     for (row, col), x in items for (r, c), y in zip(m.entries, nums)]
         f = p * (den // d)
-        for (r, c), x in zip(entries, nums):
+        for (r, c), x in items:
             out = acc.get(r)
             if out is None:
                 out = acc[r] = {}

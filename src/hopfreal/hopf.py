@@ -50,7 +50,6 @@ from .invariant import (
     op_combination,
     op_compose,
     op_identity,
-    op_scale,
     op_vector,
 )
 from .lifting import RealizationSpec, lift_operator, split_witness
@@ -183,14 +182,14 @@ def antipode_triangular(spec: RealizationSpec) -> AntipodeTable:
                 steps = [(BasisId.tri(k, j, block), BasisId.tri(i, k, block))
                          for k in range(j + 1, i + 1)]
                 acc = op_combination(spec.f_ctx, [
-                    (op_compose(lift_operator(spec, step), ops[rest]), ONE)
+                    (op_compose(lift_operator(spec, step), ops[rest]), -ONE)
                     for step, rest in steps
                 ])
                 acc_expr = {}
                 for step, rest in steps:
                     vec_add_scaled(acc_expr, concat_product({(step,): ONE}, raw[rest]), ONE)
                 diag_j = BasisId.tri(j, j, block)
-                ops[target] = op_scale(op_compose(ops[diag_j], acc), -ONE)
+                ops[target] = op_compose(ops[diag_j], acc)
                 raw[target] = {
                     k: -c for k, c in concat_product(raw[diag_j], acc_expr).items()
                 }
@@ -232,8 +231,8 @@ def verify_Y_coproduct(spec: RealizationSpec, table: AntipodeTable, bound: int) 
     operators split products the way the coproduct formula says.
 
     Also checks composite indices (:func:`_composite_split_ok`) on all ordered
-    pairs of off-diagonal ids plus one mixed pair, which is where the
-    content is, or on all pairs when L has no off-diagonal id.
+    pairs of off-diagonal ids and the mixed pairs (diag[0], off[0]) and
+    (off[0], diag[0]), where the content is; on all pairs if none is off-diagonal.
     """
     report = CheckReport(f"antipode coproduct law at degree bound {bound}")
     sizes = triangular_blocks(spec.l_coalg)

@@ -142,14 +142,21 @@ def _coproduct_blocks(ctx: TensorContext, n: int):
     """The letterwise coproduct of degree-n words as an s^2 x s matrix D_n
     (s = dim F^n), with D_n[idx(u) * s + idx(v), idx(w)] the coefficient of
     u (x) v in delta(w), and the same entries as an s x s^2 matrix at
-    [idx(u), idx(v) * s + idx(w)].  Memoized per context."""
+    [idx(u), idx(v) * s + idx(w)].  Memoized per context.  Word bases are
+    lex-ordered products, so past D_0 and D_1 (from :func:`word_coproduct`)
+    D_n[(u'p, v'q), w'l] = D_{n-1}[(u', v'), w'] * D_1[(p, q), l]."""
     key = ("coproduct", n)
     if key not in ctx._cache:
-        words = ctx.word_basis(n)
-        index = ctx.word_index(n)
-        s = len(words)
-        d = {(index[u] * s + index[v], col): c
-             for col, w in enumerate(words) for (u, v), c in word_coproduct(ctx, w).items()}
+        k, s = ctx.f.dim, ctx.f.dim ** n
+        if n <= 1:
+            index = ctx.word_index(n)
+            d = {(index[u] * s + index[v], col): c for col, w in enumerate(ctx.word_basis(n))
+                 for (u, v), c in word_coproduct(ctx, w).items()}
+        else:
+            (prev, _), (one, _) = _coproduct_blocks(ctx, n - 1), _coproduct_blocks(ctx, 1)
+            t = s // k
+            d = {((r // t * k + pq // k) * s + r % t * k + pq % k, col * k + l): c * c1
+                 for (r, col), c in prev.entries.items() for (pq, l), c1 in one.entries.items()}
         legs = {(r // s, r % s * s + col): c for (r, col), c in d.items()}
         ctx._cache[key] = (Matrix.trusted(s * s, s, d), Matrix.trusted(s, s * s, legs))
     return ctx._cache[key]

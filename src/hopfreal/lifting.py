@@ -19,7 +19,8 @@ check used for lifted operators, for pi of monomials and for the antipode
 coproduct laws.  Word bases are lex-ordered products, so idx(w1 . w2) =
 idx(w1) . dim^n2 + idx(w2), and the rule on all word pairs of degrees
 (n1, n2) is one block identity between the degree n1 + n2 block of the
-outer operator and a sum of Kronecker products of blocks n1 and n2.
+outer operator and a sum of Kronecker products of blocks n1 and n2, one
+integer sum by :func:`~hopfreal.exactlin.kron_combination` (as are the lifted blocks).
 
 Lifted blocks and the operators X(b) are memoized per spec and basis
 element; the caches are pure (same key, same value) so concurrent use is
@@ -33,7 +34,8 @@ from fractions import Fraction
 
 from .coalgebra import BasisId, Coalgebra, grouplikes
 from .errors import InternalInconsistencyError, ValidationError
-from .exactlin import Matrix, ONE, mat_add, mat_mul, mat_scale, vec_add_scaled, vec_scale
+from .exactlin import (Matrix, ONE, kron_combination, mat_add, mat_combination, mat_mul,
+                       mat_scale, vec_add_scaled)
 from .free_tensor import TensorContext
 from .invariant import (
     LinOp,
@@ -143,21 +145,6 @@ def iterated_coproduct(l_coalg: Coalgebra, v: dict, n: int) -> dict:
     return left
 
 
-def _kron_entries(mats, coeff: Fraction, acc: dict):
-    """Accumulate coeff * (m_1 (x) ... (x) m_n) into acc, word-indexed.
-
-    Each factor contributes its own row and column count to the index, so
-    idx(u_1 ... u_n) = (...(idx(u_1) * size_2 + idx(u_2)) ...) on both sides.
-    The product is built factor by factor with no accumulator: distinct
-    entries of the factors give distinct indices, and every entry is nonzero.
-    """
-    kron = mats[0].entries
-    for m in mats[1:]:
-        kron = {(row * m.rows + r, col * m.cols + c): value * v
-                for (row, col), value in kron.items() for (r, c), v in m.entries.items()}
-    vec_add_scaled(acc, kron, coeff)
-
-
 def lift_basis_block(spec: RealizationSpec, b: BasisId, n: int) -> Matrix:
     """Degree-n block of X(b) via the iterated-coproduct construction."""
     key = ("lift", b, n)
@@ -167,10 +154,9 @@ def lift_basis_block(spec: RealizationSpec, b: BasisId, n: int) -> Matrix:
     if n == 0:
         block = Matrix(1, 1, {(0, 0): spec.l_coalg.eps(b)})
     else:
-        acc = {}
-        for tup, coeff in iterated_coproduct(spec.l_coalg, {b: ONE}, n - 1).items():
-            _kron_entries([spec.x_matrix(p) for p in tup], coeff, acc)
-        block = Matrix.trusted(size, size, acc)
+        block = kron_combination(size, size, [
+            ([spec.x_matrix(p) for p in tup], coeff)
+            for tup, coeff in iterated_coproduct(spec.l_coalg, {b: ONE}, n - 1).items()])
     spec._cache[key] = block
     return block
 
@@ -245,11 +231,11 @@ def split_witness(ctx: TensorContext, outer: LinOp, parts, bound: int):
     witness = None
     for n1 in range(bound + 1):
         for n2 in range(bound + 1 - n1):
-            diff = vec_scale(outer.blocks[n1 + n2].entries, -ONE)
-            for left, right, coeff in parts:
-                _kron_entries([left.blocks[n1], right.blocks[n2]], coeff, diff)
-            if diff:
-                col = max(c for _, c in diff)
+            block = outer.blocks[n1 + n2]
+            diff = kron_combination(block.rows, block.cols, [((block,), -ONE)] + [
+                ((left.blocks[n1], right.blocks[n2]), coeff) for left, right, coeff in parts])
+            if diff.entries:
+                col = max(c for _, c in diff.entries)
                 size = len(ctx.word_basis(n2))
                 witness = (ctx.word_basis(n1)[col // size], ctx.word_basis(n2)[col % size])
     return witness
@@ -273,9 +259,8 @@ def verify_lift(spec: RealizationSpec, l) -> CheckReport:
                   x.blocks[0] == Matrix(1, 1, {(0, 0): eps}))
 
     degree_one = x.blocks[1]
-    expected = Matrix(ctx.f.dim, ctx.f.dim)
-    for b, coeff in l.items():
-        expected = mat_add(expected, mat_scale(spec.x_matrix(b), coeff))
+    expected = mat_combination(ctx.f.dim, ctx.f.dim,
+                               [(spec.x_matrix(b), coeff) for b, coeff in l.items()])
     report.record("degree-1 action agrees with x", degree_one == expected)
 
     pairs = spec.l_coalg.delta_vect(l)

@@ -14,8 +14,10 @@ from hopfreal.coalgebra import (
     dual_coalgebra,
     dual_numbers,
     direct_sum,
+    make_coalgebra,
     triangular_coalgebra,
     upper_triangular_algebra,
+    verify_coalgebra,
 )
 from hopfreal.errors import InvarianceError
 from hopfreal.exactlin import Matrix, mat_mul, mat_vec, vec_add_scaled
@@ -23,6 +25,7 @@ from hopfreal.free_tensor import TensorContext, coproduct, word_coproduct
 from hopfreal.inputdoc import build_spec, parse_input
 from hopfreal.invariant import (
     LinOp,
+    _coproduct_blocks,
     RIOp,
     convolution,
     convolution_inverse,
@@ -362,3 +365,47 @@ def test_degree_one_check_matches_per_basis_loop_on_planted_defects(name):
             assert got == per_basis_invariance(f, bad), (b, r, c)
             outcomes.add(got[0])
     assert False in outcomes
+
+
+def per_word_coproduct_blocks(ctx, n):
+    """D_n and its s x s^2 reading built word by word from word_coproduct,
+    the construction the D_{n-1}, D_1 recursion replaced."""
+    words = ctx.word_basis(n)
+    index = ctx.word_index(n)
+    s = len(words)
+    d = {(index[u] * s + index[v], col): c
+         for col, w in enumerate(words) for (u, v), c in word_coproduct(ctx, w).items()}
+    legs = {(r // s, r % s * s + col): c for (r, col), c in d.items()}
+    return Matrix(s * s, s, d), Matrix(s, s * s, legs)
+
+
+def scaled_coalgebra():
+    """Non-unit, non-cocommutative coefficients: g = 2 e11 and y = e21 of
+    the upper-triangular 2x2 dual, beside the divided powers 1, x/2, x^2/3
+    of k[x]/(x^3) with h = e22 as their unit:
+    delta(y) = h (x) y + 1/2 y (x) g and delta(x^2/3) has 8/3 (x/2) (x) (x/2)."""
+    g, h, y, half, third = (BasisId.plain(i) for i in range(5))
+    return make_coalgebra([g, h, y, half, third], {
+        g: [(g, g, F(1, 2))],
+        h: [(h, h, ONE)],
+        y: [(h, y, ONE), (y, g, F(1, 2))],
+        half: [(h, half, ONE), (half, h, ONE)],
+        third: [(h, third, ONE), (half, half, F(8, 3)), (third, h, ONE)],
+    }, {g: F(2), h: ONE})
+
+
+@pytest.mark.parametrize("name", SHIPPED + ["scaled"])
+def test_coproduct_blocks_match_per_word_construction(name):
+    # every coefficient of the M2 dual is 1, so the scaled coalgebra is
+    # what shows a dropped or misplaced coefficient
+    if name == "scaled":
+        ctx = TensorContext(scaled_coalgebra(), 3)
+        assert verify_coalgebra(ctx.f).ok
+    else:
+        f_ctx = fixture_spec(name).f_ctx
+        ctx = TensorContext(f_ctx.f, f_ctx.max_degree)
+    for n in range(ctx.max_degree + 1):
+        blocks = _coproduct_blocks(ctx, n)
+        assert blocks == per_word_coproduct_blocks(ctx, n), n
+        for m in blocks:
+            assert_clean(m)

@@ -11,7 +11,6 @@ from hopfreal.exactlin import Matrix
 from hopfreal.free_tensor import TensorContext
 from hopfreal.invariant import LinOp, RIOp, op_combination, op_identity
 from hopfreal.lifting import (
-    _kron_entries,
     iterated_coproduct,
     lift_operator,
     lift_operator_recursive,
@@ -224,39 +223,6 @@ def test_split_witness_names_planted_defect(example_w, b, n, cells):
     bad = LinOp({**x.blocks, n: Matrix(x.blocks[n].rows, x.blocks[n].cols, entries)})
     witness = split_witness(ctx, bad, _split_parts(example_w, b), ctx.max_degree)
     assert witness == (ctx.word_basis(n)[max(c for _, c in cells)], ())
-
-
-def _dense_kron(mats):
-    out = [[ONE]]
-    for m in mats:
-        rows = m.to_rows()
-        out = [[a * b for a in ra for b in rb] for ra in out for rb in rows]
-    return out
-
-
-def test_kron_entries_uses_each_factor_shape():
-    # row counts multiply (1 * 2) and column counts multiply (2 * 1), so a
-    # 1x2 row (x) a 2x1 column is the 2x2 outer product col . row
-    row = Matrix(1, 2, {(0, 0): F(1), (0, 1): F(2)})
-    col = Matrix(2, 1, {(0, 0): F(3), (1, 0): F(5)})
-    acc = {}
-    _kron_entries([row, col], F(1), acc)
-    assert acc == {(0, 0): F(3), (1, 0): F(5), (0, 1): F(6), (1, 1): F(10)}
-
-    # against a naive dense Kronecker product: 1-3 factors, non-square and
-    # all-zero factors; adding the negative back cancels to no stored entry
-    wide = Matrix(2, 3, {(0, 0): F(2), (0, 2): F(-1), (1, 1): F(1, 3)})
-    square = Matrix.from_rows([[1, 0], [-2, 5]])
-    zero = Matrix(2, 3)
-    for mats in ([wide], [col, row], [wide, square], [col, wide, square],
-                 [zero], [wide, zero], [square, zero, row]):
-        acc = {}
-        _kron_entries(mats, F(3, 2), acc)
-        want = {(r, c): F(3, 2) * v for r, line in enumerate(_dense_kron(mats))
-                for c, v in enumerate(line) if v}
-        assert acc == want
-        _kron_entries(mats, F(-3, 2), acc)
-        assert acc == {}
 
 
 def test_word_index_is_lex_product(example_w):
