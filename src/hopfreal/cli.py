@@ -67,8 +67,11 @@ def main(argv=None) -> int:
         return 2
 
     stages = list(_SUBCOMMAND_STAGES[args.command])
-    if getattr(args, "stages", None):
+    if getattr(args, "stages", None) is not None:
         stages = [s.strip() for s in args.stages.split(",") if s.strip()]
+        if not stages:
+            print("error: --stages names no stage", file=sys.stderr)
+            return 2
         unknown = [s for s in stages if s not in STAGE_ORDER]
         if unknown:
             print(f"error: unknown stages: {', '.join(unknown)}", file=sys.stderr)

@@ -43,7 +43,7 @@ from .errors import (
     PreconditionError,
     UnsupportedStructureError,
 )
-from .exactlin import Matrix, ONE, SpanBasis, ZERO, kernel_basis, solve, vec_add_scaled
+from .exactlin import ONE, SpanBasis, ZERO, kernel_basis, solve, vec_add_scaled
 from .free_tensor import concat_product, graded_key, word_coproduct
 from .invariant import (
     LinOp,
@@ -55,6 +55,7 @@ from .invariant import (
 from .lifting import RealizationSpec, lift_operator, split_witness
 from .realization import (
     RelationSpace,
+    _column_matrix,
     delta_on_l_element,
     eps_extension,
     ideal_span,
@@ -92,24 +93,8 @@ def reduce_expression(spec: RealizationSpec, op: LinOp, max_degree: int):
     target = op_vector(op)
     for k in range(max_degree + 1):
         mons = monomials_upto(spec.l_coalg, k)
-        row_keys = dict()
-        columns = []
-        for w in mons:
-            vec = op_vector(represent_word(spec, w))
-            columns.append(vec)
-            for key in vec:
-                if key not in row_keys:
-                    row_keys[key] = len(row_keys)
-        for key in target:
-            if key not in row_keys:
-                row_keys[key] = len(row_keys)
-        entries = {}
-        for col, vec in enumerate(columns):
-            for key, v in vec.items():
-                entries[(row_keys[key], col)] = v
-        m = Matrix(len(row_keys), len(columns), entries)
-        rhs = {row_keys[key]: v for key, v in target.items()}
-        sol = solve(m, rhs)
+        system = _column_matrix([op_vector(represent_word(spec, w)) for w in mons], target)
+        sol = solve(*system) if system is not None else None
         if sol is not None:
             return {mons[i]: c for i, c in sol.items()}
     return None
@@ -462,10 +447,6 @@ def antipode_general(spec: RealizationSpec, bound: int):
     alg = operator_algebra_basis(spec, bound)
     basis_l = list(spec.l_coalg.basis)
     r = len(alg)
-    col_of = {}
-    for bi, b in enumerate(basis_l):
-        for s in range(r):
-            col_of[(b, s)] = bi * r + s
 
     lifts = {b: lift_operator(spec, b) for b in basis_l}
     xa = {}
@@ -476,36 +457,26 @@ def antipode_general(spec: RealizationSpec, bound: int):
             ax[(b, s)] = op_vector(op_compose(a_op, lifts[b]))
 
     ident_vec = op_vector(op_identity(spec.f_ctx))
-    row_keys = {}
-    entries = {}
+    columns = {(b, s): {} for b in basis_l for s in range(r)}  # column bi * r + s
     rhs = {}
-
-    def row(key):
-        if key not in row_keys:
-            row_keys[key] = len(row_keys)
-        return row_keys[key]
-
     for b in basis_l:
-        terms = spec.l_coalg.delta_terms(b)
-        eps = spec.l_coalg.eps(b)
-        for (p, q, c) in terms:
+        for (p, q, c) in spec.l_coalg.delta_terms(b):
             for s in range(r):
-                col = col_of[(q, s)]
-                vec_add_scaled(entries, {(row(("L", b, key)), col): v
-                                         for key, v in xa[(p, s)].items()}, c)
-                col = col_of[(p, s)]
-                vec_add_scaled(entries, {(row(("R", b, key)), col): v
-                                         for key, v in ax[(q, s)].items()}, c)
+                vec_add_scaled(columns[(q, s)],
+                               {("L", b, key): v for key, v in xa[(p, s)].items()}, c)
+                vec_add_scaled(columns[(p, s)],
+                               {("R", b, key): v for key, v in ax[(q, s)].items()}, c)
+        eps = spec.l_coalg.eps(b)
         if eps:
             for key, v in ident_vec.items():
-                rhs[row(("L", b, key))] = eps * v
-                rhs[row(("R", b, key))] = eps * v
+                rhs[("L", b, key)] = eps * v
+                rhs[("R", b, key)] = eps * v
 
-    m = Matrix(len(row_keys), len(basis_l) * r, entries)
-    sol = solve(m, rhs)
+    system = _column_matrix(list(columns.values()), rhs)
+    sol = solve(*system) if system is not None else None
     if sol is None:
         return None
-    unique = not kernel_basis(m)
+    unique = not kernel_basis(system[0])
 
     entries_out = {}
     ops_out = {}

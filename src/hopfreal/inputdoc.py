@@ -428,8 +428,8 @@ def parse_input(text: str) -> InputDocument:
 
 # Size limits of a window: the words of T(F) up to the truncation N, and the
 # monomials of T(L) up to the degree bound d.  The shipped fixtures and the
-# benchmark workloads stay under 400 words and 130 monomials; the limits
-# leave room for the relations stage, which also builds degree N + 1.
+# benchmark workloads stay under 400 words and 130 monomials.  The relations
+# stage builds no word of degree N + 1, only one more class layer.
 MAX_WINDOW_WORDS = 50_000
 MAX_WINDOW_MONOMIALS = 50_000
 

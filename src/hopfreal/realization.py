@@ -9,14 +9,15 @@ global lexicographic order over the sorted basis of L).  The rows never hold
 the blocks of pi(w): block n of pi is fixed by blocks 1 and n - 1 through the
 coproduct, B_n(r) = (B_1 (x) B_{n-1})(delta r), so the kernel of block n is
 read off the classes of the coproduct legs modulo the kernels of blocks 1
-and n - 1 (see :func:`_window_kernel`), and only the counit and the
-|F| x |F| products x(l_1) ... x(l_d) are ever computed.
+and n - 1 (see :func:`_class_layers`), and only the counit and the
+|F| x |F| products x(l_1) ... x(l_d) are ever computed, once per degree
+bound d for all kernels at that bound (see :func:`_window_kernel`).
 
 A kernel element is certified *relative to the truncation N*: it kills
 T(F) up to degree N.  :func:`kernel_persistence` computes the kernel at
-N + 1, one more step of the same recursion, and flags candidates that fail
-to persist, which is the honest finite criterion available here (true
-relations kill every degree).
+N + 1, with one more class layer of the same recursion, and flags
+candidates that fail to persist, which is the honest finite criterion
+available here (true relations kill every degree).
 
 The degree-bounded span S_b of the two-sided ideal generated by a set of
 relations (every a . g . c with deg a + top g + deg c <= b) is never built
@@ -42,7 +43,7 @@ from .coalgebra import Coalgebra
 from .exactlin import Matrix, ONE, SpanBasis, ZERO, kernel_basis, mat_mul, rref, vec_add_scaled
 from .free_tensor import TensorContext, graded_key, word_coproduct
 from .invariant import LinOp, op_combination, op_compose, op_identity
-from .lifting import RealizationSpec, lift_operator, split_witness, with_truncation
+from .lifting import RealizationSpec, lift_operator, split_witness
 from .reportkit import CheckReport
 
 # Monomials over L and sparse combinations of them reuse the word machinery
@@ -123,45 +124,54 @@ def verify_splitting(spec: RealizationSpec, w: tuple, bound: int) -> bool:
     return split_witness(spec.f_ctx, represent_word(spec, w), splits, bound) is None
 
 
-def _column_matrix(columns) -> Matrix:
-    """The matrix whose columns are the given sparse vectors, with rows keyed
-    in order of first appearance."""
+def _column_matrix(columns, rhs=None):
+    """(matrix, row rhs): the matrix whose columns are the given sparse
+    vectors, with rows keyed in order of first appearance, and the sparse
+    right-hand side rhs (keyed like the columns) mapped onto those rows.
+    None when rhs has a key that no column has: that row of the system reads
+    0 = rhs, so the system is inconsistent."""
     row_keys = {}
     entries = {}
     for col, vec in enumerate(columns):
         for key, v in vec.items():
             entries[(row_keys.setdefault(key, len(row_keys)), col)] = v
-    return Matrix(len(row_keys), len(columns), entries)
+    rhs = rhs or {}
+    if any(key not in row_keys for key in rhs):
+        return None
+    return Matrix(len(row_keys), len(columns), entries), {row_keys[k]: v for k, v in rhs.items()}
 
 
 def _classes(columns) -> list:
     """Coordinates of each column in a basis of the column span: the columns
     of the reduced echelon form, which has the same kernel and is injective
     on the span.  Column i is the class of monomial i modulo the kernel."""
-    red, _ = rref(_column_matrix(columns))
+    red, _ = rref(_column_matrix(columns)[0])
     classes = [{} for _ in columns]
     for (row, col), v in red.entries.items():
         classes[col][row] = v
     return classes
 
 
-def _window_kernel(spec: RealizationSpec, mons: tuple) -> list:
-    """Canonical basis of ker pi on the monomials mons, as sparse dicts over
-    monomials, from the coproduct recursion of the blocks of pi.
+def _class_layers(spec: RealizationSpec, degree: int) -> tuple:
+    """(mons, layers): the monomials of degree <= d and their classes in
+    blocks 0 .. N + 1 of pi, from the coproduct recursion (cached per spec
+    and degree bound).  Layer n holds the class of each monomial modulo
+    K_n = ker B_n.
 
     Block n of pi(w) is B_n(w) = X(l_1)_n ... X(l_d)_n.  The lift expands the
     last tensor factor, X(l)_n = sum c kron(x(l'), X(l'')_{n-1}) over
     delta(l), so the mixed-product rule gives B_n(r) = (B_1 (x) B_{n-1})(delta r)
     for every combination r, with no coassociativity assumed.  Hence
     K_n = ker B_n is {r : delta r in K_1 (x) V + V (x) K_{n-1}}: with each leg
-    replaced by its class modulo K_1 and K_{n-1}, K_n is a kernel over the
-    columns of mons.  Only B_0 (products of counits) and B_1 (products of
-    |F| x |F| matrices) are ever formed.  The window kernel is the
-    intersection of K_0 .. K_N, the kernel of the stacked classes; the
-    canonical kernel_basis depends only on that subspace and the column order.
-    mons must be closed under the legs of delta, as monomials of one degree
-    or of degree <= d are.
+    replaced by its class modulo K_1 and K_{n-1}, layer n is the class of
+    B_n(w) under a map that is injective on the span of the blocks.  Only B_0
+    (products of counits) and B_1 (products of |F| x |F| matrices) are ever
+    formed.
     """
+    key = ("layers", degree)
+    if key in spec._cache:
+        return spec._cache[key]
+    mons = monomials_upto(spec.l_coalg, degree)
     index = {w: i for i, w in enumerate(mons)}
     ctx = l_context(spec)
     legs = [[(index[w1], index[w2], coeff) for (w1, w2), coeff in word_coproduct(ctx, w).items()]
@@ -175,7 +185,7 @@ def _window_kernel(spec: RealizationSpec, mons: tuple) -> list:
 
     first = _classes([degree_one(w).entries for w in mons])
     layers = [_classes([{0: eps_extension(spec.l_coalg, w)} for w in mons]), first]
-    for _ in range(2, spec.max_degree + 1):
+    for _ in range(2, spec.max_degree + 2):
         prev = layers[-1]
         columns = []
         for terms in legs:
@@ -186,35 +196,50 @@ def _window_kernel(spec: RealizationSpec, mons: tuple) -> list:
                     vec_add_scaled(col, {(u1, u2): c2 for u2, c2 in right.items()}, coeff * c1)
             columns.append(col)
         layers.append(_classes(columns))
-    stacked = [{(n, row): v for n, layer in enumerate(layers) for row, v in layer[i].items()}
-               for i in range(len(mons))]
-    return [{mons[i]: c for i, c in vec.items()}
-            for vec in kernel_basis(_column_matrix(stacked))]
+    spec._cache[key] = mons, layers
+    return mons, layers
+
+
+def _window_kernel(spec: RealizationSpec, degree: int, top: int, upto: bool = False) -> list:
+    """Canonical basis of ker pi on blocks 0 .. top, over the monomials of
+    degree d (of degree <= d if upto), as sparse dicts over monomials.
+
+    The kernel is the intersection of K_0 .. K_top, the kernel of the
+    stacked classes of the chosen columns: classes are injective on each
+    layer's span, so a relation among a subset of the columns is the same
+    relation among their classes.  The canonical kernel_basis depends only
+    on that subspace and the column order, which ``monomials(d)`` keeps
+    inside ``monomials_upto(d)``.
+    """
+    mons, layers = _class_layers(spec, degree)
+    cols = [i for i, w in enumerate(mons) if upto or len(w) == degree]
+    stacked = [{(n, row): v for n, layer in enumerate(layers[:top + 1])
+                for row, v in layer[i].items()} for i in cols]
+    return [{mons[cols[j]]: c for j, c in vec.items()}
+            for vec in kernel_basis(_column_matrix(stacked)[0])]
+
+
+def _relation_space(spec: RealizationSpec, degree: int, upto: bool) -> RelationSpace:
+    if degree < 1:
+        raise ValueError("degree must be >= 1")
+    key = ("relker_upto" if upto else "relker", degree)
+    if key not in spec._cache:
+        basis = _window_kernel(spec, degree, spec.max_degree, upto)
+        spec._cache[key] = RelationSpace(degree, basis, spec.max_degree, upto)
+    return spec._cache[key]
 
 
 def relation_kernel(spec: RealizationSpec, degree: int) -> RelationSpace:
     """Canonical basis of ker pi restricted to homogeneous degree-d monomials
     (cached per spec and degree; callers never write into the result)."""
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
-    key = ("relker", degree)
-    if key not in spec._cache:
-        basis = _window_kernel(spec, monomials(spec.l_coalg, degree))
-        spec._cache[key] = RelationSpace(degree, basis, spec.max_degree)
-    return spec._cache[key]
+    return _relation_space(spec, degree, upto=False)
 
 
 def relation_kernel_upto(spec: RealizationSpec, degree: int) -> RelationSpace:
     """Canonical basis of ker pi on all monomials of degree <= d (empty word
     included), so degree-mixing relations such as unit relations appear
     (cached per spec and degree)."""
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
-    key = ("relker_upto", degree)
-    if key not in spec._cache:
-        basis = _window_kernel(spec, monomials_upto(spec.l_coalg, degree))
-        spec._cache[key] = RelationSpace(degree, basis, spec.max_degree, upto=True)
-    return spec._cache[key]
+    return _relation_space(spec, degree, upto=True)
 
 
 def kernel_persistence(spec: RealizationSpec, degree: int):
@@ -222,12 +247,12 @@ def kernel_persistence(spec: RealizationSpec, degree: int):
 
     Returns (kernel_at_N, kernel_at_N_plus_1, flagged) where flagged counts
     basis elements of the N-kernel that are not relations on the larger
-    window.  The N+1 kernel is always contained in the N kernel; on the
-    wider spec it costs one more block of the coproduct recursion, since
-    blocks 0 and 1 do not depend on the truncation.
+    window.  The N + 1 kernel stacks one more class layer, block N + 1 of
+    the same recursion, so it is contained in the N kernel.
     """
     kern = relation_kernel(spec, degree)
-    wider = relation_kernel(with_truncation(spec, spec.max_degree + 1), degree)
+    top = spec.max_degree + 1
+    wider = RelationSpace(degree, _window_kernel(spec, degree, top), top)
     span = SpanBasis(graded_key)
     for r in wider.basis:
         span.add(r)

@@ -258,6 +258,15 @@ def test_cli_unwritable_emit_path_prints_no_report(tmp_path, capsys):
     assert err.startswith("error: cannot write --emit output")
 
 
+@pytest.mark.parametrize("value", ["", " , "])
+def test_cli_stages_naming_no_stage_is_input_error(value, capsys):
+    code = main(["report", "--input", str(FIXTURES / "trivial.hra"), "--stages", value])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 # --- the benchmark's documents --------------------------------------------------
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"

@@ -12,7 +12,7 @@ from conftest import (
 )
 from hopfreal.coalgebra import BasisId, triangular_blocks
 from hopfreal.errors import PreconditionError, UnsupportedStructureError
-from hopfreal.exactlin import SpanBasis
+from hopfreal.exactlin import Matrix, SpanBasis, solve
 from hopfreal.hopf import (
     _composite_split_ok,
     _system_checks,
@@ -21,12 +21,14 @@ from hopfreal.hopf import (
     closure_iterate,
     extend_antihom,
     operator_algebra_basis,
+    reduce_expression,
     triangular_systems_ok,
     verify_hopf_quotient,
     verify_uniqueness_perturbations,
     verify_Y_coproduct,
 )
 from hopfreal.invariant import (
+    LinOp,
     op_combination,
     op_compose,
     op_identity,
@@ -35,7 +37,13 @@ from hopfreal.invariant import (
     op_zero,
 )
 from hopfreal.lifting import lift_operator, make_spec
-from hopfreal.realization import monomials_upto, relation_kernel_upto, represent, represent_word
+from hopfreal.realization import (
+    _column_matrix,
+    monomials_upto,
+    relation_kernel_upto,
+    represent,
+    represent_word,
+)
 
 ONE = F(1)
 
@@ -350,3 +358,57 @@ def test_a_right_system_failure_alone_at_its_b_fails_the_check():
     flags = {(b, side): ok for b, side, ok in _system_checks(spec, ops)}
     assert flags[(tri(3, 1, 2), "left")] and not flags[(tri(3, 1, 2), "right")]
     assert not triangular_systems_ok(spec, ops)
+
+
+def reduce_expression_loop(spec, op, max_degree):
+    """Reference: the row-keyed system build that the shared column builder
+    replaced, rows in order of first appearance over the columns, then the
+    target."""
+    target = op_vector(op)
+    for k in range(max_degree + 1):
+        mons = monomials_upto(spec.l_coalg, k)
+        row_keys = dict()
+        columns = []
+        for w in mons:
+            vec = op_vector(represent_word(spec, w))
+            columns.append(vec)
+            for key in vec:
+                if key not in row_keys:
+                    row_keys[key] = len(row_keys)
+        for key in target:
+            if key not in row_keys:
+                row_keys[key] = len(row_keys)
+        entries = {}
+        for col, vec in enumerate(columns):
+            for key, v in vec.items():
+                entries[(row_keys[key], col)] = v
+        m = Matrix(len(row_keys), len(columns), entries)
+        rhs = {row_keys[key]: v for key, v in target.items()}
+        sol = solve(m, rhs)
+        if sol is not None:
+            return {mons[i]: c for i, c in sol.items()}
+    return None
+
+
+@pytest.mark.parametrize("make", [example_w_spec, three_block_spec, trivial_spec])
+def test_reduce_expression_matches_old_loop(make):
+    spec = make()
+    for b, op in sorted(antipode_triangular(spec).ops.items()):
+        got = reduce_expression(spec, op, spec.max_degree)
+        assert got == reduce_expression_loop(spec, op, spec.max_degree), b
+        assert got is not None
+
+
+def test_reduce_expression_none_paths(trivial):
+    # on trivial every pi(w) is 0 or the identity
+    ident = op_identity(trivial.f_ctx)
+    columns = [op_vector(represent_word(trivial, w)) for w in monomials_upto(trivial.l_coalg, 3)]
+    for planted, missing_key in (({(0, 1): ONE}, True), ({(0, 0): F(2)}, False)):
+        blocks = dict(ident.blocks)
+        blocks[1] = Matrix(blocks[1].rows, blocks[1].cols, {**blocks[1].entries, **planted})
+        op = LinOp(blocks)
+        # an off-diagonal key that no pi(w) has, or only diagonal keys with an
+        # inconsistent system
+        assert (_column_matrix(columns, op_vector(op)) is None) == missing_key
+        assert reduce_expression(trivial, op, 3) is None
+        assert reduce_expression_loop(trivial, op, 3) is None

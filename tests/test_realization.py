@@ -3,9 +3,10 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import apply_to_word, example_w_spec, primitive_spec, projection_spec, tri, trivial_spec
+from hopfreal import realization
 from hopfreal.coalgebra import BasisId
 from hopfreal.errors import InputError, InvalidAlgebraError
 from hopfreal.exactlin import Matrix, SpanBasis, kernel_basis
@@ -13,7 +14,7 @@ from hopfreal.free_tensor import graded_key
 from hopfreal.inputdoc import parse_input
 from hopfreal.invariant import RIOp, op_identity, op_vector
 from hopfreal.lifting import make_spec, with_truncation
-from hopfreal.pipeline import _run
+from hopfreal.pipeline import STAGE_ORDER, _run
 from hopfreal.realization import (
     counit_check,
     eps_extension,
@@ -358,3 +359,52 @@ def test_relation_kernel_recursion_keeps_counit_and_truncation_cases():
             spec, monomials(spec.l_coalg, d))
         assert relation_kernel_upto(spec, d).basis == operator_column_kernel(
             spec, monomials_upto(spec.l_coalg, d))
+
+
+def wider_spec_persistence(spec, degree):
+    """Reference: the N + 1 kernel on a fresh spec at truncation N + 1 (the
+    construction the shared class layers replace)."""
+    kern = relation_kernel(spec, degree)
+    wider = relation_kernel(with_truncation(spec, spec.max_degree + 1), degree)
+    span = span_of(wider.basis)
+    return kern, wider, sum(1 for r in kern.basis if not span.contains(r))
+
+
+def same_spec(truncation):
+    # x(l[2,1]) = x(l[1,1]) = id: only the degree-0 block tells them apart
+    return random_x_spec(truncation, RIOp.identity(), RIOp.identity(), RIOp.identity())
+
+
+@settings(max_examples=40, deadline=None)
+@given(make=SPECS, truncation=st.integers(1, 4), degree=st.integers(1, 3))
+@example(make=example_w_spec, truncation=1, degree=2)
+@example(make=same_spec, truncation=1, degree=1)
+@example(make=same_spec, truncation=2, degree=2)
+def test_kernel_persistence_matches_wider_spec(make, truncation, degree):
+    spec = make(truncation)
+    kern, wider, flagged = kernel_persistence(spec, degree)
+    old_kern, old_wider, old_flagged = wider_spec_persistence(make(truncation), degree)
+    assert kern.basis == old_kern.basis
+    assert wider.basis == old_wider.basis == operator_column_kernel(
+        with_truncation(spec, truncation + 1), monomials(spec.l_coalg, degree))
+    assert wider.truncation == truncation + 1 == old_wider.truncation
+    assert flagged == old_flagged
+
+
+def test_report_runs_one_layer_recursion_per_degree_bound(monkeypatch):
+    # the relations stage, the coideal check and the N + 1 window all read
+    # the class layers of one recursion per degree bound d = 1..D
+    calls = []
+    layers = realization._class_layers
+
+    def counted(spec, degree):
+        if ("layers", degree) not in spec._cache:
+            calls.append(degree)
+        return layers(spec, degree)
+
+    monkeypatch.setattr(realization, "_class_layers", counted)
+    path = FIXTURE_DIR / "example_w.hra"
+    doc = parse_input(path.read_text(encoding="utf-8"))
+    report, _ = _run(doc, STAGE_ORDER, path.name)
+    assert report.ok
+    assert sorted(calls) == list(range(1, doc.max_degree + 1))
