@@ -8,12 +8,12 @@ inverse pairs), the operators Y_i^j solving
 
 are found by back substitution: the diagonal Y_i^i is the lifted inverse
 pair, and for j < i each equation involves only already-known Y_i^k with
-k > j.  Each Y_i^j is recorded three ways: as the operator, as the raw back
-substitution word (the reproducible determination built from the supplied
-diagonal inverse letters), and as the canonical minimal-degree expression
-w with pi(w) = Y_i^j used by the anti-homomorphism S^r (any section of pi
-is a valid determination, and the short one keeps S^r inside the degree
-window of the closure).
+k > j.  Each Y_i^j is recorded as the raw back substitution expression y
+(built from the supplied diagonal inverse letters) and as the canonical
+minimal-degree w with pi(w) = pi(y), used by the anti-homomorphism S^r (the
+short section keeps S^r inside the closure's degree window).  Every identity
+among such operators is decided as "an element of T(L) has class zero" on
+the spec's ``realization.ImageWalk``; no T(F) block is composed.
 
 S^r extends the letterwise table by anti-homomorphism; iterating
 R_{n+1} = R_n + S^r(R_n) inside the bounded monomial space and testing
@@ -43,69 +43,70 @@ from .errors import (
     PreconditionError,
     UnsupportedStructureError,
 )
-from .exactlin import ONE, SpanBasis, ZERO, kernel_basis, solve, vec_add_scaled
+from .exactlin import ONE, SpanBasis, kernel_basis, solve, vec_add_scaled
 from .free_tensor import concat_product, graded_key, word_coproduct
-from .invariant import (
-    LinOp,
-    op_combination,
-    op_compose,
-    op_identity,
-    op_vector,
-)
-from .lifting import RealizationSpec, lift_operator, split_witness
+from .lifting import RealizationSpec, iterated_coproduct
 from .realization import (
     RelationSpace,
     _column_matrix,
     delta_on_l_element,
     eps_extension,
     ideal_span,
+    image_walk,
     l_context,
     monomials_upto,
     pair_reduce,
-    relation_kernel_upto,
-    represent,
-    represent_word,
 )
 from .reportkit import CheckReport
 
 
 @dataclass
 class AntipodeTable:
-    """Solved antipode data: per generator the operator Y, the canonical
-    word expression (a section of pi), and the raw determination record."""
+    """Solved antipode data: per generator the canonical word expression y
+    with pi(y) = Y (a section of pi), and the raw determination record."""
 
     entries: dict          # BasisId -> expression (sparse dict of L-monomials)
     raw_entries: dict      # BasisId -> back-substitution expression
-    ops: dict              # BasisId -> LinOp
     mode: str              # "triangular" | "general"
     determination: dict = None   # diagonal id -> chosen inverse id
     unique: bool = True
     report: CheckReport = None
 
 
-def reduce_expression(spec: RealizationSpec, op: LinOp, max_degree: int):
-    """Canonical minimal-degree w with pi(w) = op, or None within the bound.
+def _splits(spec: RealizationSpec, y: dict, parts, bound: int) -> bool:
+    """pi(y)(w1 . w2) = sum c pi(a)(w1) . pi(b)(w2) over the parts (a, b, c)
+    for deg w1 + deg w2 <= min(bound, N): z = delta y - sum c a (x) b has
+    (class_{n1} (x) class_{n2})(z) = 0 for every n1 + n2 <= min(bound, N),
+    since B_{n1+n2} = (B_{n1} (x) B_{n2}) o delta for coassociative L."""
+    z = delta_on_l_element(spec, y)
+    for a, b, c in parts:
+        for w1, c1 in a.items():
+            vec_add_scaled(z, {(w1, w2): c2 for w2, c2 in b.items()}, -c * c1)
+    walk, bound = image_walk(spec), min(bound, spec.max_degree)
+    return not any(walk.pair_class(z, n1, n2)
+                   for n1 in range(bound + 1) for n2 in range(bound + 1 - n1))
 
-    Tries monomial spaces of increasing degree; within a space the solution
-    is the deterministic echelon particular solution, so the expression is
-    reproducible.
-    """
-    target = op_vector(op)
+
+def _require_coassociative(spec: RealizationSpec) -> None:
+    """InternalInconsistencyError unless L is coassociative (the coproduct laws rest on it)."""
+    for b in spec.l_coalg.basis:
+        iterated_coproduct(spec.l_coalg, {b: ONE}, 2)
+
+
+def reduce_expression(spec: RealizationSpec, expr: dict, max_degree: int):
+    """Canonical minimal-degree w with pi(w) = pi(expr), or None within the
+    bound: over monomial spaces of increasing degree, the echelon particular
+    solution on the columns' classes, which depends only on the linear
+    relations among the columns and the target, so it is reproducible."""
+    walk, top = image_walk(spec), spec.max_degree
+    target = walk.classes(expr, top)
     for k in range(max_degree + 1):
         mons = monomials_upto(spec.l_coalg, k)
-        system = _column_matrix([op_vector(represent_word(spec, w)) for w in mons], target)
+        system = _column_matrix([walk.stacked_class(w, top) for w in mons], target)
         sol = solve(*system) if system is not None else None
         if sol is not None:
             return {mons[i]: c for i, c in sol.items()}
     return None
-
-
-def _triangular_ids_by_block(spec: RealizationSpec) -> dict:
-    sizes = triangular_blocks(spec.l_coalg)
-    if sizes is None:
-        raise UnsupportedStructureError(
-            "triangular antipode needs a cotriangular coalgebra L")
-    return sizes
 
 
 def _diagonal_inverses(spec: RealizationSpec, sizes: dict) -> dict:
@@ -123,92 +124,74 @@ def _diagonal_inverses(spec: RealizationSpec, sizes: dict) -> dict:
     return inverse
 
 
-def _system_checks(spec: RealizationSpec, ops: dict):
+def _system_checks(spec: RealizationSpec, entries: dict):
     """Yield (b, side, ok) for both antipode systems at each basis element b
-    of L, left side first:
+    of L, left side first, for the expressions y of a candidate table:
 
-        sum c X(p) o Y(q)  =  eps(b) id  =  sum c Y(p) o X(q)   over delta(b).
+        sum c p . y_q  =  eps(b) 1  =  sum c y_p . q   over delta(b),
 
-    A side is composed only when it is asked for, so a caller that stops at
-    the first failing side skips the rest.  For triangular L,
+    each decided as the class of the difference in T(L) being zero.  A side
+    is built only when it is asked for, so a caller that stops at the first
+    failing side skips the rest.  For triangular L,
     delta(l[i,j]) = sum_k l[k,j] (x) l[i,k], and these are the two systems
     of the module docstring.
     """
-    ident = op_identity(spec.f_ctx)
     for b in spec.l_coalg.basis:
         terms = spec.l_coalg.delta_terms(b)
-        unit = [(ident, -spec.l_coalg.eps(b))]
-        left = [(op_compose(lift_operator(spec, p), ops[q]), c) for p, q, c in terms]
-        yield b, "left", op_combination(spec.f_ctx, left + unit).is_zero()
-        right = [(op_compose(ops[p], lift_operator(spec, q)), c) for p, q, c in terms]
-        yield b, "right", op_combination(spec.f_ctx, right + unit).is_zero()
+        for side in ("left", "right"):
+            diff = {(): -spec.l_coalg.eps(b)}
+            for p, q, c in terms:
+                prod = concat_product({(p,): ONE}, entries[q]) if side == "left" \
+                    else concat_product(entries[p], {(q,): ONE})
+                vec_add_scaled(diff, prod, c)
+            yield b, side, not image_walk(spec).classes(diff, spec.max_degree)
 
 
-def triangular_systems_ok(spec: RealizationSpec, ops: dict) -> bool:
+def triangular_systems_ok(spec: RealizationSpec, entries: dict) -> bool:
     """Exact check of both antipode systems for a candidate table."""
-    return all(ok for _, _, ok in _system_checks(spec, ops))
+    return all(ok for _, _, ok in _system_checks(spec, entries))
 
 
 def antipode_triangular(spec: RealizationSpec) -> AntipodeTable:
     """Back-substitute the triangular antipode systems (decreasing j per i)."""
-    sizes = _triangular_ids_by_block(spec)
+    _require_coassociative(spec)
+    sizes = triangular_blocks(spec.l_coalg)
+    if sizes is None:
+        raise UnsupportedStructureError("triangular antipode needs a cotriangular coalgebra L")
     inverse = _diagonal_inverses(spec, sizes)
-    ops = {}
     raw = {}
     entries = {}
     for block, n in sorted(sizes.items()):
         for i in range(1, n + 1):
             diag = BasisId.tri(i, i, block)
-            ops[diag] = lift_operator(spec, inverse[diag])
             raw[diag] = {(inverse[diag],): ONE}
             entries[diag] = {(inverse[diag],): ONE}
             for j in range(i - 1, 0, -1):
                 target = BasisId.tri(i, j, block)
-                steps = [(BasisId.tri(k, j, block), BasisId.tri(i, k, block))
-                         for k in range(j + 1, i + 1)]
-                acc = op_combination(spec.f_ctx, [
-                    (op_compose(lift_operator(spec, step), ops[rest]), -ONE)
-                    for step, rest in steps
-                ])
-                acc_expr = {}
-                for step, rest in steps:
-                    vec_add_scaled(acc_expr, concat_product({(step,): ONE}, raw[rest]), ONE)
-                diag_j = BasisId.tri(j, j, block)
-                ops[target] = op_compose(ops[diag_j], acc)
-                raw[target] = {
-                    k: -c for k, c in concat_product(raw[diag_j], acc_expr).items()
-                }
-                reduced = reduce_expression(spec, ops[target], spec.max_degree)
-                if reduced is None:
-                    # fall back to the raw determination (always a section)
-                    reduced = raw[target]
-                entries[target] = reduced
+                acc = {}
+                for k in range(j + 1, i + 1):
+                    vec_add_scaled(acc, concat_product({(BasisId.tri(k, j, block),): ONE},
+                                                       raw[BasisId.tri(i, k, block)]), -ONE)
+                raw[target] = concat_product(raw[BasisId.tri(j, j, block)], acc)
+                reduced = reduce_expression(spec, raw[target], spec.max_degree)
+                # fall back to the raw determination (always a section)
+                entries[target] = raw[target] if reduced is None else reduced
 
-    for b, expr in entries.items():
-        if represent(spec, expr) != ops[b]:
-            raise InternalInconsistencyError(f"expression for Y at {b} does not represent it")
-    for b, expr in raw.items():
-        if represent(spec, expr) != ops[b]:
-            raise InternalInconsistencyError(f"raw expression for Y at {b} does not represent it")
-    if not triangular_systems_ok(spec, ops):
+    if not triangular_systems_ok(spec, entries):
         raise InternalInconsistencyError("triangular antipode systems failed to verify")
-    return AntipodeTable(entries, raw, ops, "triangular", determination=dict(inverse))
+    return AntipodeTable(entries, raw, "triangular", determination=dict(inverse))
 
 
 def _composite_split_ok(spec: RealizationSpec, table: AntipodeTable, u: BasisId,
                        v: BasisId, bound: int) -> bool:
     """Y(u v) = Y(v) o Y(u) splits products by the product rule, summing
     over both intermediate indices."""
-    outer = op_compose(table.ops[v], table.ops[u])
-    parts = []
-    for k1 in range(u.j, u.i + 1):
-        for k2 in range(v.j, v.i + 1):
-            left = op_compose(table.ops[BasisId.tri(v.i, k2, v.block)],
-                              table.ops[BasisId.tri(u.i, k1, u.block)])
-            right = op_compose(table.ops[BasisId.tri(k2, v.j, v.block)],
-                               table.ops[BasisId.tri(k1, u.j, u.block)])
-            parts.append((left, right, ONE))
-    return split_witness(spec.f_ctx, outer, parts, bound) is None
+    y = table.entries
+    parts = [(concat_product(y[BasisId.tri(v.i, k2, v.block)], y[BasisId.tri(u.i, k1, u.block)]),
+              concat_product(y[BasisId.tri(k2, v.j, v.block)], y[BasisId.tri(k1, u.j, u.block)]),
+              ONE)
+             for k1 in range(u.j, u.i + 1) for k2 in range(v.j, v.i + 1)]
+    return _splits(spec, concat_product(y[v], y[u]), parts, bound)
 
 
 def verify_Y_coproduct(spec: RealizationSpec, table: AntipodeTable, bound: int) -> CheckReport:
@@ -220,30 +203,25 @@ def verify_Y_coproduct(spec: RealizationSpec, table: AntipodeTable, bound: int) 
     (off[0], diag[0]), where the content is; on all pairs if none is off-diagonal.
     """
     report = CheckReport(f"antipode coproduct law at degree bound {bound}")
-    sizes = triangular_blocks(spec.l_coalg)
-    if sizes is None:
+    if triangular_blocks(spec.l_coalg) is None:
         raise UnsupportedStructureError("Y-coproduct law is for cotriangular L")
-    ids = [b for b in spec.l_coalg.basis]
+    ids = list(spec.l_coalg.basis)
+    y = table.entries
     for b in ids:
-        parts = [
-            (table.ops[BasisId.tri(b.i, k, b.block)],
-             table.ops[BasisId.tri(k, b.j, b.block)], ONE)
-            for k in range(b.j, b.i + 1)
-        ]
-        ok = split_witness(spec.f_ctx, table.ops[b], parts, bound) is None
-        report.record(f"splitting of Y at {b}", ok)
+        parts = [(y[BasisId.tri(b.i, k, b.block)], y[BasisId.tri(k, b.j, b.block)], ONE)
+                 for k in range(b.j, b.i + 1)]
+        report.record(f"splitting of Y at {b}", _splits(spec, y[b], parts, bound))
 
     off = [b for b in ids if b.i != b.j]
     diag = [b for b in ids if b.i == b.j]
     pairs = [(u, v) for u in off for v in off]
     if off and diag:
-        pairs.append((diag[0], off[0]))
-        pairs.append((off[0], diag[0]))
+        pairs += [(diag[0], off[0]), (off[0], diag[0])]
     if not pairs:
         pairs = [(u, v) for u in ids for v in ids]
     for (u, v) in pairs:
-        ok = _composite_split_ok(spec, table, u, v, bound)
-        report.record(f"splitting of composite Y at ({u},{v})", ok)
+        report.record(f"splitting of composite Y at ({u},{v})",
+                      _composite_split_ok(spec, table, u, v, bound))
     return report
 
 
@@ -417,55 +395,45 @@ def verify_hopf_quotient(spec: RealizationSpec, table: AntipodeTable,
 
 def operator_algebra_basis(spec: RealizationSpec, bound: int) -> list:
     """Monomials (graded-lex order) whose pi-images form a basis of the span
-    of pi(monomials of degree <= bound), with those images; cached on the spec.
+    of pi(monomials of degree <= bound); cached on the spec.
 
-    A monomial belongs to the basis iff its image is independent of the
-    images of the monomials before it, i.e. iff it is not the free (last)
-    column of a vector of the canonical kernel basis of pi on the same
-    monomials, so only the basis monomials are composed.
+    A monomial belongs to the basis iff its class over blocks 0 .. N is
+    independent of the classes of the monomials before it.
     """
     key = ("opalg", bound)
-    if key in spec._cache:
-        return spec._cache[key]
-    mons = monomials_upto(spec.l_coalg, bound)
-    order = {w: i for i, w in enumerate(mons)}
-    free = {max(rel, key=order.__getitem__)
-            for rel in relation_kernel_upto(spec, bound).basis}
-    basis = [(w, represent_word(spec, w)) for w in mons if w not in free]
-    spec._cache[key] = basis
-    return basis
+    if key not in spec._cache:
+        walk, span = image_walk(spec), SpanBasis()
+        spec._cache[key] = [w for w in monomials_upto(spec.l_coalg, bound)
+                            if span.add(walk.stacked_class(w, spec.max_degree))]
+    return spec._cache[key]
 
 
 def antipode_general(spec: RealizationSpec, bound: int):
     """Joint exact solve of both convolution systems inside the bounded
     operator algebra; None when infeasible at this bound.
 
-    On success the table records the expressions in the monomial basis, a
-    uniqueness flag (trivial solution space), and a verification report
-    including the reversed-coproduct law in operational form.
+    The unknowns are the coefficients of y_b on the basis monomials m_s,
+    and the columns are the classes of p . m_s and m_s . q.  On success the
+    table records the expressions in the monomial basis, a uniqueness flag
+    (trivial solution space), and a verification report including the
+    reversed-coproduct law delta y_b = sum c y_q (x) y_p, split on classes.
     """
+    _require_coassociative(spec)
     alg = operator_algebra_basis(spec, bound)
     basis_l = list(spec.l_coalg.basis)
     r = len(alg)
 
-    lifts = {b: lift_operator(spec, b) for b in basis_l}
-    xa = {}
-    ax = {}
-    for b in basis_l:
-        for s, (_, a_op) in enumerate(alg):
-            xa[(b, s)] = op_vector(op_compose(lifts[b], a_op))
-            ax[(b, s)] = op_vector(op_compose(a_op, lifts[b]))
-
-    ident_vec = op_vector(op_identity(spec.f_ctx))
+    walk, top = image_walk(spec), spec.max_degree
+    ident_vec = walk.stacked_class((), top)
     columns = {(b, s): {} for b in basis_l for s in range(r)}  # column bi * r + s
     rhs = {}
     for b in basis_l:
         for (p, q, c) in spec.l_coalg.delta_terms(b):
-            for s in range(r):
-                vec_add_scaled(columns[(q, s)],
-                               {("L", b, key): v for key, v in xa[(p, s)].items()}, c)
-                vec_add_scaled(columns[(p, s)],
-                               {("R", b, key): v for key, v in ax[(q, s)].items()}, c)
+            for s, mono in enumerate(alg):
+                vec_add_scaled(columns[(q, s)], {("L", b, key): v for key, v in
+                                                 walk.stacked_class((p,) + mono, top).items()}, c)
+                vec_add_scaled(columns[(p, s)], {("R", b, key): v for key, v in
+                                                 walk.stacked_class(mono + (q,), top).items()}, c)
         eps = spec.l_coalg.eps(b)
         if eps:
             for key, v in ident_vec.items():
@@ -478,54 +446,40 @@ def antipode_general(spec: RealizationSpec, bound: int):
         return None
     unique = not kernel_basis(system[0])
 
-    entries_out = {}
-    ops_out = {}
-    for bi, b in enumerate(basis_l):
-        expr = {}
-        parts = []
-        for s in range(r):
-            c = sol.get(bi * r + s, ZERO)
-            if c:
-                mono, a_op = alg[s]
-                expr[mono] = c
-                parts.append((a_op, c))
-        entries_out[b] = expr
-        ops_out[b] = op_combination(spec.f_ctx, parts)
+    y = {b: {alg[s]: sol[bi * r + s] for s in range(r) if bi * r + s in sol}
+         for bi, b in enumerate(basis_l)}
 
     report = CheckReport(f"general antipode verification at bound {bound}")
-    for b, side, ok in _system_checks(spec, ops_out):
+    for b, side, ok in _system_checks(spec, y):
         report.record(f"{side} system at {b}", ok)
         if side == "right":
-            parts = [(ops_out[q], ops_out[p], c) for (p, q, c) in spec.l_coalg.delta_terms(b)]
-            law_ok = split_witness(spec.f_ctx, ops_out[b], parts, bound) is None
-            report.record(f"reversed coproduct law at {b}", law_ok)
+            parts = [(y[q], y[p], c) for p, q, c in spec.l_coalg.delta_terms(b)]
+            report.record(f"reversed coproduct law at {b}", _splits(spec, y[b], parts, bound))
     if not all(ok for d, ok in report.checks if "system" in d):
         raise InternalInconsistencyError("general antipode solve failed re-verification")
 
-    return AntipodeTable(entries_out, dict(entries_out), ops_out, "general",
-                         unique=unique, report=report)
+    return AntipodeTable(y, dict(y), "general", unique=unique, report=report)
 
 
 def verify_uniqueness_perturbations(spec: RealizationSpec, table: AntipodeTable,
                                     bound: int = None) -> CheckReport:
-    """Randomized uniqueness witness: adding a nonzero element of the bounded
-    operator algebra to some Y entry must break one of the systems, in each
-    of 10 trials.
+    """Randomized uniqueness witness: adding a nonzero combination of the
+    bounded operator algebra's basis monomials to some Y expression must
+    break one of the systems, in each of 10 trials.
 
     Seeded, so reports stay byte-identical run to run.
     """
     bound = bound if bound is not None else spec.max_degree
     alg = operator_algebra_basis(spec, bound)
     rng = random.Random(7919)
-    ids = sorted(table.ops)
+    ids = sorted(table.entries)
     report = CheckReport("uniqueness under perturbation (10 trials)")
     for t in range(10):
         target = ids[rng.randrange(len(ids))]
         coeffs = [Fraction(rng.randint(-2, 2)) for _ in alg]
         coeffs[rng.randrange(len(alg))] = Fraction(rng.choice([1, -1, 2]))
-        perturbed = dict(table.ops)
-        perturbed[target] = op_combination(spec.f_ctx, [(table.ops[target], ONE)] + [
-            (op, c) for (_, op), c in zip(alg, coeffs)])
+        perturbed = dict(table.entries)
+        perturbed[target] = vec_add_scaled(dict(perturbed[target]), dict(zip(alg, coeffs)), ONE)
         broke = not triangular_systems_ok(spec, perturbed)
         report.record(f"trial {t}: perturbing Y at {target} breaks a system", broke)
     return report

@@ -428,8 +428,9 @@ def parse_input(text: str) -> InputDocument:
 
 # Size limits of a window: the words of T(F) up to the truncation N, and the
 # monomials of T(L) up to the degree bound d.  The shipped fixtures and the
-# benchmark workloads stay under 400 words and 130 monomials.  The relations
-# stage builds no word of degree N + 1, only one more class layer.
+# benchmark workloads stay under 400 words and 130 monomials.  No stage builds
+# a word of degree N + 1 (the N + 1 kernel is one more layer of the image walk),
+# and only verify-free-bialgebra and verify-lift form blocks on T(F).
 MAX_WINDOW_WORDS = 50_000
 MAX_WINDOW_MONOMIALS = 50_000
 

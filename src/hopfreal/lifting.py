@@ -14,13 +14,13 @@ X(l)(w1 . w2) = sum X(l') (w1) . X(l'') (w2) over delta(l); the package keeps
 both constructions (:func:`lift_operator` and :func:`lift_operator_recursive`)
 and uses their bit-exact agreement as a build-time oracle.
 
-:func:`split_witness` checks the splitting rule exactly, and is the one
-check used for lifted operators, for pi of monomials and for the antipode
-coproduct laws.  Word bases are lex-ordered products, so idx(w1 . w2) =
-idx(w1) . dim^n2 + idx(w2), and the rule on all word pairs of degrees
-(n1, n2) is one block identity between the degree n1 + n2 block of the
-outer operator and a sum of Kronecker products of blocks n1 and n2, one
-integer sum by :func:`~hopfreal.exactlin.kron_combination` (as are the lifted blocks).
+:func:`split_witness` checks the splitting rule exactly on the T(F)
+blocks, for lifted operators and (as a test oracle) for pi of monomials;
+the antipode coproduct laws are decided on classes in ``hopf``.  Word bases
+are lex-ordered products, so the rule on all word pairs of degrees
+(n1, n2) is one block identity: the degree n1 + n2 block of the outer
+operator against one :func:`~hopfreal.exactlin.kron_combination` of blocks
+n1 and n2 (as are the lifted blocks).
 
 Lifted blocks and the operators X(b) are memoized per spec and basis
 element; the caches are pure (same key, same value) so concurrent use is

@@ -2,22 +2,15 @@
 
 The representation pi sends a monomial l_1 (x) ... (x) l_n over L to the
 ordered composition X(l_1) o ... o X(l_n) of lifted operators on the
-truncated T(F); the empty monomial goes to the identity.  Its kernel is the
-ideal of relations of the generated bialgebra, computed degree by degree as
-the nullspace of an exact sparse matrix whose columns are monomials (in the
-global lexicographic order over the sorted basis of L).  The rows never hold
-the blocks of pi(w): block n of pi is fixed by blocks 1 and n - 1 through the
-coproduct, B_n(r) = (B_1 (x) B_{n-1})(delta r), so the kernel of block n is
-read off the classes of the coproduct legs modulo the kernels of blocks 1
-and n - 1 (see :func:`_class_layers`), and only the counit and the
-|F| x |F| products x(l_1) ... x(l_d) are ever computed, once per degree
-bound d for all kernels at that bound (see :func:`_window_kernel`).
-
-A kernel element is certified *relative to the truncation N*: it kills
-T(F) up to degree N.  :func:`kernel_persistence` computes the kernel at
-N + 1, with one more class layer of the same recursion, and flags
-candidates that fail to persist, which is the honest finite criterion
-available here (true relations kill every degree).
+truncated T(F); the empty monomial goes to the identity.  Its kernel, the
+ideal of relations, is read off one :class:`ImageWalk` per spec, which gives
+coordinates on each image algebra B_n(T(L)) without forming a block of
+pi(w); the degree-d kernel is the nullspace of the stacked classes of the
+monomials (in the global lexicographic order over the sorted basis of L).
+:func:`represent` and :func:`verify_splitting` compose the T(F) blocks as
+test oracles.  A kernel element is certified *relative to the truncation
+N*: :func:`kernel_persistence` also computes the kernel at N + 1, one more
+layer of the walk, and flags candidates that fail to persist.
 
 The degree-bounded span S_b of the two-sided ideal generated by a set of
 relations (every a . g . c with deg a + top g + deg c <= b) is never built
@@ -40,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coalgebra import Coalgebra
-from .exactlin import Matrix, ONE, SpanBasis, ZERO, kernel_basis, mat_mul, rref, vec_add_scaled
+from .exactlin import Matrix, ONE, SpanBasis, ZERO, kernel_basis, mat_mul, vec_add_scaled
 from .free_tensor import TensorContext, graded_key, word_coproduct
 from .invariant import LinOp, op_combination, op_compose, op_identity
 from .lifting import RealizationSpec, lift_operator, split_witness
@@ -82,14 +75,12 @@ def monomials(l_coalg: Coalgebra, degree: int) -> tuple:
 
 
 def monomials_upto(l_coalg: Coalgebra, degree: int) -> tuple:
-    out = []
-    for n in range(degree + 1):
-        out.extend(monomials(l_coalg, n))
-    return tuple(out)
+    return tuple(w for n in range(degree + 1) for w in monomials(l_coalg, n))
 
 
 def represent_word(spec: RealizationSpec, w: tuple) -> LinOp:
-    """pi on a single monomial: composition of the lifted generators."""
+    """pi on a single monomial: composition of the lifted generators (a test
+    oracle for the image walk; memoized per spec)."""
     key = ("pi", w)
     if key in spec._cache:
         return spec._cache[key]
@@ -112,13 +103,8 @@ def represent(spec: RealizationSpec, w) -> LinOp:
 
 
 def verify_splitting(spec: RealizationSpec, w: tuple, bound: int) -> bool:
-    """Check the monomial splitting identity of the bialgebra coproduct:
-
-        pi(w)(w1 . w2) = sum pi(w') (w1) . pi(w'') (w2)
-
-    over the letterwise coproduct of w, for all word pairs with
-    deg w1 + deg w2 <= min(bound, N).  Exact.
-    """
+    """Test oracle on T(F) blocks: pi(w)(w1 . w2) = sum pi(w')(w1) . pi(w'')(w2)
+    over the letterwise coproduct of w, for deg w1 + deg w2 <= min(bound, N)."""
     splits = [(represent_word(spec, w1), represent_word(spec, w2), coeff)
               for (w1, w2), coeff in sorted(word_coproduct(l_context(spec), w).items())]
     return split_witness(spec.f_ctx, represent_word(spec, w), splits, bound) is None
@@ -141,81 +127,141 @@ def _column_matrix(columns, rhs=None):
     return Matrix(len(row_keys), len(columns), entries), {row_keys[k]: v for k, v in rhs.items()}
 
 
-def _classes(columns) -> list:
-    """Coordinates of each column in a basis of the column span: the columns
-    of the reduced echelon form, which has the same kernel and is injective
-    on the span.  Column i is the class of monomial i modulo the kernel."""
-    red, _ = rref(_column_matrix(columns)[0])
-    classes = [{} for _ in columns]
-    for (row, col), v in red.entries.items():
-        classes[col][row] = v
-    return classes
+class _Layer:
+    """One block of the image walk.  Basis vector k is the ambient class of
+    standard word k; ``span`` holds it tagged by the key (-1, k), below every
+    ambient key, so reducing a vector of the span leaves minus its
+    coordinates on the tags, valid however far the walk grows.  ``rho[l][k]``
+    are the coordinates of (word k) . l for the standard words shorter than
+    ``length``; ``frontier`` lists those of length ``length``."""
+
+    def __init__(self, unit: dict):
+        self.span, self.ambient, self.rho, self.length = SpanBasis(), [], {}, 0
+        self.memo = {(): self.place(unit)}
+        self.frontier = list(range(len(self.ambient)))
+
+    def place(self, vec: dict) -> dict:
+        """Coordinates of an ambient class; an independent one is added."""
+        red = self.span.reduce(vec)
+        if all(key[0] == -1 for key in red):
+            return {key[1]: -c for key, c in red.items()}
+        red[(-1, len(self.ambient))] = ONE
+        self.span.add(red)
+        self.ambient.append(vec)
+        return {len(self.ambient) - 1: ONE}
+
+    def extend(self, letters, act) -> None:
+        """Walk the words s . l of the next length in graded-lex order."""
+        fresh = []
+        for k in self.frontier:
+            for l in letters:
+                known = len(self.ambient)
+                self.rho.setdefault(l, {})[k] = self.place(act(self.ambient[k], l))
+                fresh.extend(range(known, len(self.ambient)))
+        self.frontier = fresh
+        self.length += 1
+
+    def coords(self, w: tuple) -> dict:
+        """Coordinates of a word no longer than ``length`` (shared)."""
+        if w not in self.memo:
+            rho, out = self.rho[w[-1]], {}
+            for k, c in self.coords(w[:-1]).items():
+                vec_add_scaled(out, rho[k], c)
+            self.memo[w] = out
+        return self.memo[w]
 
 
-def _class_layers(spec: RealizationSpec, degree: int) -> tuple:
-    """(mons, layers): the monomials of degree <= d and their classes in
-    blocks 0 .. N + 1 of pi, from the coproduct recursion (cached per spec
-    and degree bound).  Layer n holds the class of each monomial modulo
-    K_n = ker B_n.
+class ImageWalk:
+    """Coordinates on the image algebras A_n = B_n(T(L)) of the blocks of
+    pi by a length-ordered standard-word walk (Moeller-Buchberger;
+    Faugere-Gianni-Lazard-Mora).  The ambient class of a word is its counit
+    in layer 0, the product x(l_1) ... x(l_k) in layer 1, and in layer
+    n >= 2 the pair coordinates (class_1 (x) class_{n-1})(delta w): the lift
+    gives B_n(r) = (B_1 (x) B_{n-1})(delta r), and a Kronecker product of
+    injective maps is injective, so r has class 0 in layer n iff B_n(r) = 0.
+    delta is an algebra map, so l acts on pairs as sum c rho_1(l') (x)
+    rho_{n-1}(l'').  A word is standard when its class is independent of the
+    earlier standard words'; only those are extended, and a layer grows only
+    to the longest word asked for, or until a length adds no standard word."""
 
-    Block n of pi(w) is B_n(w) = X(l_1)_n ... X(l_d)_n.  The lift expands the
-    last tensor factor, X(l)_n = sum c kron(x(l'), X(l'')_{n-1}) over
-    delta(l), so the mixed-product rule gives B_n(r) = (B_1 (x) B_{n-1})(delta r)
-    for every combination r, with no coassociativity assumed.  Hence
-    K_n = ker B_n is {r : delta r in K_1 (x) V + V (x) K_{n-1}}: with each leg
-    replaced by its class modulo K_1 and K_{n-1}, layer n is the class of
-    B_n(w) under a map that is injective on the span of the blocks.  Only B_0
-    (products of counits) and B_1 (products of |F| x |F| matrices) are ever
-    formed.
-    """
-    key = ("layers", degree)
-    if key in spec._cache:
-        return spec._cache[key]
-    mons = monomials_upto(spec.l_coalg, degree)
-    index = {w: i for i, w in enumerate(mons)}
-    ctx = l_context(spec)
-    legs = [[(index[w1], index[w2], coeff) for (w1, w2), coeff in word_coproduct(ctx, w).items()]
-            for w in mons]
-    products = {(): Matrix.identity(spec.f_ctx.f.dim)}
+    def __init__(self, spec: RealizationSpec):
+        self.spec, self.layers, self.stacked = spec, [], {}
 
-    def degree_one(w):
-        if w not in products:
-            products[w] = mat_mul(degree_one(w[:-1]), spec.x_matrix(w[-1]))
-        return products[w]
+    def _act(self, n: int, v: dict, l) -> dict:
+        spec = self.spec
+        if n == 0:
+            return {key: c * spec.l_coalg.eps(l) for key, c in v.items() if spec.l_coalg.eps(l)}
+        if n == 1:
+            dim = spec.f_ctx.f.dim
+            return mat_mul(Matrix.trusted(dim, dim, v), spec.x_matrix(l)).entries
+        out = {}
+        for p, q, c in spec.l_coalg.delta_terms(l):
+            rho1, rho2 = self.layers[1].rho[p], self.layers[n - 1].rho[q]
+            for (u1, u2), cv in v.items():
+                for k1, c1 in rho1[u1].items():
+                    vec_add_scaled(out, {(k1, k2): c2 for k2, c2 in rho2[u2].items()}, c * cv * c1)
+        return out
 
-    first = _classes([degree_one(w).entries for w in mons])
-    layers = [_classes([{0: eps_extension(spec.l_coalg, w)} for w in mons]), first]
-    for _ in range(2, spec.max_degree + 2):
-        prev = layers[-1]
-        columns = []
-        for terms in legs:
-            col = {}
-            for i1, i2, coeff in terms:
-                right = prev[i2]
-                for u1, c1 in first[i1].items():
-                    vec_add_scaled(col, {(u1, u2): c2 for u2, c2 in right.items()}, coeff * c1)
-            columns.append(col)
-        layers.append(_classes(columns))
-    spec._cache[key] = mons, layers
-    return mons, layers
+    def _grown(self, n: int, length: int) -> _Layer:
+        while len(self.layers) <= n:
+            m = len(self.layers)
+            if m < 2:
+                unit = {(i, i): ONE for i in range(self.spec.f_ctx.f.dim)} if m else {(0,): ONE}
+            else:
+                right = self._grown(m - 1, 0).coords(())
+                unit = {(k1, k2): c1 * c2 for k1, c1 in self._grown(1, 0).coords(()).items()
+                        for k2, c2 in right.items()}
+            self.layers.append(_Layer(unit))
+        layer = self.layers[n]
+        while layer.length < length and layer.frontier:
+            if n >= 2:
+                self._grown(1, layer.length + 1)
+                self._grown(n - 1, layer.length + 1)
+            layer.extend(self.spec.l_coalg.basis, lambda v, l: self._act(n, v, l))
+        layer.length = max(layer.length, length)
+        return layer
+
+    def word_class(self, n: int, w: tuple) -> dict:
+        """Coordinates of a monomial's class in layer n (shared)."""
+        return self._grown(n, len(w)).coords(w)
+
+    def stacked_class(self, w: tuple, top: int) -> dict:
+        """A monomial's class over layers 0 .. top, keyed (n, k) (shared)."""
+        if (w, top) not in self.stacked:
+            self.stacked[(w, top)] = {(n, k): v for n in range(top + 1)
+                                      for k, v in self.word_class(n, w).items()}
+        return self.stacked[(w, top)]
+
+    def classes(self, y: dict, top: int) -> dict:
+        """Class of y in T(L) over layers 0 .. top: zero iff pi(y) is zero there."""
+        out = {}
+        for w, c in y.items():
+            vec_add_scaled(out, self.stacked_class(w, top), c)
+        return out
+
+    def pair_class(self, z: dict, n1: int, n2: int) -> dict:
+        """(class_{n1} (x) class_{n2})(z) for z in T(L) (x) T(L)."""
+        return _legwise(z, lambda w: self.word_class(n1, w), lambda w: self.word_class(n2, w))
+
+
+def image_walk(spec: RealizationSpec) -> ImageWalk:
+    """The spec's one image walk, shared by every stage and grown on demand."""
+    if ("walk",) not in spec._cache:
+        spec._cache[("walk",)] = ImageWalk(spec)
+    return spec._cache[("walk",)]
 
 
 def _window_kernel(spec: RealizationSpec, degree: int, top: int, upto: bool = False) -> list:
     """Canonical basis of ker pi on blocks 0 .. top, over the monomials of
-    degree d (of degree <= d if upto), as sparse dicts over monomials.
-
-    The kernel is the intersection of K_0 .. K_top, the kernel of the
-    stacked classes of the chosen columns: classes are injective on each
-    layer's span, so a relation among a subset of the columns is the same
-    relation among their classes.  The canonical kernel_basis depends only
-    on that subspace and the column order, which ``monomials(d)`` keeps
-    inside ``monomials_upto(d)``.
+    degree d (of degree <= d if upto), as sparse dicts over monomials: the
+    kernel of their stacked classes, which has the same relations as their
+    blocks.  The canonical kernel_basis depends only on that subspace and
+    the column order, which ``monomials(d)`` keeps inside ``monomials_upto(d)``.
     """
-    mons, layers = _class_layers(spec, degree)
-    cols = [i for i, w in enumerate(mons) if upto or len(w) == degree]
-    stacked = [{(n, row): v for n, layer in enumerate(layers[:top + 1])
-                for row, v in layer[i].items()} for i in cols]
-    return [{mons[cols[j]]: c for j, c in vec.items()}
+    walk = image_walk(spec)
+    mons = monomials_upto(spec.l_coalg, degree) if upto else monomials(spec.l_coalg, degree)
+    stacked = [walk.stacked_class(w, top) for w in mons]
+    return [{mons[j]: c for j, c in vec.items()}
             for vec in kernel_basis(_column_matrix(stacked)[0])]
 
 
@@ -243,21 +289,15 @@ def relation_kernel_upto(spec: RealizationSpec, degree: int) -> RelationSpace:
 
 
 def kernel_persistence(spec: RealizationSpec, degree: int):
-    """Kernels at truncation N and N + 1 and the truncation-sensitive residue.
-
-    Returns (kernel_at_N, kernel_at_N_plus_1, flagged) where flagged counts
-    basis elements of the N-kernel that are not relations on the larger
-    window.  The N + 1 kernel stacks one more class layer, block N + 1 of
-    the same recursion, so it is contained in the N kernel.
+    """(kernel_at_N, kernel_at_N_plus_1, flagged): the N + 1 kernel stacks
+    one more layer of the walk, and flagged counts the basis elements of the
+    N kernel whose class in that layer is not zero (not relations at N + 1).
     """
     kern = relation_kernel(spec, degree)
     top = spec.max_degree + 1
     wider = RelationSpace(degree, _window_kernel(spec, degree, top), top)
-    span = SpanBasis(graded_key)
-    for r in wider.basis:
-        span.add(r)
-    flagged = sum(1 for r in kern.basis if not span.contains(r))
-    return kern, wider, flagged
+    walk = image_walk(spec)
+    return kern, wider, sum(1 for r in kern.basis if walk.classes(r, top))
 
 
 class BoundedIdeal:
@@ -454,20 +494,23 @@ def ideal_span(l_coalg: Coalgebra, gens, bound: int) -> BoundedIdeal:
     return BoundedIdeal(l_coalg.basis, lead, bound)
 
 
+def _legwise(pairs: dict, left, right) -> dict:
+    """(left (x) right)(pairs) for linear maps given on words as sparse
+    vectors, over an element of T(L) (x) T(L)."""
+    out = {}
+    for (w1, w2), coeff in pairs.items():
+        lv = left(w1)
+        if lv:
+            rv = right(w2)
+            for u1, c1 in lv.items():
+                vec_add_scaled(out, {(u1, u2): c2 for u2, c2 in rv.items()}, coeff * c1)
+    return out
+
+
 def pair_reduce(ideal: BoundedIdeal, pairs: dict) -> dict:
     """Reduce both legs of an element of T(L) (x) T(L) modulo a bounded ideal
     span; the result is zero iff the element lies in I (x) T + T (x) I."""
-    out = {}
-    for (w1, w2), coeff in pairs.items():
-        left = ideal.normal_form(w1)
-        if not left:
-            continue
-        right = ideal.normal_form(w2)
-        if not right:
-            continue
-        for u1, c1 in left.items():
-            vec_add_scaled(out, {(u1, u2): c2 for u2, c2 in right.items()}, coeff * c1)
-    return out
+    return _legwise(pairs, ideal.normal_form, ideal.normal_form)
 
 
 def delta_on_l_element(spec: RealizationSpec, elem: dict) -> dict:

@@ -10,11 +10,13 @@ from conftest import (
     tri,
     trivial_spec,
 )
-from hopfreal.coalgebra import BasisId, triangular_blocks
-from hopfreal.errors import PreconditionError, UnsupportedStructureError
+from hopfreal.coalgebra import BasisId, dual_numbers, make_coalgebra, triangular_blocks, verify_coalgebra
+from hopfreal.errors import InternalInconsistencyError, PreconditionError, UnsupportedStructureError
 from hopfreal.exactlin import Matrix, SpanBasis, solve
 from hopfreal.hopf import (
     _composite_split_ok,
+    AntipodeTable,
+    _splits,
     _system_checks,
     antipode_general,
     antipode_triangular,
@@ -27,8 +29,10 @@ from hopfreal.hopf import (
     verify_uniqueness_perturbations,
     verify_Y_coproduct,
 )
+from hopfreal.free_tensor import context_from_algebra
 from hopfreal.invariant import (
     LinOp,
+    RIOp,
     op_combination,
     op_compose,
     op_identity,
@@ -36,7 +40,7 @@ from hopfreal.invariant import (
     op_vector,
     op_zero,
 )
-from hopfreal.lifting import lift_operator, make_spec
+from hopfreal.lifting import lift_operator, make_spec, split_witness
 from hopfreal.realization import (
     _column_matrix,
     monomials_upto,
@@ -48,6 +52,28 @@ from hopfreal.realization import (
 ONE = F(1)
 
 
+def table_ops(spec, entries):
+    """The operator pi(y) of each expression y of a table."""
+    return {b: represent(spec, expr) for b, expr in entries.items()}
+
+
+def back_substituted_ops(spec):
+    """Reference: the triangular back substitution on operators, which the
+    expressions' classes replaced: Y_i^i = X(inverse letter) and
+    Y_i^j = -Y_j^j o sum_{j < k <= i} X(l[k,j]) o Y_i^k."""
+    inverse = dict(spec.diag_pairs)
+    ops = {}
+    for block, n in sorted(triangular_blocks(spec.l_coalg).items()):
+        for i in range(1, n + 1):
+            ops[tri(i, i, block)] = lift_operator(spec, inverse[tri(i, i, block)])
+            for j in range(i - 1, 0, -1):
+                acc = op_combination(spec.f_ctx, [
+                    (op_compose(lift_operator(spec, tri(k, j, block)), ops[tri(i, k, block)]), -ONE)
+                    for k in range(j + 1, i + 1)])
+                ops[tri(i, j, block)] = op_compose(ops[tri(j, j, block)], acc)
+    return ops
+
+
 @pytest.fixture
 def w_table(example_w):
     return antipode_triangular(example_w)
@@ -55,34 +81,35 @@ def w_table(example_w):
 
 def test_diagonal_entries_are_inverse_words(example_w, w_table):
     for b in (tri(1, 1), tri(2, 2)):
-        assert w_table.ops[b] == op_identity(example_w.f_ctx)
+        assert represent(example_w, w_table.entries[b]) == op_identity(example_w.f_ctx)
         assert w_table.entries[b] == {(b,): ONE}
 
 
 def test_off_diagonal_entry_example_w(example_w, w_table):
     z = tri(2, 1)
-    assert w_table.ops[z] == op_scale(lift_operator(example_w, z), F(-1))
+    assert represent(example_w, w_table.entries[z]) == op_scale(lift_operator(example_w, z), F(-1))
     assert w_table.entries[z] == {(z,): F(-1)}
     assert w_table.raw_entries[z] == {(tri(1, 1), z, tri(2, 2)): F(-1)}
 
 
 def test_both_systems_hold(example_w, w_table):
-    assert triangular_systems_ok(example_w, w_table.ops)
+    assert triangular_systems_ok(example_w, w_table.entries)
 
 
 def test_second_system_cancellation(example_w, w_table):
     # Y_1^1 o X(l[2,1]) + Y_2^1 o X(l[2,2]) = X(l[2,1]) - X(l[2,1]) = 0
     z = tri(2, 1)
+    ops = table_ops(example_w, w_table.entries)
     lhs = op_combination(example_w.f_ctx, [
-        (op_compose(w_table.ops[tri(1, 1)], lift_operator(example_w, z)), F(1)),
-        (op_compose(w_table.ops[z], lift_operator(example_w, tri(2, 2))), F(1)),
+        (op_compose(ops[tri(1, 1)], lift_operator(example_w, z)), F(1)),
+        (op_compose(ops[z], lift_operator(example_w, tri(2, 2))), F(1)),
     ])
     assert lhs.is_zero()
 
 
 def test_trivial_realization_off_diagonal_is_zero(trivial):
     table = antipode_triangular(trivial)
-    assert table.ops[tri(2, 1)].is_zero()
+    assert represent(trivial, table.entries[tri(2, 1)]).is_zero()
     assert table.entries[tri(2, 1)] == {}
 
 
@@ -98,11 +125,14 @@ def test_antipode_requires_cotriangular():
         antipode_triangular(primitive_spec())
 
 
-def test_expressions_represent_their_operators(example_w, w_table):
-    for b, expr in w_table.entries.items():
-        assert represent(example_w, expr) == w_table.ops[b]
-    for b, expr in w_table.raw_entries.items():
-        assert represent(example_w, expr) == w_table.ops[b]
+def test_expressions_represent_their_operators():
+    # both the reduced and the raw expression represent the operator that
+    # back substitution on operators gives
+    for spec in (example_w_spec(), three_block_spec(), trivial_spec()):
+        table = antipode_triangular(spec)
+        want = back_substituted_ops(spec)
+        assert table_ops(spec, table.entries) == want
+        assert table_ops(spec, table.raw_entries) == want
 
 
 def test_verify_y_coproduct(example_w, w_table):
@@ -204,8 +234,7 @@ def test_general_solver_trivial_realization(trivial):
 def test_general_solver_recovers_triangular_table(example_w, w_table):
     table = antipode_general(example_w, 3)
     assert table is not None and table.unique and table.report.ok
-    for b in example_w.l_coalg.basis:
-        assert table.ops[b] == w_table.ops[b]
+    assert table_ops(example_w, table.entries) == table_ops(example_w, w_table.entries)
 
 
 def test_general_solver_none_for_projection():
@@ -217,7 +246,7 @@ def test_general_solver_non_cotriangular_primitive():
     table = antipode_general(spec, 3)
     assert table is not None and table.unique and table.report.ok
     t_hat = BasisId.plain(1)
-    assert table.ops[t_hat] == op_scale(lift_operator(spec, t_hat), F(-1))
+    assert represent(spec, table.entries[t_hat]) == op_scale(lift_operator(spec, t_hat), F(-1))
 
 
 def test_uniqueness_perturbations(example_w, w_table):
@@ -282,9 +311,9 @@ def test_three_block_antipode():
     # zero form is the divided square of the Leibniz operator, which is
     # exactly what back-substitution produces
     corner = tri(3, 1, 2)
-    assert table.ops[corner] == lift_operator(spec, corner)
+    assert represent(spec, table.entries[corner]) == lift_operator(spec, corner)
     assert table.entries[corner] == {(corner,): ONE}
-    assert triangular_systems_ok(spec, table.ops)
+    assert triangular_systems_ok(spec, table.entries)
     assert verify_Y_coproduct(spec, table, 2).ok
 
 
@@ -304,7 +333,7 @@ def spanned_operator_basis(spec, bound):
 @pytest.mark.parametrize("bound", [1, 2, 3])
 def test_operator_algebra_basis_matches_span_of_images(make, bound):
     spec = make()
-    assert operator_algebra_basis(spec, bound) == spanned_operator_basis(spec, bound)
+    assert operator_algebra_basis(spec, bound) == [w for w, _ in spanned_operator_basis(spec, bound)]
     assert operator_algebra_basis(spec, bound) is operator_algebra_basis(spec, bound)
 
 
@@ -330,34 +359,43 @@ def triangular_system_flags(spec, ops):
     return flags
 
 
+def perturbed(entries, target, extra, coeff):
+    """The entries with coeff * extra added to the expression at target."""
+    out = dict(entries)
+    out[target] = dict(entries[target])
+    for w, c in extra.items():
+        out[target][w] = out[target].get(w, 0) + coeff * c
+        if not out[target][w]:
+            del out[target][w]
+    return out
+
+
 @pytest.mark.parametrize("make", [example_w_spec, three_block_spec])
 def test_system_flags_match_triangular_loops_on_planted_defects(make):
-    # perturb one off-diagonal Y entry at a time by a lifted operator or the
-    # identity; the generator's flags must be the old loops' flags
+    # perturb one off-diagonal Y entry at a time by half of a letter or of
+    # 1; the classes' flags must be the old loops' flags on the operators
     spec = make()
     table = antipode_triangular(spec)
-    assert all(triangular_system_flags(spec, table.ops).values())
+    assert all(triangular_system_flags(spec, table_ops(spec, table.entries)).values())
     for target in (b for b in spec.l_coalg.basis if b.i != b.j):
-        for extra in [op_identity(spec.f_ctx)] + [lift_operator(spec, b) for b in spec.l_coalg.basis]:
-            ops = dict(table.ops)
-            ops[target] = op_combination(spec.f_ctx, [(ops[target], ONE), (extra, F(1, 2))])
-            flags = {(b, side): ok for b, side, ok in _system_checks(spec, ops)}
-            assert flags == triangular_system_flags(spec, ops)
+        for extra in [()] + [(b,) for b in spec.l_coalg.basis]:
+            entries = perturbed(table.entries, target, {extra: ONE}, F(1, 2))
+            flags = {(b, side): ok for b, side, ok in _system_checks(spec, entries)}
+            assert flags == triangular_system_flags(spec, table_ops(spec, entries))
             assert not all(flags.values())
-            assert not triangular_systems_ok(spec, ops)
+            assert not triangular_systems_ok(spec, entries)
 
 
 def test_a_right_system_failure_alone_at_its_b_fails_the_check():
-    # three_block, Y(l[2,1]) of the 3-block plus X(l[2,1]): at l[3,1] the
-    # left system does not involve Y(l[2,1]) and still holds, the right one
-    # (through Y(l[2,1]) o X(l[3,2])) breaks
+    # three_block, Y(l[2,1]) of the 3-block plus l[2,1]: at l[3,1] the left
+    # system does not involve Y(l[2,1]) and still holds, the right one
+    # (through Y(l[2,1]) . l[3,2]) breaks
     spec = three_block_spec()
-    ops = dict(antipode_triangular(spec).ops)
     z = tri(2, 1, 2)
-    ops[z] = op_combination(spec.f_ctx, [(ops[z], ONE), (lift_operator(spec, z), ONE)])
-    flags = {(b, side): ok for b, side, ok in _system_checks(spec, ops)}
+    entries = perturbed(antipode_triangular(spec).entries, z, {(z,): ONE}, ONE)
+    flags = {(b, side): ok for b, side, ok in _system_checks(spec, entries)}
     assert flags[(tri(3, 1, 2), "left")] and not flags[(tri(3, 1, 2), "right")]
-    assert not triangular_systems_ok(spec, ops)
+    assert not triangular_systems_ok(spec, entries)
 
 
 def reduce_expression_loop(spec, op, max_degree):
@@ -392,14 +430,16 @@ def reduce_expression_loop(spec, op, max_degree):
 
 @pytest.mark.parametrize("make", [example_w_spec, three_block_spec, trivial_spec])
 def test_reduce_expression_matches_old_loop(make):
+    # the raw back-substitution expressions are the targets antipode_triangular
+    # reduces; the loop reduces their operators
     spec = make()
-    for b, op in sorted(antipode_triangular(spec).ops.items()):
-        got = reduce_expression(spec, op, spec.max_degree)
-        assert got == reduce_expression_loop(spec, op, spec.max_degree), b
+    for b, raw in sorted(antipode_triangular(spec).raw_entries.items()):
+        got = reduce_expression(spec, raw, spec.max_degree)
+        assert got == reduce_expression_loop(spec, represent(spec, raw), spec.max_degree), b
         assert got is not None
 
 
-def test_reduce_expression_none_paths(trivial):
+def test_reduce_expression_none_paths(example_w, trivial):
     # on trivial every pi(w) is 0 or the identity
     ident = op_identity(trivial.f_ctx)
     columns = [op_vector(represent_word(trivial, w)) for w in monomials_upto(trivial.l_coalg, 3)]
@@ -410,5 +450,116 @@ def test_reduce_expression_none_paths(trivial):
         # an off-diagonal key that no pi(w) has, or only diagonal keys with an
         # inconsistent system
         assert (_column_matrix(columns, op_vector(op)) is None) == missing_key
-        assert reduce_expression(trivial, op, 3) is None
         assert reduce_expression_loop(trivial, op, 3) is None
+    # on example_w, pi(z^k) is not a combination of images of shorter words
+    z = tri(2, 1)
+    for expr, bound in (({(z,): ONE}, 0), ({(z, z): ONE, (z,): F(-1)}, 1), ({(z,) * 3: F(2)}, 2)):
+        assert reduce_expression(example_w, expr, bound) is None
+        assert reduce_expression_loop(example_w, represent(example_w, expr), bound) is None
+
+
+def system_flags(spec, ops):
+    """Reference: both antipode systems on operators, (b, side) -> ok over
+    delta(b), for any L: sum c X(p) o Y(q) = eps(b) id = sum c Y(p) o X(q)."""
+    ident = op_identity(spec.f_ctx)
+    flags = {}
+    for b in spec.l_coalg.basis:
+        terms = spec.l_coalg.delta_terms(b)
+        unit = [(ident, -spec.l_coalg.eps(b))]
+        left = [(op_compose(lift_operator(spec, p), ops[q]), c) for p, q, c in terms]
+        right = [(op_compose(ops[p], lift_operator(spec, q)), c) for p, q, c in terms]
+        flags[(b, "left")] = op_combination(spec.f_ctx, left + unit).is_zero()
+        flags[(b, "right")] = op_combination(spec.f_ctx, right + unit).is_zero()
+    return flags
+
+
+def y_coproduct_checks(spec, ops, bound):
+    """Reference: the checks of verify_Y_coproduct on operators, each one
+    split_witness identity on composed T(F) blocks."""
+    ids = list(spec.l_coalg.basis)
+    checks = []
+    for b in ids:
+        parts = [(ops[tri(b.i, k, b.block)], ops[tri(k, b.j, b.block)], ONE)
+                 for k in range(b.j, b.i + 1)]
+        checks.append((f"splitting of Y at {b}",
+                       split_witness(spec.f_ctx, ops[b], parts, bound) is None))
+    off = [b for b in ids if b.i != b.j]
+    diag = [b for b in ids if b.i == b.j]
+    pairs = [(u, v) for u in off for v in off] + [(diag[0], off[0]), (off[0], diag[0])]
+    for u, v in pairs:
+        parts = [(op_compose(ops[tri(v.i, k2, v.block)], ops[tri(u.i, k1, u.block)]),
+                  op_compose(ops[tri(k2, v.j, v.block)], ops[tri(k1, u.j, u.block)]), ONE)
+                 for k1 in range(u.j, u.i + 1) for k2 in range(v.j, v.i + 1)]
+        ok = split_witness(spec.f_ctx, op_compose(ops[v], ops[u]), parts, bound) is None
+        checks.append((f"splitting of composite Y at ({u},{v})", ok))
+    return checks
+
+
+def reversed_law_flags(spec, ops, bound):
+    """Reference: delta Y(b) = sum c Y(q) (x) Y(p) over delta(b), by split_witness."""
+    return {b: split_witness(spec.f_ctx, ops[b], [(ops[q], ops[p], c)
+                                                  for p, q, c in spec.l_coalg.delta_terms(b)],
+                             bound) is None
+            for b in spec.l_coalg.basis}
+
+
+P0, P1 = BasisId.plain(0), BasisId.plain(1)
+
+# (spec, entry, word w, c): the entry's expression plus c * w, for c * w of
+# nonzero image: half of 1, half of a letter, or minus a product a . b
+PLANTED_DEFECTS = [
+    (example_w_spec, tri(2, 1), (), F(1, 2)),
+    (example_w_spec, tri(2, 1), (tri(2, 1),), F(1, 2)),
+    (example_w_spec, tri(1, 1), (tri(2, 1),), F(1, 2)),
+    (example_w_spec, tri(2, 2), (tri(2, 1), tri(2, 1)), F(-1)),
+    (example_w_spec, tri(2, 1), (tri(1, 1), tri(2, 1)), F(-1)),
+    (three_block_spec, tri(2, 1, 1), (), F(1, 2)),
+    (three_block_spec, tri(3, 1, 2), (tri(3, 2, 2),), F(1, 2)),
+    (three_block_spec, tri(3, 2, 2), (tri(2, 1, 1),), F(1, 2)),
+    (three_block_spec, tri(1, 1, 0), (tri(2, 1, 1), tri(3, 2, 2)), F(-1)),
+    (three_block_spec, tri(3, 1, 2), (tri(2, 1, 2), tri(3, 2, 2)), F(-1)),
+    (primitive_spec, P1, (), F(1, 2)),
+    (primitive_spec, P0, (P1,), F(1, 2)),
+    (primitive_spec, P1, (P1, P0), F(-1)),
+]
+
+
+@pytest.mark.parametrize("make, target, word, coeff", PLANTED_DEFECTS,
+                         ids=[f"{m.__name__}-{t}-{len(w)}" for m, t, w, _ in PLANTED_DEFECTS])
+def test_planted_defects_match_operator_oracle(make, target, word, coeff):
+    # the class-based system flags, Y-coproduct checks and reversed-law flags
+    # of a perturbed table equal the flags of the composed T(F) blocks
+    spec = make()
+    assert not represent(spec, {word: coeff}).is_zero()
+    triangular = triangular_blocks(spec.l_coalg) is not None
+    table = antipode_triangular(spec) if triangular else antipode_general(spec, spec.max_degree)
+    entries = perturbed(table.entries, target, {word: ONE}, coeff)
+    ops = table_ops(spec, entries)
+    bound = spec.max_degree
+    flags = {(b, side): ok for b, side, ok in _system_checks(spec, entries)}
+    assert flags == system_flags(spec, ops)
+    assert not all(flags.values())
+    reversed_law = {b: _splits(spec, entries[b], [(entries[q], entries[p], c)
+                                                  for p, q, c in spec.l_coalg.delta_terms(b)], bound)
+                    for b in spec.l_coalg.basis}
+    assert reversed_law == reversed_law_flags(spec, ops, bound)
+    if triangular:
+        assert flags == triangular_system_flags(spec, ops)
+        broken = AntipodeTable(entries, entries, "triangular")
+        assert verify_Y_coproduct(spec, broken, bound).checks == y_coproduct_checks(spec, ops, bound)
+
+
+def test_antipode_entry_points_refuse_non_coassociative_l():
+    # delta(b) = a (x) b + b (x) b is not coassociative (the b (x) a (x) b
+    # term); no .hra file can write such an L, the API can
+    l_coalg = make_coalgebra([P0, P1], {P0: [(P0, P0, 1)], P1: [(P0, P1, 1), (P1, P1, 1)]},
+                             {P0: 1})
+    assert not verify_coalgebra(l_coalg).ok
+    spec = make_spec(l_coalg, context_from_algebra(dual_numbers(), 3),
+                     {P0: RIOp.identity(), P1: RIOp.from_eval(P1)})
+    with pytest.raises(InternalInconsistencyError):
+        lift_operator(spec, P1)
+    with pytest.raises(InternalInconsistencyError):
+        antipode_general(spec, 2)
+    with pytest.raises(InternalInconsistencyError):
+        antipode_triangular(spec)

@@ -9,9 +9,9 @@ from conftest import apply_to_word, example_w_spec, primitive_spec, projection_s
 from hopfreal import realization
 from hopfreal.coalgebra import BasisId
 from hopfreal.errors import InputError, InvalidAlgebraError
-from hopfreal.exactlin import Matrix, SpanBasis, kernel_basis
+from hopfreal.exactlin import Matrix, SpanBasis, kernel_basis, vec_add_scaled
 from hopfreal.free_tensor import graded_key
-from hopfreal.inputdoc import parse_input
+from hopfreal.inputdoc import build_spec, parse_input
 from hopfreal.invariant import RIOp, op_identity, op_vector
 from hopfreal.lifting import make_spec, with_truncation
 from hopfreal.pipeline import STAGE_ORDER, _run
@@ -391,20 +391,52 @@ def test_kernel_persistence_matches_wider_spec(make, truncation, degree):
     assert flagged == old_flagged
 
 
-def test_report_runs_one_layer_recursion_per_degree_bound(monkeypatch):
-    # the relations stage, the coideal check and the N + 1 window all read
-    # the class layers of one recursion per degree bound d = 1..D
-    calls = []
-    layers = realization._class_layers
+def test_report_runs_one_image_walk_per_spec(monkeypatch):
+    # the relations stage, the coideal check, the N + 1 window and the
+    # antipode stage all read the classes of one walk, grown on demand
+    walks = []
 
-    def counted(spec, degree):
-        if ("layers", degree) not in spec._cache:
-            calls.append(degree)
-        return layers(spec, degree)
+    class Counted(realization.ImageWalk):
+        def __init__(self, spec):
+            walks.append(spec)
+            super().__init__(spec)
 
-    monkeypatch.setattr(realization, "_class_layers", counted)
+    monkeypatch.setattr(realization, "ImageWalk", Counted)
     path = FIXTURE_DIR / "example_w.hra"
     doc = parse_input(path.read_text(encoding="utf-8"))
-    report, _ = _run(doc, STAGE_ORDER, path.name)
+    report, pipe = _run(doc, STAGE_ORDER, path.name)
     assert report.ok
-    assert sorted(calls) == list(range(1, doc.max_degree + 1))
+    assert walks == [pipe.spec]
+    assert isinstance(realization.image_walk(pipe.spec), Counted)
+
+
+def fixture_spec(name):
+    """(spec, d) of a shipped fixture, built once per test session."""
+    if name not in _FIXTURE_SPECS:
+        doc = parse_input((FIXTURE_DIR / f"{name}.hra").read_text(encoding="utf-8"))
+        _FIXTURE_SPECS[name] = build_spec(doc), doc.max_degree
+    return _FIXTURE_SPECS[name]
+
+
+_FIXTURE_SPECS = {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["example_w", "three_block", "general_w"]), data=st.data())
+def test_class_is_zero_exactly_when_pi_is_zero(name, data):
+    # y is a sum of a . r . c over relations r of degree <= d, which pi kills,
+    # plus random words; every word has length <= 2d + 1, past the degree
+    # bound, so the walk grows beyond the lengths the kernels ask for
+    spec, d = fixture_spec(name)
+    letters = spec.l_coalg.basis
+    cofactors = st.lists(st.sampled_from(letters), max_size=(d + 1) // 2).map(tuple)
+    words = st.lists(st.sampled_from(letters), max_size=2 * d + 1).map(tuple)
+    relations = relation_kernel_upto(spec, d).basis
+    y = {}
+    for a, rel, c in data.draw(st.lists(st.tuples(cofactors, st.sampled_from(relations), cofactors),
+                                        max_size=3)):
+        vec_add_scaled(y, {a + w + c: v for w, v in rel.items()}, ONE)
+    for w, v in data.draw(st.dictionaries(words, COEFFS, max_size=2)).items():
+        vec_add_scaled(y, {w: ONE}, v)
+    walk_zero = not realization.image_walk(spec).classes(y, spec.max_degree)
+    assert walk_zero == represent(spec, y).is_zero()
