@@ -40,6 +40,10 @@ class BasisId:
     basis of a presented algebra.  The field order gives the global,
     deterministic sort used everywhere (sparse iteration, word bases,
     monomial orders).
+
+    The hash is computed once, in ``__post_init__``: every word and monomial
+    is a tuple of ids, and hashing a tuple hashes each letter again.  Its
+    value is the one the generated dataclass hash gives.
     """
 
     block: int
@@ -51,6 +55,10 @@ class BasisId:
             raise ValueError(f"bad basis id ({self.block},{self.i},{self.j})")
         if self.j > self.i:
             raise ValueError(f"triangular id needs j <= i, got ({self.i},{self.j})")
+        object.__setattr__(self, "_hash", hash((self.block, self.i, self.j)))
+
+    def __hash__(self):
+        return self._hash
 
     @staticmethod
     def plain(i: int, block: int = 0) -> "BasisId":

@@ -37,14 +37,28 @@ ONE = Fraction(1)
 
 
 def vec_add_scaled(dst: dict, src: dict, coeff: Fraction) -> dict:
-    """In place dst += coeff * src, dropping entries that cancel to zero."""
-    if coeff:
-        for k, v in src.items():
-            w = dst.get(k, ZERO) + coeff * v
-            if w:
-                dst[k] = w
-            else:
-                dst.pop(k, None)
+    """In place dst += coeff * src, dropping entries that cancel to zero.
+
+    Equal to the loop ``dst[k] = dst.get(k, ZERO) + coeff * v`` with zeros
+    dropped, on two fast paths: a coefficient of 1 skips the multiply, and
+    a key absent from dst stores ``coeff * v`` (as a Fraction) without
+    adding it to zero."""
+    if not coeff:
+        return dst
+    unit = coeff == 1
+    for k, v in src.items():
+        if not unit:
+            v = coeff * v
+        old = dst.get(k)
+        if old is None:
+            if v:
+                dst[k] = v if type(v) is Fraction else Fraction(v)
+            continue
+        w = old + v
+        if w:
+            dst[k] = w
+        else:
+            del dst[k]
     return dst
 
 

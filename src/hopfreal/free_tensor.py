@@ -113,15 +113,24 @@ def word_product(ctx: TensorContext, a: TensorElement, b: TensorElement):
 def word_coproduct(ctx: TensorContext, w: Word) -> PairElement:
     """Letterwise coproduct of a single word; both legs keep the word's length.
 
-    No accumulator is needed: the coproduct terms of a letter have distinct
-    (p, q) and nonzero coefficients, so every extended key is new and every
-    product is nonzero.
+    Memoized per context as ``ctx._cache[("delta", w)]``, each word's from
+    its longest memoized prefix letter by letter, so the result is shared:
+    callers never write into it.  No accumulator is needed: the coproduct
+    terms of a letter have distinct (p, q) and nonzero coefficients, so
+    every extended key is new and every product is nonzero.
     """
-    pairs = {(EMPTY_WORD, EMPTY_WORD): ONE}
-    for letter in w:
-        terms = ctx.f.delta_terms(letter)
-        pairs = {(w1 + (p,), w2 + (q,)): coeff * c
-                 for (w1, w2), coeff in pairs.items() for (p, q, c) in terms}
+    cache = ctx._cache
+    pairs = cache.get(("delta", w))
+    if pairs is None:
+        k = len(w)
+        while k and ("delta", w[:k]) not in cache:
+            k -= 1
+        pairs = cache.setdefault(("delta", w[:k]), {(EMPTY_WORD, EMPTY_WORD): ONE})
+        for n in range(k, len(w)):
+            terms = ctx.f.delta_terms(w[n])
+            pairs = {(w1 + (p,), w2 + (q,)): coeff * c
+                     for (w1, w2), coeff in pairs.items() for (p, q, c) in terms}
+            cache[("delta", w[:n + 1])] = pairs
     return pairs
 
 

@@ -47,6 +47,7 @@ from .exactlin import ONE, SpanBasis, kernel_basis, solve, vec_add_scaled
 from .free_tensor import concat_product, graded_key, word_coproduct
 from .lifting import RealizationSpec, iterated_coproduct
 from .realization import (
+    BoundedIdeal,
     RelationSpace,
     _column_matrix,
     delta_on_l_element,
@@ -270,6 +271,7 @@ class ClosureResult:
     truncation: int
     final_basis: list
     quotient_dims: dict
+    ideal: BoundedIdeal  # the bounded ideal span of final_basis at degree_bound
     r0_coideal_ok: bool = True
     overflow: bool = False
 
@@ -338,7 +340,7 @@ def closure_iterate(spec: RealizationSpec, table: AntipodeTable, r0,
     final_basis = current.basis()
     quotient = {k: len(ideal.standard_words(k)) for k in range(degree_bound + 1)}
     return ClosureResult(stages, stabilized, stable_at, degree_bound,
-                         spec.max_degree, final_basis, quotient,
+                         spec.max_degree, final_basis, quotient, ideal,
                          r0_coideal_ok=r0_coideal_ok, overflow=overflow)
 
 
@@ -348,8 +350,10 @@ def verify_hopf_quotient(spec: RealizationSpec, table: AntipodeTable,
     degree <= min(2, degree_bound), plus a re-check that the ideal is a coideal.
 
     Test vectors may exceed the closure bound (S^r stretches words); each
-    membership uses an ideal span computed at the vector's own degree and
-    the report line carries that bound.
+    membership uses the ideal span at the vector's own degree and the
+    report line carries that bound.  Every such span is a view of one
+    Groebner basis built at the largest bound needed (see
+    ``realization.ideal_span``), the closure's own where the bounds agree.
     """
     if not closure.stabilized:
         raise PreconditionError("hopf quotient check needs a stabilized closure")
@@ -358,13 +362,7 @@ def verify_hopf_quotient(spec: RealizationSpec, table: AntipodeTable,
     report = CheckReport(f"hopf quotient axioms at degree bound {degree_bound}")
     gens = closure.final_basis
     ctx = l_context(spec)
-    span_cache = {}
-
-    def bounded_ideal(bound):
-        if bound not in span_cache:
-            span_cache[bound] = ideal_span(spec.l_coalg, gens, bound)
-        return span_cache[bound]
-
+    tests = []
     for w in monomials_upto(spec.l_coalg, min(2, degree_bound)):
         pairs = word_coproduct(ctx, w)
         left = {}
@@ -380,10 +378,21 @@ def verify_hopf_quotient(spec: RealizationSpec, table: AntipodeTable,
         for vec, tag in ((left, "sum S(w')w''"), (right, "sum w'S(w'')")):
             test = vec_add_scaled(dict(vec), {(): ONE}, -eps)
             bound = max(degree_bound, max((len(u) for u in test), default=0))
-            ok = bounded_ideal(bound).contains(test)
-            report.record(
-                f"{tag} = eps(w)1 mod ideal for w={format_word(w)} [ideal bound {bound}]",
-                ok)
+            tests.append((tag, w, test, bound))
+
+    top = max(bound for *_, bound in tests)
+    built = closure.ideal if closure.degree_bound >= top else ideal_span(spec.l_coalg, gens, top)
+    views = {closure.degree_bound: closure.ideal, built.bound: built}
+
+    def bounded_ideal(bound):
+        if bound not in views:
+            views[bound] = built.view(bound)
+        return views[bound]
+
+    for tag, w, test, bound in tests:
+        report.record(
+            f"{tag} = eps(w)1 mod ideal for w={format_word(w)} [ideal bound {bound}]",
+            bounded_ideal(bound).contains(test))
 
     ideal_d = bounded_ideal(degree_bound)
     for g in gens:

@@ -33,7 +33,6 @@ from .exactlin import (
     ZERO,
     mat_combination,
     mat_mul,
-    mat_scale,
     solve,
     vec_add_scaled,
     vec_clean,
@@ -95,10 +94,6 @@ def op_identity(ctx: TensorContext) -> LinOp:
 def op_zero(ctx: TensorContext) -> LinOp:
     return LinOp({n: Matrix(len(ctx.word_basis(n)), len(ctx.word_basis(n)))
                   for n in range(ctx.max_degree + 1)})
-
-
-def op_scale(a: LinOp, coeff: Fraction) -> LinOp:
-    return LinOp({n: mat_scale(m, coeff) for n, m in a.blocks.items()})
 
 
 def op_combination(ctx: TensorContext, terms) -> LinOp:

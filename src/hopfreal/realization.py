@@ -406,6 +406,13 @@ class BoundedIdeal:
         return [w for k in range(self.bound + 1) for w in itertools.product(self._letters, repeat=k)
                 if self._reducer(w) is not None]
 
+    def view(self, bound: int) -> "BoundedIdeal":
+        """S_b at a bound b <= this one, read off the same Groebner basis
+        (see :func:`ideal_span`); a fresh normal-form memo."""
+        if bound > self.bound:
+            raise ValueError(f"a view at bound {bound} of an ideal built to {self.bound}")
+        return BoundedIdeal(self._letters, self._lead, bound)
+
     def basis(self) -> list:
         """Rows in increasing pivot order (canonical)."""
         rows = []
@@ -462,6 +469,17 @@ def ideal_span(l_coalg: Coalgebra, gens, bound: int) -> BoundedIdeal:
     gives the new elements of degree D: two elements of one degree act on
     each other only linearly.  Their critical pairs with every element are
     queued at their sugar degree, or dropped above the bound.
+
+    One basis serves every smaller bound (:meth:`BoundedIdeal.view`).  For
+    b <= B, the elements of sugar <= b are the same whether the basis is
+    built to b or to B: degree D <= b reduces the same generators and
+    S-polynomials (those of sugar D, from elements of lower degree) by the
+    same elements, and an S-polynomial's sugar exceeds the degree of both
+    its elements (a new leading word is standard for the elements below
+    it), so the elements of sugar in (b, B] never feed back into degree
+    <= b.  Also, ``_reducer`` and ``standard_words`` never use an
+    element whose sugar exceeds the view's bound (s + |a| + |c| <= b), so
+    the extra elements change no normal form, pivot or dimension at b.
     """
     pending = {}
     for g in gens:

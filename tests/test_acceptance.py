@@ -41,7 +41,7 @@ from hopfreal.hopf import (
     verify_uniqueness_perturbations,
     verify_Y_coproduct,
 )
-from hopfreal.invariant import RIOp, convolution, op_from_form, op_scale
+from hopfreal.invariant import RIOp, convolution, op_combination, op_from_form
 from hopfreal.lifting import (
     lift_operator,
     lift_operator_recursive,
@@ -174,7 +174,8 @@ def test_criterion_07_triangular_antipode():
         spec = example_w_spec(truncation=3)
         table = antipode_triangular(spec)
         z = tri(2, 1)
-        assert represent(spec, table.entries[z]) == op_scale(lift_operator(spec, z), F(-1))
+        negated = op_combination(spec.f_ctx, [(lift_operator(spec, z), F(-1))])
+        assert represent(spec, table.entries[z]) == negated
         assert triangular_systems_ok(spec, table.entries)
         cop = verify_Y_coproduct(spec, table, 3)
         assert cop.ok, cop.failures()

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -184,3 +187,20 @@ def test_make_coalgebra_drops_zero_coproduct_term():
     c = make_coalgebra([b], {b: [(b, b, 0)]}, {b: 1})
     assert c.delta_terms(b) == ()
     assert c.delta_vect({b: F(1)}) == {}
+
+
+def test_basis_id_hash_is_computed_once_and_unchanged():
+    a, b = BasisId.tri(2, 1, block=1), BasisId(1, 2, 1)
+    assert a == b and a is not b
+    # the generated dataclass hash's value, so set and dict orders stay put
+    assert hash(a) == hash(b) == hash((1, 2, 1))
+    assert {a: 1}[b] == 1 and {(a, b): 2}[(b, a)] == 2
+    assert repr(a) == "BasisId(block=1, i=2, j=1)"
+    # the benchmark tracer patches the hash on the class
+    assert "__hash__" in BasisId.__dict__
+    for other in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert other == a and hash(other) == hash(a)
+    moved = dataclasses.replace(a, i=3)
+    assert moved == BasisId(1, 3, 1) and hash(moved) == hash(BasisId(1, 3, 1))
+    ids = [BasisId(k, i, j) for k in range(2) for i in range(3) for j in range(i + 1)]
+    assert sorted(reversed(ids)) == sorted(ids, key=lambda x: (x.block, x.i, x.j)) == ids

@@ -419,6 +419,34 @@ def test_vec_add_scaled_matches_dense_sum(dst, src, coeff):
         assert dst == before
 
 
+def reference_add_scaled(dst, src, coeff):
+    for k, v in src.items():
+        w = dst.get(k, F(0)) + coeff * v
+        if w:
+            dst[k] = w
+        else:
+            dst.pop(k, None)
+    return dst
+
+
+# src may hold zeros and ints; coeff covers 0, 1 and -1 as ints and Fractions
+SRC_VALUES = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+ADD_COEFFS = st.one_of(st.sampled_from([0, 1, -1, F(0), F(1), F(-1)]),
+                       st.fractions(-3, 3, max_denominator=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dst=SPARSE, src=st.dictionaries(st.integers(0, 5), SRC_VALUES, max_size=6), coeff=ADD_COEFFS)
+@example(dst={0: F(2), 1: F(-1)}, src={0: 1, 1: F(-1, 2)}, coeff=F(-2))
+@example(dst={}, src={0: 2, 1: 0}, coeff=1)
+def test_vec_add_scaled_matches_reference_loop(dst, src, coeff):
+    # the fast paths (coeff 1, absent keys) against the plain loop
+    want = reference_add_scaled(dict(dst), src, coeff)
+    assert vec_add_scaled(dst, src, coeff) is dst
+    assert dst == want
+    assert all(type(v) is F and v for v in dst.values())
+
+
 def test_sparse_sums_live_in_exactlin():
     # the cancel-and-drop step is written once, in exactlin; every other
     # module sums sparse dicts through vec_add_scaled

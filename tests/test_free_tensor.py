@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -12,7 +13,7 @@ from hopfreal.coalgebra import (
     triangular_coalgebra,
     upper_triangular_algebra,
 )
-from hopfreal.errors import UnsupportedStructureError
+from hopfreal.errors import InputError, InvalidAlgebraError, UnsupportedStructureError
 from hopfreal.exactlin import vec_add_scaled
 from hopfreal.free_tensor import (
     TensorContext,
@@ -28,6 +29,9 @@ from hopfreal.free_tensor import (
     word_elem,
     word_product,
 )
+from hopfreal.inputdoc import parse_input
+from hopfreal.pipeline import STAGE_ORDER, _run
+from hopfreal.realization import l_context
 
 ONE = F(1)
 
@@ -191,3 +195,36 @@ def test_word_coproduct_matches_accumulated_sum(data):
     pairs = word_coproduct(ctx, w)
     assert pairs == ref
     assert all(pairs.values())
+
+
+def letterwise_coproduct(f, w):
+    """The unmemoized letter-by-letter product defining word_coproduct."""
+    pairs = {((), ()): ONE}
+    for letter in w:
+        pairs = {(w1 + (p,), w2 + (q,)): coeff * c
+                 for (w1, w2), coeff in pairs.items() for (p, q, c) in f.delta_terms(letter)}
+    return pairs
+
+
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURE_DIR.glob("*.hra")))
+def test_memoized_word_coproducts_survive_a_report(name):
+    # word_coproduct hands every caller the same dict: after a full report,
+    # each memoized entry must still be the letterwise product (a caller
+    # that wrote into one would show here), in the same order
+    try:
+        doc = parse_input((FIXTURE_DIR / f"{name}.hra").read_text(encoding="utf-8"))
+        report, pipe = _run(doc, STAGE_ORDER, name)
+    except (InputError, InvalidAlgebraError):
+        assert name.startswith("bad_")
+        return
+    assert report.ok or name == "projection"
+    checked = 0
+    for ctx in (pipe.spec.f_ctx, l_context(pipe.spec)):
+        for key, pairs in ctx._cache.items():
+            if key[0] == "delta":
+                assert list(pairs.items()) == list(letterwise_coproduct(ctx.f, key[1]).items())
+                checked += 1
+    assert checked

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -13,6 +14,7 @@ from conftest import (
 from hopfreal.coalgebra import BasisId, dual_numbers, make_coalgebra, triangular_blocks, verify_coalgebra
 from hopfreal.errors import InternalInconsistencyError, PreconditionError, UnsupportedStructureError
 from hopfreal.exactlin import Matrix, SpanBasis, solve
+from hopfreal import hopf
 from hopfreal.hopf import (
     _composite_split_ok,
     AntipodeTable,
@@ -36,13 +38,14 @@ from hopfreal.invariant import (
     op_combination,
     op_compose,
     op_identity,
-    op_scale,
     op_vector,
     op_zero,
 )
 from hopfreal.lifting import lift_operator, make_spec, split_witness
 from hopfreal.realization import (
+    BoundedIdeal,
     _column_matrix,
+    ideal_span,
     monomials_upto,
     relation_kernel_upto,
     represent,
@@ -87,7 +90,8 @@ def test_diagonal_entries_are_inverse_words(example_w, w_table):
 
 def test_off_diagonal_entry_example_w(example_w, w_table):
     z = tri(2, 1)
-    assert represent(example_w, w_table.entries[z]) == op_scale(lift_operator(example_w, z), F(-1))
+    negated = op_combination(example_w.f_ctx, [(lift_operator(example_w, z), F(-1))])
+    assert represent(example_w, w_table.entries[z]) == negated
     assert w_table.entries[z] == {(z,): F(-1)}
     assert w_table.raw_entries[z] == {(tri(1, 1), z, tri(2, 2)): F(-1)}
 
@@ -214,6 +218,31 @@ def test_hopf_quotient_example_w(example_w, w_table):
     assert report.ok, report.failures()
 
 
+@pytest.mark.parametrize("closure_bound, bound", [(3, 3), (2, 3), (3, 2), (2, 2), (4, 3)])
+@pytest.mark.parametrize("planted", [False, True])
+def test_hopf_quotient_reads_every_bound_off_one_basis(monkeypatch, example_w, w_table,
+                                                       closure_bound, bound, planted):
+    # at most one Groebner basis is built (none when the closure's own covers
+    # every bound), and its views give the checks of a fresh basis per bound
+    a, z = tri(1, 1), tri(2, 1)
+    r0 = [{(a, z): ONE, (z,): F(-1)}] if planted else relation_kernel_upto(example_w, closure_bound)
+    closure = closure_iterate(example_w, w_table, r0, 4, closure_bound)
+    built = []
+
+    def counted(l_coalg, gens, b):
+        built.append(b)
+        return ideal_span(l_coalg, gens, b)
+
+    monkeypatch.setattr(hopf, "ideal_span", counted)
+    report = verify_hopf_quotient(example_w, w_table, closure, bound)
+    top = max(int(m.group(1)) for m in (re.search(r"\[ideal bound (\d+)\]", desc)
+                                        for desc, _ in report.checks) if m)
+    assert top >= bound and built == ([] if closure_bound >= top else [top])
+    monkeypatch.setattr(BoundedIdeal, "view",
+                        lambda own, b: ideal_span(example_w.l_coalg, closure.final_basis, b))
+    assert report.checks == verify_hopf_quotient(example_w, w_table, closure, bound).checks
+
+
 def test_hopf_quotient_needs_stabilized_closure(example_w, w_table):
     closure = closure_iterate(example_w, w_table, [], 0, 2)
     closure.stabilized = False
@@ -246,7 +275,8 @@ def test_general_solver_non_cotriangular_primitive():
     table = antipode_general(spec, 3)
     assert table is not None and table.unique and table.report.ok
     t_hat = BasisId.plain(1)
-    assert represent(spec, table.entries[t_hat]) == op_scale(lift_operator(spec, t_hat), F(-1))
+    negated = op_combination(spec.f_ctx, [(lift_operator(spec, t_hat), F(-1))])
+    assert represent(spec, table.entries[t_hat]) == negated
 
 
 def test_uniqueness_perturbations(example_w, w_table):

@@ -440,3 +440,42 @@ def test_class_is_zero_exactly_when_pi_is_zero(name, data):
         vec_add_scaled(y, {w: ONE}, v)
     walk_zero = not realization.image_walk(spec).classes(y, spec.max_degree)
     assert walk_zero == represent(spec, y).is_zero()
+
+
+def assert_views_match(l_coalg, gens, top):
+    """S_b read off one basis built at top equals the basis built at b, for
+    every b <= top: normal forms of every word of length <= b, dim, pivots."""
+    full = ideal_span(l_coalg, gens, top)
+    for b in range(top + 1):
+        view, own = full.view(b), ideal_span(l_coalg, gens, b)
+        assert view.dim == own.dim
+        assert view.pivots() == own.pivots()
+        for w in monomials_upto(l_coalg, b):
+            assert view.normal_form(w) == own.normal_form(w)
+    with pytest.raises(ValueError):
+        full.view(top + 1)
+
+
+def kernels_upto(spec, d):
+    """The homogeneous relation kernels of degree 1..d and the mixed one."""
+    homogeneous = [r for k in range(1, d + 1) for r in relation_kernel(spec, k).basis]
+    return homogeneous + relation_kernel_upto(spec, d).basis
+
+
+@settings(max_examples=40, deadline=None)
+@given(make=SPECS, truncation=st.integers(1, 3), degree=st.integers(1, 2), extra=st.integers(0, 2))
+def test_groebner_view_matches_basis_built_at_its_bound(make, truncation, degree, extra):
+    spec = make(truncation)
+    assert_views_match(spec.l_coalg, kernels_upto(spec, degree), degree + extra)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gens=GENERATORS, top=st.integers(0, 4), which=st.sampled_from([example_w_spec, trivial_spec]))
+def test_groebner_view_matches_on_random_generators(gens, top, which):
+    assert_views_match(which(truncation=2).l_coalg, gens, top)
+
+
+@pytest.mark.parametrize("name", ["example_w", "general_w", "three_block", "trivial"])
+def test_groebner_view_matches_on_fixture_relation_kernels(name):
+    spec, d = fixture_spec(name)
+    assert_views_match(spec.l_coalg, kernels_upto(spec, d), d + 1)
