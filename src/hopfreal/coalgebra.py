@@ -219,7 +219,15 @@ class Coalgebra:
 
 
 def make_coalgebra(basis, delta, epsilon) -> Coalgebra:
-    return Coalgebra(tuple(sorted(basis)), _norm_delta(delta), vec_clean(epsilon))
+    """The coalgebra with every id of delta and epsilon replaced by the
+    equal object of the basis, so that dict lookups of words built from
+    coproduct terms are identity hits, not ``BasisId.__eq__`` calls."""
+    basis = tuple(sorted(basis))
+    own = {b: b for b in basis}
+    delta = {own.get(b, b): [(own.get(p, p), own.get(q, q), c) for p, q, c in terms]
+             for b, terms in delta.items()}
+    epsilon = {own.get(b, b): v for b, v in epsilon.items()}
+    return Coalgebra(basis, _norm_delta(delta), vec_clean(epsilon))
 
 
 def dual_coalgebra(e: AlgebraPresentation) -> Coalgebra:

@@ -43,15 +43,12 @@ from .errors import (
     PreconditionError,
     UnsupportedStructureError,
 )
-from .exactlin import ONE, SpanBasis, kernel_basis, solve, vec_add_scaled
-from .free_tensor import concat_product, graded_key, word_coproduct
+from .exactlin import ONE, Matrix, SpanBasis, kernel_basis, solve, vec_add_scaled
+from .free_tensor import concat_product, coproduct, counit, graded_key, word_coproduct
 from .lifting import RealizationSpec, iterated_coproduct
 from .realization import (
     BoundedIdeal,
     RelationSpace,
-    _column_matrix,
-    delta_on_l_element,
-    eps_extension,
     ideal_span,
     image_walk,
     l_context,
@@ -79,7 +76,7 @@ def _splits(spec: RealizationSpec, y: dict, parts, bound: int) -> bool:
     for deg w1 + deg w2 <= min(bound, N): z = delta y - sum c a (x) b has
     (class_{n1} (x) class_{n2})(z) = 0 for every n1 + n2 <= min(bound, N),
     since B_{n1+n2} = (B_{n1} (x) B_{n2}) o delta for coassociative L."""
-    z = delta_on_l_element(spec, y)
+    z = coproduct(l_context(spec), y)
     for a, b, c in parts:
         for w1, c1 in a.items():
             vec_add_scaled(z, {(w1, w2): c2 for w2, c2 in b.items()}, -c * c1)
@@ -96,18 +93,17 @@ def _require_coassociative(spec: RealizationSpec) -> None:
 
 def reduce_expression(spec: RealizationSpec, expr: dict, max_degree: int):
     """Canonical minimal-degree w with pi(w) = pi(expr), or None within the
-    bound: over monomial spaces of increasing degree, the echelon particular
-    solution on the columns' classes, which depends only on the linear
-    relations among the columns and the target, so it is reproducible."""
+    bound: the coordinates of expr's class on the image walk's basis of
+    pi_N(T(L)), in graded-lex order, or None when one of their words is
+    longer than the bound.  Coordinates on a basis are unique, so this is
+    the echelon particular solution on the classes of the monomials of any
+    degree that reaches the class, and no lower degree reaches it."""
     walk, top = image_walk(spec), spec.max_degree
-    target = walk.classes(expr, top)
-    for k in range(max_degree + 1):
-        mons = monomials_upto(spec.l_coalg, k)
-        system = _column_matrix([walk.stacked_class(w, top) for w in mons], target)
-        sol = solve(*system) if system is not None else None
-        if sol is not None:
-            return {mons[i]: c for i, c in sol.items()}
-    return None
+    coords = walk.classes(expr, top)
+    words = walk.basis(top, max_degree)
+    if any(k >= len(words) for k in coords):
+        return None
+    return {words[k]: c for k, c in sorted(coords.items())}
 
 
 def _diagonal_inverses(spec: RealizationSpec, sizes: dict) -> dict:
@@ -295,10 +291,11 @@ def closure_iterate(spec: RealizationSpec, table: AntipodeTable, r0,
     """
     if isinstance(r0, RelationSpace):
         r0 = r0.basis
+    ctx = l_context(spec)
     current = _span_from(r0)
     ideal = ideal_span(spec.l_coalg, current.basis(), degree_bound)
     r0_coideal_ok = all(
-        not pair_reduce(ideal, delta_on_l_element(spec, rel))
+        not pair_reduce(ideal, coproduct(ctx, rel))
         for rel in current.basis()
     )
 
@@ -325,7 +322,7 @@ def closure_iterate(spec: RealizationSpec, table: AntipodeTable, r0,
         ideal_next = ideal if new_directions == 0 else ideal_span(
             spec.l_coalg, nxt.basis(), degree_bound)
         coideal_ok = all(
-            not pair_reduce(ideal_next, delta_on_l_element(spec, img))
+            not pair_reduce(ideal_next, coproduct(ctx, img))
             for img in images
         )
         stages.append(ClosureStage(stage, current.dim, ideal.dim,
@@ -368,13 +365,11 @@ def verify_hopf_quotient(spec: RealizationSpec, table: AntipodeTable,
         left = {}
         right = {}
         for (w1, w2), coeff in pairs.items():
-            s1, t1 = extend_antihom(spec, table, w1)
-            s2, t2 = extend_antihom(spec, table, w2)
-            if t1 or t2:
-                raise InternalInconsistencyError("uncapped S^r truncated")
+            s1 = extend_antihom(spec, table, w1)[0]
+            s2 = extend_antihom(spec, table, w2)[0]
             vec_add_scaled(left, concat_product(s1, {w2: ONE}), coeff)
             vec_add_scaled(right, concat_product({w1: ONE}, s2), coeff)
-        eps = eps_extension(spec.l_coalg, w)
+        eps = counit(ctx, {w: ONE})
         for vec, tag in ((left, "sum S(w')w''"), (right, "sum w'S(w'')")):
             test = vec_add_scaled(dict(vec), {(): ONE}, -eps)
             bound = max(degree_bound, max((len(u) for u in test), default=0))
@@ -396,7 +391,7 @@ def verify_hopf_quotient(spec: RealizationSpec, table: AntipodeTable,
 
     ideal_d = bounded_ideal(degree_bound)
     for g in gens:
-        ok = not pair_reduce(ideal_d, delta_on_l_element(spec, g))
+        ok = not pair_reduce(ideal_d, coproduct(ctx, g))
         report.record(
             f"closure ideal coideal property on generator [bound {degree_bound}]", ok)
     return report
@@ -406,14 +401,13 @@ def operator_algebra_basis(spec: RealizationSpec, bound: int) -> list:
     """Monomials (graded-lex order) whose pi-images form a basis of the span
     of pi(monomials of degree <= bound); cached on the spec.
 
-    A monomial belongs to the basis iff its class over blocks 0 .. N is
-    independent of the classes of the monomials before it.
+    These are the image walk's standard words of length <= bound over
+    blocks 0 .. N: each monomial whose class is independent of the classes
+    of the monomials before it.
     """
     key = ("opalg", bound)
     if key not in spec._cache:
-        walk, span = image_walk(spec), SpanBasis()
-        spec._cache[key] = [w for w in monomials_upto(spec.l_coalg, bound)
-                            if span.add(walk.stacked_class(w, spec.max_degree))]
+        spec._cache[key] = image_walk(spec).basis(spec.max_degree, bound)
     return spec._cache[key]
 
 
@@ -422,38 +416,39 @@ def antipode_general(spec: RealizationSpec, bound: int):
     operator algebra; None when infeasible at this bound.
 
     The unknowns are the coefficients of y_b on the basis monomials m_s,
-    and the columns are the classes of p . m_s and m_s . q.  On success the
-    table records the expressions in the monomial basis, a uniqueness flag
-    (trivial solution space), and a verification report including the
-    reversed-coproduct law delta y_b = sum c y_q (x) y_p, split on classes.
+    and the columns are the classes of p . m_s and m_s . q, as coordinates
+    on the basis of pi_N(T(L)): one block of dim A rows per system and
+    basis element b.  On success the table records the expressions in the
+    monomial basis, a uniqueness flag (trivial solution space), and a
+    verification report including the reversed-coproduct law
+    delta y_b = sum c y_q (x) y_p, split on classes.
     """
     _require_coassociative(spec)
     alg = operator_algebra_basis(spec, bound)
     basis_l = list(spec.l_coalg.basis)
+    index = {b: bi for bi, b in enumerate(basis_l)}
     r = len(alg)
 
     walk, top = image_walk(spec), spec.max_degree
-    ident_vec = walk.stacked_class((), top)
-    columns = {(b, s): {} for b in basis_l for s in range(r)}  # column bi * r + s
+    dim = len(walk.basis(top, bound + 1))
+    entries = {}  # row (2 * bi + side) * dim + k, column bi * r + s
     rhs = {}
-    for b in basis_l:
+    for bi, b in enumerate(basis_l):
+        left, right = 2 * bi * dim, (2 * bi + 1) * dim
         for (p, q, c) in spec.l_coalg.delta_terms(b):
             for s, mono in enumerate(alg):
-                vec_add_scaled(columns[(q, s)], {("L", b, key): v for key, v in
-                                                 walk.stacked_class((p,) + mono, top).items()}, c)
-                vec_add_scaled(columns[(p, s)], {("R", b, key): v for key, v in
-                                                 walk.stacked_class(mono + (q,), top).items()}, c)
-        eps = spec.l_coalg.eps(b)
-        if eps:
-            for key, v in ident_vec.items():
-                rhs[("L", b, key)] = eps * v
-                rhs[("R", b, key)] = eps * v
+                vec_add_scaled(entries, {(left + k, index[q] * r + s): v for k, v in
+                                         walk.coordinates((p,) + mono, top).items()}, c)
+                vec_add_scaled(entries, {(right + k, index[p] * r + s): v for k, v in
+                                         walk.coordinates(mono + (q,), top).items()}, c)
+        for k, v in walk.coordinates((), top).items():
+            vec_add_scaled(rhs, {left + k: v, right + k: v}, spec.l_coalg.eps(b))
 
-    system = _column_matrix(list(columns.values()), rhs)
-    sol = solve(*system) if system is not None else None
+    matrix = Matrix.trusted(2 * len(basis_l) * dim, len(basis_l) * r, entries)
+    sol = solve(matrix, rhs)
     if sol is None:
         return None
-    unique = not kernel_basis(system[0])
+    unique = not kernel_basis(matrix)
 
     y = {b: {alg[s]: sol[bi * r + s] for s in range(r) if bi * r + s in sol}
          for bi, b in enumerate(basis_l)}

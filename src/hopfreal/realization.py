@@ -2,15 +2,19 @@
 
 The representation pi sends a monomial l_1 (x) ... (x) l_n over L to the
 ordered composition X(l_1) o ... o X(l_n) of lifted operators on the
-truncated T(F); the empty monomial goes to the identity.  Its kernel, the
-ideal of relations, is read off one :class:`ImageWalk` per spec, which gives
-coordinates on each image algebra B_n(T(L)) without forming a block of
-pi(w); the degree-d kernel is the nullspace of the stacked classes of the
-monomials (in the global lexicographic order over the sorted basis of L).
-:func:`represent` and :func:`verify_splitting` compose the T(F) blocks as
-test oracles.  A kernel element is certified *relative to the truncation
-N*: :func:`kernel_persistence` also computes the kernel at N + 1, one more
-layer of the walk, and flags candidates that fail to persist.
+truncated T(F); the empty monomial goes to the identity.  Its image on
+blocks 0 .. N is the operator algebra A = pi_N(T(L)), and its kernel is the
+ideal of relations.  Both are read off one :class:`ImageWalk` per spec,
+without forming a block of pi(w): the walk's standard words over the direct
+sum of blocks 0 .. N, in graded-lex order, are a basis of A, and the
+coordinates of an element of T(L) on that basis are its class, zero exactly
+when pi kills it.  The degree-d kernel is the nullspace of the coordinate
+columns of the monomials (in the global lexicographic order over the sorted
+basis of L), a matrix with dim A rows.  :func:`represent` and
+:func:`verify_splitting` compose the T(F) blocks as test oracles.  A kernel
+element is certified *relative to the truncation N*:
+:func:`kernel_persistence` also computes the kernel on blocks 0 .. N + 1,
+one more block in the sum, and flags candidates that fail to persist.
 
 The degree-bounded span S_b of the two-sided ideal generated by a set of
 relations (every a . g . c with deg a + top g + deg c <= b) is never built
@@ -33,8 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coalgebra import Coalgebra
-from .exactlin import Matrix, ONE, SpanBasis, ZERO, kernel_basis, mat_mul, vec_add_scaled
-from .free_tensor import TensorContext, graded_key, word_coproduct
+from .exactlin import Matrix, ONE, SpanBasis, kernel_basis, mat_mul, vec_add_scaled
+from .free_tensor import TensorContext, coproduct, graded_key, word_coproduct
 from .invariant import LinOp, op_combination, op_compose, op_identity
 from .lifting import RealizationSpec, lift_operator, split_witness
 from .reportkit import CheckReport
@@ -110,44 +114,30 @@ def verify_splitting(spec: RealizationSpec, w: tuple, bound: int) -> bool:
     return split_witness(spec.f_ctx, represent_word(spec, w), splits, bound) is None
 
 
-def _column_matrix(columns, rhs=None):
-    """(matrix, row rhs): the matrix whose columns are the given sparse
-    vectors, with rows keyed in order of first appearance, and the sparse
-    right-hand side rhs (keyed like the columns) mapped onto those rows.
-    None when rhs has a key that no column has: that row of the system reads
-    0 = rhs, so the system is inconsistent."""
-    row_keys = {}
-    entries = {}
-    for col, vec in enumerate(columns):
-        for key, v in vec.items():
-            entries[(row_keys.setdefault(key, len(row_keys)), col)] = v
-    rhs = rhs or {}
-    if any(key not in row_keys for key in rhs):
-        return None
-    return Matrix(len(row_keys), len(columns), entries), {row_keys[k]: v for k, v in rhs.items()}
-
-
 class _Layer:
-    """One block of the image walk.  Basis vector k is the ambient class of
-    standard word k; ``span`` holds it tagged by the key (-1, k), below every
-    ambient key, so reducing a vector of the span leaves minus its
-    coordinates on the tags, valid however far the walk grows.  ``rho[l][k]``
-    are the coordinates of (word k) . l for the standard words shorter than
-    ``length``; ``frontier`` lists those of length ``length``."""
+    """One layer of the image walk: a block of pi, or the direct sum of
+    blocks 0 .. top.  Basis vector k is the ambient class of the standard
+    word ``words[k]``; ``span`` holds it tagged by the key (-1, k), below
+    every ambient key, so reducing a vector of the span leaves minus its
+    coordinates on the tags, valid however far the walk grows.
+    ``rho[l][k]`` are the coordinates of (word k) . l for the standard words
+    shorter than ``length``; ``frontier`` lists those of length ``length``."""
 
     def __init__(self, unit: dict):
-        self.span, self.ambient, self.rho, self.length = SpanBasis(), [], {}, 0
-        self.memo = {(): self.place(unit)}
+        self.span, self.ambient, self.words, self.rho, self.length = SpanBasis(), [], [], {}, 0
+        self.memo = {(): self.place(unit, ())}
         self.frontier = list(range(len(self.ambient)))
 
-    def place(self, vec: dict) -> dict:
-        """Coordinates of an ambient class; an independent one is added."""
+    def place(self, vec: dict, w: tuple) -> dict:
+        """Coordinates of the ambient class vec of word w; an independent
+        one makes w standard."""
         red = self.span.reduce(vec)
         if all(key[0] == -1 for key in red):
             return {key[1]: -c for key, c in red.items()}
         red[(-1, len(self.ambient))] = ONE
         self.span.add(red)
         self.ambient.append(vec)
+        self.words.append(w)
         return {len(self.ambient) - 1: ONE}
 
     def extend(self, letters, act) -> None:
@@ -156,7 +146,8 @@ class _Layer:
         for k in self.frontier:
             for l in letters:
                 known = len(self.ambient)
-                self.rho.setdefault(l, {})[k] = self.place(act(self.ambient[k], l))
+                self.rho.setdefault(l, {})[k] = self.place(act(self.ambient[k], l),
+                                                           self.words[k] + (l,))
                 fresh.extend(range(known, len(self.ambient)))
         self.frontier = fresh
         self.length += 1
@@ -172,71 +163,97 @@ class _Layer:
 
 
 class ImageWalk:
-    """Coordinates on the image algebras A_n = B_n(T(L)) of the blocks of
-    pi by a length-ordered standard-word walk (Moeller-Buchberger;
-    Faugere-Gianni-Lazard-Mora).  The ambient class of a word is its counit
-    in layer 0, the product x(l_1) ... x(l_k) in layer 1, and in layer
-    n >= 2 the pair coordinates (class_1 (x) class_{n-1})(delta w): the lift
-    gives B_n(r) = (B_1 (x) B_{n-1})(delta r), and a Kronecker product of
-    injective maps is injective, so r has class 0 in layer n iff B_n(r) = 0.
-    delta is an algebra map, so l acts on pairs as sum c rho_1(l') (x)
-    rho_{n-1}(l'').  A word is standard when its class is independent of the
-    earlier standard words'; only those are extended, and a layer grows only
-    to the longest word asked for, or until a length adds no standard word."""
+    """Coordinates on the image algebra A = pi_top(T(L)) by a length-ordered
+    standard-word walk (Moeller-Buchberger; Faugere-Gianni-Lazard-Mora).
+
+    The walk runs on each block n of pi, keyed n, and on the direct sum of
+    blocks 0 .. top, keyed ("sum", top).  The ambient class of a word is its
+    counit in block 0, the product x(l_1) ... x(l_k) in block 1, and in
+    block n >= 2 the pair coordinates (class_1 (x) class_{n-1})(delta w):
+    the lift gives B_n(r) = (B_1 (x) B_{n-1})(delta r), and a Kronecker
+    product of injective maps is injective, so r has class 0 in block n iff
+    B_n(r) = 0.  delta is an algebra map, so l acts on pairs as
+    sum c rho_1(l') (x) rho_{n-1}(l'').  In the sum the ambient class is the
+    block coordinates side by side, on which l acts by rho_n(l) in block n.
+
+    A word is standard when its class is independent of the classes of the
+    words before it in graded-lex order; only standard words are extended,
+    and a layer grows only to the longest word asked for, or until a length
+    adds no standard word.  The standard words of the sum are a basis of A,
+    and a word's coordinates on it are its class: a combination of words
+    has class zero iff pi kills it on blocks 0 .. top."""
 
     def __init__(self, spec: RealizationSpec):
-        self.spec, self.layers, self.stacked = spec, [], {}
+        self.spec, self.layers = spec, {}
 
-    def _act(self, n: int, v: dict, l) -> dict:
+    @staticmethod
+    def _parts(key) -> tuple:
+        """The layers whose letter actions layer ``key`` is built from."""
+        if isinstance(key, tuple):
+            return tuple(range(key[1] + 1))
+        return (1, key - 1) if key >= 2 else ()
+
+    def _unit(self, key) -> dict:
+        if key == 0:
+            return {(0,): ONE}
+        if key == 1:
+            return {(i, i): ONE for i in range(self.spec.f_ctx.f.dim)}
+        units = [self._grown(n, 0).coords(()) for n in self._parts(key)]
+        if isinstance(key, tuple):
+            return {(n, k): c for n, unit in enumerate(units) for k, c in unit.items()}
+        return {(k1, k2): c1 * c2 for k1, c1 in units[0].items() for k2, c2 in units[1].items()}
+
+    def _act(self, key, v: dict, l) -> dict:
         spec = self.spec
-        if n == 0:
-            return {key: c * spec.l_coalg.eps(l) for key, c in v.items() if spec.l_coalg.eps(l)}
-        if n == 1:
+        if key == 0:
+            return {k: c * spec.l_coalg.eps(l) for k, c in v.items() if spec.l_coalg.eps(l)}
+        if key == 1:
             dim = spec.f_ctx.f.dim
             return mat_mul(Matrix.trusted(dim, dim, v), spec.x_matrix(l)).entries
         out = {}
+        if isinstance(key, tuple):
+            for (n, k), c in v.items():
+                vec_add_scaled(out, {(n, k2): c2 for k2, c2 in self.layers[n].rho[l][k].items()}, c)
+            return out
         for p, q, c in spec.l_coalg.delta_terms(l):
-            rho1, rho2 = self.layers[1].rho[p], self.layers[n - 1].rho[q]
+            rho1, rho2 = self.layers[1].rho[p], self.layers[key - 1].rho[q]
             for (u1, u2), cv in v.items():
                 for k1, c1 in rho1[u1].items():
                     vec_add_scaled(out, {(k1, k2): c2 for k2, c2 in rho2[u2].items()}, c * cv * c1)
         return out
 
-    def _grown(self, n: int, length: int) -> _Layer:
-        while len(self.layers) <= n:
-            m = len(self.layers)
-            if m < 2:
-                unit = {(i, i): ONE for i in range(self.spec.f_ctx.f.dim)} if m else {(0,): ONE}
-            else:
-                right = self._grown(m - 1, 0).coords(())
-                unit = {(k1, k2): c1 * c2 for k1, c1 in self._grown(1, 0).coords(()).items()
-                        for k2, c2 in right.items()}
-            self.layers.append(_Layer(unit))
-        layer = self.layers[n]
+    def _grown(self, key, length: int) -> _Layer:
+        layer = self.layers.get(key)
+        if layer is None:
+            layer = self.layers[key] = _Layer(self._unit(key))
         while layer.length < length and layer.frontier:
-            if n >= 2:
-                self._grown(1, layer.length + 1)
-                self._grown(n - 1, layer.length + 1)
-            layer.extend(self.spec.l_coalg.basis, lambda v, l: self._act(n, v, l))
+            for part in self._parts(key):
+                self._grown(part, layer.length + 1)
+            layer.extend(self.spec.l_coalg.basis, lambda v, l: self._act(key, v, l))
         layer.length = max(layer.length, length)
         return layer
 
     def word_class(self, n: int, w: tuple) -> dict:
-        """Coordinates of a monomial's class in layer n (shared)."""
+        """Coordinates of a monomial's class in block n (shared)."""
         return self._grown(n, len(w)).coords(w)
 
-    def stacked_class(self, w: tuple, top: int) -> dict:
-        """A monomial's class over layers 0 .. top, keyed (n, k) (shared)."""
-        if (w, top) not in self.stacked:
-            self.stacked[(w, top)] = {(n, k): v for n in range(top + 1)
-                                      for k, v in self.word_class(n, w).items()}
-        return self.stacked[(w, top)]
+    def coordinates(self, w: tuple, top: int) -> dict:
+        """Coordinates of a monomial on the basis of pi_top(T(L)), keyed by
+        the index of the standard word (shared)."""
+        return self._grown(("sum", top), len(w)).coords(w)
+
+    def basis(self, top: int, length: int) -> list:
+        """The standard words of length <= length over blocks 0 .. top, in
+        graded-lex order: a basis of pi_top(T(L)_{<= length}), whose k-th
+        word is coordinate k."""
+        return [w for w in self._grown(("sum", top), length).words if len(w) <= length]
 
     def classes(self, y: dict, top: int) -> dict:
-        """Class of y in T(L) over layers 0 .. top: zero iff pi(y) is zero there."""
+        """Coordinates of y in T(L) on the basis of pi_top(T(L)): zero iff
+        pi(y) is zero on blocks 0 .. top."""
         out = {}
         for w, c in y.items():
-            vec_add_scaled(out, self.stacked_class(w, top), c)
+            vec_add_scaled(out, self.coordinates(w, top), c)
         return out
 
     def pair_class(self, z: dict, n1: int, n2: int) -> dict:
@@ -254,15 +271,17 @@ def image_walk(spec: RealizationSpec) -> ImageWalk:
 def _window_kernel(spec: RealizationSpec, degree: int, top: int, upto: bool = False) -> list:
     """Canonical basis of ker pi on blocks 0 .. top, over the monomials of
     degree d (of degree <= d if upto), as sparse dicts over monomials: the
-    kernel of their stacked classes, which has the same relations as their
-    blocks.  The canonical kernel_basis depends only on that subspace and
-    the column order, which ``monomials(d)`` keeps inside ``monomials_upto(d)``.
+    kernel of the matrix whose columns are their coordinates on the basis of
+    pi_top(T(L)), with one row per basis word.  Coordinates have the same
+    relations as the blocks, and the canonical kernel_basis depends only on
+    that subspace and the column order, which ``monomials(d)`` keeps inside
+    ``monomials_upto(d)``.
     """
     walk = image_walk(spec)
     mons = monomials_upto(spec.l_coalg, degree) if upto else monomials(spec.l_coalg, degree)
-    stacked = [walk.stacked_class(w, top) for w in mons]
-    return [{mons[j]: c for j, c in vec.items()}
-            for vec in kernel_basis(_column_matrix(stacked)[0])]
+    entries = {(k, j): c for j, w in enumerate(mons) for k, c in walk.coordinates(w, top).items()}
+    matrix = Matrix.trusted(len(walk.basis(top, degree)), len(mons), entries)
+    return [{mons[j]: c for j, c in vec.items()} for vec in kernel_basis(matrix)]
 
 
 def _relation_space(spec: RealizationSpec, degree: int, upto: bool) -> RelationSpace:
@@ -289,9 +308,9 @@ def relation_kernel_upto(spec: RealizationSpec, degree: int) -> RelationSpace:
 
 
 def kernel_persistence(spec: RealizationSpec, degree: int):
-    """(kernel_at_N, kernel_at_N_plus_1, flagged): the N + 1 kernel stacks
-    one more layer of the walk, and flagged counts the basis elements of the
-    N kernel whose class in that layer is not zero (not relations at N + 1).
+    """(kernel_at_N, kernel_at_N_plus_1, flagged): the N + 1 kernel is read
+    off the walk on blocks 0 .. N + 1, and flagged counts the basis elements
+    of the N kernel whose class there is not zero (not relations at N + 1).
     """
     kern = relation_kernel(spec, degree)
     top = spec.max_degree + 1
@@ -531,15 +550,6 @@ def pair_reduce(ideal: BoundedIdeal, pairs: dict) -> dict:
     return _legwise(pairs, ideal.normal_form, ideal.normal_form)
 
 
-def delta_on_l_element(spec: RealizationSpec, elem: dict) -> dict:
-    """Letterwise coproduct of a sparse combination of monomials over L."""
-    ctx = l_context(spec)
-    out = {}
-    for w, coeff in elem.items():
-        vec_add_scaled(out, word_coproduct(ctx, w), coeff)
-    return out
-
-
 def computed_relation_ideal(spec: RealizationSpec, degree_bound: int) -> BoundedIdeal:
     """Bounded span of the ideal generated by the computed homogeneous
     relation kernels of degree 1..d (cached per bound)."""
@@ -561,7 +571,7 @@ def verify_coideal(spec: RealizationSpec, r: RelationSpace, degree_bound: int) -
     report = CheckReport(f"coideal property at degree bound {degree_bound}")
     ideal = computed_relation_ideal(spec, degree_bound)
     for rel in r.basis:
-        residue = pair_reduce(ideal, delta_on_l_element(spec, rel))
+        residue = pair_reduce(ideal, coproduct(l_context(spec), rel))
         report.record(
             f"delta({format_element(rel)}) decomposes"
             + ("" if not residue else " (residue nonzero)"),
@@ -573,18 +583,3 @@ def counit_check(spec: RealizationSpec, w) -> Fraction:
     """Value of pi(w) on the unit word; the counit of the operator bialgebra."""
     op = represent(spec, w)
     return op.blocks[0].get(0, 0)
-
-
-def eps_extension(l_coalg: Coalgebra, w) -> Fraction:
-    """Multiplicative extension of eps_L to combinations of monomials."""
-    if isinstance(w, tuple):
-        w = {w: ONE}
-    total = ZERO
-    for mono, coeff in w.items():
-        value = coeff
-        for letter in mono:
-            value *= l_coalg.eps(letter)
-            if not value:
-                break
-        total += value
-    return total

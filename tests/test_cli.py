@@ -317,17 +317,17 @@ WORKLOADS = _perfbench_workloads()
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS.WORKLOADS))
 def test_benchmark_documents_reproduce_recorded_digests(workload, tmp_path, capsys):
-    # the report prints the input's file name, so the document keeps the
-    # name the benchmark gives it
-    seed = WORKLOADS.DEFAULT_SEED
+    # every recorded variant; the report prints the input's file name, so
+    # the document keeps the name the benchmark gives it
+    digests = json.loads((PERFBENCH / "digests.json").read_text(encoding="utf-8"))[workload]
+    assert sorted(digests, key=int) == [str(v) for v in range(WORKLOADS.VARIANTS)]
     doc = tmp_path / f"{workload}.hra"
-    doc.write_text(WORKLOADS.generate(workload, seed), encoding="utf-8")
-    digests = json.loads((PERFBENCH / "digests.json").read_text(encoding="utf-8"))
-    code = main(["report", "--input", str(doc)])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert (hashlib.sha256(out.encode("utf-8")).hexdigest()
-            == digests[workload][str(WORKLOADS.variant(seed))])
+    for seed in range(WORKLOADS.VARIANTS):
+        doc.write_text(WORKLOADS.generate(workload, seed), encoding="utf-8")
+        code = main(["report", "--input", str(doc)])
+        out = capsys.readouterr().out
+        assert code == 0, seed
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digests[str(seed)], seed
 
 
 # --- the window preflight ---------------------------------------------------------

@@ -204,3 +204,21 @@ def test_basis_id_hash_is_computed_once_and_unchanged():
     assert moved == BasisId(1, 3, 1) and hash(moved) == hash(BasisId(1, 3, 1))
     ids = [BasisId(k, i, j) for k in range(2) for i in range(3) for j in range(i + 1)]
     assert sorted(reversed(ids)) == sorted(ids, key=lambda x: (x.block, x.i, x.j)) == ids
+
+
+@pytest.mark.parametrize("make", [
+    lambda: triangular_coalgebra(3),
+    lambda: direct_sum([triangular_coalgebra(1), triangular_coalgebra(2), triangular_coalgebra(3)]),
+    lambda: dual_coalgebra(upper_triangular_algebra(2)),
+    lambda: relabel(dual_coalgebra(upper_triangular_algebra(2)), dual_triangular_relabeling(2)),
+], ids=["triangular", "sum", "dual", "relabelled"])
+def test_coproduct_terms_and_counit_keys_are_the_basis_objects(make):
+    # fresh but equal ids in the coproduct would make every dict lookup of a
+    # word built from them fall back to BasisId.__eq__
+    c = make()
+    own = {id(b) for b in c.basis}
+    assert {id(b) for b in c.delta} <= own and {id(b) for b in c.epsilon} <= own
+    for b in c.basis:
+        assert c.delta_terms(b)
+        for p, q, _ in c.delta_terms(b):
+            assert id(p) in own and id(q) in own

@@ -10,14 +10,14 @@ from hopfreal import realization
 from hopfreal.coalgebra import BasisId
 from hopfreal.errors import InputError, InvalidAlgebraError
 from hopfreal.exactlin import Matrix, SpanBasis, kernel_basis, vec_add_scaled
-from hopfreal.free_tensor import graded_key
+from hopfreal.free_tensor import counit, graded_key
 from hopfreal.inputdoc import build_spec, parse_input
 from hopfreal.invariant import RIOp, op_identity, op_vector
 from hopfreal.lifting import make_spec, with_truncation
 from hopfreal.pipeline import STAGE_ORDER, _run
 from hopfreal.realization import (
     counit_check,
-    eps_extension,
+    l_context,
     ideal_span,
     kernel_persistence,
     monomials,
@@ -166,7 +166,7 @@ def test_counit_check_is_multiplicative(example_w):
 
 def test_counit_check_matches_eps_extension(example_w):
     for w in [(), (tri(1, 1),), (tri(2, 1),), (tri(2, 2), tri(2, 2))]:
-        assert counit_check(example_w, w) == eps_extension(example_w.l_coalg, w)
+        assert counit_check(example_w, w) == counit(l_context(example_w), {w: ONE})
 
 
 def test_ideal_span_respects_bound(trivial):
