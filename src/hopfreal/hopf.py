@@ -73,16 +73,18 @@ class AntipodeTable:
 
 def _splits(spec: RealizationSpec, y: dict, parts, bound: int) -> bool:
     """pi(y)(w1 . w2) = sum c pi(a)(w1) . pi(b)(w2) over the parts (a, b, c)
-    for deg w1 + deg w2 <= min(bound, N): z = delta y - sum c a (x) b has
-    (class_{n1} (x) class_{n2})(z) = 0 for every n1 + n2 <= min(bound, N),
-    since B_{n1+n2} = (B_{n1} (x) B_{n2}) o delta for coassociative L."""
+    for deg w1 + deg w2 <= B = min(bound, N): z = delta y - sum c a (x) b has
+    (B_{n1} (x) B_{n2})(z) = 0 for every n1 + n2 <= B, since
+    B_{n1+n2} = (B_{n1} (x) B_{n2}) o delta for coassociative L.  Its class on
+    W_t (x) W_{B-t} is zero iff that holds on the rectangle n1 <= t,
+    n2 <= B - t, and the rectangles t = 0 .. B cover exactly the triangle:
+    n1 + n2 <= t + (B - t) = B in rectangle t, and (n1, n2) lies in t = n1."""
     z = coproduct(l_context(spec), y)
     for a, b, c in parts:
         for w1, c1 in a.items():
             vec_add_scaled(z, {(w1, w2): c2 for w2, c2 in b.items()}, -c * c1)
     walk, bound = image_walk(spec), min(bound, spec.max_degree)
-    return not any(walk.pair_class(z, n1, n2)
-                   for n1 in range(bound + 1) for n2 in range(bound + 1 - n1))
+    return not any(walk.pair_class(z, t, bound - t) for t in range(bound + 1))
 
 
 def _require_coassociative(spec: RealizationSpec) -> None:
@@ -106,18 +108,17 @@ def reduce_expression(spec: RealizationSpec, expr: dict, max_degree: int):
     return {words[k]: c for k, c in sorted(coords.items())}
 
 
-def _diagonal_inverses(spec: RealizationSpec, sizes: dict) -> dict:
+def _diagonal_inverses(spec: RealizationSpec, sizes: dict, ids: dict) -> dict:
     if spec.diag_pairs is None:
         raise PreconditionError("triangular antipode needs diagonal inverse pairs")
     failures = spec.validate()
     if failures:
         raise PreconditionError("; ".join(failures))
-    inverse = dict(spec.diag_pairs)
+    inverse = {ids[l.block, l.i, l.j]: ids[lp.block, lp.i, lp.j] for l, lp in spec.diag_pairs}
     for block, n in sorted(sizes.items()):
         for i in range(1, n + 1):
-            if BasisId.tri(i, i, block) not in inverse:
-                raise PreconditionError(
-                    f"no diagonal inverse pair supplied for {BasisId.tri(i, i, block)}")
+            if ids[block, i, i] not in inverse:
+                raise PreconditionError(f"no diagonal inverse pair supplied for {ids[block, i, i]}")
     return inverse
 
 
@@ -155,21 +156,23 @@ def antipode_triangular(spec: RealizationSpec) -> AntipodeTable:
     sizes = triangular_blocks(spec.l_coalg)
     if sizes is None:
         raise UnsupportedStructureError("triangular antipode needs a cotriangular coalgebra L")
-    inverse = _diagonal_inverses(spec, sizes)
+    # keys and letters are the basis objects, so word lookups are identity hits
+    ids = {(b.block, b.i, b.j): b for b in spec.l_coalg.basis}
+    inverse = _diagonal_inverses(spec, sizes, ids)
     raw = {}
     entries = {}
     for block, n in sorted(sizes.items()):
         for i in range(1, n + 1):
-            diag = BasisId.tri(i, i, block)
+            diag = ids[block, i, i]
             raw[diag] = {(inverse[diag],): ONE}
             entries[diag] = {(inverse[diag],): ONE}
             for j in range(i - 1, 0, -1):
-                target = BasisId.tri(i, j, block)
+                target = ids[block, i, j]
                 acc = {}
                 for k in range(j + 1, i + 1):
-                    vec_add_scaled(acc, concat_product({(BasisId.tri(k, j, block),): ONE},
-                                                       raw[BasisId.tri(i, k, block)]), -ONE)
-                raw[target] = concat_product(raw[BasisId.tri(j, j, block)], acc)
+                    vec_add_scaled(acc, concat_product({(ids[block, k, j],): ONE},
+                                                       raw[ids[block, i, k]]), -ONE)
+                raw[target] = concat_product(raw[ids[block, j, j]], acc)
                 reduced = reduce_expression(spec, raw[target], spec.max_degree)
                 # fall back to the raw determination (always a section)
                 entries[target] = raw[target] if reduced is None else reduced

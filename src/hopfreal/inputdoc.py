@@ -48,7 +48,6 @@ from fractions import Fraction
 
 from .coalgebra import (
     AlgebraPresentation,
-    BasisId,
     direct_sum,
     dual_coalgebra,
     triangular_coalgebra,
@@ -244,7 +243,7 @@ class _Parser:
                 raise ResolutionError(alg_name, f"unknown algebra {alg_name!r}")
             alg = self.doc.algebras[alg_name]
             coalg = dual_coalgebra(alg)
-            labels = {alg.name_of(i): BasisId.plain(i) for i in range(alg.dim)}
+            labels = {alg.name_of(b.i): b for b in coalg.basis}
             self.doc.coalgebra_defs[name] = f"dual of algebra {alg_name}"
         elif kind == "triangular":
             if len(toks) != 5 or toks[4].kind != "rat":
@@ -267,6 +266,7 @@ class _Parser:
                     raise ResolutionError(p, f"unknown coalgebra {p!r}")
                 summands.append(self.doc.coalgebras[p])
             coalg = direct_sum(summands)
+            ids = {(b.block, b.i, b.j): b for b in coalg.basis}
             labels = {}
             offset = 0
             for pname, c in zip(parts, summands):
@@ -274,7 +274,7 @@ class _Parser:
                 remap = {old: offset + k for k, old in enumerate(blocks)}
                 offset += len(blocks)
                 for lab, b in self.doc.labels[pname].items():
-                    labels[f"{pname}.{lab}"] = BasisId(remap[b.block], b.i, b.j)
+                    labels[f"{pname}.{lab}"] = ids[remap[b.block], b.i, b.j]
             self.doc.coalgebra_defs[name] = "direct sum of " + ", ".join(parts)
         else:
             self.error(toks[3], f"unknown coalgebra construction {kind!r}")

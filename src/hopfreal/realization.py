@@ -5,16 +5,16 @@ ordered composition X(l_1) o ... o X(l_n) of lifted operators on the
 truncated T(F); the empty monomial goes to the identity.  Its image on
 blocks 0 .. N is the operator algebra A = pi_N(T(L)), and its kernel is the
 ideal of relations.  Both are read off one :class:`ImageWalk` per spec,
-without forming a block of pi(w): the walk's standard words over the direct
-sum of blocks 0 .. N, in graded-lex order, are a basis of A, and the
+without forming a block of pi(w): the walk's standard words on the window
+W_N of blocks 0 .. N, in graded-lex order, are a basis of A, and the
 coordinates of an element of T(L) on that basis are its class, zero exactly
 when pi kills it.  The degree-d kernel is the nullspace of the coordinate
 columns of the monomials (in the global lexicographic order over the sorted
 basis of L), a matrix with dim A rows.  :func:`represent` and
 :func:`verify_splitting` compose the T(F) blocks as test oracles.  A kernel
 element is certified *relative to the truncation N*:
-:func:`kernel_persistence` also computes the kernel on blocks 0 .. N + 1,
-one more block in the sum, and flags candidates that fail to persist.
+:func:`kernel_persistence` also computes the kernel on the next window
+W_{N + 1} of blocks 0 .. N + 1, and flags candidates that fail to persist.
 
 The degree-bounded span S_b of the two-sided ideal generated by a set of
 relations (every a . g . c with deg a + top g + deg c <= b) is never built
@@ -115,8 +115,8 @@ def verify_splitting(spec: RealizationSpec, w: tuple, bound: int) -> bool:
 
 
 class _Layer:
-    """One layer of the image walk: a block of pi, or the direct sum of
-    blocks 0 .. top.  Basis vector k is the ambient class of the standard
+    """One layer of the image walk: block 1 of pi, or the window W_t on
+    blocks 0 .. t.  Basis vector k is the ambient class of the standard
     word ``words[k]``; ``span`` holds it tagged by the key (-1, k), below
     every ambient key, so reducing a vector of the span leaves minus its
     coordinates on the tags, valid however far the walk grows.
@@ -166,60 +166,54 @@ class ImageWalk:
     """Coordinates on the image algebra A = pi_top(T(L)) by a length-ordered
     standard-word walk (Moeller-Buchberger; Faugere-Gianni-Lazard-Mora).
 
-    The walk runs on each block n of pi, keyed n, and on the direct sum of
-    blocks 0 .. top, keyed ("sum", top).  The ambient class of a word is its
-    counit in block 0, the product x(l_1) ... x(l_k) in block 1, and in
-    block n >= 2 the pair coordinates (class_1 (x) class_{n-1})(delta w):
-    the lift gives B_n(r) = (B_1 (x) B_{n-1})(delta r), and a Kronecker
-    product of injective maps is injective, so r has class 0 in block n iff
-    B_n(r) = 0.  delta is an algebra map, so l acts on pairs as
-    sum c rho_1(l') (x) rho_{n-1}(l'').  In the sum the ambient class is the
-    block coordinates side by side, on which l acts by rho_n(l) in block n.
+    The walk runs on one base layer, block 1 of pi, where the ambient class
+    of a word is the product x(l_1) ... x(l_k) on F, and on a chain of
+    windows W_t, keyed t.  The ambient class of a word in W_0 is its counit
+    (block 0); in W_t for t >= 1 it is the counit beside the pair
+    coordinates (class_1 (x) class_{W_{t-1}})(delta w).  The lift gives
+    B_{n+1}(r) = (B_1 (x) B_n)(delta r), so (B_1 (x) B_{<= t-1}) o delta is
+    exactly blocks 1 .. t; a Kronecker product of injective maps is
+    injective, so r has class 0 in W_t iff B_n(r) = 0 for every n <= t.
+    delta is an algebra map, so l acts by eps(l) on the counit and by
+    sum c rho_1(l') (x) rho_{t-1}(l'') on the pairs.
 
     A word is standard when its class is independent of the classes of the
     words before it in graded-lex order; only standard words are extended,
     and a layer grows only to the longest word asked for, or until a length
-    adds no standard word.  The standard words of the sum are a basis of A,
+    adds no standard word.  The standard words of W_top are a basis of A,
     and a word's coordinates on it are its class: a combination of words
     has class zero iff pi kills it on blocks 0 .. top."""
+
+    _BASE = "block 1"  # the base layer's key; the windows W_t are keyed t
 
     def __init__(self, spec: RealizationSpec):
         self.spec, self.layers = spec, {}
 
-    @staticmethod
-    def _parts(key) -> tuple:
-        """The layers whose letter actions layer ``key`` is built from."""
-        if isinstance(key, tuple):
-            return tuple(range(key[1] + 1))
-        return (1, key - 1) if key >= 2 else ()
-
     def _unit(self, key) -> dict:
-        if key == 0:
-            return {(0,): ONE}
-        if key == 1:
+        if key == self._BASE:
             return {(i, i): ONE for i in range(self.spec.f_ctx.f.dim)}
-        units = [self._grown(n, 0).coords(()) for n in self._parts(key)]
-        if isinstance(key, tuple):
-            return {(n, k): c for n, unit in enumerate(units) for k, c in unit.items()}
-        return {(k1, k2): c1 * c2 for k1, c1 in units[0].items() for k2, c2 in units[1].items()}
+        unit = {(0,): ONE}
+        if key:
+            below = self._grown(key - 1, 0).coords(())
+            for k1, c1 in self._grown(self._BASE, 0).coords(()).items():
+                unit.update({(k1, k2): c1 * c2 for k2, c2 in below.items()})
+        return unit
 
     def _act(self, key, v: dict, l) -> dict:
         spec = self.spec
-        if key == 0:
-            return {k: c * spec.l_coalg.eps(l) for k, c in v.items() if spec.l_coalg.eps(l)}
-        if key == 1:
+        if key == self._BASE:
             dim = spec.f_ctx.f.dim
             return mat_mul(Matrix.trusted(dim, dim, v), spec.x_matrix(l)).entries
-        out = {}
-        if isinstance(key, tuple):
-            for (n, k), c in v.items():
-                vec_add_scaled(out, {(n, k2): c2 for k2, c2 in self.layers[n].rho[l][k].items()}, c)
-            return out
-        for p, q, c in spec.l_coalg.delta_terms(l):
-            rho1, rho2 = self.layers[1].rho[p], self.layers[key - 1].rho[q]
-            for (u1, u2), cv in v.items():
-                for k1, c1 in rho1[u1].items():
-                    vec_add_scaled(out, {(k1, k2): c2 for k2, c2 in rho2[u2].items()}, c * cv * c1)
+        eps, out = spec.l_coalg.eps(l), {}
+        for pair, cv in v.items():
+            if len(pair) == 1:
+                if eps:
+                    out[pair] = cv * eps
+                continue
+            for p, q, c in spec.l_coalg.delta_terms(l):
+                rho2 = self.layers[key - 1].rho[q][pair[1]]
+                for k1, c1 in self.layers[self._BASE].rho[p][pair[0]].items():
+                    vec_add_scaled(out, {(k1, k2): c2 for k2, c2 in rho2.items()}, c * cv * c1)
         return out
 
     def _grown(self, key, length: int) -> _Layer:
@@ -227,26 +221,23 @@ class ImageWalk:
         if layer is None:
             layer = self.layers[key] = _Layer(self._unit(key))
         while layer.length < length and layer.frontier:
-            for part in self._parts(key):
-                self._grown(part, layer.length + 1)
+            if key != self._BASE and key:
+                self._grown(self._BASE, layer.length + 1)
+                self._grown(key - 1, layer.length + 1)
             layer.extend(self.spec.l_coalg.basis, lambda v, l: self._act(key, v, l))
         layer.length = max(layer.length, length)
         return layer
 
-    def word_class(self, n: int, w: tuple) -> dict:
-        """Coordinates of a monomial's class in block n (shared)."""
-        return self._grown(n, len(w)).coords(w)
-
     def coordinates(self, w: tuple, top: int) -> dict:
         """Coordinates of a monomial on the basis of pi_top(T(L)), keyed by
         the index of the standard word (shared)."""
-        return self._grown(("sum", top), len(w)).coords(w)
+        return self._grown(top, len(w)).coords(w)
 
     def basis(self, top: int, length: int) -> list:
         """The standard words of length <= length over blocks 0 .. top, in
         graded-lex order: a basis of pi_top(T(L)_{<= length}), whose k-th
         word is coordinate k."""
-        return [w for w in self._grown(("sum", top), length).words if len(w) <= length]
+        return [w for w in self._grown(top, length).words if len(w) <= length]
 
     def classes(self, y: dict, top: int) -> dict:
         """Coordinates of y in T(L) on the basis of pi_top(T(L)): zero iff
@@ -256,9 +247,10 @@ class ImageWalk:
             vec_add_scaled(out, self.coordinates(w, top), c)
         return out
 
-    def pair_class(self, z: dict, n1: int, n2: int) -> dict:
-        """(class_{n1} (x) class_{n2})(z) for z in T(L) (x) T(L)."""
-        return _legwise(z, lambda w: self.word_class(n1, w), lambda w: self.word_class(n2, w))
+    def pair_class(self, z: dict, t1: int, t2: int) -> dict:
+        """(class_{W_t1} (x) class_{W_t2})(z) for z in T(L) (x) T(L): zero
+        iff (B_n1 (x) B_n2)(z) = 0 for every n1 <= t1 and n2 <= t2."""
+        return _legwise(z, lambda w: self.coordinates(w, t1), lambda w: self.coordinates(w, t2))
 
 
 def image_walk(spec: RealizationSpec) -> ImageWalk:

@@ -330,6 +330,31 @@ def test_benchmark_documents_reproduce_recorded_digests(workload, tmp_path, caps
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digests[str(seed)], seed
 
 
+@pytest.mark.parametrize("hashseed", ["0", "1"])
+def test_reports_do_not_depend_on_string_hashing(hashseed, tmp_path):
+    # fresh processes under two PYTHONHASHSEED values give the golden reports
+    # and the recorded digests of the benchmark documents at seed 1
+    env = dict(os.environ, PYTHONHASHSEED=hashseed)
+    src = str(Path(hopfreal.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    digests = json.loads((PERFBENCH / "digests.json").read_text(encoding="utf-8"))
+    runs = [(FIXTURES / f"{name}.hra", int(name == "projection"),
+             (GOLDEN / f"{name}.out").read_bytes(), None)
+            for name in ("example_w", "trivial", "projection", "three_block", "general_w")]
+    for workload in sorted(WORKLOADS.WORKLOADS):
+        doc = tmp_path / f"{workload}.hra"
+        doc.write_text(WORKLOADS.generate(workload, 1), encoding="utf-8")
+        runs.append((doc, 0, None, digests[workload]["1"]))
+    for path, code, golden, digest in runs:
+        proc = subprocess.run([sys.executable, "-m", "hopfreal", "report", "--input", str(path)],
+                              capture_output=True, env=env, check=False)
+        assert proc.returncode == code, (path.name, proc.stderr)
+        if golden is not None:
+            assert proc.stdout == golden, path.name
+        else:
+            assert hashlib.sha256(proc.stdout).hexdigest() == digest, path.name
+
+
 # --- the window preflight ---------------------------------------------------------
 
 

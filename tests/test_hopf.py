@@ -55,6 +55,7 @@ from hopfreal.realization import (
 
 ONE = F(1)
 GENERAL_W = Path(__file__).resolve().parent.parent / "fixtures" / "general_w.hra"
+THREE_BLOCK = GENERAL_W.with_name("three_block.hra")
 
 
 def table_ops(spec, entries):
@@ -409,6 +410,20 @@ def test_three_block_antipode():
     assert verify_Y_coproduct(spec, table, 2).ok
 
 
+def test_three_block_letters_are_the_basis_objects():
+    # the parsed labels and the antipode table reuse the coalgebra's own
+    # BasisId objects, so word lookups are identity hits
+    spec = build_spec(parse_input(THREE_BLOCK.read_text()))
+    table = antipode_triangular(spec)
+    basis = {id(b) for b in spec.l_coalg.basis}
+    letters = list(spec.x_map) + [l for pair in spec.diag_pairs for l in pair]
+    for expressions in (table.entries, table.raw_entries):
+        letters += list(expressions)
+        letters += [l for expr in expressions.values() for w in expr for l in w]
+    assert len(letters) > len(basis)
+    assert all(id(l) in basis for l in letters)
+
+
 def spanned_operator_basis(spec, bound):
     """Reference: keep each monomial whose pi-image enlarges the span of the
     images kept so far (the construction the kernel columns replace)."""
@@ -618,25 +633,30 @@ PLANTED_DEFECTS = [
                          ids=[f"{m.__name__}-{t}-{len(w)}" for m, t, w, _ in PLANTED_DEFECTS])
 def test_planted_defects_match_operator_oracle(make, target, word, coeff):
     # the class-based system flags, Y-coproduct checks and reversed-law flags
-    # of a perturbed table equal the flags of the composed T(F) blocks
+    # of a perturbed table equal the flags of the composed T(F) blocks; the
+    # splitting checks at every bound 0 .. N, since below N the rectangles
+    # W_t (x) W_{B-t} of _splits cover a smaller triangle than the window
     spec = make()
     assert not represent(spec, {word: coeff}).is_zero()
     triangular = triangular_blocks(spec.l_coalg) is not None
     table = antipode_triangular(spec) if triangular else antipode_general(spec, spec.max_degree)
     entries = perturbed(table.entries, target, {word: ONE}, coeff)
     ops = table_ops(spec, entries)
-    bound = spec.max_degree
     flags = {(b, side): ok for b, side, ok in _system_checks(spec, entries)}
     assert flags == system_flags(spec, ops)
     assert not all(flags.values())
-    reversed_law = {b: _splits(spec, entries[b], [(entries[q], entries[p], c)
-                                                  for p, q, c in spec.l_coalg.delta_terms(b)], bound)
-                    for b in spec.l_coalg.basis}
-    assert reversed_law == reversed_law_flags(spec, ops, bound)
     if triangular:
         assert flags == triangular_system_flags(spec, ops)
-        broken = AntipodeTable(entries, entries, "triangular")
-        assert verify_Y_coproduct(spec, broken, bound).checks == y_coproduct_checks(spec, ops, bound)
+    for bound in range(spec.max_degree + 1):
+        reversed_law = {b: _splits(spec, entries[b], [(entries[q], entries[p], c)
+                                                      for p, q, c in spec.l_coalg.delta_terms(b)],
+                                   bound)
+                        for b in spec.l_coalg.basis}
+        assert reversed_law == reversed_law_flags(spec, ops, bound), bound
+        if triangular:
+            broken = AntipodeTable(entries, entries, "triangular")
+            assert verify_Y_coproduct(spec, broken, bound).checks == \
+                y_coproduct_checks(spec, ops, bound), bound
 
 
 def test_antipode_entry_points_refuse_non_coassociative_l():

@@ -5,7 +5,15 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import apply_to_word, example_w_spec, primitive_spec, projection_spec, tri, trivial_spec
+from conftest import (
+    apply_to_word,
+    example_w_spec,
+    primitive_spec,
+    projection_spec,
+    three_block_spec,
+    tri,
+    trivial_spec,
+)
 from hopfreal import realization
 from hopfreal.coalgebra import BasisId
 from hopfreal.errors import InputError, InvalidAlgebraError
@@ -440,6 +448,53 @@ def test_class_is_zero_exactly_when_pi_is_zero(name, data):
         vec_add_scaled(y, {w: ONE}, v)
     walk_zero = not realization.image_walk(spec).classes(y, spec.max_degree)
     assert walk_zero == represent(spec, y).is_zero()
+
+
+_LAYER_SPECS = {}
+
+
+def layer_specs(make):
+    """(spec, spec at N + 1, relations) of a conftest builder, built once per
+    session.  relations[t] lists the relations of degree <= 2 on blocks
+    0 .. t (read off the walk) that pi does not kill on block t + 1 (by the
+    oracle), or, where there are none, all of them."""
+    if make not in _LAYER_SPECS:
+        spec = make()
+        wider = with_truncation(spec, spec.max_degree + 1)
+        relations = []
+        for t in range(spec.max_degree + 2):
+            kernel = realization._window_kernel(spec, 2, t, upto=True)
+            edge = [r for r in kernel
+                    if t <= spec.max_degree and not represent(wider, r).blocks[t + 1].is_zero()]
+            relations.append(edge or kernel)
+        _LAYER_SPECS[make] = spec, wider, relations
+    return _LAYER_SPECS[make]
+
+
+@settings(max_examples=60, deadline=None)
+@given(make=st.sampled_from([example_w_spec, trivial_spec, projection_spec, primitive_spec,
+                             three_block_spec]),
+       data=st.data())
+def test_window_layers_match_blocks_of_pi(make, data):
+    # W_t is the window on blocks 0 .. t: the class of y there is zero iff
+    # pi(y) vanishes on every block n <= t, also at t = N + 1, past the
+    # spec's own truncation.  y mixes relations that vanish on blocks 0 .. s
+    # but not on block s + 1 with random words of length <= 3
+    spec, wider, relations = layer_specs(make)
+    top = spec.max_degree
+    y = {}
+    pool = relations[data.draw(st.integers(0, top + 1))]
+    if pool:
+        for rel in data.draw(st.lists(st.sampled_from(pool), max_size=2)):
+            vec_add_scaled(y, rel, data.draw(COEFFS))
+    words = st.lists(st.sampled_from(spec.l_coalg.basis), max_size=3).map(tuple)
+    for w, v in data.draw(st.dictionaries(words, COEFFS, max_size=2)).items():
+        vec_add_scaled(y, {w: ONE}, v)
+    walk = realization.image_walk(spec)
+    blocks = represent(spec, y).blocks
+    for t in range(top + 1):
+        assert (not walk.classes(y, t)) == all(blocks[n].is_zero() for n in range(t + 1)), t
+    assert (not walk.classes(y, top + 1)) == represent(wider, y).is_zero()
 
 
 def assert_views_match(l_coalg, gens, top):
