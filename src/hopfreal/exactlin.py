@@ -1,28 +1,24 @@
 """Exact linear algebra over the rationals.
 
-The computational substrate for everything else in the package: sparse
-matrices with ``fractions.Fraction`` entries, reduced row echelon form,
-canonical nullspace bases, exact linear solves, and incrementally maintained
-subspace bases keyed by arbitrary orderable labels.
+Sparse matrices with ``fractions.Fraction`` entries, reduced row echelon
+form, canonical nullspace bases, exact linear solves, and incrementally
+maintained subspace bases keyed by arbitrary orderable labels.  All
+arithmetic is exact, so every algebraic identity downstream is a decidable
+equality.
 
-All arithmetic is exact, so "is this vector in that span?" is a decidable
-yes/no question; that is what turns the algebraic identities downstream into
-testable equalities.
-
-The block kernels under every operator product and linear combination,
-:func:`mat_mul` and :func:`kron_combination` (sums of Kronecker products; its
-one-factor case is :func:`mat_combination`), run over Python ints: each
-operand is scaled to integer numerators over the lcm of its denominators,
-the integer products are summed on one common denominator, and each nonzero
-sum becomes one clean Fraction, as the Fraction loops gave.  Elimination
-(``rref``, ``solve``, ``SpanBasis``) stays in Fraction arithmetic, as does
-``mat_vec``, which has no caller in the package (only the tests use it).
+The block kernels run over Python ints.  :func:`mat_mul` and
+:func:`kron_combination` (sums of Kronecker products; its one-factor case is
+:func:`mat_combination`) scale each operand to integer numerators over the
+lcm of its denominators, sum the integer products on one common denominator,
+and make each nonzero sum one clean Fraction.  :func:`intertwiner_defect`
+decides D X = (X (x) I) D on integer numerators alone, because both sides
+share one denominator, and builds no Fraction.  Elimination (``rref``,
+``solve``, ``SpanBasis``) stays in Fraction arithmetic.
 
 Sparse vectors are plain dicts ``key -> Fraction`` with no stored zeros.
 This module is the only one that writes the cancel-and-drop step: every
-sparse sum elsewhere goes through :func:`vec_add_scaled` or the kernels.
-The inline loops of ``mat_mul``, ``kron_combination``, ``mat_vec`` and
-``SpanBasis.reduce`` are this module's own kernels.
+sparse sum elsewhere goes through :func:`vec_add_scaled` or the kernels,
+whose inline loops (and that of ``SpanBasis.reduce``) are this module's own.
 """
 
 from __future__ import annotations
@@ -138,19 +134,7 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        raise ValueError("shape mismatch")
-    entries = dict(a.entries)
-    vec_add_scaled(entries, b.entries, ONE)
-    return Matrix(a.rows, a.cols, entries)
-
-
-def mat_scale(a: Matrix, coeff: Fraction) -> Matrix:
-    return Matrix(a.rows, a.cols, {k: coeff * v for k, v in a.entries.items()})
-
-
-def _integer_view(entries: dict):
+def integer_view(entries: dict):
     """(den, numerators): den is the lcm of the entries' denominators, and
     numerators lists each entry times den, in the entries' order."""
     ratios = [v.as_integer_ratio() for v in entries.values()]
@@ -182,8 +166,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     and each nonzero sum s becomes Fraction(s, da * db)."""
     if a.cols != b.rows:
         raise ValueError("shape mismatch")
-    da, na = _integer_view(a.entries)
-    db, nb = _integer_view(b.entries)
+    da, na = integer_view(a.entries)
+    db, nb = integer_view(b.entries)
     b_rows = [[] for _ in range(b.rows)]
     for (k, c), y in zip(b.entries, nb):
         b_rows[k].append((c, y))
@@ -205,13 +189,17 @@ def mat_combination(rows: int, cols: int, terms) -> Matrix:
     return kron_combination(rows, cols, [((m,), coeff) for m, coeff in terms])
 
 
-def kron_combination(rows: int, cols: int, terms) -> Matrix:
+def kron_combination(rows: int, cols: int, terms, views=None) -> Matrix:
     """sum coeff * kron(m_1, ..., m_k) over the (mats, coeff) terms, k >= 1,
     each product rows x cols with kron(a, m)[r_a * m.rows + r_m, c_a *
     m.cols + c_m] = a[r_a, c_a] m[r_m, c_m]; ValueError on any other shape.
     A term p/q times factors with integer numerators over the lcm d_j of their
     denominators has denominator q * prod d_j; the sum runs over the integers
-    on den, the lcm of those, and each nonzero sum s is Fraction(s, den)."""
+    on den, the lcm of those, and each nonzero sum s is Fraction(s, den).
+
+    Each distinct factor's integer view is computed once, in ``views`` by id
+    (beside the factor, which keeps the id its own); calls may share one."""
+    views = {} if views is None else views
     scaled = []
     for mats, coeff in terms:
         r = c = 1
@@ -221,17 +209,19 @@ def kron_combination(rows: int, cols: int, terms) -> Matrix:
             raise ValueError("shape mismatch")
         if coeff:
             p, d = coeff.as_integer_ratio()
-            views = []
+            factors = []
             for m in mats:
-                dm, nums = _integer_view(m.entries)
-                d *= dm
-                views.append((m, nums))
-            scaled.append((p, d, views))
+                view = views.get(id(m))
+                if view is None:
+                    view = views[id(m)] = (m, *integer_view(m.entries))
+                d *= view[1]
+                factors.append(view)
+            scaled.append((p, d, factors))
     den = lcm(*{d for _, d, _ in scaled})
     acc = {}
-    for p, d, ((m, nums), *tail) in scaled:
+    for p, d, ((m, _, nums), *tail) in scaled:
         items = zip(m.entries, nums)
-        for m, nums in tail:
+        for m, _, nums in tail:
             mr, mc = m.rows, m.cols
             items = [((row * mr + r, col * mc + c), x * y)
                      for (row, col), x in items for (r, c), y in zip(m.entries, nums)]
@@ -244,18 +234,31 @@ def kron_combination(rows: int, cols: int, terms) -> Matrix:
     return Matrix.trusted(rows, cols, _entries_over(acc, den))
 
 
-def mat_vec(a: Matrix, v: dict) -> dict:
-    """Apply a to a sparse coordinate vector (col -> value)."""
-    out = {}
-    for (r, c), w in a.entries.items():
-        x = v.get(c)
-        if x:
-            s = out.get(r, ZERO) + w * x
-            if s:
-                out[r] = s
-            else:
-                del out[r]
-    return out
+def intertwiner_defect(s: int, d: dict, x: Matrix):
+    """The smallest column at which d x and (x (x) I) d differ, or None.
+
+    x is s x s, and d is an s^2 x s matrix given by integer numerators
+    d[(u * s + v, k)] over any common denominator den(d).  Both products have
+    the denominator den(d) den(x), so they are equal iff their difference of
+    integer numerators is zero: one pass over d adds c x[k, w] at (r, w) and
+    subtracts c x[u, u'] at (u * s + v, k) for each entry c at (r, k), with
+    r = u' * s + v.  No Fraction is built."""
+    if (x.rows, x.cols) != (s, s):
+        raise ValueError("shape mismatch")
+    rows = [[] for _ in range(s)]
+    cols = [[] for _ in range(s)]
+    for (i, j), y in zip(x.entries, integer_view(x.entries)[1]):
+        rows[i].append((j, y))
+        cols[j].append((i * s * s, y))
+    acc = {}
+    for (r, k), c in d.items():
+        base = r * s
+        for w, y in rows[k]:
+            acc[base + w] = acc.get(base + w, 0) + c * y
+        rest = r % s * s + k
+        for top, y in cols[r // s]:
+            acc[top + rest] = acc.get(top + rest, 0) - c * y
+    return min((key % s for key, t in acc.items() if t), default=None)
 
 
 def _rref_rows(rows: list, cols: int):

@@ -150,14 +150,18 @@ def triangular_systems_ok(spec: RealizationSpec, entries: dict) -> bool:
     return all(ok for _, _, ok in _system_checks(spec, entries))
 
 
+def _tri_ids(spec: RealizationSpec) -> dict:
+    """The basis of L by (block, i, j); lookups through it are identity hits."""
+    return {(b.block, b.i, b.j): b for b in spec.l_coalg.basis}
+
+
 def antipode_triangular(spec: RealizationSpec) -> AntipodeTable:
     """Back-substitute the triangular antipode systems (decreasing j per i)."""
     _require_coassociative(spec)
     sizes = triangular_blocks(spec.l_coalg)
     if sizes is None:
         raise UnsupportedStructureError("triangular antipode needs a cotriangular coalgebra L")
-    # keys and letters are the basis objects, so word lookups are identity hits
-    ids = {(b.block, b.i, b.j): b for b in spec.l_coalg.basis}
+    ids = _tri_ids(spec)
     inverse = _diagonal_inverses(spec, sizes, ids)
     raw = {}
     entries = {}
@@ -186,10 +190,9 @@ def _composite_split_ok(spec: RealizationSpec, table: AntipodeTable, u: BasisId,
                        v: BasisId, bound: int) -> bool:
     """Y(u v) = Y(v) o Y(u) splits products by the product rule, summing
     over both intermediate indices."""
-    y = table.entries
-    parts = [(concat_product(y[BasisId.tri(v.i, k2, v.block)], y[BasisId.tri(u.i, k1, u.block)]),
-              concat_product(y[BasisId.tri(k2, v.j, v.block)], y[BasisId.tri(k1, u.j, u.block)]),
-              ONE)
+    y, ids = table.entries, _tri_ids(spec)
+    parts = [(concat_product(y[ids[v.block, v.i, k2]], y[ids[u.block, u.i, k1]]),
+              concat_product(y[ids[v.block, k2, v.j]], y[ids[u.block, k1, u.j]]), ONE)
              for k1 in range(u.j, u.i + 1) for k2 in range(v.j, v.i + 1)]
     return _splits(spec, concat_product(y[v], y[u]), parts, bound)
 
@@ -205,20 +208,20 @@ def verify_Y_coproduct(spec: RealizationSpec, table: AntipodeTable, bound: int) 
     report = CheckReport(f"antipode coproduct law at degree bound {bound}")
     if triangular_blocks(spec.l_coalg) is None:
         raise UnsupportedStructureError("Y-coproduct law is for cotriangular L")
-    ids = list(spec.l_coalg.basis)
+    basis, ids = list(spec.l_coalg.basis), _tri_ids(spec)
     y = table.entries
-    for b in ids:
-        parts = [(y[BasisId.tri(b.i, k, b.block)], y[BasisId.tri(k, b.j, b.block)], ONE)
+    for b in basis:
+        parts = [(y[ids[b.block, b.i, k]], y[ids[b.block, k, b.j]], ONE)
                  for k in range(b.j, b.i + 1)]
         report.record(f"splitting of Y at {b}", _splits(spec, y[b], parts, bound))
 
-    off = [b for b in ids if b.i != b.j]
-    diag = [b for b in ids if b.i == b.j]
+    off = [b for b in basis if b.i != b.j]
+    diag = [b for b in basis if b.i == b.j]
     pairs = [(u, v) for u in off for v in off]
     if off and diag:
         pairs += [(diag[0], off[0]), (off[0], diag[0])]
     if not pairs:
-        pairs = [(u, v) for u in ids for v in ids]
+        pairs = [(u, v) for u in basis for v in basis]
     for (u, v) in pairs:
         report.record(f"splitting of composite Y at ({u},{v})",
                       _composite_split_ok(spec, table, u, v, bound))

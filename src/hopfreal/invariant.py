@@ -14,10 +14,10 @@ coefficient split off explicitly.
 Grade-preserving operators on the truncated tensor algebra are stored
 block-per-degree (:class:`LinOp`), one exact sparse matrix on the word basis
 of each degree up to the truncation.  Right-invariance of such an operator
-is checked as one block identity per degree, D_n X_n = (X_n (x) I) D_n with
-D_n the letterwise coproduct matrix of degree-n words
-(:func:`verify_right_invariance`); a degree-1 operator on F is the same
-check at n = 1.
+is one block identity per degree, D_n X_n = (X_n (x) I) D_n with D_n the
+letterwise coproduct matrix of degree-n words, decided on integer
+numerators (:func:`verify_right_invariance`); a degree-1 operator on F is
+the same check at n = 1.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ from .exactlin import (
     Matrix,
     ONE,
     ZERO,
+    integer_view,
+    intertwiner_defect,
     mat_combination,
     mat_mul,
     solve,
@@ -91,11 +93,6 @@ def op_identity(ctx: TensorContext) -> LinOp:
                   for n in range(ctx.max_degree + 1)})
 
 
-def op_zero(ctx: TensorContext) -> LinOp:
-    return LinOp({n: Matrix(len(ctx.word_basis(n)), len(ctx.word_basis(n)))
-                  for n in range(ctx.max_degree + 1)})
-
-
 def op_combination(ctx: TensorContext, terms) -> LinOp:
     """sum coeff * op over (op, coeff) terms, block by block; the zero
     operator when there are no terms."""
@@ -136,10 +133,11 @@ def op_from_form(f: Coalgebra, x: RIOp) -> Matrix:
 def _coproduct_blocks(ctx: TensorContext, n: int):
     """The letterwise coproduct of degree-n words as an s^2 x s matrix D_n
     (s = dim F^n), with D_n[idx(u) * s + idx(v), idx(w)] the coefficient of
-    u (x) v in delta(w), and the same entries as an s x s^2 matrix at
-    [idx(u), idx(v) * s + idx(w)].  Memoized per context.  Word bases are
+    u (x) v in delta(w), as (den, nums): integer numerators nums[(row, col)]
+    over the common denominator den.  Memoized per context.  Word bases are
     lex-ordered products, so past D_0 and D_1 (from :func:`word_coproduct`)
-    D_n[(u'p, v'q), w'l] = D_{n-1}[(u', v'), w'] * D_1[(p, q), l]."""
+    D_n[(u'p, v'q), w'l] = D_{n-1}[(u', v'), w'] * D_1[(p, q), l], over
+    den_{n-1} * den_1."""
     key = ("coproduct", n)
     if key not in ctx._cache:
         k, s = ctx.f.dim, ctx.f.dim ** n
@@ -147,13 +145,14 @@ def _coproduct_blocks(ctx: TensorContext, n: int):
             index = ctx.word_index(n)
             d = {(index[u] * s + index[v], col): c for col, w in enumerate(ctx.word_basis(n))
                  for (u, v), c in word_coproduct(ctx, w).items()}
+            den, nums = integer_view(d)
+            ctx._cache[key] = den, dict(zip(d, nums))
         else:
-            (prev, _), (one, _) = _coproduct_blocks(ctx, n - 1), _coproduct_blocks(ctx, 1)
+            (den, prev), (den1, one) = _coproduct_blocks(ctx, n - 1), _coproduct_blocks(ctx, 1)
             t = s // k
-            d = {((r // t * k + pq // k) * s + r % t * k + pq % k, col * k + l): c * c1
-                 for (r, col), c in prev.entries.items() for (pq, l), c1 in one.entries.items()}
-        legs = {(r // s, r % s * s + col): c for (r, col), c in d.items()}
-        ctx._cache[key] = (Matrix.trusted(s * s, s, d), Matrix.trusted(s, s * s, legs))
+            ctx._cache[key] = den * den1, {
+                ((r // t * k + pq // k) * s + r % t * k + pq % k, col * k + l): c * c1
+                for (r, col), c in prev.items() for (pq, l), c1 in one.items()}
     return ctx._cache[key]
 
 
@@ -165,20 +164,18 @@ def verify_right_invariance(cx, x):
     TensorContext(F, 1) with a basis element of F as the witness.  Each
     degree is one exact identity D_n X_n = (X_n (x) I) D_n; its column w is
     the equation at the word w, and the witness is the first failing word in
-    (degree, index) order.  The right side is X_n times the s x s^2 reading
-    of D_n, with its entry [u, v * s + w] read back at [u * s + v, w].
+    (degree, index) order.  Both sides have the denominator
+    den(D_n) den(X_n), so the identity is decided on integer numerators by
+    :func:`~hopfreal.exactlin.intertwiner_defect`, and a degree that holds
+    builds no Fraction.
     """
     if isinstance(cx, Coalgebra):
         ok, w = verify_right_invariance(TensorContext(cx, 1), LinOp({1: x}))
         return ok, (w[0] if w else None)
     for n, m in sorted(x.blocks.items()):
-        d, legs = _coproduct_blocks(cx, n)
-        s = d.cols
-        lhs = mat_mul(d, m).entries
-        rhs = {(u * s + vw // s, vw % s): c for (u, vw), c in mat_mul(m, legs).entries.items()}
-        bad = [key[1] for key in lhs.keys() | rhs.keys() if lhs.get(key) != rhs.get(key)]
-        if bad:
-            return False, cx.word_basis(n)[min(bad)]
+        col = intertwiner_defect(cx.f.dim ** n, _coproduct_blocks(cx, n)[1], m)
+        if col is not None:
+            return False, cx.word_basis(n)[col]
     return True, None
 
 

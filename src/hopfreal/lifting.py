@@ -34,8 +34,7 @@ from fractions import Fraction
 
 from .coalgebra import BasisId, Coalgebra, grouplikes
 from .errors import InternalInconsistencyError, ValidationError
-from .exactlin import (Matrix, ONE, kron_combination, mat_add, mat_combination, mat_mul,
-                       mat_scale, vec_add_scaled)
+from .exactlin import Matrix, ONE, kron_combination, mat_combination, mat_mul, vec_add_scaled
 from .free_tensor import TensorContext
 from .invariant import (
     LinOp,
@@ -206,14 +205,10 @@ def lift_operator_recursive(spec: RealizationSpec, l) -> LinOp:
     :func:`lift_operator`; used as the uniqueness oracle."""
     if isinstance(l, BasisId):
         l = {l: ONE}
-    blocks = {}
-    for n in range(spec.max_degree + 1):
-        size = spec.f_ctx.f.dim ** n
-        total = Matrix(size, size)
-        for b, coeff in l.items():
-            total = mat_add(total, mat_scale(_recursive_block(spec, b, n), coeff))
-        blocks[n] = total
-    return LinOp(blocks)
+    sizes = {n: spec.f_ctx.f.dim ** n for n in range(spec.max_degree + 1)}
+    return LinOp({n: mat_combination(size, size, [(_recursive_block(spec, b, n), coeff)
+                                                  for b, coeff in l.items()])
+                  for n, size in sizes.items()})
 
 
 def split_witness(ctx: TensorContext, outer: LinOp, parts, bound: int):
@@ -225,15 +220,17 @@ def split_witness(ctx: TensorContext, outer: LinOp, parts, bound: int):
     block identity  outer_{n1+n2} = sum c * kron(left_{n1}, right_{n2}).
     Returns None when every identity holds, else the last failing (w1, w2) in
     (n1, n2, w1, w2) order: the largest differing column of the last failing
-    block.
+    block.  A block's integer view is computed once per call, however many
+    pairs it appears in.
     """
     bound = min(bound, ctx.max_degree)
     witness = None
+    views = {}
     for n1 in range(bound + 1):
         for n2 in range(bound + 1 - n1):
             block = outer.blocks[n1 + n2]
             diff = kron_combination(block.rows, block.cols, [((block,), -ONE)] + [
-                ((left.blocks[n1], right.blocks[n2]), coeff) for left, right, coeff in parts])
+                ((left.blocks[n1], right.blocks[n2]), c) for left, right, c in parts], views)
             if diff.entries:
                 col = max(c for _, c in diff.entries)
                 size = len(ctx.word_basis(n2))

@@ -19,7 +19,7 @@ from hopfreal.coalgebra import (
     triangular_coalgebra,
     upper_triangular_algebra,
 )
-from hopfreal.exactlin import mat_vec
+from hopfreal.exactlin import vec_add_scaled
 from hopfreal.free_tensor import TensorContext, context_from_algebra
 from hopfreal.invariant import RIOp
 from hopfreal.lifting import make_spec
@@ -29,6 +29,15 @@ ONE = F(1)
 
 def tri(i, j, block=0):
     return BasisId.tri(i, j, block)
+
+
+def mat_vec(a, v):
+    """a applied to a sparse coordinate vector (col -> value)."""
+    out = {}
+    for (r, c), w in a.entries.items():
+        if c in v:
+            vec_add_scaled(out, {r: w}, v[c])
+    return out
 
 
 def apply_to_word(ctx, op, w):

@@ -5,6 +5,7 @@ from pathlib import Path
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
+from conftest import mat_vec
 
 import hopfreal
 from hopfreal.exactlin import (
@@ -14,7 +15,6 @@ from hopfreal.exactlin import (
     kron_combination,
     mat_combination,
     mat_mul,
-    mat_vec,
     membership,
     rank,
     rref,

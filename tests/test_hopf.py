@@ -1,4 +1,6 @@
 import re
+import sys
+import types
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -41,7 +43,6 @@ from hopfreal.invariant import (
     op_compose,
     op_identity,
     op_vector,
-    op_zero,
 )
 from hopfreal.lifting import lift_operator, make_spec, split_witness
 from hopfreal.realization import (
@@ -424,6 +425,28 @@ def test_three_block_letters_are_the_basis_objects():
     assert all(id(l) in basis for l in letters)
 
 
+def test_y_coproduct_lookups_are_identity_hits(monkeypatch):
+    # the splitting checks read table entries through the basis's own
+    # objects, so no lookup in them (or in their comprehensions) falls back
+    # to BasisId.__eq__
+    spec = build_spec(parse_input(THREE_BLOCK.read_text()))
+    table = antipode_triangular(spec)
+    checked = [hopf.verify_Y_coproduct.__code__, hopf._composite_split_ok.__code__]
+    for code in checked:
+        checked += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+    eq, callers = BasisId.__eq__, []
+
+    def counting_eq(self, other):
+        callers.append(sys._getframe(1).f_code)
+        return eq(self, other)
+
+    monkeypatch.setattr(BasisId, "__eq__", counting_eq)
+    assert {BasisId(0, 1, 1): ONE}[BasisId(0, 1, 1)] == ONE  # the counter sees a fresh key
+    assert len(callers) == 1
+    assert verify_Y_coproduct(spec, table, 3).ok
+    assert len(checked) > 2 and not [c for c in callers if c in checked]
+
+
 def spanned_operator_basis(spec, bound):
     """Reference: keep each monomial whose pi-image enlarges the span of the
     images kept so far (the construction the kernel columns replace)."""
@@ -448,7 +471,7 @@ def triangular_system_flags(spec, ops):
     """The block/i/j loops the system generator replaced, as flags
     (b, side) -> ok over the triangular systems of the module docstring."""
     ident = op_identity(spec.f_ctx)
-    zero = op_zero(spec.f_ctx)
+    zero = op_combination(spec.f_ctx, [])
     flags = {}
     for block, n in sorted(triangular_blocks(spec.l_coalg).items()):
         for i in range(1, n + 1):

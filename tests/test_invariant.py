@@ -1,11 +1,13 @@
 import itertools
 import random
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
+from conftest import mat_vec
 from test_exactlin import MIXED, assert_clean, fraction_combination, mixed_matrices
 
 from hopfreal.coalgebra import (
@@ -20,7 +22,7 @@ from hopfreal.coalgebra import (
     verify_coalgebra,
 )
 from hopfreal.errors import InvarianceError
-from hopfreal.exactlin import Matrix, mat_mul, mat_vec, vec_add_scaled
+from hopfreal.exactlin import Matrix, kron_combination, mat_mul, vec_add_scaled
 from hopfreal.free_tensor import TensorContext, coproduct, word_coproduct
 from hopfreal.inputdoc import build_spec, parse_input
 from hopfreal.invariant import (
@@ -367,16 +369,14 @@ def test_degree_one_check_matches_per_basis_loop_on_planted_defects(name):
     assert False in outcomes
 
 
-def per_word_coproduct_blocks(ctx, n):
-    """D_n and its s x s^2 reading built word by word from word_coproduct,
-    the construction the D_{n-1}, D_1 recursion replaced."""
+def per_word_coproduct_block(ctx, n):
+    """D_n built word by word from word_coproduct, the construction the
+    D_{n-1}, D_1 recursion replaced."""
     words = ctx.word_basis(n)
     index = ctx.word_index(n)
     s = len(words)
-    d = {(index[u] * s + index[v], col): c
-         for col, w in enumerate(words) for (u, v), c in word_coproduct(ctx, w).items()}
-    legs = {(r // s, r % s * s + col): c for (r, col), c in d.items()}
-    return Matrix(s * s, s, d), Matrix(s, s * s, legs)
+    return Matrix(s * s, s, {(index[u] * s + index[v], col): c for col, w in enumerate(words)
+                             for (u, v), c in word_coproduct(ctx, w).items()})
 
 
 def scaled_coalgebra():
@@ -405,7 +405,66 @@ def test_coproduct_blocks_match_per_word_construction(name):
         f_ctx = fixture_spec(name).f_ctx
         ctx = TensorContext(f_ctx.f, f_ctx.max_degree)
     for n in range(ctx.max_degree + 1):
-        blocks = _coproduct_blocks(ctx, n)
-        assert blocks == per_word_coproduct_blocks(ctx, n), n
-        for m in blocks:
-            assert_clean(m)
+        den, nums = _coproduct_blocks(ctx, n)
+        assert all(type(v) is int and v for v in nums.values())
+        s = len(ctx.word_basis(n))
+        d = Matrix(s * s, s, {key: F(v, den) for key, v in nums.items()})
+        assert d == per_word_coproduct_block(ctx, n), n
+
+
+def tensor_powers(ctx, x):
+    """x^(x)n in every degree n: the lift of a grouplike that acts by x,
+    right-invariant on T(F) whenever x is on F."""
+    return LinOp({n: kron_combination(ctx.f.dim ** n, ctx.f.dim ** n, [([x] * n, ONE)])
+                  if n else Matrix.identity(1) for n in range(ctx.max_degree + 1)})
+
+
+SCALED_FORMS = [
+    RIOp(F(1, 3), {BasisId.plain(0): F(2, 5), BasisId.plain(2): F(-3, 2)}),
+    RIOp(F(0), {BasisId.plain(3): F(5, 7), BasisId.plain(4): F(2)}),
+    RIOp(F(-4, 9), {BasisId.plain(1): F(1, 2), BasisId.plain(3): F(3)}),
+]
+
+
+def test_block_identity_carries_non_unit_coproduct_coefficients():
+    # the scaled coalgebra's D_n has entries 1/2, 8/3 and their products, so
+    # a check that dropped den(D_n) or misplaced a coefficient would disagree
+    # with the per-word loop; defects carry denominators 2, 3 and 7
+    ctx = TensorContext(scaled_coalgebra(), 3)
+    rng = random.Random("scaled")
+    outcomes = []
+    for form in SCALED_FORMS:
+        x = tensor_powers(ctx, op_from_form(ctx.f, form))
+        assert verify_right_invariance(ctx, x) == per_word_invariance(ctx, x) == (True, None)
+        for n, m in x.blocks.items():
+            for delta in (F(1, 2), F(-2, 3), F(5, 7)):
+                positions = sorted(m.entries)[:1] + [
+                    (rng.randrange(m.rows), rng.randrange(m.cols)) for _ in range(2)]
+                for r, c in positions:
+                    bad = LinOp({**x.blocks, n: planted(m, r, c, delta)})
+                    got = verify_right_invariance(ctx, bad)
+                    assert got == per_word_invariance(ctx, bad), (form, n, r, c, delta)
+                    outcomes.append(got[0])
+    assert outcomes.count(True) >= 40 and outcomes.count(False) >= 60
+
+
+def test_passing_right_invariance_builds_no_fraction():
+    # a check that holds runs on integer numerators only: the one fractions
+    # method it calls is as_integer_ratio, and it multiplies no matrices
+    spec = fixture_spec("three_block")
+    ops = [lift_operator(spec, b) for b in spec.l_coalg.basis]
+    assert verify_right_invariance(spec.f_ctx, ops[0]) == (True, None)  # D_n memoized
+    calls = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.add((Path(frame.f_code.co_filename).name, frame.f_code.co_name))
+
+    sys.setprofile(profile)
+    try:
+        results = [verify_right_invariance(spec.f_ctx, x) for x in ops]
+    finally:
+        sys.setprofile(None)
+    assert results == [(True, None)] * len(ops)
+    assert {name for file, name in calls if file == "fractions.py"} == {"as_integer_ratio"}
+    assert "mat_mul" not in {name for _, name in calls}

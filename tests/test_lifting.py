@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import hypothesis.strategies as st
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from conftest import apply_to_word, example_w_spec, three_block_spec, tri, trivial_spec
 from hopfreal.coalgebra import BasisId, triangular_coalgebra
 from hopfreal.errors import ValidationError
-from hopfreal.exactlin import Matrix
+from hopfreal.exactlin import Matrix, kron_combination
 from hopfreal.free_tensor import TensorContext
 from hopfreal.invariant import LinOp, RIOp, op_combination, op_identity
 from hopfreal.lifting import (
@@ -223,6 +224,48 @@ def test_split_witness_names_planted_defect(example_w, b, n, cells):
     bad = LinOp({**x.blocks, n: Matrix(x.blocks[n].rows, x.blocks[n].cols, entries)})
     witness = split_witness(ctx, bad, _split_parts(example_w, b), ctx.max_degree)
     assert witness == (ctx.word_basis(n)[max(c for _, c in cells)], ())
+
+
+def kron_split_witness(ctx, outer, parts, bound):
+    """split_witness as it was before block views were shared: one
+    kron_combination per degree pair, each computing its own views."""
+    bound = min(bound, ctx.max_degree)
+    witness = None
+    for n1 in range(bound + 1):
+        for n2 in range(bound + 1 - n1):
+            block = outer.blocks[n1 + n2]
+            diff = kron_combination(block.rows, block.cols, [((block,), -ONE)] + [
+                ((left.blocks[n1], right.blocks[n2]), coeff) for left, right, coeff in parts])
+            if diff.entries:
+                col = max(c for _, c in diff.entries)
+                size = len(ctx.word_basis(n2))
+                witness = (ctx.word_basis(n1)[col // size], ctx.word_basis(n2)[col % size])
+    return witness
+
+
+@pytest.mark.parametrize("make", [example_w_spec, three_block_spec])
+def test_split_witness_names_planted_defect_in_a_part(make):
+    # a defect in a block of a part operator, replaced in every part that
+    # shares it (as left and as right), reaches every degree pair that reads
+    # the block; the shared views must give the per-pair path's witness
+    spec = make()
+    ctx = spec.f_ctx
+    rng = random.Random(make.__name__)
+    witnesses = []
+    for b in spec.l_coalg.basis:
+        x, parts = lift_operator(spec, b), _split_parts(spec, b)
+        for op in {id(op): op for left, right, _ in parts for op in (left, right)}.values():
+            for n, m in op.blocks.items():
+                cell = (rng.randrange(m.rows), rng.randrange(m.cols))
+                entries = dict(m.entries)
+                entries[cell] = entries.get(cell, F(0)) + F(2, 3)
+                bad = LinOp({**op.blocks, n: Matrix(m.rows, m.cols, entries)})
+                bad_parts = [(bad if left is op else left, bad if right is op else right, c)
+                             for left, right, c in parts]
+                got = split_witness(ctx, x, bad_parts, ctx.max_degree)
+                assert got == kron_split_witness(ctx, x, bad_parts, ctx.max_degree), (b, n, cell)
+                witnesses.append(got)
+    assert None in witnesses and len(set(witnesses)) > 10
 
 
 def test_word_index_is_lex_product(example_w):
