@@ -401,6 +401,13 @@ class SpanBasis:
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
 
+    def copy(self) -> "SpanBasis":
+        """An independent copy of the span, rows and index included."""
+        other = SpanBasis(self._key)
+        other._rows = {p: dict(row) for p, row in self._rows.items()}
+        other._where = {k: set(ps) for k, ps in self._where.items()}
+        return other
+
     def add(self, vec: dict) -> bool:
         """Add a vector to the span; True iff it added a new direction."""
         v = self.reduce(vec)

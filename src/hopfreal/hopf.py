@@ -23,7 +23,10 @@ against both antipode identities (everything modulo degree-bounded ideal
 spans, with the bound recorded on every claim).  Membership in a bounded
 ideal span is a normal form modulo a degree-truncated Groebner basis of the
 generators (see ``realization.ideal_span``), and the quotient dimensions
-are the numbers of standard words of each length.
+are the numbers of standard words of each length.  S^r and the coideal
+residue (NF (x) NF)(delta r) are linear, so both are summed from values on
+words, memoized per ideal object (the residue) or per call of
+:func:`closure_iterate` or :func:`verify_hopf_quotient` (S^r).
 
 The general solver drops cotriangularity: it looks for Y(l) inside the span
 of pi-images of bounded monomials satisfying the two convolution systems,
@@ -228,28 +231,33 @@ def verify_Y_coproduct(spec: RealizationSpec, table: AntipodeTable, bound: int) 
     return report
 
 
-def extend_antihom(spec: RealizationSpec, table: AntipodeTable, w, cap: int = None):
+def extend_antihom(memo: dict, table: AntipodeTable, w, cap: int = None):
     """S^r: reverse the word, substitute the letterwise table, multiply out.
 
     Returns (element, truncated): with a degree cap, overlong product words
-    are dropped and flagged.
+    are dropped and flagged.  S^r is linear, so this sums the words' images
+    and ORs their flags.  Word images are kept in ``memo`` by (word, cap);
+    the caller owns it for one computation with one table.
     """
     if isinstance(w, tuple):
         w = {w: ONE}
     out = {}
     truncated = False
     for mono, coeff in w.items():
-        acc = {(): coeff}
-        for letter in reversed(mono):
-            if letter not in table.entries:
-                raise PreconditionError(f"no antipode table entry for letter {letter}")
-            acc = concat_product(acc, table.entries[letter])
-            if cap is not None:
-                pruned = {u: c for u, c in acc.items() if len(u) <= cap}
-                if len(pruned) != len(acc):
-                    truncated = True
+        if (mono, cap) not in memo:
+            acc, cut = {(): ONE}, False
+            for letter in reversed(mono):
+                if letter not in table.entries:
+                    raise PreconditionError(f"no antipode table entry for letter {letter}")
+                acc = concat_product(acc, table.entries[letter])
+                if cap is not None:
+                    pruned = {u: c for u, c in acc.items() if len(u) <= cap}
+                    cut = cut or len(pruned) != len(acc)
                     acc = pruned
-        vec_add_scaled(out, acc, ONE)
+            memo[mono, cap] = acc, cut
+        acc, cut = memo[mono, cap]
+        truncated = truncated or cut
+        vec_add_scaled(out, acc, coeff)
     return out, truncated
 
 
@@ -278,13 +286,6 @@ class ClosureResult:
     overflow: bool = False
 
 
-def _span_from(elements) -> SpanBasis:
-    span = SpanBasis(graded_key)
-    for e in elements:
-        span.add(e)
-    return span
-
-
 def closure_iterate(spec: RealizationSpec, table: AntipodeTable, r0,
                     max_stages: int, degree_bound: int) -> ClosureResult:
     """Iterate R_{n+1} = R_n + S^r(R_n) in the bounded monomial space.
@@ -293,17 +294,17 @@ def closure_iterate(spec: RealizationSpec, table: AntipodeTable, r0,
     in the bounded ideal span of R_n; each stage also verifies that the
     coideal defect of S^r(R_n) falls inside the next stage's ideal.  S^r
     images escaping the degree bound make the result non-certifiable
-    (overflow flag, no stabilization claim).
+    (overflow flag, no stabilization claim).  Word residues stay on each
+    stage's ideal object, word images of S^r in a memo owned by this call.
     """
     if isinstance(r0, RelationSpace):
         r0 = r0.basis
-    ctx = l_context(spec)
-    current = _span_from(r0)
-    ideal = ideal_span(spec.l_coalg, current.basis(), degree_bound)
-    r0_coideal_ok = all(
-        not pair_reduce(ideal, coproduct(ctx, rel))
-        for rel in current.basis()
-    )
+    ctx, images_of = l_context(spec), {}
+    current = SpanBasis(graded_key)
+    for rel in r0:
+        current.add(rel)
+    ideal = ideal_span(ctx, current.basis(), degree_bound)
+    r0_coideal_ok = all(not pair_reduce(ideal, rel) for rel in current.basis())
 
     stages = []
     stabilized = False
@@ -314,23 +315,19 @@ def closure_iterate(spec: RealizationSpec, table: AntipodeTable, r0,
         images = []
         stage_overflow = False
         for rel in basis:
-            img, truncated = extend_antihom(spec, table, rel, cap=degree_bound)
+            img, truncated = extend_antihom(images_of, table, rel, cap=degree_bound)
             stage_overflow = stage_overflow or truncated
             images.append(img)
         overflow = overflow or stage_overflow
         contained = (not stage_overflow) and all(ideal.contains(img) for img in images)
 
-        nxt = _span_from(basis)
+        nxt = current.copy()
         new_directions = 0
         for img in images:
             if nxt.add(img):
                 new_directions += 1
-        ideal_next = ideal if new_directions == 0 else ideal_span(
-            spec.l_coalg, nxt.basis(), degree_bound)
-        coideal_ok = all(
-            not pair_reduce(ideal_next, coproduct(ctx, img))
-            for img in images
-        )
+        ideal_next = ideal if new_directions == 0 else ideal_span(ctx, nxt.basis(), degree_bound)
+        coideal_ok = all(not pair_reduce(ideal_next, img) for img in images)
         stages.append(ClosureStage(stage, current.dim, ideal.dim,
                                    new_directions, coideal_ok))
         if contained:
@@ -357,6 +354,8 @@ def verify_hopf_quotient(spec: RealizationSpec, table: AntipodeTable,
     report line carries that bound.  Every such span is a view of one
     Groebner basis built at the largest bound needed (see
     ``realization.ideal_span``), the closure's own where the bounds agree.
+    The generator lines reuse the word residues memoized on that ideal;
+    S^r images sit in a memo owned by this call.
     """
     if not closure.stabilized:
         raise PreconditionError("hopf quotient check needs a stabilized closure")
@@ -365,14 +364,14 @@ def verify_hopf_quotient(spec: RealizationSpec, table: AntipodeTable,
     report = CheckReport(f"hopf quotient axioms at degree bound {degree_bound}")
     gens = closure.final_basis
     ctx = l_context(spec)
-    tests = []
+    tests, images_of = [], {}
     for w in monomials_upto(spec.l_coalg, min(2, degree_bound)):
         pairs = word_coproduct(ctx, w)
         left = {}
         right = {}
         for (w1, w2), coeff in pairs.items():
-            s1 = extend_antihom(spec, table, w1)[0]
-            s2 = extend_antihom(spec, table, w2)[0]
+            s1 = extend_antihom(images_of, table, w1)[0]
+            s2 = extend_antihom(images_of, table, w2)[0]
             vec_add_scaled(left, concat_product(s1, {w2: ONE}), coeff)
             vec_add_scaled(right, concat_product({w1: ONE}, s2), coeff)
         eps = counit(ctx, {w: ONE})
@@ -382,7 +381,7 @@ def verify_hopf_quotient(spec: RealizationSpec, table: AntipodeTable,
             tests.append((tag, w, test, bound))
 
     top = max(bound for *_, bound in tests)
-    built = closure.ideal if closure.degree_bound >= top else ideal_span(spec.l_coalg, gens, top)
+    built = closure.ideal if closure.degree_bound >= top else ideal_span(ctx, gens, top)
     views = {closure.degree_bound: closure.ideal, built.bound: built}
 
     def bounded_ideal(bound):
@@ -397,7 +396,7 @@ def verify_hopf_quotient(spec: RealizationSpec, table: AntipodeTable,
 
     ideal_d = bounded_ideal(degree_bound)
     for g in gens:
-        ok = not pair_reduce(ideal_d, coproduct(ctx, g))
+        ok = not pair_reduce(ideal_d, g)
         report.record(
             f"closure ideal coideal property on generator [bound {degree_bound}]", ok)
     return report

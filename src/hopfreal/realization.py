@@ -26,8 +26,9 @@ s + |a| + |c| <= b, and the normal form is the unique representative of a
 vector modulo S_b supported on standard words.
 
 Coideal verification works in T(L) (x) T(L) modulo the degree-bounded ideal
-span; membership is decided by reducing both tensor legs modulo the ideal
-span, since (V (x) V)/(I (x) V + V (x) I) is (V/I) (x) (V/I).
+span: delta(r) is in I (x) T + T (x) I iff its residue (NF (x) NF)(delta r)
+is zero, since (V (x) V)/(I (x) V + V (x) I) is (V/I) (x) (V/I); it is the
+sum of c_w R(w) over the words of r, R(w) memoized on the ideal object.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from fractions import Fraction
 
 from .coalgebra import Coalgebra
 from .exactlin import Matrix, ONE, SpanBasis, kernel_basis, mat_mul, vec_add_scaled
-from .free_tensor import TensorContext, coproduct, graded_key, word_coproduct
+from .free_tensor import TensorContext, graded_key, word_coproduct
 from .invariant import LinOp, op_combination, op_compose, op_identity
 from .lifting import RealizationSpec, lift_operator, split_witness
 from .reportkit import CheckReport
@@ -320,16 +321,18 @@ class BoundedIdeal:
     ``reduce`` gives the unique representative supported on standard words,
     ``pivots()`` are the words of length <= b that are not standard (the
     leading words of S_b), and ``basis()`` the canonical reduced rows
-    p - NF(p).  Word normal forms are memoized; ``dim`` and ``pivots()`` are
-    computed on first use.
+    p - NF(p).  Word normal forms and residues (over the T(L) context
+    ctx) are memoized; ``dim`` and ``pivots()`` are computed on first use.
     """
 
-    def __init__(self, letters, lead: dict, bound: int):
+    def __init__(self, ctx: TensorContext, lead: dict, bound: int):
         self.bound = bound
-        self._letters = tuple(sorted(letters))
+        self._ctx = ctx
+        self._letters = tuple(sorted(ctx.f.basis))
         self._lead = lead
         self._longest = max((len(m) for m in lead), default=0)
         self._nf = {}
+        self._residue = {}
         self._dim = None
 
     def _reducer(self, u: tuple):
@@ -381,6 +384,13 @@ class BoundedIdeal:
             stack.pop()
         return memo[word]
 
+    def residue(self, word: tuple) -> dict:
+        """Memoized (NF (x) NF)(delta word) (shared; do not write to it)."""
+        if word not in self._residue:
+            self._residue[word] = _legwise(word_coproduct(self._ctx, word),
+                                           self.normal_form, self.normal_form)
+        return self._residue[word]
+
     def reduce(self, vec: dict) -> dict:
         """Canonical representative of vec modulo S_b."""
         out = {}
@@ -419,10 +429,10 @@ class BoundedIdeal:
 
     def view(self, bound: int) -> "BoundedIdeal":
         """S_b at a bound b <= this one, read off the same Groebner basis
-        (see :func:`ideal_span`); a fresh normal-form memo."""
+        (see :func:`ideal_span`); fresh normal-form and residue memos."""
         if bound > self.bound:
             raise ValueError(f"a view at bound {bound} of an ideal built to {self.bound}")
-        return BoundedIdeal(self._letters, self._lead, bound)
+        return BoundedIdeal(self._ctx, self._lead, bound)
 
     def basis(self) -> list:
         """Rows in increasing pivot order (canonical)."""
@@ -454,8 +464,8 @@ def _critical_pairs(f: tuple, g: tuple):
                 yield max(s1, s2 + len(x) + len(y)), (), x, y
 
 
-def ideal_span(l_coalg: Coalgebra, gens, bound: int) -> BoundedIdeal:
-    """S_b: the span of a . g . c over monomial cofactors with
+def ideal_span(ctx: TensorContext, gens, bound: int) -> BoundedIdeal:
+    """S_b in T(L) of ctx: the span of a . g . c over monomial cofactors with
     |a| + top(g) + |c| <= bound, where top(g) is the longest word of g.
     Cofactor degrees are limited by the top degree of each generator, so
     every spanned element honestly lies in the two-sided ideal.
@@ -503,7 +513,7 @@ def ideal_span(l_coalg: Coalgebra, gens, bound: int) -> BoundedIdeal:
         items = pending.pop(degree, ())
         if not items:
             continue
-        below = BoundedIdeal(l_coalg.basis, dict(lead), degree)
+        below = BoundedIdeal(ctx, dict(lead), degree)
         span = SpanBasis(graded_key)
         for vec in items:
             span.add(below.reduce(vec))
@@ -520,7 +530,7 @@ def ideal_span(l_coalg: Coalgebra, gens, bound: int) -> BoundedIdeal:
                             vec_add_scaled(s_poly, {a2 + w + c2: v for w, v in second[2].items()},
                                            -ONE)
                             pending.setdefault(sugar, []).append(s_poly)
-    return BoundedIdeal(l_coalg.basis, lead, bound)
+    return BoundedIdeal(ctx, lead, bound)
 
 
 def _legwise(pairs: dict, left, right) -> dict:
@@ -536,10 +546,13 @@ def _legwise(pairs: dict, left, right) -> dict:
     return out
 
 
-def pair_reduce(ideal: BoundedIdeal, pairs: dict) -> dict:
-    """Reduce both legs of an element of T(L) (x) T(L) modulo a bounded ideal
-    span; the result is zero iff the element lies in I (x) T + T (x) I."""
-    return _legwise(pairs, ideal.normal_form, ideal.normal_form)
+def pair_reduce(ideal: BoundedIdeal, vec: dict) -> dict:
+    """(NF (x) NF)(delta vec) for vec in T(L), the sum of its words' residues:
+    zero iff delta(vec) lies in I (x) T + T (x) I."""
+    out = {}
+    for w, coeff in vec.items():
+        vec_add_scaled(out, ideal.residue(w), coeff)
+    return out
 
 
 def computed_relation_ideal(spec: RealizationSpec, degree_bound: int) -> BoundedIdeal:
@@ -550,20 +563,21 @@ def computed_relation_ideal(spec: RealizationSpec, degree_bound: int) -> Bounded
         gens = []
         for d in range(1, degree_bound + 1):
             gens.extend(relation_kernel(spec, d).basis)
-        spec._cache[key] = ideal_span(spec.l_coalg, gens, degree_bound)
+        spec._cache[key] = ideal_span(l_context(spec), gens, degree_bound)
     return spec._cache[key]
 
 
 def verify_coideal(spec: RealizationSpec, r: RelationSpace, degree_bound: int) -> CheckReport:
     """Check delta(r_i) in I (x) T(L) + T(L) (x) I for each basis relation,
     where I is the bounded ideal span of the *computed* relation kernels up
-    to the degree bound (never of the candidate space itself)."""
+    to the degree bound (never of the candidate space itself).  Word residues
+    are memoized on that ideal, shared by every relation and degree."""
     from .fmt import format_element
 
     report = CheckReport(f"coideal property at degree bound {degree_bound}")
     ideal = computed_relation_ideal(spec, degree_bound)
     for rel in r.basis:
-        residue = pair_reduce(ideal, coproduct(l_context(spec), rel))
+        residue = pair_reduce(ideal, rel)
         report.record(
             f"delta({format_element(rel)}) decomposes"
             + ("" if not residue else " (residue nonzero)"),

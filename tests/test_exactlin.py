@@ -9,6 +9,7 @@ from conftest import mat_vec
 
 import hopfreal
 from hopfreal.exactlin import (
+    ONE,
     Matrix,
     SpanBasis,
     kernel_basis,
@@ -165,6 +166,38 @@ def test_spanbasis_canonical_under_insertion_order(a, b):
     for v in reversed(vecs):
         sb2.add(v)
     assert sb1.basis() == sb2.basis()
+
+
+def test_spanbasis_copy_stays_independent_after_add():
+    # adding e0 inter-reduces the row e0 + e1 and drops it from the index of
+    # key 0; a copy that shared rows or index sets would change the original
+    sb = SpanBasis()
+    sb.add({0: ONE, 1: ONE})
+    twin = sb.copy()
+    assert twin.add({0: ONE})
+    assert sb.basis() == [{0: ONE, 1: ONE}]
+    assert twin.basis() == [{0: ONE}, {1: ONE}]
+    assert sb.add({0: F(2)})
+    assert sb.basis() == twin.basis()
+
+
+@given(matrices(3), matrices(3))
+@settings(max_examples=30, deadline=None)
+def test_spanbasis_copy_matches_a_rebuild(a, b):
+    if a.cols != b.cols:
+        return
+    sb = SpanBasis()
+    for v in a.row_maps():
+        sb.add(v)
+    before, twin, both = sb.basis(), sb.copy(), SpanBasis()
+    for v in a.row_maps() + b.row_maps():
+        both.add(v)
+    for v in b.row_maps():
+        twin.add(v)
+    assert sb.basis() == before and twin.basis() == both.basis()
+    for v in b.row_maps():
+        sb.add(v)
+    assert sb.basis() == both.basis()
 
 
 @given(matrices(3))

@@ -4,7 +4,9 @@ import types
 from fractions import Fraction as F
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from conftest import (
     example_w_spec,
@@ -16,7 +18,7 @@ from conftest import (
 )
 from hopfreal.coalgebra import BasisId, dual_numbers, make_coalgebra, triangular_blocks, verify_coalgebra
 from hopfreal.errors import InternalInconsistencyError, PreconditionError, UnsupportedStructureError
-from hopfreal.exactlin import Matrix, SpanBasis, kernel_basis, solve
+from hopfreal.exactlin import Matrix, SpanBasis, kernel_basis, solve, vec_add_scaled
 from hopfreal import hopf
 from hopfreal.hopf import (
     _composite_split_ok,
@@ -34,7 +36,7 @@ from hopfreal.hopf import (
     verify_uniqueness_perturbations,
     verify_Y_coproduct,
 )
-from hopfreal.free_tensor import context_from_algebra
+from hopfreal.free_tensor import concat_product, context_from_algebra, graded_key
 from hopfreal.inputdoc import build_spec, parse_input
 from hopfreal.invariant import (
     LinOp,
@@ -48,6 +50,7 @@ from hopfreal.lifting import lift_operator, make_spec, split_witness
 from hopfreal.realization import (
     BoundedIdeal,
     ideal_span,
+    l_context,
     monomials_upto,
     relation_kernel_upto,
     represent,
@@ -152,19 +155,19 @@ def test_verify_y_coproduct(example_w, w_table):
 
 
 def test_extend_antihom_unit(example_w, w_table):
-    out, truncated = extend_antihom(example_w, w_table, ())
+    out, truncated = extend_antihom({}, w_table, ())
     assert out == {(): ONE} and not truncated
 
 
 def test_extend_antihom_single_letters(example_w, w_table):
     for b in example_w.l_coalg.basis:
-        out, _ = extend_antihom(example_w, w_table, (b,))
+        out, _ = extend_antihom({}, w_table, (b,))
         assert out == w_table.entries[b]
 
 
 def test_extend_antihom_signs_cancel(example_w, w_table):
     z = tri(2, 1)
-    out, truncated = extend_antihom(example_w, w_table, (z, z))
+    out, truncated = extend_antihom({}, w_table, (z, z))
     assert out == {(z, z): ONE} and not truncated
 
 
@@ -174,16 +177,72 @@ def test_extend_antihom_is_anti_homomorphism(example_w, w_table):
     words = monomials_upto(example_w.l_coalg, 2)
     for w1 in words[:8]:
         for w2 in words[:8]:
-            lhs, _ = extend_antihom(example_w, w_table, w1 + w2)
-            s2, _ = extend_antihom(example_w, w_table, w2)
-            s1, _ = extend_antihom(example_w, w_table, w1)
+            lhs, _ = extend_antihom({}, w_table, w1 + w2)
+            s2, _ = extend_antihom({}, w_table, w2)
+            s1, _ = extend_antihom({}, w_table, w1)
             assert lhs == concat_product(s2, s1)
 
 
 def test_extend_antihom_truncation_flag(example_w, w_table):
     z = tri(2, 1)
-    out, truncated = extend_antihom(example_w, w_table, (z, z, z), cap=2)
+    out, truncated = extend_antihom({}, w_table, (z, z, z), cap=2)
     assert truncated and out == {}
+
+
+def antihom_oracle(table, w, cap=None):
+    """Reference: S^r monomial by monomial with no memo, the coefficient
+    carried from the start and the flag set whenever a cap drops a word."""
+    out, truncated = {}, False
+    for mono, coeff in w.items():
+        acc = {(): coeff}
+        for letter in reversed(mono):
+            acc = concat_product(acc, table.entries[letter])
+            if cap is not None:
+                pruned = {u: c for u, c in acc.items() if len(u) <= cap}
+                truncated = truncated or len(pruned) != len(acc)
+                acc = pruned
+        vec_add_scaled(out, acc, ONE)
+    return out, truncated
+
+
+ANTIHOM_TABLES = {"example_w": example_w_spec, "three_block": three_block_spec}
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(ANTIHOM_TABLES)), data=st.data())
+def test_extend_antihom_memo_matches_per_monomial_oracle(name, data):
+    # one memo serves every element and every cap, as in one closure run,
+    # and the flag is the OR over the element's monomials
+    table = antipode_triangular(ANTIHOM_TABLES[name]())
+    letters = sorted(table.entries)
+    words = st.lists(st.sampled_from(letters), max_size=4).map(tuple)
+    elements = data.draw(st.lists(st.dictionaries(words, st.sampled_from([ONE, F(-2), F(1, 3)]),
+                                                  max_size=3), min_size=1, max_size=4))
+    # example_w's (z, z, z) at cap 2 is test_extend_antihom_truncation_flag
+    z = tri(2, 1) if name == "example_w" else letters[-1]
+    elements += [{(z, z, z): ONE}, {(z, z, z): ONE, (z,): F(5)}]
+    memo = {}
+    for cap in (None, 3, 2, 1, 0, None, 2):
+        for vec in elements:
+            assert extend_antihom(memo, table, vec, cap) == antihom_oracle(table, vec, cap)
+
+
+def test_closure_images_follow_the_table(example_w, w_table):
+    # two tables that differ in one entry, run in one process, give
+    # different closures: no S^r image outlives its closure_iterate call
+    a, z = tri(1, 1), tri(2, 1)
+    planted = [{(a, z): ONE, (z,): F(-1)}]
+    other = AntipodeTable(dict(w_table.entries), w_table.raw_entries, w_table.mode)
+    other.entries[a] = {(tri(2, 2),): ONE}
+    first = closure_iterate(example_w, w_table, planted, 4, 3)
+    changed = closure_iterate(example_w, other, planted, 4, 3)
+    again = closure_iterate(example_w, w_table, planted, 4, 3)
+    assert first.final_basis == again.final_basis != changed.final_basis
+    for table, closure in ((w_table, first), (other, changed)):
+        span = SpanBasis(graded_key)
+        for rel in closure.final_basis:
+            span.add(rel)
+        assert span.contains(antihom_oracle(table, planted[0], 3)[0])
 
 
 def test_closure_stabilizes_immediately_on_full_kernel(example_w, w_table):
@@ -233,9 +292,9 @@ def test_hopf_quotient_reads_every_bound_off_one_basis(monkeypatch, example_w, w
     closure = closure_iterate(example_w, w_table, r0, 4, closure_bound)
     built = []
 
-    def counted(l_coalg, gens, b):
+    def counted(ctx, gens, b):
         built.append(b)
-        return ideal_span(l_coalg, gens, b)
+        return ideal_span(ctx, gens, b)
 
     monkeypatch.setattr(hopf, "ideal_span", counted)
     report = verify_hopf_quotient(example_w, w_table, closure, bound)
@@ -243,7 +302,7 @@ def test_hopf_quotient_reads_every_bound_off_one_basis(monkeypatch, example_w, w
                                         for desc, _ in report.checks) if m)
     assert top >= bound and built == ([] if closure_bound >= top else [top])
     monkeypatch.setattr(BoundedIdeal, "view",
-                        lambda own, b: ideal_span(example_w.l_coalg, closure.final_basis, b))
+                        lambda own, b: ideal_span(l_context(example_w), closure.final_basis, b))
     assert report.checks == verify_hopf_quotient(example_w, w_table, closure, bound).checks
 
 
@@ -376,10 +435,10 @@ def test_closure_minimality_spot_check(example_w, w_table):
     basis = closure.final_basis
     for drop in (0, len(basis) // 2, len(basis) - 1):
         rest = [r for k, r in enumerate(basis) if k != drop]
-        ideal = ideal_span(example_w.l_coalg, rest, 2)
+        ideal = ideal_span(l_context(example_w), rest, 2)
         if ideal.contains(basis[drop]):
             continue  # regenerated by cofactors: not an independent generator
-        images = [extend_antihom(example_w, w_table, r, cap=2)[0] for r in rest]
+        images = [extend_antihom({}, w_table, r, cap=2)[0] for r in rest]
         stable = all(ideal.contains(img) for img in images)
         assert not ideal.contains(basis[drop]) or not stable
 
@@ -393,8 +452,8 @@ def test_planted_closure_generators_all_forced(example_w, w_table):
     planted = [{(a, z): ONE, (z,): F(-1)}]
     closure = closure_iterate(example_w, w_table, planted, 4, 3)
     assert closure.stabilized and len(closure.final_basis) == 2
-    ideal = ideal_span(example_w.l_coalg, planted, 3)
-    image = extend_antihom(example_w, w_table, planted[0], cap=3)[0]
+    ideal = ideal_span(l_context(example_w), planted, 3)
+    image = extend_antihom({}, w_table, planted[0], cap=3)[0]
     assert not ideal.contains(image)
 
 

@@ -18,18 +18,20 @@ from hopfreal import realization
 from hopfreal.coalgebra import BasisId
 from hopfreal.errors import InputError, InvalidAlgebraError
 from hopfreal.exactlin import Matrix, SpanBasis, kernel_basis, vec_add_scaled
-from hopfreal.free_tensor import counit, graded_key
+from hopfreal.free_tensor import TensorContext, coproduct, counit, graded_key
 from hopfreal.inputdoc import build_spec, parse_input
 from hopfreal.invariant import RIOp, op_identity, op_vector
 from hopfreal.lifting import make_spec, with_truncation
 from hopfreal.pipeline import STAGE_ORDER, _run
 from hopfreal.realization import (
+    computed_relation_ideal,
     counit_check,
     l_context,
     ideal_span,
     kernel_persistence,
     monomials,
     monomials_upto,
+    pair_reduce,
     relation_kernel,
     relation_kernel_upto,
     represent,
@@ -179,7 +181,7 @@ def test_counit_check_matches_eps_extension(example_w):
 
 def test_ideal_span_respects_bound(trivial):
     gens = relation_kernel(trivial, 1).basis
-    span = ideal_span(trivial.l_coalg, gens, 2)
+    span = ideal_span(l_context(trivial), gens, 2)
     for row in span.basis():
         assert max(len(w) for w in row) <= 2
     # the span contains padded copies of the generators
@@ -207,7 +209,7 @@ def enumerated_ideal_span(l_coalg, gens, bound):
 
 
 def assert_same_ideal_span(l_coalg, gens, bound):
-    got = ideal_span(l_coalg, gens, bound)
+    got = ideal_span(TensorContext(l_coalg, 1), gens, bound)
     want = enumerated_ideal_span(l_coalg, gens, bound)
     assert got.pivots() == want.pivots()
     assert got.basis() == want.basis()
@@ -229,7 +231,7 @@ def assert_same_normal_forms(l_coalg, gens, bound):
     """The Groebner normal forms against the enumerated span: dim, pivots,
     quotient counts, contains on the generators, and reduce on every word
     up to one letter past the bound."""
-    got = ideal_span(l_coalg, gens, bound)
+    got = ideal_span(TensorContext(l_coalg, 1), gens, bound)
     want = enumerated_ideal_span(l_coalg, gens, bound)
     assert got.dim == want.dim
     pivots = want.pivots()
@@ -252,7 +254,7 @@ def test_ideal_span_normal_forms_match_enumeration(gens, bound, which):
 Z, D1, D2 = tri(2, 1), tri(1, 1), tri(2, 2)
 
 
-@pytest.mark.parametrize("gens, bound", [
+SHAPED = pytest.mark.parametrize("gens, bound", [
     # zz - d1 and zz - d2 give d2 - d1 of sugar 2 above its top degree 1: it
     # may act on the word d2 but not on z.d2 inside degree 2
     ([{(Z, Z): ONE, (D1,): F(-1)}, {(Z, Z): ONE, (D2,): F(-1)}], 2),
@@ -262,9 +264,45 @@ Z, D1, D2 = tri(2, 1), tri(1, 1), tri(2, 2)
     # gives the constant 1 at sugar 4, so S_4 is everything
     ([{(D1, D2): ONE, (): F(-1)}, {(D2, D2): F(-1)}], 4),
 ], ids=["sugar-rule", "overlap", "inclusion"])
+
+
+@SHAPED
 def test_ideal_span_groebner_shaped_cases(example_w, gens, bound):
     for b in range(bound + 1):
         assert_same_normal_forms(example_w.l_coalg, gens, b)
+
+
+def legwise_pair_reduce(ideal, ctx, vec):
+    """Reference: (NF (x) NF) applied to the whole coproduct of vec, the
+    composition ``pair_reduce(ideal, coproduct(ctx, vec))`` that the word
+    residues replaced."""
+    out = {}
+    for (w1, w2), coeff in coproduct(ctx, vec).items():
+        left, right = ideal.normal_form(w1), ideal.normal_form(w2)
+        for u1, c1 in left.items():
+            vec_add_scaled(out, {(u1, u2): c2 for u2, c2 in right.items()}, coeff * c1)
+    return out
+
+
+def assert_residues_match(ideal, ctx, elements):
+    for vec in elements:
+        assert pair_reduce(ideal, vec) == legwise_pair_reduce(ideal, ctx, vec)
+
+
+@SHAPED
+def test_pair_reduce_matches_legwise_at_every_view(example_w, gens, bound):
+    # residues are filled at the top bound first; a memo shared with the
+    # views would then serve them at every lower bound, where the normal
+    # forms differ
+    ctx = l_context(example_w)
+    full = ideal_span(ctx, gens, bound)
+    elements = gens + [{w: F(2)} for w in monomials_upto(example_w.l_coalg, bound + 1)]
+    for b in range(bound, -1, -1):
+        view = full.view(b)
+        assert_residues_match(view, ctx, elements)
+        own = ideal_span(ctx, gens, b)
+        assert [pair_reduce(own, v) for v in elements] == [pair_reduce(view, v) for v in elements]
+    assert_residues_match(full, ctx, elements)
 
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -500,9 +538,9 @@ def test_window_layers_match_blocks_of_pi(make, data):
 def assert_views_match(l_coalg, gens, top):
     """S_b read off one basis built at top equals the basis built at b, for
     every b <= top: normal forms of every word of length <= b, dim, pivots."""
-    full = ideal_span(l_coalg, gens, top)
+    full = ideal_span(TensorContext(l_coalg, 1), gens, top)
     for b in range(top + 1):
-        view, own = full.view(b), ideal_span(l_coalg, gens, b)
+        view, own = full.view(b), ideal_span(TensorContext(l_coalg, 1), gens, b)
         assert view.dim == own.dim
         assert view.pivots() == own.pivots()
         for w in monomials_upto(l_coalg, b):
@@ -534,3 +572,31 @@ def test_groebner_view_matches_on_random_generators(gens, top, which):
 def test_groebner_view_matches_on_fixture_relation_kernels(name):
     spec, d = fixture_spec(name)
     assert_views_match(spec.l_coalg, kernels_upto(spec, d), d + 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(make=SPECS, truncation=st.integers(1, 3), degree=st.integers(1, 3), data=st.data())
+def test_pair_reduce_matches_legwise_on_random_specs(make, truncation, degree, data):
+    spec = make(truncation)
+    ideal = computed_relation_ideal(spec, degree)
+    words = st.lists(st.sampled_from(spec.l_coalg.basis), max_size=degree + 1).map(tuple)
+    extra = data.draw(st.lists(st.dictionaries(words, COEFFS, max_size=3), max_size=3))
+    elements = relation_kernel_upto(spec, degree).basis + extra
+    assert_residues_match(ideal, l_context(spec), elements)
+
+
+@pytest.mark.parametrize("name", ["example_w", "general_w", "projection", "three_block", "trivial"])
+def test_pair_reduce_matches_legwise_on_fixture_kernels(name):
+    spec, d = fixture_spec(name)
+    ideal = computed_relation_ideal(spec, d)
+    kernels = [r for k in range(1, d + 1) for r in relation_kernel(spec, k).basis]
+    assert_residues_match(ideal, l_context(spec), kernels + relation_kernel_upto(spec, d).basis)
+
+
+def test_pair_reduce_matches_legwise_on_planted_non_coideal(trivial):
+    # l[1,1] is no relation of trivial and delta(l[1,1]) = l[1,1] (x) l[1,1],
+    # so its residue is nonzero, and must still match term for term
+    planted = {(tri(1, 1),): ONE}
+    ideal = computed_relation_ideal(trivial, 2)
+    assert pair_reduce(ideal, planted)
+    assert_residues_match(ideal, l_context(trivial), [planted, {(tri(1, 1), tri(2, 1)): F(-3)}])
