@@ -21,15 +21,13 @@ from .coalgebra import (
     upper_triangular_algebra,
     verify_coalgebra,
 )
-from .exactlin import Matrix, Scalar, SpanBasis, kernel_basis, membership, rref
+from .exactlin import Matrix, Scalar, SpanBasis, kernel_basis, rref
 from .free_tensor import (
     TensorContext,
     context_from_algebra,
     coproduct,
     counit,
-    duality_pairing,
     verify_free_bialgebra,
-    word_product,
 )
 from .hopf import (
     AntipodeTable,
@@ -44,32 +42,23 @@ from .hopf import (
 from .invariant import (
     LinOp,
     RIOp,
-    convolution,
-    convolution_inverse,
-    form_of_op,
     op_from_form,
-    transpose_left_mult,
     verify_right_invariance,
 )
 from .lifting import (
     RealizationSpec,
     iterated_coproduct,
     lift_operator,
-    lift_operator_recursive,
     make_spec,
     verify_lift,
-    with_truncation,
 )
 from .inputdoc import InputDocument, build_spec, parse_input
 from .pipeline import run_pipeline
 from .realization import (
     RelationSpace,
-    counit_check,
     relation_kernel,
     relation_kernel_upto,
-    represent,
     verify_coideal,
-    verify_splitting,
 )
 
 __version__ = "0.1.0"

@@ -8,9 +8,10 @@ Subcommands select stage sets of the verification pipeline:
     hopfreal closure   --input doc.hra     # S^r closure iteration
     hopfreal report    --input doc.hra     # everything (or --stages a,b,c)
 
-Exit codes: 0 all executed stages passed, 1 a stage failed, 2 input error,
-a window past the preflight's size limits, or an unwritable --emit path (in
-each case nothing goes to stdout).
+Exit codes: 0 all executed stages passed, 1 a stage failed, 2 input error
+(an unreadable or non-UTF-8 file included), a window past the preflight's
+size limits, or an unwritable --emit path (in each case nothing goes to
+stdout).
 Reports are deterministic; --emit writes computed bases and antipode
 expressions in a machine-readable block format.
 """
@@ -62,7 +63,7 @@ def main(argv=None) -> int:
     try:
         with open(args.input, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"error: cannot read input: {err}", file=sys.stderr)
         return 2
 

@@ -323,26 +323,6 @@ def grouplikes(c: Coalgebra) -> list:
     return out
 
 
-def relabel(c: Coalgebra, mapping: dict) -> Coalgebra:
-    """Rename basis ids along a bijection (structure transported verbatim)."""
-    basis = [mapping[b] for b in c.basis]
-    delta = {
-        mapping[b]: [(mapping[p], mapping[q], coeff) for (p, q, coeff) in terms]
-        for b, terms in c.delta.items()
-    }
-    epsilon = {mapping[b]: v for b, v in c.epsilon.items()}
-    return make_coalgebra(basis, delta, epsilon)
-
-
-def dual_triangular_relabeling(n: int) -> dict:
-    """Canonical bijection dual(M_n+) basis -> triangular basis: e[r,c]* -> l[c,r]."""
-    units = triangular_units(n)
-    return {
-        BasisId.plain(k): BasisId.tri(c, r)
-        for k, (r, c) in enumerate(units)
-    }
-
-
 def triangular_blocks(c: Coalgebra) -> dict:
     """Map block index -> size n if the coalgebra is cotriangular, else None.
 

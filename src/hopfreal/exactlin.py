@@ -296,10 +296,6 @@ def rref(m: Matrix):
     return Matrix.trusted(m.rows, m.cols, entries), pivots
 
 
-def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
-
-
 def kernel_basis(m: Matrix) -> list:
     """Canonical basis of the null space, as sparse dicts col -> Fraction.
 
@@ -345,14 +341,6 @@ def solve(m: Matrix, rhs: dict):
         if val:
             sol[p] = val
     return sol
-
-
-def membership(v: dict, span: list) -> bool:
-    """True iff sparse vector v lies in the linear span of the given vectors."""
-    basis = SpanBasis()
-    for s in span:
-        basis.add(s)
-    return basis.contains(v)
 
 
 class SpanBasis:

@@ -1,7 +1,7 @@
 """The truncated free tensor bialgebra T(F) over a coalgebra F.
 
 Elements are sparse linear combinations of words (tuples of basis ids); the
-product is concatenation, truncated at a chosen maximal degree N.  The
+product is concatenation, and a context truncates at a maximal degree N.  The
 coproduct extends the coalgebra coproduct of F multiplicatively: on a word
 it expands letter by letter,
 
@@ -13,10 +13,11 @@ product of the letterwise counits.  Everything of interest downstream is
 grade-preserving, which is why computations truncated at degree N are exact
 on that range.
 
-When F was built as the dual of an algebra E, the degreewise duality pairing
+When F was built as the dual of an algebra E, the context keeps E, and the
+degreewise duality pairing
 <f_{i1} ... f_{in}, e^{j1} (x) ... (x) e^{jn}> = prod delta(i_k, j_k)
-identifies the coproduct with multiplication in the tensor powers of E;
-:func:`duality_pairing` and :func:`verify_pairing` expose that.
+identifies the coproduct with multiplication in the tensor powers of E; the
+tests check that identity (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .coalgebra import AlgebraPresentation, Coalgebra
-from .errors import UnsupportedStructureError
 from .exactlin import ONE, ZERO, vec_add_scaled
 from .reportkit import CheckReport
 
@@ -37,14 +37,6 @@ TensorElement = dict
 PairElement = dict
 
 EMPTY_WORD: Word = ()
-
-
-def unit_elem(coeff=ONE) -> TensorElement:
-    return {EMPTY_WORD: Fraction(coeff)} if coeff else {}
-
-
-def word_elem(w: Word, coeff=ONE) -> TensorElement:
-    return {tuple(w): Fraction(coeff)} if coeff else {}
 
 
 def graded_key(w: Word):
@@ -92,22 +84,6 @@ def concat_product(a: TensorElement, b: TensorElement) -> TensorElement:
     for w1, c1 in a.items():
         vec_add_scaled(out, {w1 + w2: c2 for w2, c2 in b.items()}, c1)
     return out
-
-
-def word_product(ctx: TensorContext, a: TensorElement, b: TensorElement):
-    """Concatenation product in T(F) truncated at degree N.
-
-    Returns (element, truncated): words longer than N are dropped and the
-    flag reports whether any were.
-    """
-    out = {}
-    truncated = False
-    for w1, c1 in a.items():
-        room = ctx.max_degree - len(w1)
-        kept = {w1 + w2: c2 for w2, c2 in b.items() if len(w2) <= room}
-        truncated = truncated or len(kept) < len(b)
-        vec_add_scaled(out, kept, c1)
-    return out, truncated
 
 
 def word_coproduct(ctx: TensorContext, w: Word) -> PairElement:
@@ -202,68 +178,3 @@ def verify_free_bialgebra(ctx: TensorContext) -> CheckReport:
             report.record(f"coproduct multiplicative on {w1}*{w2}", lhs == rhs)
     return report
 
-
-def _require_algebra(ctx: TensorContext) -> AlgebraPresentation:
-    if ctx.algebra is None:
-        raise UnsupportedStructureError(
-            "duality pairing needs a context built from an algebra presentation")
-    return ctx.algebra
-
-
-def duality_pairing(ctx: TensorContext, w: Word, t: tuple) -> Fraction:
-    """<f_{i1}...f_{in}, e^{j1}(x)...(x)e^{jn}> = prod delta(i_k, j_k).
-
-    w is a word over the dual basis; t a pure basis tensor of the same rank
-    given by algebra basis indices.
-    """
-    _require_algebra(ctx)
-    if len(w) != len(t):
-        raise ValueError(f"rank mismatch: word degree {len(w)} vs tensor rank {len(t)}")
-    for letter, idx in zip(w, t):
-        if letter.i != idx:
-            return ZERO
-    return ONE
-
-
-def pairing_bilinear(ctx: TensorContext, elem: TensorElement, tens: dict) -> Fraction:
-    """Bilinear extension of the pairing to sparse combinations on both sides."""
-    total = ZERO
-    for w, cw in elem.items():
-        for t, ct in tens.items():
-            if len(t) == len(w):
-                total += cw * ct * duality_pairing(ctx, w, t)
-    return total
-
-
-def tensor_power_product(e: AlgebraPresentation, t1: tuple, t2: tuple) -> dict:
-    """Componentwise product of two pure basis tensors in the n-th tensor
-    power of the algebra, expanded on basis tensors."""
-    if len(t1) != len(t2):
-        raise ValueError("rank mismatch")
-    acc = {(): ONE}
-    for a, b in zip(t1, t2):
-        expansion = e.basis_product(a, b)
-        nxt = {}
-        for prefix, coeff in acc.items():
-            vec_add_scaled(nxt, {prefix + (i,): c for i, c in expansion.items()}, coeff)
-        acc = nxt
-    return acc
-
-
-def verify_pairing(ctx: TensorContext) -> CheckReport:
-    """Check <delta(w), t1 (x) t2> = <w, t1 . t2> on all basis words of degree
-    <= min(N, 2) and all pairs of basis tensors of the matching rank."""
-    e = _require_algebra(ctx)
-    report = CheckReport("duality pairing intertwines coproduct and product")
-    for n in range(min(2, ctx.max_degree) + 1):
-        tensors = list(itertools.product(range(e.dim), repeat=n))
-        for w in ctx.word_basis(n):
-            pairs = word_coproduct(ctx, w)
-            for t1 in tensors:
-                for t2 in tensors:
-                    lhs = ZERO
-                    for (w1, w2), coeff in pairs.items():
-                        lhs += coeff * duality_pairing(ctx, w1, t1) * duality_pairing(ctx, w2, t2)
-                    rhs = pairing_bilinear(ctx, {w: ONE}, tensor_power_product(e, t1, t2))
-                    report.record(f"pairing identity on w={w}, t1={t1}, t2={t2}", lhs == rhs)
-    return report

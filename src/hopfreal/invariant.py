@@ -7,9 +7,10 @@ composition of operators corresponds to the *opposite* convolution product
 
     (a * b)(v) = sum a(v') b(v''),      X_a o X_b = X_{b*a},
 
-pinned here by tests rather than convention.  Regular operators are spans of
-such X_omega together with the identity; :class:`RIOp` keeps the identity
-coefficient split off explicitly.
+pinned by the tests rather than by convention; the form convolution
+algebra is a test oracle (``tests/oracles.py``).  Regular operators are
+spans of such X_omega together with the identity; :class:`RIOp` keeps the
+identity coefficient split off explicitly.
 
 Grade-preserving operators on the truncated tensor algebra are stored
 block-per-degree (:class:`LinOp`), one exact sparse matrix on the word basis
@@ -25,8 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coalgebra import AlgebraPresentation, BasisId, Coalgebra, dual_coalgebra
-from .errors import InternalInconsistencyError, InvarianceError
+from .coalgebra import BasisId, Coalgebra
 from .exactlin import (
     Matrix,
     ONE,
@@ -34,8 +34,6 @@ from .exactlin import (
     integer_view,
     intertwiner_defect,
     mat_combination,
-    mat_mul,
-    solve,
     vec_add_scaled,
     vec_clean,
 )
@@ -88,11 +86,6 @@ class LinOp:
         return all(m.is_zero() for m in self.blocks.values())
 
 
-def op_identity(ctx: TensorContext) -> LinOp:
-    return LinOp({n: Matrix.identity(len(ctx.word_basis(n)))
-                  for n in range(ctx.max_degree + 1)})
-
-
 def op_combination(ctx: TensorContext, terms) -> LinOp:
     """sum coeff * op over (op, coeff) terms, block by block; the zero
     operator when there are no terms."""
@@ -102,20 +95,6 @@ def op_combination(ctx: TensorContext, terms) -> LinOp:
         size = len(ctx.word_basis(n))
         blocks[n] = mat_combination(size, size, [(op.blocks[n], coeff) for op, coeff in terms])
     return LinOp(blocks)
-
-
-def op_compose(a: LinOp, b: LinOp) -> LinOp:
-    """a o b (apply b first)."""
-    return LinOp({n: mat_mul(m, b.blocks[n]) for n, m in a.blocks.items()})
-
-
-def op_vector(op: LinOp) -> dict:
-    """Flatten to a sparse vector keyed (degree, row, col), for span work."""
-    out = {}
-    for n, m in sorted(op.blocks.items()):
-        for (r, c), v in m.entries.items():
-            out[(n, r, c)] = v
-    return out
 
 
 def op_from_form(f: Coalgebra, x: RIOp) -> Matrix:
@@ -156,102 +135,19 @@ def _coproduct_blocks(ctx: TensorContext, n: int):
     return ctx._cache[key]
 
 
-def verify_right_invariance(cx, x):
-    """Exact check of delta o X = (X (x) id) o delta; returns (ok, witness or None).
+def verify_right_invariance(ctx: TensorContext, x: LinOp):
+    """Exact check of delta o X = (X (x) id) o delta on every block of x;
+    returns (ok, witness or None).
 
-    Accepts a TensorContext with a LinOp, checked on every block, or a
-    Coalgebra F with a degree-1 Matrix, which is the same check on
-    TensorContext(F, 1) with a basis element of F as the witness.  Each
-    degree is one exact identity D_n X_n = (X_n (x) I) D_n; its column w is
-    the equation at the word w, and the witness is the first failing word in
-    (degree, index) order.  Both sides have the denominator
+    Each degree is one exact identity D_n X_n = (X_n (x) I) D_n; its column w
+    is the equation at the word w, and the witness is the first failing word
+    in (degree, index) order.  Both sides have the denominator
     den(D_n) den(X_n), so the identity is decided on integer numerators by
     :func:`~hopfreal.exactlin.intertwiner_defect`, and a degree that holds
     builds no Fraction.
     """
-    if isinstance(cx, Coalgebra):
-        ok, w = verify_right_invariance(TensorContext(cx, 1), LinOp({1: x}))
-        return ok, (w[0] if w else None)
     for n, m in sorted(x.blocks.items()):
-        col = intertwiner_defect(cx.f.dim ** n, _coproduct_blocks(cx, n)[1], m)
+        col = intertwiner_defect(ctx.f.dim ** n, _coproduct_blocks(ctx, n)[1], m)
         if col is not None:
-            return False, cx.word_basis(n)[col]
+            return False, ctx.word_basis(n)[col]
     return True, None
-
-
-def form_of_op(f: Coalgebra, m: Matrix) -> Form:
-    """eps o X for a right-invariant degree-1 operator X; the inverse of
-    op_from_form on such operators.  Raises on a non-invariant input."""
-    ok, witness = verify_right_invariance(f, m)
-    if not ok:
-        raise InvarianceError(witness)
-    basis = list(f.basis)
-    form = {}
-    for (r, c), v in m.entries.items():
-        vec_add_scaled(form, {basis[c]: v}, f.eps(basis[r]))
-    return form
-
-
-def convolution(f: Coalgebra, a: Form, b: Form) -> Form:
-    """(a * b)(v) = sum a(v') b(v'') over delta(v)."""
-    out = {}
-    for v in f.basis:
-        total = ZERO
-        for (p, q, c) in f.delta_terms(v):
-            ca = a.get(p)
-            if ca:
-                cb = b.get(q)
-                if cb:
-                    total += c * ca * cb
-        if total:
-            out[v] = total
-    return out
-
-
-def counit_form(f: Coalgebra) -> Form:
-    return vec_clean(dict(f.epsilon))
-
-
-def convolution_inverse(f: Coalgebra, a: Form):
-    """Two-sided convolution inverse of a, or None.
-
-    Solves a * b = eps exactly in the finite-dimensional convolution algebra
-    and verifies b * a = eps as well.
-    """
-    basis = list(f.basis)
-    index = {b: k for k, b in enumerate(basis)}
-    entries = {}
-    for row, v in enumerate(basis):
-        for (p, q, c) in f.delta_terms(v):
-            vec_add_scaled(entries, {(row, index[q]): c}, a.get(p, ZERO))
-    m = Matrix(len(basis), len(basis), entries)
-    eps = counit_form(f)
-    rhs = {index[b]: c for b, c in eps.items()}
-    sol = solve(m, rhs)
-    if sol is None:
-        return None
-    b = {basis[k]: v for k, v in sol.items()}
-    if convolution(f, a, b) != eps or convolution(f, b, a) != eps:
-        return None
-    return b
-
-
-def transpose_left_mult(e: AlgebraPresentation, elem: dict) -> Matrix:
-    """Transpose of left multiplication by elem, as an operator on dual(e).
-
-    Internally cross-checked against op_from_form with the evaluation form
-    at elem (they agree by construction; a mismatch is a bug).
-    """
-    # (elem.)^t f_c = sum_i f_c(elem . e^i) f_i, so column c of the matrix
-    # collects, over i, the coefficient of e^c in elem . e^i at row i.
-    entries = {}
-    for i in range(e.dim):
-        for c, v in e.product(elem, {i: ONE}).items():
-            entries[(i, c)] = v
-    m = Matrix(e.dim, e.dim, entries)
-    eval_form = {BasisId.plain(i): Fraction(c) for i, c in elem.items() if c}
-    expected = op_from_form(dual_coalgebra(e), RIOp.from_form(eval_form))
-    if m != expected:
-        raise InternalInconsistencyError(
-            "transposed left multiplication disagrees with its form operator")
-    return m

@@ -10,12 +10,12 @@ l in L lifts to a unique grade-preserving operator X(l) on T(F):
     of l, letter by letter:  sum  x(l_(1))(f_1) (x) ... (x) x(l_(n))(f_n).
 
 The same operator is characterized by the product-splitting rule
-X(l)(w1 . w2) = sum X(l') (w1) . X(l'') (w2) over delta(l); the package keeps
-both constructions (:func:`lift_operator` and :func:`lift_operator_recursive`)
-and uses their bit-exact agreement as a build-time oracle.
+X(l)(w1 . w2) = sum X(l') (w1) . X(l'') (w2) over delta(l).  The tests
+build it that way too, one letter at a time, and require bit-exact
+agreement with :func:`lift_operator` (``tests/oracles.py``).
 
 :func:`split_witness` checks the splitting rule exactly on the T(F)
-blocks, for lifted operators and (as a test oracle) for pi of monomials;
+blocks, for lifted operators and (in the tests) for pi of monomials;
 the antipode coproduct laws are decided on classes in ``hopf``.  Word bases
 are lex-ordered products, so the rule on all word pairs of degrees
 (n1, n2) is one block identity: the degree n1 + n2 block of the outer
@@ -100,12 +100,6 @@ def make_spec(l_coalg, f_ctx, x_map, diag_pairs=None) -> RealizationSpec:
     return spec
 
 
-def with_truncation(spec: RealizationSpec, max_degree: int) -> RealizationSpec:
-    """Same realization data at another truncation degree (fresh caches)."""
-    ctx = TensorContext(spec.f_ctx.f, max_degree, algebra=spec.f_ctx.algebra)
-    return RealizationSpec(spec.l_coalg, ctx, spec.x_map, spec.diag_pairs)
-
-
 def _iterate_last(c: Coalgebra, terms: dict, steps: int) -> dict:
     for _ in range(steps):
         nxt = {}
@@ -174,41 +168,6 @@ def lift_operator(spec: RealizationSpec, l) -> LinOp:
                                       for n in range(spec.max_degree + 1)})
         return spec._cache[key]
     return op_combination(spec.f_ctx, [(lift_operator(spec, b), coeff) for b, coeff in l.items()])
-
-
-def _recursive_block(spec: RealizationSpec, b: BasisId, n: int) -> Matrix:
-    key = ("rec", b, n)
-    if key in spec._cache:
-        return spec._cache[key]
-    dim = spec.f_ctx.f.dim
-    if n == 0:
-        block = Matrix(1, 1, {(0, 0): spec.l_coalg.eps(b)})
-    elif n == 1:
-        block = spec.x_matrix(b)
-    else:
-        sub = dim ** (n - 1)
-        acc = {}
-        for (p, q, coeff) in spec.l_coalg.delta_terms(b):
-            first = spec.x_matrix(p)
-            rest = _recursive_block(spec, q, n - 1)
-            for (r1, c1), v1 in first.entries.items():
-                vec_add_scaled(acc, {(r1 * sub + r2, c1 * sub + c2): v2
-                                     for (r2, c2), v2 in rest.entries.items()}, coeff * v1)
-        block = Matrix(dim ** n, dim ** n, acc)
-    spec._cache[key] = block
-    return block
-
-
-def lift_operator_recursive(spec: RealizationSpec, l) -> LinOp:
-    """Independent construction of X(l) from the product-splitting rule,
-    peeling one letter at a time.  Must agree bit-exactly with
-    :func:`lift_operator`; used as the uniqueness oracle."""
-    if isinstance(l, BasisId):
-        l = {l: ONE}
-    sizes = {n: spec.f_ctx.f.dim ** n for n in range(spec.max_degree + 1)}
-    return LinOp({n: mat_combination(size, size, [(_recursive_block(spec, b, n), coeff)
-                                                  for b, coeff in l.items()])
-                  for n, size in sizes.items()})
 
 
 def split_witness(ctx: TensorContext, outer: LinOp, parts, bound: int):

@@ -10,8 +10,8 @@ W_N of blocks 0 .. N, in graded-lex order, are a basis of A, and the
 coordinates of an element of T(L) on that basis are its class, zero exactly
 when pi kills it.  The degree-d kernel is the nullspace of the coordinate
 columns of the monomials (in the global lexicographic order over the sorted
-basis of L), a matrix with dim A rows.  :func:`represent` and
-:func:`verify_splitting` compose the T(F) blocks as test oracles.  A kernel
+basis of L), a matrix with dim A rows.  The tests compose the T(F) blocks
+of pi(w) as an oracle for the walk (``tests/oracles.py``).  A kernel
 element is certified *relative to the truncation N*:
 :func:`kernel_persistence` also computes the kernel on the next window
 W_{N + 1} of blocks 0 .. N + 1, and flags candidates that fail to persist.
@@ -40,8 +40,7 @@ from fractions import Fraction
 from .coalgebra import Coalgebra
 from .exactlin import Matrix, ONE, SpanBasis, kernel_basis, mat_mul, vec_add_scaled
 from .free_tensor import TensorContext, graded_key, word_coproduct
-from .invariant import LinOp, op_combination, op_compose, op_identity
-from .lifting import RealizationSpec, lift_operator, split_witness
+from .lifting import RealizationSpec
 from .reportkit import CheckReport
 
 # Monomials over L and sparse combinations of them reuse the word machinery
@@ -81,38 +80,6 @@ def monomials(l_coalg: Coalgebra, degree: int) -> tuple:
 
 def monomials_upto(l_coalg: Coalgebra, degree: int) -> tuple:
     return tuple(w for n in range(degree + 1) for w in monomials(l_coalg, n))
-
-
-def represent_word(spec: RealizationSpec, w: tuple) -> LinOp:
-    """pi on a single monomial: composition of the lifted generators (a test
-    oracle for the image walk; memoized per spec)."""
-    key = ("pi", w)
-    if key in spec._cache:
-        return spec._cache[key]
-    if not w:
-        op = op_identity(spec.f_ctx)
-    else:
-        op = op_compose(represent_word(spec, w[:-1]), lift_operator(spec, w[-1]))
-    spec._cache[key] = op
-    return op
-
-
-def represent(spec: RealizationSpec, w) -> LinOp:
-    """pi extended linearly to sparse combinations of monomials."""
-    if isinstance(w, tuple):
-        w = {w: ONE}
-    return op_combination(spec.f_ctx, [
-        (represent_word(spec, mono), coeff)
-        for mono, coeff in sorted(w.items(), key=lambda kv: graded_key(kv[0]))
-    ])
-
-
-def verify_splitting(spec: RealizationSpec, w: tuple, bound: int) -> bool:
-    """Test oracle on T(F) blocks: pi(w)(w1 . w2) = sum pi(w')(w1) . pi(w'')(w2)
-    over the letterwise coproduct of w, for deg w1 + deg w2 <= min(bound, N)."""
-    splits = [(represent_word(spec, w1), represent_word(spec, w2), coeff)
-              for (w1, w2), coeff in sorted(word_coproduct(l_context(spec), w).items())]
-    return split_witness(spec.f_ctx, represent_word(spec, w), splits, bound) is None
 
 
 class _Layer:
@@ -583,9 +550,3 @@ def verify_coideal(spec: RealizationSpec, r: RelationSpace, degree_bound: int) -
             + ("" if not residue else " (residue nonzero)"),
             not residue)
     return report
-
-
-def counit_check(spec: RealizationSpec, w) -> Fraction:
-    """Value of pi(w) on the unit word; the counit of the operator bialgebra."""
-    op = represent(spec, w)
-    return op.blocks[0].get(0, 0)

@@ -1,0 +1,280 @@
+"""Reference implementations that the tests compare the package against.
+
+No report runs these.  Each computes by the direct route an object the
+package decides another way: pi(w) as composed T(F) blocks (against the
+image walk), the lift by the splitting recursion (against the iterated
+coproduct), the form convolution algebra (against composing the X_omega),
+the T(F)/T(E) duality pairing, and relabelled coalgebras.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+
+from hopfreal.coalgebra import (
+    AlgebraPresentation, BasisId, Coalgebra, dual_coalgebra, make_coalgebra, triangular_units)
+from hopfreal.errors import InternalInconsistencyError, InvarianceError, UnsupportedStructureError
+from hopfreal.exactlin import (
+    Matrix, ONE, ZERO, mat_combination, mat_mul, solve, vec_add_scaled, vec_clean)
+from hopfreal.free_tensor import TensorContext, graded_key, word_coproduct
+from hopfreal.invariant import LinOp, RIOp, op_combination, op_from_form, verify_right_invariance
+from hopfreal.lifting import RealizationSpec, lift_operator, split_witness
+from hopfreal.realization import l_context
+from hopfreal.reportkit import CheckReport
+
+
+def op_identity(ctx: TensorContext) -> LinOp:
+    return LinOp({n: Matrix.identity(len(ctx.word_basis(n)))
+                  for n in range(ctx.max_degree + 1)})
+
+
+def op_compose(a: LinOp, b: LinOp) -> LinOp:
+    """a o b (apply b first)."""
+    return LinOp({n: mat_mul(m, b.blocks[n]) for n, m in a.blocks.items()})
+
+
+def op_vector(op: LinOp) -> dict:
+    """Flatten to a sparse vector keyed (degree, row, col), for span work."""
+    out = {}
+    for n, m in sorted(op.blocks.items()):
+        for (r, c), v in m.entries.items():
+            out[(n, r, c)] = v
+    return out
+
+
+def right_invariance_on_f(f: Coalgebra, m: Matrix):
+    """The right-invariance check of a degree-1 operator on F, with a basis
+    element of F as the witness: the package's check on TensorContext(F, 1)."""
+    ok, w = verify_right_invariance(TensorContext(f, 1), LinOp({1: m}))
+    return ok, (w[0] if w else None)
+
+
+def with_truncation(spec: RealizationSpec, max_degree: int) -> RealizationSpec:
+    """Same realization data at another truncation degree (fresh caches)."""
+    ctx = TensorContext(spec.f_ctx.f, max_degree, algebra=spec.f_ctx.algebra)
+    return RealizationSpec(spec.l_coalg, ctx, spec.x_map, spec.diag_pairs)
+
+
+def represent_word(spec: RealizationSpec, w: tuple) -> LinOp:
+    """pi on a single monomial: composition of the lifted generators
+    (memoized per spec)."""
+    key = ("pi", w)
+    if key in spec._cache:
+        return spec._cache[key]
+    if not w:
+        op = op_identity(spec.f_ctx)
+    else:
+        op = op_compose(represent_word(spec, w[:-1]), lift_operator(spec, w[-1]))
+    spec._cache[key] = op
+    return op
+
+
+def represent(spec: RealizationSpec, w) -> LinOp:
+    """pi extended linearly to sparse combinations of monomials."""
+    if isinstance(w, tuple):
+        w = {w: ONE}
+    return op_combination(spec.f_ctx, [
+        (represent_word(spec, mono), coeff)
+        for mono, coeff in sorted(w.items(), key=lambda kv: graded_key(kv[0]))
+    ])
+
+
+def verify_splitting(spec: RealizationSpec, w: tuple, bound: int) -> bool:
+    """pi(w)(w1 . w2) = sum pi(w')(w1) . pi(w'')(w2) over the letterwise
+    coproduct of w, for deg w1 + deg w2 <= min(bound, N)."""
+    splits = [(represent_word(spec, w1), represent_word(spec, w2), coeff)
+              for (w1, w2), coeff in sorted(word_coproduct(l_context(spec), w).items())]
+    return split_witness(spec.f_ctx, represent_word(spec, w), splits, bound) is None
+
+
+def counit_check(spec: RealizationSpec, w) -> Fraction:
+    """Value of pi(w) on the unit word; the counit of the operator bialgebra."""
+    return represent(spec, w).blocks[0].get(0, 0)
+
+
+def _recursive_block(spec: RealizationSpec, b: BasisId, n: int) -> Matrix:
+    key = ("rec", b, n)
+    if key in spec._cache:
+        return spec._cache[key]
+    dim = spec.f_ctx.f.dim
+    if n == 0:
+        block = Matrix(1, 1, {(0, 0): spec.l_coalg.eps(b)})
+    elif n == 1:
+        block = spec.x_matrix(b)
+    else:
+        sub = dim ** (n - 1)
+        acc = {}
+        for (p, q, coeff) in spec.l_coalg.delta_terms(b):
+            first = spec.x_matrix(p)
+            rest = _recursive_block(spec, q, n - 1)
+            for (r1, c1), v1 in first.entries.items():
+                vec_add_scaled(acc, {(r1 * sub + r2, c1 * sub + c2): v2
+                                     for (r2, c2), v2 in rest.entries.items()}, coeff * v1)
+        block = Matrix(dim ** n, dim ** n, acc)
+    spec._cache[key] = block
+    return block
+
+
+def lift_operator_recursive(spec: RealizationSpec, l) -> LinOp:
+    """X(l) from the product-splitting rule, peeling one letter at a time.
+    Must agree bit-exactly with :func:`hopfreal.lifting.lift_operator`."""
+    if isinstance(l, BasisId):
+        l = {l: ONE}
+    sizes = {n: spec.f_ctx.f.dim ** n for n in range(spec.max_degree + 1)}
+    return LinOp({n: mat_combination(size, size, [(_recursive_block(spec, b, n), coeff)
+                                                  for b, coeff in l.items()])
+                  for n, size in sizes.items()})
+
+
+def form_of_op(f: Coalgebra, m: Matrix) -> dict:
+    """eps o X for a right-invariant degree-1 operator X; the inverse of
+    op_from_form on such operators.  Raises on a non-invariant input."""
+    ok, witness = right_invariance_on_f(f, m)
+    if not ok:
+        raise InvarianceError(witness)
+    basis = list(f.basis)
+    form = {}
+    for (r, c), v in m.entries.items():
+        vec_add_scaled(form, {basis[c]: v}, f.eps(basis[r]))
+    return form
+
+
+def convolution(f: Coalgebra, a: dict, b: dict) -> dict:
+    """(a * b)(v) = sum a(v') b(v'') over delta(v)."""
+    out = {}
+    for v in f.basis:
+        total = ZERO
+        for (p, q, c) in f.delta_terms(v):
+            ca = a.get(p)
+            if ca:
+                cb = b.get(q)
+                if cb:
+                    total += c * ca * cb
+        if total:
+            out[v] = total
+    return out
+
+
+def convolution_inverse(f: Coalgebra, a: dict):
+    """Two-sided convolution inverse of a, or None: solves a * b = eps
+    exactly and verifies b * a = eps as well."""
+    basis = list(f.basis)
+    index = {b: k for k, b in enumerate(basis)}
+    entries = {}
+    for row, v in enumerate(basis):
+        for (p, q, c) in f.delta_terms(v):
+            vec_add_scaled(entries, {(row, index[q]): c}, a.get(p, ZERO))
+    m = Matrix(len(basis), len(basis), entries)
+    eps = vec_clean(f.epsilon)
+    sol = solve(m, {index[b]: c for b, c in eps.items()})
+    if sol is None:
+        return None
+    b = {basis[k]: v for k, v in sol.items()}
+    if convolution(f, a, b) != eps or convolution(f, b, a) != eps:
+        return None
+    return b
+
+
+def transpose_left_mult(e: AlgebraPresentation, elem: dict) -> Matrix:
+    """Transpose of left multiplication by elem, as an operator on dual(e),
+    cross-checked against op_from_form with the evaluation form at elem."""
+    # (elem.)^t f_c = sum_i f_c(elem . e^i) f_i, so column c of the matrix
+    # collects, over i, the coefficient of e^c in elem . e^i at row i.
+    entries = {}
+    for i in range(e.dim):
+        for c, v in e.product(elem, {i: ONE}).items():
+            entries[(i, c)] = v
+    m = Matrix(e.dim, e.dim, entries)
+    eval_form = {BasisId.plain(i): Fraction(c) for i, c in elem.items() if c}
+    expected = op_from_form(dual_coalgebra(e), RIOp.from_form(eval_form))
+    if m != expected:
+        raise InternalInconsistencyError(
+            "transposed left multiplication disagrees with its form operator")
+    return m
+
+
+def _require_algebra(ctx: TensorContext) -> AlgebraPresentation:
+    if ctx.algebra is None:
+        raise UnsupportedStructureError(
+            "duality pairing needs a context built from an algebra presentation")
+    return ctx.algebra
+
+
+def duality_pairing(ctx: TensorContext, w: tuple, t: tuple) -> Fraction:
+    """<f_{i1}...f_{in}, e^{j1}(x)...(x)e^{jn}> = prod delta(i_k, j_k).
+
+    w is a word over the dual basis; t a pure basis tensor of the same rank
+    given by algebra basis indices.
+    """
+    _require_algebra(ctx)
+    if len(w) != len(t):
+        raise ValueError(f"rank mismatch: word degree {len(w)} vs tensor rank {len(t)}")
+    for letter, idx in zip(w, t):
+        if letter.i != idx:
+            return ZERO
+    return ONE
+
+
+def pairing_bilinear(ctx: TensorContext, elem: dict, tens: dict) -> Fraction:
+    """Bilinear extension of the pairing to sparse combinations on both sides."""
+    total = ZERO
+    for w, cw in elem.items():
+        for t, ct in tens.items():
+            if len(t) == len(w):
+                total += cw * ct * duality_pairing(ctx, w, t)
+    return total
+
+
+def tensor_power_product(e: AlgebraPresentation, t1: tuple, t2: tuple) -> dict:
+    """Componentwise product of two pure basis tensors in the n-th tensor
+    power of the algebra, expanded on basis tensors."""
+    if len(t1) != len(t2):
+        raise ValueError("rank mismatch")
+    acc = {(): ONE}
+    for a, b in zip(t1, t2):
+        expansion = e.basis_product(a, b)
+        nxt = {}
+        for prefix, coeff in acc.items():
+            vec_add_scaled(nxt, {prefix + (i,): c for i, c in expansion.items()}, coeff)
+        acc = nxt
+    return acc
+
+
+def verify_pairing(ctx: TensorContext) -> CheckReport:
+    """Check <delta(w), t1 (x) t2> = <w, t1 . t2> on all basis words of degree
+    <= min(N, 2) and all pairs of basis tensors of the matching rank."""
+    e = _require_algebra(ctx)
+    report = CheckReport("duality pairing intertwines coproduct and product")
+    for n in range(min(2, ctx.max_degree) + 1):
+        tensors = list(itertools.product(range(e.dim), repeat=n))
+        for w in ctx.word_basis(n):
+            pairs = word_coproduct(ctx, w)
+            for t1 in tensors:
+                for t2 in tensors:
+                    lhs = ZERO
+                    for (w1, w2), coeff in pairs.items():
+                        lhs += coeff * duality_pairing(ctx, w1, t1) * duality_pairing(ctx, w2, t2)
+                    rhs = pairing_bilinear(ctx, {w: ONE}, tensor_power_product(e, t1, t2))
+                    report.record(f"pairing identity on w={w}, t1={t1}, t2={t2}", lhs == rhs)
+    return report
+
+
+def relabel(c: Coalgebra, mapping: dict) -> Coalgebra:
+    """Rename basis ids along a bijection (structure transported verbatim)."""
+    basis = [mapping[b] for b in c.basis]
+    delta = {
+        mapping[b]: [(mapping[p], mapping[q], coeff) for (p, q, coeff) in terms]
+        for b, terms in c.delta.items()
+    }
+    epsilon = {mapping[b]: v for b, v in c.epsilon.items()}
+    return make_coalgebra(basis, delta, epsilon)
+
+
+def dual_triangular_relabeling(n: int) -> dict:
+    """Canonical bijection dual(M_n+) basis -> triangular basis: e[r,c]* -> l[c,r]."""
+    units = triangular_units(n)
+    return {
+        BasisId.plain(k): BasisId.tri(c, r)
+        for k, (r, c) in enumerate(units)
+    }

@@ -14,11 +14,8 @@ from pathlib import Path
 from conftest import example_w_spec, projection_spec, tri, trivial_spec
 from hopfreal.cli import main
 from hopfreal.coalgebra import (
-    BasisId,
     dual_coalgebra,
     dual_numbers,
-    dual_triangular_relabeling,
-    relabel,
     triangular_coalgebra,
     upper_triangular_algebra,
     verify_coalgebra,
@@ -29,7 +26,6 @@ from hopfreal.free_tensor import (
     context_from_algebra,
     graded_key,
     verify_free_bialgebra,
-    verify_pairing,
     word_coproduct,
 )
 from hopfreal.hopf import (
@@ -41,18 +37,24 @@ from hopfreal.hopf import (
     verify_uniqueness_perturbations,
     verify_Y_coproduct,
 )
-from hopfreal.invariant import RIOp, convolution, op_combination, op_from_form
+from hopfreal.invariant import RIOp, op_combination, op_from_form
 from hopfreal.lifting import (
     lift_operator,
-    lift_operator_recursive,
     verify_lift,
-    with_truncation,
 )
 from hopfreal.realization import (
     relation_kernel,
     relation_kernel_upto,
-    represent,
     verify_coideal,
+)
+from oracles import (
+    convolution,
+    dual_triangular_relabeling,
+    lift_operator_recursive,
+    relabel,
+    represent,
+    verify_pairing,
+    with_truncation,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"

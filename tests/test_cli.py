@@ -273,6 +273,16 @@ def test_cli_fractional_parameter_is_input_error(tmp_path, capsys):
     assert "error:" in err and "expected an integer" in err and "line 22" in err
 
 
+def test_cli_non_utf8_input_is_input_error(tmp_path, capsys):
+    doc = tmp_path / "doc.hra"
+    doc.write_bytes(b"\xff\xfe\x00")
+    code = main(["report", "--input", str(doc)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read input:") and "Traceback" not in err
+
+
 def test_cli_unwritable_emit_path_is_error(tmp_path, capsys):
     emit = tmp_path / "missing" / "out.hra"
     code = main(["report", "--input", str(FIXTURES / "trivial.hra"),

@@ -10,19 +10,18 @@ from hopfreal.coalgebra import (
     BasisId,
     dual_coalgebra,
     dual_numbers,
-    dual_triangular_relabeling,
     diagonal_algebra,
     direct_sum,
     ground_field,
     grouplikes,
     is_cotriangular,
     make_coalgebra,
-    relabel,
     triangular_coalgebra,
     upper_triangular_algebra,
     verify_coalgebra,
 )
 from hopfreal.errors import InvalidAlgebraError
+from oracles import dual_triangular_relabeling, relabel
 
 ONE = F(1)
 

@@ -38,14 +38,7 @@ from hopfreal.hopf import (
 )
 from hopfreal.free_tensor import concat_product, context_from_algebra, graded_key
 from hopfreal.inputdoc import build_spec, parse_input
-from hopfreal.invariant import (
-    LinOp,
-    RIOp,
-    op_combination,
-    op_compose,
-    op_identity,
-    op_vector,
-)
+from hopfreal.invariant import LinOp, RIOp, op_combination
 from hopfreal.lifting import lift_operator, make_spec, split_witness
 from hopfreal.realization import (
     BoundedIdeal,
@@ -53,9 +46,8 @@ from hopfreal.realization import (
     l_context,
     monomials_upto,
     relation_kernel_upto,
-    represent,
-    represent_word,
 )
+from oracles import convolution_inverse, op_compose, op_identity, op_vector, represent, represent_word
 
 ONE = F(1)
 GENERAL_W = Path(__file__).resolve().parent.parent / "fixtures" / "general_w.hra"
@@ -415,8 +407,6 @@ def test_relation_space_elements_are_zero_operators(example_w):
 def test_projection_failure_mirrors_convolution_inverse():
     # the degree-1 obstruction is the same: the projection form has no
     # convolution inverse, and the general solver finds no antipode
-    from hopfreal.invariant import convolution_inverse
-
     spec = projection_spec()
     form = spec.x_map[tri(1, 1)].form
     assert convolution_inverse(spec.f_ctx.f, form) is None

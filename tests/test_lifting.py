@@ -10,15 +10,15 @@ from hopfreal.coalgebra import BasisId, triangular_coalgebra
 from hopfreal.errors import ValidationError
 from hopfreal.exactlin import Matrix, kron_combination
 from hopfreal.free_tensor import TensorContext
-from hopfreal.invariant import LinOp, RIOp, op_combination, op_identity
+from hopfreal.invariant import LinOp, RIOp, op_combination
 from hopfreal.lifting import (
     iterated_coproduct,
     lift_operator,
-    lift_operator_recursive,
     make_spec,
     split_witness,
     verify_lift,
 )
+from oracles import lift_operator_recursive, op_identity
 
 ONE = F(1)
 

@@ -20,12 +20,11 @@ from hopfreal.errors import InputError, InvalidAlgebraError
 from hopfreal.exactlin import Matrix, SpanBasis, kernel_basis, vec_add_scaled
 from hopfreal.free_tensor import TensorContext, coproduct, counit, graded_key
 from hopfreal.inputdoc import build_spec, parse_input
-from hopfreal.invariant import RIOp, op_identity, op_vector
-from hopfreal.lifting import make_spec, with_truncation
+from hopfreal.invariant import RIOp
+from hopfreal.lifting import make_spec
 from hopfreal.pipeline import STAGE_ORDER, _run
 from hopfreal.realization import (
     computed_relation_ideal,
-    counit_check,
     l_context,
     ideal_span,
     kernel_persistence,
@@ -34,11 +33,17 @@ from hopfreal.realization import (
     pair_reduce,
     relation_kernel,
     relation_kernel_upto,
+    verify_coideal,
+    RelationSpace,
+)
+from oracles import (
+    counit_check,
+    op_identity,
+    op_vector,
     represent,
     represent_word,
-    verify_coideal,
     verify_splitting,
-    RelationSpace,
+    with_truncation,
 )
 
 ONE = F(1)
