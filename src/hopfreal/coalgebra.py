@@ -25,15 +25,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import InvalidAlgebraError
 from .exactlin import ONE, ZERO, vec_add_scaled, vec_clean
 from .reportkit import CheckReport
 
 
-@dataclass(frozen=True, order=True)
-class BasisId:
-    """Label of a coalgebra basis vector.
+class BasisId(tuple):
+    """Label of a coalgebra basis vector: the triple (block, i, j).
 
     Triangular ids carry the matrix position (i, j) with 1 <= j <= i and a
     block index; plain ids (j == 0) index an abstract basis, e.g. the dual
@@ -41,24 +41,34 @@ class BasisId:
     deterministic sort used everywhere (sparse iteration, word bases,
     monomial orders).
 
-    The hash is computed once, in ``__post_init__``: every word and monomial
-    is a tuple of ids, and hashing a tuple hashes each letter again.  Its
-    value is the one the generated dataclass hash gives.
+    Every word and monomial is a tuple of ids, so each dict lookup of a word
+    hashes and compares its letters.  As a tuple subclass an id hashes,
+    compares and sorts in C, with the value and order of the plain triple;
+    an id therefore equals the plain triple ``(block, i, j)``.
     """
 
-    block: int
-    i: int
-    j: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.j < 0 or self.i < 0 or self.block < 0:
-            raise ValueError(f"bad basis id ({self.block},{self.i},{self.j})")
-        if self.j > self.i:
-            raise ValueError(f"triangular id needs j <= i, got ({self.i},{self.j})")
-        object.__setattr__(self, "_hash", hash((self.block, self.i, self.j)))
+    def __new__(cls, block: int, i: int, j: int = 0):
+        if j < 0 or i < 0 or block < 0:
+            raise ValueError(f"bad basis id ({block},{i},{j})")
+        if j > i:
+            raise ValueError(f"triangular id needs j <= i, got ({i},{j})")
+        return tuple.__new__(cls, (block, i, j))
 
-    def __hash__(self):
-        return self._hash
+    # in the class body so that it can be read and patched on the class
+    __hash__ = tuple.__hash__
+
+    block = property(itemgetter(0))
+    i = property(itemgetter(1))
+    j = property(itemgetter(2))
+
+    def __getnewargs__(self):
+        # tuple's own passes the triple to __new__ as one argument
+        return tuple(self)
+
+    def __repr__(self):
+        return f"BasisId(block={self.block!r}, i={self.i!r}, j={self.j!r})"
 
     @staticmethod
     def plain(i: int, block: int = 0) -> "BasisId":
@@ -220,8 +230,9 @@ class Coalgebra:
 
 def make_coalgebra(basis, delta, epsilon) -> Coalgebra:
     """The coalgebra with every id of delta and epsilon replaced by the
-    equal object of the basis, so that dict lookups of words built from
-    coproduct terms are identity hits, not ``BasisId.__eq__`` calls."""
+    equal object of the basis, so that every word built from coproduct
+    terms shares the basis's objects (one object per letter; lookups of
+    such words short-cut on identity before comparing)."""
     basis = tuple(sorted(basis))
     own = {b: b for b in basis}
     delta = {own.get(b, b): [(own.get(p, p), own.get(q, q), c) for p, q, c in terms]

@@ -154,7 +154,8 @@ def triangular_systems_ok(spec: RealizationSpec, entries: dict) -> bool:
 
 
 def _tri_ids(spec: RealizationSpec) -> dict:
-    """The basis of L by (block, i, j); lookups through it are identity hits."""
+    """The basis of L by (block, i, j): the ids the antipode table is keyed
+    and built with, so its words share the basis's own objects."""
     return {(b.block, b.i, b.j): b for b in spec.l_coalg.basis}
 
 

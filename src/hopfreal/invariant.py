@@ -82,9 +82,6 @@ class LinOp:
     def __eq__(self, other):
         return isinstance(other, LinOp) and self.blocks == other.blocks
 
-    def is_zero(self) -> bool:
-        return all(m.is_zero() for m in self.blocks.values())
-
 
 def op_combination(ctx: TensorContext, terms) -> LinOp:
     """sum coeff * op over (op, coeff) terms, block by block; the zero

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .coalgebra import Coalgebra
 from .exactlin import Matrix, ONE, SpanBasis, kernel_basis, mat_mul, vec_add_scaled
@@ -286,10 +285,9 @@ class BoundedIdeal:
     ``lead`` maps each leading word m to (sugar s, m, monic element).  Reads
     like a ``SpanBasis(graded_key)`` holding S_b, with the same values:
     ``reduce`` gives the unique representative supported on standard words,
-    ``pivots()`` are the words of length <= b that are not standard (the
-    leading words of S_b), and ``basis()`` the canonical reduced rows
-    p - NF(p).  Word normal forms and residues (over the T(L) context
-    ctx) are memoized; ``dim`` and ``pivots()`` are computed on first use.
+    and ``dim`` counts the words of length <= b that are not standard (the
+    leading words of S_b).  Word normal forms and residues (over the T(L)
+    context ctx) are memoized; ``dim`` is computed on first use.
     """
 
     def __init__(self, ctx: TensorContext, lead: dict, bound: int):
@@ -362,7 +360,7 @@ class BoundedIdeal:
         """Canonical representative of vec modulo S_b."""
         out = {}
         for w, coeff in vec.items():
-            vec_add_scaled(out, self.normal_form(w), Fraction(coeff))
+            vec_add_scaled(out, self.normal_form(w), coeff)
         return out
 
     def contains(self, vec: dict) -> bool:
@@ -390,25 +388,12 @@ class BoundedIdeal:
                             for k in range(self.bound + 1))
         return self._dim
 
-    def pivots(self) -> list:
-        return [w for k in range(self.bound + 1) for w in itertools.product(self._letters, repeat=k)
-                if self._reducer(w) is not None]
-
     def view(self, bound: int) -> "BoundedIdeal":
         """S_b at a bound b <= this one, read off the same Groebner basis
         (see :func:`ideal_span`); fresh normal-form and residue memos."""
         if bound > self.bound:
             raise ValueError(f"a view at bound {bound} of an ideal built to {self.bound}")
         return BoundedIdeal(self._ctx, self._lead, bound)
-
-    def basis(self) -> list:
-        """Rows in increasing pivot order (canonical)."""
-        rows = []
-        for p in self.pivots():
-            row = {p: ONE}
-            vec_add_scaled(row, self.normal_form(p), -ONE)
-            rows.append(row)
-        return rows
 
     def __repr__(self):
         return f"BoundedIdeal(bound={self.bound}, {len(self._lead)} basis elements)"

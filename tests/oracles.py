@@ -4,7 +4,8 @@ No report runs these.  Each computes by the direct route an object the
 package decides another way: pi(w) as composed T(F) blocks (against the
 image walk), the lift by the splitting recursion (against the iterated
 coproduct), the form convolution algebra (against composing the X_omega),
-the T(F)/T(E) duality pairing, and relabelled coalgebras.
+the T(F)/T(E) duality pairing, relabelled coalgebras, and the pivots and
+rows of a bounded ideal (against an enumerated span).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from hopfreal.exactlin import (
 from hopfreal.free_tensor import TensorContext, graded_key, word_coproduct
 from hopfreal.invariant import LinOp, RIOp, op_combination, op_from_form, verify_right_invariance
 from hopfreal.lifting import RealizationSpec, lift_operator, split_witness
-from hopfreal.realization import l_context
+from hopfreal.realization import BoundedIdeal, l_context
 from hopfreal.reportkit import CheckReport
 
 
@@ -41,6 +42,10 @@ def op_vector(op: LinOp) -> dict:
         for (r, c), v in m.entries.items():
             out[(n, r, c)] = v
     return out
+
+
+def op_is_zero(op: LinOp) -> bool:
+    return all(m.is_zero() for m in op.blocks.values())
 
 
 def right_invariance_on_f(f: Coalgebra, m: Matrix):
@@ -91,6 +96,23 @@ def verify_splitting(spec: RealizationSpec, w: tuple, bound: int) -> bool:
 def counit_check(spec: RealizationSpec, w) -> Fraction:
     """Value of pi(w) on the unit word; the counit of the operator bialgebra."""
     return represent(spec, w).blocks[0].get(0, 0)
+
+
+def ideal_pivots(ideal: BoundedIdeal) -> list:
+    """The words of length <= b that are not standard: the leading words of
+    S_b, in graded-lex order (the pivots of a ``SpanBasis(graded_key)``)."""
+    return [w for k in range(ideal.bound + 1) for w in itertools.product(ideal._letters, repeat=k)
+            if ideal._reducer(w) is not None]
+
+
+def ideal_basis(ideal: BoundedIdeal) -> list:
+    """The canonical reduced rows p - NF(p) of S_b in increasing pivot order."""
+    rows = []
+    for p in ideal_pivots(ideal):
+        row = {p: ONE}
+        vec_add_scaled(row, ideal.normal_form(p), -ONE)
+        rows.append(row)
+    return rows
 
 
 def _recursive_block(spec: RealizationSpec, b: BasisId, n: int) -> Matrix:

@@ -38,6 +38,9 @@ from hopfreal.realization import (
 )
 from oracles import (
     counit_check,
+    ideal_basis,
+    ideal_pivots,
+    op_is_zero,
     op_identity,
     op_vector,
     represent,
@@ -66,13 +69,13 @@ def test_represent_empty_word_is_identity(example_w):
 
 def test_represent_diagonal_difference_vanishes(example_w):
     op = represent(example_w, {(tri(1, 1),): ONE, (tri(2, 2),): F(-1)})
-    assert op.is_zero()
+    assert op_is_zero(op)
 
 
 def test_represent_square_of_off_diagonal(example_w):
     # pi(l[2,1} (x) l[2,1]) sends f[1] (x) f[1] to 2 f[2] (x) f[2]
     op = represent_word(example_w, (tri(2, 1), tri(2, 1)))
-    assert not op.is_zero()
+    assert not op_is_zero(op)
     out = apply_to_word(example_w.f_ctx, op, (f(1), f(1)))
     assert out == {(f(2), f(2)): F(2)}
 
@@ -160,7 +163,7 @@ def test_ideal_stability_of_kernel_elements(example_w):
             if len(a) + 1 + len(b) > example_w.max_degree:
                 continue
             padded = {a + w + b: c for w, c in rel.items()}
-            assert represent(example_w, padded).is_zero()
+            assert op_is_zero(represent(example_w, padded))
 
 
 def test_counit_check_values(example_w):
@@ -187,7 +190,7 @@ def test_counit_check_matches_eps_extension(example_w):
 def test_ideal_span_respects_bound(trivial):
     gens = relation_kernel(trivial, 1).basis
     span = ideal_span(l_context(trivial), gens, 2)
-    for row in span.basis():
+    for row in ideal_basis(span):
         assert max(len(w) for w in row) <= 2
     # the span contains padded copies of the generators
     z = {(tri(2, 1),): ONE}
@@ -216,8 +219,8 @@ def enumerated_ideal_span(l_coalg, gens, bound):
 def assert_same_ideal_span(l_coalg, gens, bound):
     got = ideal_span(TensorContext(l_coalg, 1), gens, bound)
     want = enumerated_ideal_span(l_coalg, gens, bound)
-    assert got.pivots() == want.pivots()
-    assert got.basis() == want.basis()
+    assert ideal_pivots(got) == want.pivots()
+    assert ideal_basis(got) == want.basis()
 
 
 LETTERS = example_w_spec().l_coalg.basis
@@ -240,7 +243,7 @@ def assert_same_normal_forms(l_coalg, gens, bound):
     want = enumerated_ideal_span(l_coalg, gens, bound)
     assert got.dim == want.dim
     pivots = want.pivots()
-    assert got.pivots() == pivots
+    assert ideal_pivots(got) == pivots
     for k in range(bound + 1):
         assert len(got.standard_words(k)) == len(l_coalg.basis) ** k - sum(len(p) == k for p in pivots)
     for g in gens:
@@ -490,7 +493,7 @@ def test_class_is_zero_exactly_when_pi_is_zero(name, data):
     for w, v in data.draw(st.dictionaries(words, COEFFS, max_size=2)).items():
         vec_add_scaled(y, {w: ONE}, v)
     walk_zero = not realization.image_walk(spec).classes(y, spec.max_degree)
-    assert walk_zero == represent(spec, y).is_zero()
+    assert walk_zero == op_is_zero(represent(spec, y))
 
 
 _LAYER_SPECS = {}
@@ -537,7 +540,7 @@ def test_window_layers_match_blocks_of_pi(make, data):
     blocks = represent(spec, y).blocks
     for t in range(top + 1):
         assert (not walk.classes(y, t)) == all(blocks[n].is_zero() for n in range(t + 1)), t
-    assert (not walk.classes(y, top + 1)) == represent(wider, y).is_zero()
+    assert (not walk.classes(y, top + 1)) == op_is_zero(represent(wider, y))
 
 
 def assert_views_match(l_coalg, gens, top):
@@ -547,7 +550,7 @@ def assert_views_match(l_coalg, gens, top):
     for b in range(top + 1):
         view, own = full.view(b), ideal_span(TensorContext(l_coalg, 1), gens, b)
         assert view.dim == own.dim
-        assert view.pivots() == own.pivots()
+        assert ideal_pivots(view) == ideal_pivots(own)
         for w in monomials_upto(l_coalg, b):
             assert view.normal_form(w) == own.normal_form(w)
     with pytest.raises(ValueError):
