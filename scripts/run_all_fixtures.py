@@ -28,6 +28,7 @@ EXPECTED = {
     "bad_algebra.hra": 2,
     "bad_missing_x.hra": 2,
     "bad_diag.hra": 2,
+    "bad_sum_missing_x.hra": 2,
 }
 
 

@@ -217,16 +217,6 @@ class Coalgebra:
     def eps(self, b: BasisId) -> Fraction:
         return self.epsilon.get(b, ZERO)
 
-    def delta_vect(self, v: dict) -> dict:
-        """Coproduct of a sparse vector, as (BasisId, BasisId) -> Fraction."""
-        out = {}
-        for b, coeff in v.items():
-            vec_add_scaled(out, {(p, q): c for (p, q, c) in self.delta_terms(b)}, coeff)
-        return out
-
-    def eps_vect(self, v: dict) -> Fraction:
-        return sum((coeff * self.eps(b) for b, coeff in v.items()), ZERO)
-
 
 def make_coalgebra(basis, delta, epsilon) -> Coalgebra:
     """The coalgebra with every id of delta and epsilon replaced by the

@@ -7,13 +7,19 @@ arithmetic is exact, so every algebraic identity downstream is a decidable
 equality.
 
 The block kernels run over Python ints.  :func:`mat_mul` and
-:func:`kron_combination` (sums of Kronecker products; its one-factor case is
-:func:`mat_combination`) scale each operand to integer numerators over the
-lcm of its denominators, sum the integer products on one common denominator,
-and make each nonzero sum one clean Fraction.  :func:`intertwiner_defect`
-decides D X = (X (x) I) D on integer numerators alone, because both sides
-share one denominator, and builds no Fraction.  Elimination (``rref``,
-``solve``, ``SpanBasis``) stays in Fraction arithmetic.
+:func:`kron_combination` (sums of Kronecker products) scale each operand to
+integer numerators over the lcm of its denominators, sum the integer
+products on one common denominator, and make each nonzero sum one clean
+Fraction.  :func:`intertwiner_defect` decides D X = (X (x) I) D on integer
+numerators alone, because both sides share one denominator, and builds no
+Fraction.
+
+Elimination has one implementation, :class:`SpanBasis`, in Fraction
+arithmetic.  :func:`rref` adds a matrix's rows to a SpanBasis whose pivot is
+a row's smallest column and reads the canonical basis back as the reduced
+row echelon form; :func:`kernel_basis` reads the null space off that form,
+and :func:`solve` reads both the solution and its uniqueness off the form
+of [m | rhs].
 
 Sparse vectors are plain dicts ``key -> Fraction`` with no stored zeros.
 This module is the only one that writes the cancel-and-drop step: every
@@ -23,6 +29,7 @@ whose inline loops (and that of ``SpanBasis.reduce``) are this module's own.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import lcm
 
@@ -60,7 +67,7 @@ def vec_add_scaled(dst: dict, src: dict, coeff: Fraction) -> dict:
 
 def vec_clean(v: dict) -> dict:
     """Copy of v without zero entries, coefficients coerced to Fraction."""
-    return {k: Fraction(c) for k, c in v.items() if c}
+    return {k: c if type(c) is Fraction else Fraction(c) for k, c in v.items() if c}
 
 
 class Matrix:
@@ -183,16 +190,11 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return Matrix.trusted(a.rows, b.cols, _entries_over(acc, da * db))
 
 
-def mat_combination(rows: int, cols: int, terms) -> Matrix:
-    """sum coeff * m over the (m, coeff) terms, each m rows x cols: the
-    one-factor case of :func:`kron_combination`."""
-    return kron_combination(rows, cols, [((m,), coeff) for m, coeff in terms])
-
-
 def kron_combination(rows: int, cols: int, terms, views=None) -> Matrix:
-    """sum coeff * kron(m_1, ..., m_k) over the (mats, coeff) terms, k >= 1,
-    each product rows x cols with kron(a, m)[r_a * m.rows + r_m, c_a *
-    m.cols + c_m] = a[r_a, c_a] m[r_m, c_m]; ValueError on any other shape.
+    """sum coeff * kron(m_1, ..., m_k) over the (mats, coeff) terms, k >= 1
+    (k = 1 is a plain linear combination of blocks), each product rows x
+    cols with kron(a, m)[r_a * m.rows + r_m, c_a * m.cols + c_m] =
+    a[r_a, c_a] m[r_m, c_m]; ValueError on any other shape.
     A term p/q times factors with integer numerators over the lcm d_j of their
     denominators has denominator q * prod d_j; the sum runs over the integers
     on den, the lcm of those, and each nonzero sum s is Fraction(s, den).
@@ -261,88 +263,6 @@ def intertwiner_defect(s: int, d: dict, x: Matrix):
     return min((key % s for key, t in acc.items() if t), default=None)
 
 
-def _rref_rows(rows: list, cols: int):
-    """Full Gauss-Jordan on a list of sparse row dicts (mutated); returns pivots."""
-    pivots = []
-    pr = 0
-    nrows = len(rows)
-    for c in range(cols):
-        pivot = None
-        for r in range(pr, nrows):
-            if c in rows[r]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[pr], rows[pivot] = rows[pivot], rows[pr]
-        inv = ONE / rows[pr][c]
-        rows[pr] = {k: v * inv for k, v in rows[pr].items()}
-        lead = rows[pr]
-        for r in range(nrows):
-            if r != pr and c in rows[r]:
-                vec_add_scaled(rows[r], lead, -rows[r][c])
-        pivots.append(c)
-        pr += 1
-        if pr == nrows:
-            break
-    return pivots
-
-
-def rref(m: Matrix):
-    """Reduced row echelon form and pivot column indices; exact."""
-    rows = m.row_maps()
-    pivots = _rref_rows(rows, m.cols)
-    entries = {(r, c): v for r, row in enumerate(rows) for c, v in row.items()}
-    return Matrix.trusted(m.rows, m.cols, entries), pivots
-
-
-def kernel_basis(m: Matrix) -> list:
-    """Canonical basis of the null space, as sparse dicts col -> Fraction.
-
-    One basis vector per free column, in increasing free-column order, with
-    coefficient 1 at the free column (the vector's leading coefficient).
-    """
-    red, pivots = rref(m)
-    rows = red.row_maps()
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        v = {f: ONE}
-        for k, p in enumerate(pivots):
-            val = rows[k].get(f)
-            if val:
-                v[p] = -val
-        basis.append(v)
-    return basis
-
-
-def solve(m: Matrix, rhs: dict):
-    """One exact solution x of m x = rhs (free variables set to 0), or None.
-
-    rhs is a sparse dict row -> Fraction.  The solution is the canonical
-    particular solution read off the reduced echelon form, so it is
-    deterministic for a given matrix.
-    """
-    rows = m.row_maps()
-    aug = m.cols
-    for r, v in rhs.items():
-        if v:
-            if not (0 <= r < m.rows):
-                raise IndexError("rhs index out of range")
-            rows[r][aug] = Fraction(v)
-    pivots = _rref_rows(rows, aug + 1)
-    if pivots and pivots[-1] == aug:
-        return None
-    sol = {}
-    for k, p in enumerate(pivots):
-        val = rows[k].get(aug)
-        if val:
-            sol[p] = val
-    return sol
-
-
 class SpanBasis:
     """Incrementally maintained canonical basis of a subspace of sparse vectors.
 
@@ -369,15 +289,15 @@ class SpanBasis:
         return [dict(self._rows[p]) for p in self.pivots()]
 
     def reduce(self, vec: dict) -> dict:
-        """Canonical representative of vec modulo the current span."""
+        """Canonical representative of vec modulo the current span.
+
+        No row's tail holds a pivot, so subtracting a row changes no other
+        pivot's coefficient: one pass over the pivots vec holds suffices."""
         v = vec_clean(vec)
-        while True:
-            reducible = [k for k in v if k in self._rows]
-            if not reducible:
-                return v
-            k = max(reducible, key=self._key)
+        rows = self._rows
+        for k in [k for k in v if k in rows]:
             coeff = v.pop(k)
-            for k2, c2 in self._rows[k].items():
+            for k2, c2 in rows[k].items():
                 if k2 == k:
                     continue
                 w = v.get(k2, ZERO) - coeff * c2
@@ -385,6 +305,7 @@ class SpanBasis:
                     v[k2] = w
                 else:
                     v.pop(k2, None)
+        return v
 
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
@@ -402,19 +323,21 @@ class SpanBasis:
         if not v:
             return False
         p = max(v, key=self._key)
-        inv = ONE / v[p]
-        row = {k: c * inv for k, c in v.items()}
+        if v[p] != 1:
+            inv = ONE / v[p]
+            v = {k: c * inv for k, c in v.items()}
+        row = v
         # Inter-reduce: eliminate the new pivot from every existing row tail.
+        # Only the keys of row (none of them a pivot) can enter or leave a tail.
         for q in list(self._where.get(p, ())):
             other = self._rows[q]
-            coeff = other[p]
-            for k in other:
-                if k != q:
-                    self._where[k].discard(q)
-            vec_add_scaled(other, row, -coeff)
-            for k in other:
-                if k != q:
-                    self._where.setdefault(k, set()).add(q)
+            vec_add_scaled(other, row, -other[p])
+            for k in row:
+                tails = self._where.setdefault(k, set())
+                if k in other:
+                    tails.add(q)
+                else:
+                    tails.discard(q)
         self._where.pop(p, None)
         self._rows[p] = row
         for k in row:
@@ -424,3 +347,68 @@ class SpanBasis:
 
     def __repr__(self):
         return f"SpanBasis(dim={self.dim})"
+
+
+def rref(m: Matrix):
+    """Reduced row echelon form and pivot column indices; exact.
+
+    The rows go into a :class:`SpanBasis` whose pivot is a row's smallest
+    column, and its canonical basis (leading 1s, fully inter-reduced) is
+    read back in increasing pivot order, followed by the zero rows: the
+    reduced row echelon form, which is unique."""
+    span = SpanBasis(operator.neg)
+    for row in m.row_maps():
+        span.add(row)
+    pivots = span.pivots()[::-1]
+    entries = {(r, c): v for r, p in enumerate(pivots) for c, v in span._rows[p].items()}
+    return Matrix.trusted(m.rows, m.cols, entries), pivots
+
+
+def kernel_basis(m: Matrix) -> list:
+    """Canonical basis of the null space, as sparse dicts col -> Fraction.
+
+    One basis vector per free column, in increasing free-column order, with
+    coefficient 1 at the free column (the vector's leading coefficient), and
+    minus that column of the :func:`rref` row at each pivot.
+    """
+    red, pivots = rref(m)
+    rows = red.row_maps()
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(m.cols):
+        if f in pivot_set:
+            continue
+        v = {f: ONE}
+        for k, p in enumerate(pivots):
+            val = rows[k].get(f)
+            if val:
+                v[p] = -val
+        basis.append(v)
+    return basis
+
+
+def solve(m: Matrix, rhs: dict):
+    """(x, unique) with m x = rhs, or None when there is no solution.
+
+    rhs is a sparse dict row -> Fraction.  One :func:`rref` of [m | rhs]
+    decides both: a pivot in the rhs column means no solution; otherwise x
+    is the canonical particular solution (free variables set to 0, pivot
+    variables read off the rhs column), deterministic for a given matrix,
+    and unique is True iff m has no free column.
+    """
+    aug = m.cols
+    entries = dict(m.entries)
+    for r, v in rhs.items():
+        if v:
+            if not (0 <= r < m.rows):
+                raise IndexError("rhs index out of range")
+            entries[(r, aug)] = Fraction(v)
+    red, pivots = rref(Matrix.trusted(m.rows, aug + 1, entries))
+    if pivots and pivots[-1] == aug:
+        return None
+    sol = {}
+    for k, p in enumerate(pivots):
+        val = red.get(k, aug)
+        if val:
+            sol[p] = val
+    return sol, len(pivots) == aug

@@ -46,7 +46,7 @@ from .errors import (
     PreconditionError,
     UnsupportedStructureError,
 )
-from .exactlin import ONE, Matrix, SpanBasis, kernel_basis, solve, vec_add_scaled
+from .exactlin import ONE, Matrix, SpanBasis, solve, vec_add_scaled
 from .free_tensor import concat_product, coproduct, counit, graded_key, word_coproduct
 from .lifting import RealizationSpec, iterated_coproduct
 from .realization import (
@@ -425,9 +425,10 @@ def antipode_general(spec: RealizationSpec, bound: int):
     and the columns are the classes of p . m_s and m_s . q, as coordinates
     on the basis of pi_N(T(L)): one block of dim A rows per system and
     basis element b.  On success the table records the expressions in the
-    monomial basis, a uniqueness flag (trivial solution space), and a
-    verification report including the reversed-coproduct law
-    delta y_b = sum c y_q (x) y_p, split on classes.
+    monomial basis, a uniqueness flag (no free column, read off the same
+    elimination that finds the solution), and a verification report
+    including the reversed-coproduct law delta y_b = sum c y_q (x) y_p,
+    split on classes.
     """
     _require_coassociative(spec)
     alg = operator_algebra_basis(spec, bound)
@@ -451,10 +452,10 @@ def antipode_general(spec: RealizationSpec, bound: int):
             vec_add_scaled(rhs, {left + k: v, right + k: v}, spec.l_coalg.eps(b))
 
     matrix = Matrix.trusted(2 * len(basis_l) * dim, len(basis_l) * r, entries)
-    sol = solve(matrix, rhs)
-    if sol is None:
+    solved = solve(matrix, rhs)
+    if solved is None:
         return None
-    unique = not kernel_basis(matrix)
+    sol, unique = solved
 
     y = {b: {alg[s]: sol[bi * r + s] for s in range(r) if bi * r + s in sol}
          for bi, b in enumerate(basis_l)}

@@ -463,6 +463,11 @@ def preflight(doc: InputDocument) -> None:
                 f"{unit} (dim {name} = {dim}); the limit is {limit_name} = {limit}")
 
 
+# A whole basis id as BasisId.__str__ prints it, block prefix included, so
+# that l[1,1] of block 0 never matches inside 1:l[1,1].
+_BASIS_ID_TOKEN = re.compile(r"(?:\d+:)?(?:l\[\d+,\d+\]|f\[\d+\])")
+
+
 def build_spec(doc: InputDocument) -> RealizationSpec:
     """Realize the document: checks x covers the basis of L and the diagonal
     pairs are genuine inverses (ValidationError lists every failure), after
@@ -475,18 +480,11 @@ def build_spec(doc: InputDocument) -> RealizationSpec:
     if f_def.startswith("dual of algebra "):
         algebra = doc.algebras[f_def[len("dual of algebra "):]]
     ctx = TensorContext(f_coalg, doc.truncation, algebra=algebra)
-    labels = doc.display_labels(real.l_name)
     try:
         return make_spec(doc.coalgebras[real.l_name], ctx, real.x_table,
                          real.diag_pairs)
     except ValidationError as err:
-        named = [
-            _relabel_failure(f, labels) for f in err.failures
-        ]
-        raise ValidationError(named) from None
-
-
-def _relabel_failure(text: str, labels: dict) -> str:
-    for b, lab in labels.items():
-        text = text.replace(str(b), lab)
-    return text
+        names = {str(b): lab for b, lab in doc.display_labels(real.l_name).items()}
+        raise ValidationError([
+            _BASIS_ID_TOKEN.sub(lambda m: names.get(m[0], m[0]), f) for f in err.failures
+        ]) from None

@@ -33,7 +33,6 @@ from .exactlin import (
     ZERO,
     integer_view,
     intertwiner_defect,
-    mat_combination,
     vec_add_scaled,
     vec_clean,
 )
@@ -81,17 +80,6 @@ class LinOp:
 
     def __eq__(self, other):
         return isinstance(other, LinOp) and self.blocks == other.blocks
-
-
-def op_combination(ctx: TensorContext, terms) -> LinOp:
-    """sum coeff * op over (op, coeff) terms, block by block; the zero
-    operator when there are no terms."""
-    terms = list(terms)
-    blocks = {}
-    for n in range(ctx.max_degree + 1):
-        size = len(ctx.word_basis(n))
-        blocks[n] = mat_combination(size, size, [(op.blocks[n], coeff) for op, coeff in terms])
-    return LinOp(blocks)
 
 
 def op_from_form(f: Coalgebra, x: RIOp) -> Matrix:

@@ -4,8 +4,11 @@ No report runs these.  Each computes by the direct route an object the
 package decides another way: pi(w) as composed T(F) blocks (against the
 image walk), the lift by the splitting recursion (against the iterated
 coproduct), the form convolution algebra (against composing the X_omega),
-the T(F)/T(E) duality pairing, relabelled coalgebras, and the pivots and
-rows of a bounded ideal (against an enumerated span).
+the T(F)/T(E) duality pairing, relabelled coalgebras, the pivots and
+rows of a bounded ideal (against an enumerated span), and the reduced
+echelon form by Gauss-Jordan elimination (against ``SpanBasis``).  Linear
+combinations of blocks and operators, which the package no longer forms,
+live here too.
 """
 
 from __future__ import annotations
@@ -17,12 +20,68 @@ from hopfreal.coalgebra import (
     AlgebraPresentation, BasisId, Coalgebra, dual_coalgebra, make_coalgebra, triangular_units)
 from hopfreal.errors import InternalInconsistencyError, InvarianceError, UnsupportedStructureError
 from hopfreal.exactlin import (
-    Matrix, ONE, ZERO, mat_combination, mat_mul, solve, vec_add_scaled, vec_clean)
+    Matrix, ONE, ZERO, kron_combination, mat_mul, solve, vec_add_scaled, vec_clean)
 from hopfreal.free_tensor import TensorContext, graded_key, word_coproduct
-from hopfreal.invariant import LinOp, RIOp, op_combination, op_from_form, verify_right_invariance
+from hopfreal.invariant import LinOp, RIOp, op_from_form, verify_right_invariance
 from hopfreal.lifting import RealizationSpec, lift_operator, split_witness
 from hopfreal.realization import BoundedIdeal, l_context
 from hopfreal.reportkit import CheckReport
+
+
+def gauss_jordan_rref(m: Matrix):
+    """Reduced row echelon form and pivot columns by column-by-column
+    Gauss-Jordan elimination, independent of ``SpanBasis``: the same pair
+    :func:`hopfreal.exactlin.rref` returns, since the form is unique."""
+    rows = m.row_maps()
+    pivots = []
+    pr = 0
+    nrows = len(rows)
+    for c in range(m.cols):
+        pivot = None
+        for r in range(pr, nrows):
+            if c in rows[r]:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        rows[pr], rows[pivot] = rows[pivot], rows[pr]
+        inv = ONE / rows[pr][c]
+        rows[pr] = {k: v * inv for k, v in rows[pr].items()}
+        lead = rows[pr]
+        for r in range(nrows):
+            if r != pr and c in rows[r]:
+                vec_add_scaled(rows[r], lead, -rows[r][c])
+        pivots.append(c)
+        pr += 1
+        if pr == nrows:
+            break
+    entries = {(r, c): v for r, row in enumerate(rows) for c, v in row.items()}
+    return Matrix(m.rows, m.cols, entries), pivots
+
+
+def mat_combination(rows: int, cols: int, terms) -> Matrix:
+    """sum coeff * m over the (m, coeff) terms, each m rows x cols: the
+    one-factor case of :func:`kron_combination`."""
+    return kron_combination(rows, cols, [((m,), coeff) for m, coeff in terms])
+
+
+def op_combination(ctx: TensorContext, terms) -> LinOp:
+    """sum coeff * op over (op, coeff) terms, block by block; the zero
+    operator when there are no terms."""
+    terms = list(terms)
+    blocks = {}
+    for n in range(ctx.max_degree + 1):
+        size = len(ctx.word_basis(n))
+        blocks[n] = mat_combination(size, size, [(op.blocks[n], coeff) for op, coeff in terms])
+    return LinOp(blocks)
+
+
+def delta_vect(c: Coalgebra, v: dict) -> dict:
+    """Coproduct of a sparse vector, as (BasisId, BasisId) -> Fraction."""
+    out = {}
+    for b, coeff in v.items():
+        vec_add_scaled(out, {(p, q): cc for (p, q, cc) in c.delta_terms(b)}, coeff)
+    return out
 
 
 def op_identity(ctx: TensorContext) -> LinOp:
@@ -189,10 +248,10 @@ def convolution_inverse(f: Coalgebra, a: dict):
             vec_add_scaled(entries, {(row, index[q]): c}, a.get(p, ZERO))
     m = Matrix(len(basis), len(basis), entries)
     eps = vec_clean(f.epsilon)
-    sol = solve(m, {index[b]: c for b, c in eps.items()})
-    if sol is None:
+    solved = solve(m, {index[b]: c for b, c in eps.items()})
+    if solved is None:
         return None
-    b = {basis[k]: v for k, v in sol.items()}
+    b = {basis[k]: v for k, v in solved[0].items()}
     if convolution(f, a, b) != eps or convolution(f, b, a) != eps:
         return None
     return b

@@ -37,7 +37,7 @@ from hopfreal.hopf import (
     verify_uniqueness_perturbations,
     verify_Y_coproduct,
 )
-from hopfreal.invariant import RIOp, op_combination, op_from_form
+from hopfreal.invariant import RIOp, op_from_form
 from hopfreal.lifting import (
     lift_operator,
     verify_lift,
@@ -51,6 +51,7 @@ from oracles import (
     convolution,
     dual_triangular_relabeling,
     lift_operator_recursive,
+    op_combination,
     relabel,
     represent,
     verify_pairing,

@@ -81,6 +81,30 @@ def test_missing_x_entry_names_the_basis_id():
     assert any("l[2,1]" in f for f in err.value.failures)
 
 
+def test_missing_x_in_a_sum_names_the_element_of_its_block(capsys):
+    # P's l[1,1] prints inside Q's 1:l[1,1]; the failure names Q.l[1,1]
+    # and no element of P
+    code = main(["report", "--input", str(FIXTURES / "bad_sum_missing_x.hra")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "x is not defined on basis element Q.l[1,1]" in captured.err
+    assert "P." not in captured.err
+
+
+def test_missing_x_on_a_large_coalgebra_fails_quickly(tmp_path, capsys):
+    # 5050 failures, each naming its element: the relabelling is linear in
+    # their number, not quadratic
+    doc = tmp_path / "large.hra"
+    doc.write_text("coalgebra F = triangular 2\ncoalgebra L = triangular 100\n"
+                   "realization {\n  l L\n  f F\n}\nparams {\n  max-degree 1\n}\n")
+    start = time.process_time()
+    code = main(["report", "--input", str(doc)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "x is not defined on basis element l[100,100]" in captured.err
+    assert time.process_time() - start < 5
+
+
 def test_dangling_name_is_resolution_error():
     text = MINIMAL.replace("coalgebra F = dual M2", "coalgebra F2 = dual M2")
     with pytest.raises(ResolutionError):

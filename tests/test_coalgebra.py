@@ -185,7 +185,6 @@ def test_make_coalgebra_drops_zero_coproduct_term():
     b = BasisId.plain(0)
     c = make_coalgebra([b], {b: [(b, b, 0)]}, {b: 1})
     assert c.delta_terms(b) == ()
-    assert c.delta_vect({b: F(1)}) == {}
 
 
 def test_basis_id_hash_repr_and_order_are_those_of_the_triple():

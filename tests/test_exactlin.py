@@ -1,3 +1,4 @@
+import operator
 import re
 from fractions import Fraction as F
 from pathlib import Path
@@ -6,6 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 from conftest import mat_vec
+from oracles import gauss_jordan_rref, mat_combination
 
 import hopfreal
 from hopfreal.exactlin import (
@@ -14,7 +16,6 @@ from hopfreal.exactlin import (
     SpanBasis,
     kernel_basis,
     kron_combination,
-    mat_combination,
     mat_mul,
     rref,
     solve,
@@ -90,8 +91,8 @@ def test_membership_solved_system():
 
 def test_solve_particular():
     m = Matrix.from_rows([[1, 2], [3, 4]])
-    sol = solve(m, {0: F(5), 1: F(11)})
-    assert sol == {0: F(1), 1: F(2)}
+    assert solve(m, {0: F(5), 1: F(11)}) == ({0: F(1), 1: F(2)}, True)
+    assert solve(Matrix.from_rows([[1, 1]]), {0: F(2)}) == ({0: F(2)}, False)
     assert solve(Matrix.from_rows([[1, 1], [1, 1]]), {0: F(0), 1: F(1)}) is None
 
 
@@ -211,9 +212,11 @@ def test_solve_solutions_verify(m):
     # construct a solvable rhs, solve, and substitute back
     x = {i: F(i + 1) for i in range(m.cols)}
     rhs = mat_vec(m, x)
-    sol = solve(m, rhs)
-    assert sol is not None
+    solved = solve(m, rhs)
+    assert solved is not None
+    sol, unique = solved
     assert mat_vec(m, sol) == rhs
+    assert unique == (len(rref(m)[1]) == m.cols)
 
 
 def test_mat_mul_against_dense():
@@ -245,6 +248,101 @@ def test_trusted_products_and_echelon_forms_match_checked_path(a, b, shift):
     assert red == Matrix(a.rows, a.cols, {(r, c): v for r, row in enumerate(red.to_rows())
                                           for c, v in enumerate(row)})
     assert sorted(pivots) == pivots
+
+
+# --- one elimination engine ----------------------------------------------------
+# rref, kernel_basis and solve read the reduced echelon form off a SpanBasis;
+# the column-by-column Gauss-Jordan loop is their independent oracle.
+
+
+@st.composite
+def linear_systems(draw, max_dim=5):
+    """(m, rhs): rows of m mix random rows, zero rows, repeats and
+    combinations of earlier rows; rhs is m x for a random x or a random
+    vector (often inconsistent)."""
+    cols = draw(st.integers(1, max_dim))
+    rows = []
+    for _ in range(draw(st.integers(1, max_dim + 1))):
+        kind = draw(st.sampled_from(["random", "zero", "repeat", "combination"]))
+        if kind == "zero":
+            rows.append([F(0)] * cols)
+        elif kind == "repeat" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "combination" and rows:
+            a, b, c = draw(st.sampled_from(rows)), draw(st.sampled_from(rows)), draw(small_fracs)
+            rows.append([x + c * y for x, y in zip(a, b)])
+        else:
+            rows.append(draw(st.lists(small_fracs, min_size=cols, max_size=cols)))
+    m = Matrix.from_rows(rows)
+    if draw(st.booleans()):
+        rhs = mat_vec(m, {i: draw(small_fracs) for i in range(cols)})
+    else:
+        rhs = {r: draw(small_fracs) for r in range(len(rows))}
+    return m, rhs
+
+
+@given(linear_systems())
+@settings(max_examples=150, deadline=None)
+def test_rref_kernel_basis_and_solve_match_gauss_jordan(system):
+    m, rhs = system
+    red, pivots = gauss_jordan_rref(m)
+    assert rref(m) == (red, pivots)
+    assert_clean(rref(m)[0])
+
+    kernel = [{f: ONE} | {p: -red.get(k, f) for k, p in enumerate(pivots) if red.get(k, f)}
+              for f in range(m.cols) if f not in pivots]
+    assert kernel_basis(m) == kernel
+
+    aug = m.cols
+    aug_red, aug_pivots = gauss_jordan_rref(
+        Matrix(m.rows, aug + 1, m.entries | {(r, aug): v for r, v in rhs.items()}))
+    if aug_pivots and aug_pivots[-1] == aug:
+        assert solve(m, rhs) is None
+    else:
+        x = {p: aug_red.get(k, aug) for k, p in enumerate(aug_pivots) if aug_red.get(k, aug)}
+        assert solve(m, rhs) == (x, not kernel)
+        assert mat_vec(m, x) == {r: v for r, v in rhs.items() if v}
+
+
+def test_rref_kernel_basis_and_solve_eliminate_in_spanbasis(monkeypatch):
+    added = []
+    add = SpanBasis.add
+    monkeypatch.setattr(SpanBasis, "add", lambda self, vec: added.append(vec) or add(self, vec))
+    m = Matrix.from_rows([[1, 2], [2, 4]])
+    for run in (lambda: rref(m), lambda: kernel_basis(m), lambda: solve(m, {0: F(1), 1: F(2)})):
+        added.clear()
+        run()
+        assert len(added) == m.rows
+
+
+def reduce_by_largest_pivot(span, vec):
+    """The loop SpanBasis.reduce replaced: eliminate the largest pivot vec
+    still holds until none is left."""
+    v = {k: F(c) for k, c in vec.items() if c}
+    while True:
+        reducible = [k for k in v if k in span._rows]
+        if not reducible:
+            return v
+        k = max(reducible, key=span._key)
+        coeff = v.pop(k)
+        vec_add_scaled(v, {k2: c2 for k2, c2 in span._rows[k].items() if k2 != k}, -coeff)
+
+
+sparse_vectors = st.dictionaries(st.integers(0, 5), small_fracs, max_size=4)
+
+
+@given(st.sampled_from([None, operator.neg]), st.lists(sparse_vectors, max_size=8),
+       st.lists(sparse_vectors, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_spanbasis_rows_stay_inter_reduced_and_reduce_in_one_pass(keyfunc, added, probes):
+    sb = SpanBasis(keyfunc)
+    for v in added:
+        sb.add(v)
+        pivots = set(sb.pivots())
+        for p, row in zip(sb.pivots(), sb.basis()):
+            assert row[p] == 1 and not pivots & (row.keys() - {p})
+    for v in added + probes:
+        assert sb.reduce(v) == reduce_by_largest_pivot(sb, v)
 
 
 # --- integer-scaled block kernels ----------------------------------------------

@@ -18,8 +18,8 @@ from conftest import (
 )
 from hopfreal.coalgebra import BasisId, dual_numbers, make_coalgebra, triangular_blocks, verify_coalgebra
 from hopfreal.errors import InternalInconsistencyError, PreconditionError, UnsupportedStructureError
-from hopfreal.exactlin import Matrix, SpanBasis, kernel_basis, solve, vec_add_scaled
-from hopfreal import hopf
+from hopfreal.exactlin import Matrix, SpanBasis, solve, vec_add_scaled
+from hopfreal import exactlin, hopf
 from hopfreal.hopf import (
     _composite_split_ok,
     AntipodeTable,
@@ -38,7 +38,7 @@ from hopfreal.hopf import (
 )
 from hopfreal.free_tensor import concat_product, context_from_algebra, graded_key
 from hopfreal.inputdoc import build_spec, parse_input
-from hopfreal.invariant import LinOp, RIOp, op_combination
+from hopfreal.invariant import LinOp, RIOp
 from hopfreal.lifting import lift_operator, make_spec, split_witness
 from hopfreal.realization import (
     BoundedIdeal,
@@ -48,7 +48,8 @@ from hopfreal.realization import (
     relation_kernel_upto,
 )
 from oracles import (
-    convolution_inverse, op_compose, op_identity, op_is_zero, op_vector, represent, represent_word)
+    convolution_inverse, op_combination, op_compose, op_identity, op_is_zero, op_vector, represent,
+    represent_word)
 
 ONE = F(1)
 GENERAL_W = Path(__file__).resolve().parent.parent / "fixtures" / "general_w.hra"
@@ -367,13 +368,14 @@ def general_solve_on_operators(spec, bound):
     m = Matrix(len(row_keys), len(columns), {(row_keys[key], col): v
                                              for col, vec in enumerate(columns.values())
                                              for key, v in vec.items()})
-    sol = solve(m, {row_keys[key]: v for key, v in rhs.items()})
-    if sol is None:
+    solved = solve(m, {row_keys[key]: v for key, v in rhs.items()})
+    if solved is None:
         return None
+    sol, unique = solved
     r = len(alg)
     entries = {b: {alg[s]: sol[bi * r + s] for s in range(r) if bi * r + s in sol}
                for bi, b in enumerate(basis_l)}
-    return entries, not kernel_basis(m)
+    return entries, unique
 
 
 @pytest.mark.parametrize("make", [trivial_spec, example_w_spec, primitive_spec,
@@ -393,6 +395,20 @@ def test_general_solver_matches_joint_solve_on_operators(make):
             for b in entries:
                 assert list(table.entries[b].items()) == list(entries[b].items())
     assert table is not None
+
+
+def test_general_solver_eliminates_once_per_call(monkeypatch):
+    # the solution and its uniqueness come from one rref, of [m | rhs]: one
+    # column per unknown, the coefficient of y_b on a basis monomial, and rhs
+    spec = build_spec(parse_input(GENERAL_W.read_text()))
+    first = antipode_general(spec, spec.max_degree)
+    calls = []
+    rref = exactlin.rref
+    monkeypatch.setattr(exactlin, "rref", lambda m: calls.append(m) or rref(m))
+    again = antipode_general(spec, spec.max_degree)
+    unknowns = spec.l_coalg.dim * len(hopf.operator_algebra_basis(spec, spec.max_degree))
+    assert [m.cols for m in calls] == [unknowns + 1]
+    assert again.unique and first.entries == again.entries
 
 
 def test_uniqueness_perturbations(example_w, w_table):
@@ -604,9 +620,9 @@ def reduce_expression_loop(spec, op, max_degree):
                 entries[(row_keys[key], col)] = v
         m = Matrix(len(row_keys), len(columns), entries)
         rhs = {row_keys[key]: v for key, v in target.items()}
-        sol = solve(m, rhs)
-        if sol is not None:
-            return {mons[i]: c for i, c in sol.items()}
+        solved = solve(m, rhs)
+        if solved is not None:
+            return {mons[i]: c for i, c in solved[0].items()}
     return None
 
 

@@ -29,7 +29,6 @@ from hopfreal.invariant import (
     LinOp,
     _coproduct_blocks,
     RIOp,
-    op_combination,
     op_from_form,
     verify_right_invariance,
 )
@@ -37,7 +36,9 @@ from hopfreal.lifting import lift_operator
 from oracles import (
     convolution,
     convolution_inverse,
+    delta_vect,
     form_of_op,
+    op_combination,
     op_is_zero,
     right_invariance_on_f,
     transpose_left_mult,
@@ -309,7 +310,7 @@ def per_basis_invariance(f, m):
     index = {b: k for k, b in enumerate(basis)}
     for b in basis:
         image = mat_vec(m, {index[b]: ONE})
-        lhs = f.delta_vect({basis[r]: coeff for r, coeff in image.items()})
+        lhs = delta_vect(f, {basis[r]: coeff for r, coeff in image.items()})
         rhs = {}
         for (p, q, c) in f.delta_terms(b):
             column = mat_vec(m, {index[p]: ONE})

