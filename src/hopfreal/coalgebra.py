@@ -24,11 +24,10 @@ modelling infinite-dimensional coalgebras.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import itemgetter
 
 from .errors import InvalidAlgebraError
-from .exactlin import ONE, ZERO, vec_add_scaled, vec_clean
+from .exactlin import ONE, ZERO, Scalar, vec_add_scaled, vec_clean
 from .reportkit import CheckReport
 
 
@@ -91,7 +90,7 @@ class BasisId(tuple):
         return f"{prefix}f[{self.i}]"
 
 
-# Sparse vector in a coalgebra: BasisId -> Fraction.
+# Sparse vector in a coalgebra: BasisId -> Scalar.
 Vect = dict
 
 
@@ -194,7 +193,7 @@ def _norm_delta(delta: dict) -> dict:
     for b, terms in delta.items():
         acc = {}
         for (p, q, c) in terms:
-            vec_add_scaled(acc, {(p, q): ONE}, Fraction(c))
+            vec_add_scaled(acc, {(p, q): ONE}, c)
         out[b] = tuple((p, q, c) for (p, q), c in sorted(acc.items()))
     return out
 
@@ -214,7 +213,7 @@ class Coalgebra:
     def delta_terms(self, b: BasisId) -> tuple:
         return self.delta.get(b, ())
 
-    def eps(self, b: BasisId) -> Fraction:
+    def eps(self, b: BasisId) -> Scalar:
         return self.epsilon.get(b, ZERO)
 
 

@@ -1,27 +1,36 @@
 """Exact linear algebra over the rationals.
 
-Sparse matrices with ``fractions.Fraction`` entries, reduced row echelon
-form, canonical nullspace bases, exact linear solves, and incrementally
+Sparse matrices with exact rational entries, reduced row echelon form,
+canonical nullspace bases, exact linear solves, and incrementally
 maintained subspace bases keyed by arbitrary orderable labels.  All
 arithmetic is exact, so every algebraic identity downstream is a decidable
 equality.
 
+A scalar is canonical: a Python ``int`` when it is integral, else a
+lowest-terms ``Fraction`` with denominator > 1 (:func:`scalar`).  ints and
+Fractions compare and hash equal and mix exactly, and every writer here
+stores through that rule, so the integral coefficients (the 1s of
+coproducts and counits, and most of what elimination makes of them) never
+build a Fraction.  The pivot inverse in :meth:`SpanBasis.add` is the one
+true division, and it goes through ``Fraction``: an int quotient would be
+a float.
+
 The block kernels run over Python ints.  :func:`mat_mul` and
 :func:`kron_combination` (sums of Kronecker products) scale each operand to
 integer numerators over the lcm of its denominators, sum the integer
-products on one common denominator, and make each nonzero sum one clean
-Fraction.  :func:`intertwiner_defect` decides D X = (X (x) I) D on integer
+products on one common denominator, and make each nonzero sum one canonical
+scalar.  :func:`intertwiner_defect` decides D X = (X (x) I) D on integer
 numerators alone, because both sides share one denominator, and builds no
 Fraction.
 
-Elimination has one implementation, :class:`SpanBasis`, in Fraction
+Elimination has one implementation, :class:`SpanBasis`, in exact rational
 arithmetic.  :func:`rref` adds a matrix's rows to a SpanBasis whose pivot is
 a row's smallest column and reads the canonical basis back as the reduced
 row echelon form; :func:`kernel_basis` reads the null space off that form,
 and :func:`solve` reads both the solution and its uniqueness off the form
 of [m | rhs].
 
-Sparse vectors are plain dicts ``key -> Fraction`` with no stored zeros.
+Sparse vectors are plain dicts ``key -> Scalar`` with no stored zeros.
 This module is the only one that writes the cancel-and-drop step: every
 sparse sum elsewhere goes through :func:`vec_add_scaled` or the kernels,
 whose inline loops (and that of ``SpanBasis.reduce``) are this module's own.
@@ -33,19 +42,28 @@ import operator
 from fractions import Fraction
 from math import lcm
 
-Scalar = Fraction
+Scalar = int | Fraction
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
 
-def vec_add_scaled(dst: dict, src: dict, coeff: Fraction) -> dict:
+def scalar(x) -> Scalar:
+    """The canonical value of the rational x: an int when x is integral,
+    else a lowest-terms Fraction.  Writers test ``type(x) is int`` inline
+    first and call this for the rest."""
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def vec_add_scaled(dst: dict, src: dict, coeff: Scalar) -> dict:
     """In place dst += coeff * src, dropping entries that cancel to zero.
 
     Equal to the loop ``dst[k] = dst.get(k, ZERO) + coeff * v`` with zeros
-    dropped, on two fast paths: a coefficient of 1 skips the multiply, and
-    a key absent from dst stores ``coeff * v`` (as a Fraction) without
-    adding it to zero."""
+    dropped and each stored value canonical, on two fast paths: a
+    coefficient of 1 skips the multiply, and a key absent from dst stores
+    ``coeff * v`` without adding it to zero."""
     if not coeff:
         return dst
     unit = coeff == 1
@@ -55,19 +73,19 @@ def vec_add_scaled(dst: dict, src: dict, coeff: Fraction) -> dict:
         old = dst.get(k)
         if old is None:
             if v:
-                dst[k] = v if type(v) is Fraction else Fraction(v)
+                dst[k] = v if type(v) is int else scalar(v)
             continue
         w = old + v
         if w:
-            dst[k] = w
+            dst[k] = w if type(w) is int else scalar(w)
         else:
             del dst[k]
     return dst
 
 
 def vec_clean(v: dict) -> dict:
-    """Copy of v without zero entries, coefficients coerced to Fraction."""
-    return {k: c if type(c) is Fraction else Fraction(c) for k, c in v.items() if c}
+    """Copy of v without zero entries, coefficients made canonical."""
+    return {k: c if type(c) is int else scalar(c) for k, c in v.items() if c}
 
 
 class Matrix:
@@ -82,14 +100,15 @@ class Matrix:
         for (r, c), v in (entries or {}).items():
             if not (0 <= r < rows and 0 <= c < cols):
                 raise IndexError(f"entry ({r},{c}) outside {rows}x{cols}")
-            v = Fraction(v)
+            if type(v) is not int:
+                v = scalar(v)
             if v:
                 clean[(r, c)] = v
         self.entries = clean
 
     @classmethod
     def trusted(cls, rows: int, cols: int, entries: dict) -> "Matrix":
-        """Adopt entries that are already clean: in range, nonzero Fractions.
+        """Adopt entries that are already clean: in range, nonzero, canonical.
 
         For the kernels of this package that build entries by exact
         arithmetic on clean matrices; the dict is taken, not copied.  Every
@@ -101,24 +120,11 @@ class Matrix:
         return m
 
     @classmethod
-    def from_rows(cls, data) -> "Matrix":
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        return cls(rows, cols, {(r, c): v for r, row in enumerate(data)
-                                for c, v in enumerate(row) if v})
-
-    @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls(n, n, {(i, i): ONE for i in range(n)})
 
-    def get(self, r: int, c: int) -> Fraction:
+    def get(self, r: int, c: int) -> Scalar:
         return self.entries.get((r, c), ZERO)
-
-    def to_rows(self) -> list:
-        out = [[ZERO] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
-        return out
 
     def row_maps(self) -> list:
         """Row-major view: list of dicts col -> value."""
@@ -152,9 +158,9 @@ def integer_view(entries: dict):
 
 
 def _entries_over(acc: dict, den: int) -> dict:
-    """Entries (r, c) -> Fraction(s, den) of the row-keyed integer sums
+    """Entries (r, c) -> s / den, canonical, of the row-keyed integer sums
     acc[r][c] = s, dropping the sums that cancelled to zero; equal sums
-    share one Fraction."""
+    share one value."""
     values = {}
     entries = {}
     for r, out in acc.items():
@@ -162,7 +168,7 @@ def _entries_over(acc: dict, den: int) -> dict:
             if s:
                 v = values.get(s)
                 if v is None:
-                    v = values[s] = Fraction(s, den)
+                    v = values[s] = s if den == 1 else scalar(Fraction(s, den))
                 entries[(r, c)] = v
     return entries
 
@@ -170,7 +176,7 @@ def _entries_over(acc: dict, den: int) -> dict:
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Exact product a b.  Each operand is scaled to integer numerators over
     the lcm of its denominators; the products are summed over the integers,
-    and each nonzero sum s becomes Fraction(s, da * db)."""
+    and each nonzero sum s becomes s / (da * db)."""
     if a.cols != b.rows:
         raise ValueError("shape mismatch")
     da, na = integer_view(a.entries)
@@ -190,14 +196,15 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return Matrix.trusted(a.rows, b.cols, _entries_over(acc, da * db))
 
 
-def kron_combination(rows: int, cols: int, terms, views=None) -> Matrix:
-    """sum coeff * kron(m_1, ..., m_k) over the (mats, coeff) terms, k >= 1
-    (k = 1 is a plain linear combination of blocks), each product rows x
-    cols with kron(a, m)[r_a * m.rows + r_m, c_a * m.cols + c_m] =
+def kron_sums(rows: int, cols: int, terms, views=None):
+    """(den, acc): sum coeff * kron(m_1, ..., m_k) over the (mats, coeff)
+    terms, k >= 1 (k = 1 is a plain linear combination of blocks), as
+    integer sums acc[r][c] over the common denominator den; entries never
+    reached are absent, and a sum that cancelled is 0.  Each product is
+    rows x cols with kron(a, m)[r_a * m.rows + r_m, c_a * m.cols + c_m] =
     a[r_a, c_a] m[r_m, c_m]; ValueError on any other shape.
     A term p/q times factors with integer numerators over the lcm d_j of their
-    denominators has denominator q * prod d_j; the sum runs over the integers
-    on den, the lcm of those, and each nonzero sum s is Fraction(s, den).
+    denominators has denominator q * prod d_j; den is the lcm of those.
 
     Each distinct factor's integer view is computed once, in ``views`` by id
     (beside the factor, which keeps the id its own); calls may share one."""
@@ -233,6 +240,13 @@ def kron_combination(rows: int, cols: int, terms, views=None) -> Matrix:
             if out is None:
                 out = acc[r] = {}
             out[c] = out.get(c, 0) + f * x
+    return den, acc
+
+
+def kron_combination(rows: int, cols: int, terms, views=None) -> Matrix:
+    """The :func:`kron_sums` of the terms as a Matrix: each nonzero sum s
+    becomes the entry s / den."""
+    den, acc = kron_sums(rows, cols, terms, views)
     return Matrix.trusted(rows, cols, _entries_over(acc, den))
 
 
@@ -266,7 +280,7 @@ def intertwiner_defect(s: int, d: dict, x: Matrix):
 class SpanBasis:
     """Incrementally maintained canonical basis of a subspace of sparse vectors.
 
-    Vectors are dicts ``key -> Fraction`` over arbitrary hashable keys; the
+    Vectors are dicts ``key -> Scalar`` over arbitrary hashable keys; the
     pivot of a row is its largest key under ``keyfunc``.  Rows are normalized
     (pivot coefficient 1) and fully inter-reduced, so the stored rows form
     the canonical reduced basis of the span, independent of insertion order.
@@ -302,7 +316,7 @@ class SpanBasis:
                     continue
                 w = v.get(k2, ZERO) - coeff * c2
                 if w:
-                    v[k2] = w
+                    v[k2] = w if type(w) is int else scalar(w)
                 else:
                     v.pop(k2, None)
         return v
@@ -324,8 +338,9 @@ class SpanBasis:
             return False
         p = max(v, key=self._key)
         if v[p] != 1:
-            inv = ONE / v[p]
-            v = {k: c * inv for k, c in v.items()}
+            # the one true division: Fraction, since an int quotient is a float
+            inv = Fraction(1, v[p])
+            v = {k: scalar(c * inv) for k, c in v.items()}
         row = v
         # Inter-reduce: eliminate the new pivot from every existing row tail.
         # Only the keys of row (none of them a pivot) can enter or leave a tail.
@@ -365,32 +380,28 @@ def rref(m: Matrix):
 
 
 def kernel_basis(m: Matrix) -> list:
-    """Canonical basis of the null space, as sparse dicts col -> Fraction.
+    """Canonical basis of the null space, as sparse dicts col -> Scalar.
 
     One basis vector per free column, in increasing free-column order, with
     coefficient 1 at the free column (the vector's leading coefficient), and
-    minus that column of the :func:`rref` row at each pivot.
+    minus that column of the :func:`rref` row at each pivot: one pass over
+    the echelon entries puts an entry v at (k, f), f free, as -v at pivot k
+    of the vector of f.
     """
     red, pivots = rref(m)
-    rows = red.row_maps()
     pivot_set = set(pivots)
-    basis = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        v = {f: ONE}
-        for k, p in enumerate(pivots):
-            val = rows[k].get(f)
-            if val:
-                v[p] = -val
-        basis.append(v)
-    return basis
+    basis = {f: {f: ONE} for f in range(m.cols) if f not in pivot_set}
+    for (k, f), v in red.entries.items():
+        vec = basis.get(f)
+        if vec is not None:
+            vec[pivots[k]] = -v
+    return list(basis.values())
 
 
 def solve(m: Matrix, rhs: dict):
     """(x, unique) with m x = rhs, or None when there is no solution.
 
-    rhs is a sparse dict row -> Fraction.  One :func:`rref` of [m | rhs]
+    rhs is a sparse dict row -> Scalar.  One :func:`rref` of [m | rhs]
     decides both: a pivot in the rhs column means no solution; otherwise x
     is the canonical particular solution (free variables set to 0, pivot
     variables read off the rhs column), deterministic for a given matrix,
@@ -402,7 +413,7 @@ def solve(m: Matrix, rhs: dict):
         if v:
             if not (0 <= r < m.rows):
                 raise IndexError("rhs index out of range")
-            entries[(r, aug)] = Fraction(v)
+            entries[(r, aug)] = v if type(v) is int else scalar(v)
     red, pivots = rref(Matrix.trusted(m.rows, aug + 1, entries))
     if pivots and pivots[-1] == aug:
         return None

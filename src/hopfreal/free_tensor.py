@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .coalgebra import AlgebraPresentation, Coalgebra
-from .exactlin import ONE, ZERO, vec_add_scaled
+from .exactlin import ONE, ZERO, Scalar, vec_add_scaled
 from .reportkit import CheckReport
 
-# A word is a tuple of BasisId; a tensor element maps words to Fractions;
-# a pair element maps (word, word) to Fractions (an element of T(F) (x) T(F)).
+# A word is a tuple of BasisId; a tensor element maps words to Scalars;
+# a pair element maps (word, word) to Scalars (an element of T(F) (x) T(F)).
 Word = tuple
 TensorElement = dict
 PairElement = dict
@@ -117,7 +116,7 @@ def coproduct(ctx: TensorContext, t: TensorElement) -> PairElement:
     return out
 
 
-def counit(ctx: TensorContext, t: TensorElement) -> Fraction:
+def counit(ctx: TensorContext, t: TensorElement) -> Scalar:
     total = ZERO
     for w, coeff in t.items():
         value = coeff

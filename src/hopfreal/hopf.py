@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .coalgebra import BasisId, triangular_blocks
 from .errors import (
@@ -487,8 +486,8 @@ def verify_uniqueness_perturbations(spec: RealizationSpec, table: AntipodeTable,
     report = CheckReport("uniqueness under perturbation (10 trials)")
     for t in range(10):
         target = ids[rng.randrange(len(ids))]
-        coeffs = [Fraction(rng.randint(-2, 2)) for _ in alg]
-        coeffs[rng.randrange(len(alg))] = Fraction(rng.choice([1, -1, 2]))
+        coeffs = [rng.randint(-2, 2) for _ in alg]
+        coeffs[rng.randrange(len(alg))] = rng.choice([1, -1, 2])
         perturbed = dict(table.entries)
         perturbed[target] = vec_add_scaled(dict(perturbed[target]), dict(zip(alg, coeffs)), ONE)
         broke = not triangular_systems_ok(spec, perturbed)

@@ -24,13 +24,13 @@ the same check at n = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .coalgebra import BasisId, Coalgebra
 from .exactlin import (
     Matrix,
     ONE,
     ZERO,
+    Scalar,
     integer_view,
     intertwiner_defect,
     vec_add_scaled,
@@ -38,7 +38,7 @@ from .exactlin import (
 )
 from .free_tensor import TensorContext, word_coproduct
 
-# A form is a sparse dict BasisId -> Fraction (finite support by nature).
+# A form is a sparse dict BasisId -> Scalar (finite support by nature).
 Form = dict
 
 
@@ -46,11 +46,10 @@ Form = dict
 class RIOp:
     """A regular right-invariant operator: id_coeff * id + X_{form}."""
 
-    id_coeff: Fraction = ZERO
+    id_coeff: Scalar = ZERO
     form: Form = None
 
     def __post_init__(self):
-        object.__setattr__(self, "id_coeff", Fraction(self.id_coeff))
         object.__setattr__(self, "form", vec_clean(self.form or {}))
 
     @staticmethod
@@ -129,7 +128,7 @@ def verify_right_invariance(ctx: TensorContext, x: LinOp):
     in (degree, index) order.  Both sides have the denominator
     den(D_n) den(X_n), so the identity is decided on integer numerators by
     :func:`~hopfreal.exactlin.intertwiner_defect`, and a degree that holds
-    builds no Fraction.
+    builds no Fraction: an int entry is its own numerator.
     """
     for n, m in sorted(x.blocks.items()):
         col = intertwiner_defect(ctx.f.dim ** n, _coproduct_blocks(ctx, n)[1], m)

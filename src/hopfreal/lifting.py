@@ -19,8 +19,8 @@ blocks, for lifted operators and (in the tests) for pi of monomials;
 the antipode coproduct laws are decided on classes in ``hopf``.  Word bases
 are lex-ordered products, so the rule on all word pairs of degrees
 (n1, n2) is one block identity: the degree n1 + n2 block of the outer
-operator against one :func:`~hopfreal.exactlin.kron_combination` of blocks
-n1 and n2 (as are the lifted blocks).
+operator against one Kronecker sum (:func:`~hopfreal.exactlin.kron_sums`)
+of blocks n1 and n2 (as are the lifted blocks).
 
 Lifted blocks and the operators X(b) are memoized per spec and basis
 element; the caches are pure (same key, same value) so concurrent use is
@@ -30,11 +30,10 @@ safe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .coalgebra import BasisId, Coalgebra, grouplikes
 from .errors import InternalInconsistencyError, ValidationError
-from .exactlin import Matrix, ONE, kron_combination, mat_mul, vec_add_scaled
+from .exactlin import Matrix, ONE, kron_combination, kron_sums, mat_mul, vec_add_scaled
 from .free_tensor import TensorContext
 from .invariant import LinOp, op_from_form, verify_right_invariance
 from .reportkit import CheckReport
@@ -116,7 +115,7 @@ def _iterate_first(c: Coalgebra, terms: dict, steps: int) -> dict:
 
 
 def iterated_coproduct(l_coalg: Coalgebra, v: dict, n: int) -> dict:
-    """n-fold iterated coproduct of a sparse vector, as (n+1)-tuples -> Fraction.
+    """n-fold iterated coproduct of a sparse vector, as (n+1)-tuples -> Scalar.
 
     Computed by expanding the last tensor factor at each step and checked
     against the first-factor recursion; coassociativity makes the two agree,
@@ -124,7 +123,7 @@ def iterated_coproduct(l_coalg: Coalgebra, v: dict, n: int) -> dict:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    start = {(b,): Fraction(c) for b, c in v.items() if c}
+    start = {(b,): c for b, c in v.items() if c}
     left = _iterate_last(l_coalg, start, n)
     right = _iterate_first(l_coalg, start, n)
     if left != right:
@@ -171,8 +170,10 @@ def split_witness(ctx: TensorContext, outer: LinOp, parts, bound: int):
     block identity  outer_{n1+n2} = sum c * kron(left_{n1}, right_{n2}).
     Returns None when every identity holds, else the last failing (w1, w2) in
     (n1, n2, w1, w2) order: the largest differing column of the last failing
-    block.  A block's integer view is computed once per call, however many
-    pairs it appears in.
+    block.  Each identity is read off the integer sums of
+    :func:`~hopfreal.exactlin.kron_sums`: its nonzero sums are the differing
+    entries, so no Fraction is built.  A block's integer view is computed
+    once per call, however many pairs it appears in.
     """
     bound = min(bound, ctx.max_degree)
     witness = None
@@ -180,10 +181,11 @@ def split_witness(ctx: TensorContext, outer: LinOp, parts, bound: int):
     for n1 in range(bound + 1):
         for n2 in range(bound + 1 - n1):
             block = outer.blocks[n1 + n2]
-            diff = kron_combination(block.rows, block.cols, [((block,), -ONE)] + [
+            _, sums = kron_sums(block.rows, block.cols, [((block,), -ONE)] + [
                 ((left.blocks[n1], right.blocks[n2]), c) for left, right, c in parts], views)
-            if diff.entries:
-                col = max(c for _, c in diff.entries)
+            cols = [c for out in sums.values() for c, s in out.items() if s]
+            if cols:
+                col = max(cols)
                 size = len(ctx.word_basis(n2))
                 witness = (ctx.word_basis(n1)[col // size], ctx.word_basis(n2)[col % size])
     return witness

@@ -7,6 +7,7 @@ the evaluation operator D with D(f[1]) = f[2] and D = 0 elsewhere.
 """
 
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -29,6 +30,14 @@ ONE = F(1)
 
 def tri(i, j, block=0):
     return BasisId.tri(i, j, block)
+
+
+def canonical(v):
+    """The package's scalar rule: an int iff v is integral, else a
+    lowest-terms Fraction with denominator > 1 (so never a float)."""
+    if type(v) is int:
+        return True
+    return type(v) is F and v.denominator > 1 and gcd(v.numerator, v.denominator) == 1
 
 
 def mat_vec(a, v):

@@ -8,7 +8,7 @@ the T(F)/T(E) duality pairing, relabelled coalgebras, the pivots and
 rows of a bounded ideal (against an enumerated span), and the reduced
 echelon form by Gauss-Jordan elimination (against ``SpanBasis``).  Linear
 combinations of blocks and operators, which the package no longer forms,
-live here too.
+and dense-row conversions of matrices live here too.
 """
 
 from __future__ import annotations
@@ -28,6 +28,22 @@ from hopfreal.realization import BoundedIdeal, l_context
 from hopfreal.reportkit import CheckReport
 
 
+def from_rows(data) -> Matrix:
+    """The matrix of a dense list of rows."""
+    rows = len(data)
+    cols = len(data[0]) if rows else 0
+    return Matrix(rows, cols, {(r, c): v for r, row in enumerate(data)
+                               for c, v in enumerate(row) if v})
+
+
+def to_rows(m: Matrix) -> list:
+    """The dense list of rows of a matrix."""
+    out = [[ZERO] * m.cols for _ in range(m.rows)]
+    for (r, c), v in m.entries.items():
+        out[r][c] = v
+    return out
+
+
 def gauss_jordan_rref(m: Matrix):
     """Reduced row echelon form and pivot columns by column-by-column
     Gauss-Jordan elimination, independent of ``SpanBasis``: the same pair
@@ -45,7 +61,7 @@ def gauss_jordan_rref(m: Matrix):
         if pivot is None:
             continue
         rows[pr], rows[pivot] = rows[pivot], rows[pr]
-        inv = ONE / rows[pr][c]
+        inv = Fraction(1, rows[pr][c])
         rows[pr] = {k: v * inv for k, v in rows[pr].items()}
         lead = rows[pr]
         for r in range(nrows):

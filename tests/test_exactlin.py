@@ -6,8 +6,8 @@ from pathlib import Path
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
-from conftest import mat_vec
-from oracles import gauss_jordan_rref, mat_combination
+from conftest import canonical, mat_vec
+from oracles import from_rows, gauss_jordan_rref, mat_combination, to_rows
 
 import hopfreal
 from hopfreal.exactlin import (
@@ -20,6 +20,7 @@ from hopfreal.exactlin import (
     rref,
     solve,
     vec_add_scaled,
+    vec_clean,
 )
 
 
@@ -31,9 +32,9 @@ def dense(v, n):
 
 
 def test_rref_rank_one():
-    m = Matrix.from_rows([[2, 4], [1, 2]])
+    m = from_rows([[2, 4], [1, 2]])
     red, pivots = rref(m)
-    assert red.to_rows() == [[1, 2], [0, 0]]
+    assert to_rows(red) == [[1, 2], [0, 0]]
     assert pivots == [0]
 
 
@@ -46,13 +47,13 @@ def test_rref_identity():
 
 def test_rref_invertible_2x2():
     # hand Gaussian elimination: [[1,2],[3,4]] row-reduces to the identity
-    red, pivots = rref(Matrix.from_rows([[1, 2], [3, 4]]))
+    red, pivots = rref(from_rows([[1, 2], [3, 4]]))
     assert red == Matrix.identity(2)
     assert pivots == [0, 1]
 
 
 def test_kernel_one_relation():
-    ker = kernel_basis(Matrix.from_rows([[1, 1]]))
+    ker = kernel_basis(from_rows([[1, 1]]))
     assert ker == [{0: F(-1), 1: F(1)}]
 
 
@@ -62,7 +63,7 @@ def test_kernel_injective():
 
 def test_kernel_by_substitution():
     # [[1,2],[2,4]]: x0 = -2 x1
-    ker = kernel_basis(Matrix.from_rows([[1, 2], [2, 4]]))
+    ker = kernel_basis(from_rows([[1, 2], [2, 4]]))
     assert ker == [{0: F(-2), 1: F(1)}]
 
 
@@ -90,10 +91,10 @@ def test_membership_solved_system():
 
 
 def test_solve_particular():
-    m = Matrix.from_rows([[1, 2], [3, 4]])
+    m = from_rows([[1, 2], [3, 4]])
     assert solve(m, {0: F(5), 1: F(11)}) == ({0: F(1), 1: F(2)}, True)
-    assert solve(Matrix.from_rows([[1, 1]]), {0: F(2)}) == ({0: F(2)}, False)
-    assert solve(Matrix.from_rows([[1, 1], [1, 1]]), {0: F(0), 1: F(1)}) is None
+    assert solve(from_rows([[1, 1]]), {0: F(2)}) == ({0: F(2)}, False)
+    assert solve(from_rows([[1, 1], [1, 1]]), {0: F(0), 1: F(1)}) is None
 
 
 # --- properties --------------------------------------------------------------
@@ -107,7 +108,7 @@ def matrices(max_dim=4):
             lambda c: st.lists(
                 st.lists(small_fracs, min_size=c, max_size=c),
                 min_size=r, max_size=r,
-            ).map(Matrix.from_rows)
+            ).map(from_rows)
         )
     )
 
@@ -135,7 +136,7 @@ def test_membership_matches_rank_oracle(m, extra):
     # independent oracle: v in span(S) iff rank([S]) == rank([S | v])
     span = [
         {i: c for i, c in enumerate(row) if c}
-        for row in m.to_rows()
+        for row in to_rows(m)
     ]
     for row in extra:
         v = {i: c for i, c in enumerate(row) if c}
@@ -220,16 +221,16 @@ def test_solve_solutions_verify(m):
 
 
 def test_mat_mul_against_dense():
-    a = Matrix.from_rows([[1, 2], [0, 1]])
-    b = Matrix.from_rows([[3, 0], [1, 1]])
-    assert mat_mul(a, b).to_rows() == [[5, 2], [1, 1]]
+    a = from_rows([[1, 2], [0, 1]])
+    b = from_rows([[3, 0], [1, 1]])
+    assert to_rows(mat_mul(a, b)) == [[5, 2], [1, 1]]
 
 
 def assert_clean(m):
     """Entries a checked constructor would keep unchanged: in range, nonzero,
-    of type Fraction."""
+    canonical (an int iff integral, else a lowest-terms Fraction)."""
     assert all(0 <= r < m.rows and 0 <= c < m.cols for r, c in m.entries)
-    assert all(type(v) is F and v for v in m.entries.values())
+    assert all(canonical(v) and v for v in m.entries.values())
     assert m == Matrix(m.rows, m.cols, m.entries)
 
 
@@ -237,15 +238,15 @@ def assert_clean(m):
 @settings(max_examples=80, deadline=None)
 def test_trusted_products_and_echelon_forms_match_checked_path(a, b, shift):
     # b is cut or padded to a.cols rows, and some entries cancel in the product
-    b = Matrix.from_rows([[v + shift for v in row] for row in (b.to_rows() * a.cols)[:a.cols]])
+    b = from_rows([[v + shift for v in row] for row in (to_rows(b) * a.cols)[:a.cols]])
     prod = mat_mul(a, b)
-    dense_prod = [[sum((x * y for x, y in zip(row, col)), F(0)) for col in zip(*b.to_rows())]
-                  for row in a.to_rows()]
-    assert prod == Matrix.from_rows(dense_prod)
+    dense_prod = [[sum((x * y for x, y in zip(row, col)), F(0)) for col in zip(*to_rows(b))]
+                  for row in to_rows(a)]
+    assert prod == from_rows(dense_prod)
     assert_clean(prod)
     red, pivots = rref(a)
     assert_clean(red)
-    assert red == Matrix(a.rows, a.cols, {(r, c): v for r, row in enumerate(red.to_rows())
+    assert red == Matrix(a.rows, a.cols, {(r, c): v for r, row in enumerate(to_rows(red))
                                           for c, v in enumerate(row)})
     assert sorted(pivots) == pivots
 
@@ -273,7 +274,7 @@ def linear_systems(draw, max_dim=5):
             rows.append([x + c * y for x, y in zip(a, b)])
         else:
             rows.append(draw(st.lists(small_fracs, min_size=cols, max_size=cols)))
-    m = Matrix.from_rows(rows)
+    m = from_rows(rows)
     if draw(st.booleans()):
         rhs = mat_vec(m, {i: draw(small_fracs) for i in range(cols)})
     else:
@@ -308,7 +309,7 @@ def test_rref_kernel_basis_and_solve_eliminate_in_spanbasis(monkeypatch):
     added = []
     add = SpanBasis.add
     monkeypatch.setattr(SpanBasis, "add", lambda self, vec: added.append(vec) or add(self, vec))
-    m = Matrix.from_rows([[1, 2], [2, 4]])
+    m = from_rows([[1, 2], [2, 4]])
     for run in (lambda: rref(m), lambda: kernel_basis(m), lambda: solve(m, {0: F(1), 1: F(2)})):
         added.clear()
         run()
@@ -452,7 +453,7 @@ def fraction_kron_combination(rows, cols, terms):
 def _dense_kron(mats):
     out = [[F(1)]]
     for m in mats:
-        rows = m.to_rows()
+        rows = to_rows(m)
         out = [[a * b for a in ra for b in rb] for ra in out for rb in rows]
     return out
 
@@ -468,7 +469,7 @@ def test_kron_combination_uses_each_factor_shape():
     # against a naive dense Kronecker product: 1-3 factors, non-square and
     # all-zero factors; adding the negative back cancels to no stored entry
     wide = Matrix(2, 3, {(0, 0): F(2), (0, 2): F(-1), (1, 1): F(1, 3)})
-    square = Matrix.from_rows([[1, 0], [-2, 5]])
+    square = from_rows([[1, 0], [-2, 5]])
     zero = Matrix(2, 3)
     for mats in ([wide], [col, row], [wide, square], [col, wide, square],
                  [zero], [wide, zero], [square, zero, row]):
@@ -535,8 +536,9 @@ def test_block_kernels_cancel_to_clean_zero_and_check_shapes():
 def test_checked_constructor_still_rejects_bad_entries():
     with pytest.raises(IndexError):
         Matrix(2, 2, {(2, 0): F(1)})
-    m = Matrix(2, 2, {(0, 0): 0, (1, 1): 3})
-    assert m.entries == {(1, 1): F(3)} and type(m.entries[(1, 1)]) is F
+    m = Matrix(2, 2, {(0, 0): 0, (1, 1): F(6, 2), (1, 0): F(2, 4)})
+    assert m.entries == {(1, 1): 3, (1, 0): F(1, 2)}
+    assert all(canonical(v) for v in m.entries.values())
 
 
 # --- the sparse sum ------------------------------------------------------------
@@ -565,22 +567,78 @@ def reference_add_scaled(dst, src, coeff):
     return dst
 
 
-# src may hold zeros and ints; coeff covers 0, 1 and -1 as ints and Fractions
+# dst is canonical (a writer made it), ints and proper Fractions mixed; src
+# may hold zeros, ints and integral Fractions; coeff covers 0, 1 and -1 as
+# ints and Fractions
+CANONICAL_SPARSE = st.dictionaries(st.integers(0, 5), st.one_of(
+    st.integers(-3, 3).filter(bool),
+    st.fractions(-3, 3, max_denominator=4).filter(lambda f: f.denominator > 1)), max_size=6)
 SRC_VALUES = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
 ADD_COEFFS = st.one_of(st.sampled_from([0, 1, -1, F(0), F(1), F(-1)]),
                        st.fractions(-3, 3, max_denominator=4))
 
 
 @settings(max_examples=300, deadline=None)
-@given(dst=SPARSE, src=st.dictionaries(st.integers(0, 5), SRC_VALUES, max_size=6), coeff=ADD_COEFFS)
-@example(dst={0: F(2), 1: F(-1)}, src={0: 1, 1: F(-1, 2)}, coeff=F(-2))
+@given(dst=CANONICAL_SPARSE, src=st.dictionaries(st.integers(0, 5), SRC_VALUES, max_size=6),
+       coeff=ADD_COEFFS)
+@example(dst={0: 2, 1: -1}, src={0: 1, 1: F(-1, 2)}, coeff=F(-2))
+@example(dst={0: F(1, 2)}, src={0: F(1, 2), 1: F(4, 2)}, coeff=1)
 @example(dst={}, src={0: 2, 1: 0}, coeff=1)
 def test_vec_add_scaled_matches_reference_loop(dst, src, coeff):
     # the fast paths (coeff 1, absent keys) against the plain loop
     want = reference_add_scaled(dict(dst), src, coeff)
     assert vec_add_scaled(dst, src, coeff) is dst
     assert dst == want
-    assert all(type(v) is F and v for v in dst.values())
+    assert all(canonical(v) and v for v in dst.values())
+
+
+# --- canonical scalars ---------------------------------------------------------
+# Every writer stores an int when the value is integral and a lowest-terms
+# Fraction otherwise, whatever mix of ints and (integral) Fractions it is fed.
+
+SCALARS = st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=4))
+SCALAR_VECTORS = st.dictionaries(st.integers(0, 3), SCALARS, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(vectors=st.lists(SCALAR_VECTORS, min_size=1, max_size=5), probe=SCALAR_VECTORS,
+       coeff=SCALARS)
+@example(vectors=[{0: F(1, 2), 1: F(3, 2)}, {0: F(1, 2)}], probe={1: F(1)}, coeff=F(2))
+def test_every_writer_stores_canonical_scalars(vectors, probe, coeff):
+    def check(values):
+        values = list(values)
+        assert all(canonical(v) and v for v in values), values
+
+    # a pivot coefficient 2 (or 3) is divided out exactly: pivot 1, tail 1/2
+    # (or 1/3, which a float quotient would miss)
+    for pivot in (2, 3):
+        sb = SpanBasis()
+        sb.add({0: 1, 1: pivot})
+        row = sb.basis()[0]
+        assert row == {0: F(1, pivot), 1: 1} and type(row[1]) is int and type(row[0]) is F
+
+    acc = {}
+    for v in vectors:
+        vec_add_scaled(acc, v, coeff)
+        check(acc.values())
+    check(vec_clean(probe).values())
+    span = SpanBasis()
+    for v in vectors:
+        span.add(v)
+        for row in span.basis():
+            check(row.values())
+    check(span.reduce(probe).values())
+
+    m = Matrix(len(vectors), 4, {(r, c): x for r, v in enumerate(vectors) for c, x in v.items()})
+    check(m.entries.values())
+    check(mat_mul(m, Matrix(4, 2, {(c, c % 2): x for c, x in probe.items()})).entries.values())
+    check(kron_combination(len(vectors), 4, [([m], coeff), ([m], F(1, 2))]).entries.values())
+    check(rref(m)[0].entries.values())
+    for v in kernel_basis(m):
+        check(v.values())
+    solved = solve(m, {r: x for r, x in probe.items() if r < m.rows})
+    if solved is not None:
+        check(solved[0].values())
 
 
 def test_sparse_sums_live_in_exactlin():

@@ -454,7 +454,8 @@ def test_block_identity_carries_non_unit_coproduct_coefficients():
 
 def test_passing_right_invariance_builds_no_fraction():
     # a check that holds runs on integer numerators only: the one fractions
-    # method it calls is as_integer_ratio, and it multiplies no matrices
+    # method it may call is as_integer_ratio (an int entry is its own
+    # numerator), so it builds no Fraction, and it multiplies no matrices
     spec = fixture_spec("three_block")
     ops = [lift_operator(spec, b) for b in spec.l_coalg.basis]
     assert verify_right_invariance(spec.f_ctx, ops[0]) == (True, None)  # D_n memoized
@@ -470,5 +471,5 @@ def test_passing_right_invariance_builds_no_fraction():
     finally:
         sys.setprofile(None)
     assert results == [(True, None)] * len(ops)
-    assert {name for file, name in calls if file == "fractions.py"} == {"as_integer_ratio"}
+    assert {name for file, name in calls if file == "fractions.py"} <= {"as_integer_ratio"}
     assert "mat_mul" not in {name for _, name in calls}

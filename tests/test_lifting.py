@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import apply_to_word, example_w_spec, three_block_spec, tri, trivial_spec
+from conftest import apply_to_word, canonical, example_w_spec, three_block_spec, tri, trivial_spec
 from hopfreal.coalgebra import BasisId, triangular_coalgebra
 from hopfreal.errors import ValidationError
 from hopfreal.exactlin import Matrix, kron_combination
@@ -89,14 +89,14 @@ def test_lift_operator_of_basis_element_is_memoized(example_w):
 
 def test_trusted_lift_blocks_and_combinations_are_clean():
     # lifted blocks and op_combination adopt their entries unchecked; a
-    # checked copy must be equal, and no entry may be zero or non-Fraction
+    # checked copy must be equal, and every entry nonzero and canonical
     spec = three_block_spec()
     ops = [lift_operator(spec, b) for b in spec.l_coalg.basis]
     sums = [op_combination(spec.f_ctx, [(ops[0], ONE), (ops[0], -ONE)]),
             op_combination(spec.f_ctx, [(op, F(k - 2, 3)) for k, op in enumerate(ops)])]
     for op in ops + sums:
         for m in op.blocks.values():
-            assert all(type(v) is F and v for v in m.entries.values())
+            assert all(canonical(v) and v for v in m.entries.values())
             assert m == Matrix(m.rows, m.cols, m.entries)
     assert op_is_zero(sums[0])
 

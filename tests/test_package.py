@@ -66,3 +66,15 @@ def test_readme_library_example_runs():
     blocks = re.findall(r"```python\n(.*?)```", text, re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def test_no_true_division_in_the_package():
+    # coefficients are ints when integral, and int / int is a float: a `/`
+    # anywhere would silently end exactness.  The one true division, the
+    # pivot inverse of SpanBasis.add, is written Fraction(1, pivot).
+    hits = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Div):
+                hits.append(path.name)
+    assert not hits, "true division in: " + ", ".join(hits)
