@@ -15,14 +15,6 @@ class InvalidAlgebraError(HopfrealError):
         super().__init__("invalid algebra presentation: " + "; ".join(self.failures))
 
 
-class InvarianceError(HopfrealError):
-    """An operator expected to be right-invariant is not; carries a witness."""
-
-    def __init__(self, witness, message="operator is not right-invariant"):
-        self.witness = witness
-        super().__init__(f"{message} (witness: {witness})")
-
-
 class PreconditionError(HopfrealError):
     """A stated precondition of an operation does not hold."""
 

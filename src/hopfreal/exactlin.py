@@ -11,7 +11,7 @@ lowest-terms ``Fraction`` with denominator > 1 (:func:`scalar`).  ints and
 Fractions compare and hash equal and mix exactly, and every writer here
 stores through that rule, so the integral coefficients (the 1s of
 coproducts and counits, and most of what elimination makes of them) never
-build a Fraction.  The pivot inverse in :meth:`SpanBasis.add` is the one
+build a Fraction.  The pivot inverse in :meth:`SpanBasis.insert` is the one
 true division, and it goes through ``Fraction``: an int quotient would be
 a float.
 
@@ -334,8 +334,13 @@ class SpanBasis:
     def add(self, vec: dict) -> bool:
         """Add a vector to the span; True iff it added a new direction."""
         v = self.reduce(vec)
-        if not v:
-            return False
+        if v:
+            self.insert(v)
+        return bool(v)
+
+    def insert(self, v: dict) -> None:
+        """Add a nonzero vector that is already reduced (canonical values, no
+        key a pivot) as a new row; the dict is taken, not copied."""
         p = max(v, key=self._key)
         if v[p] != 1:
             # the one true division: Fraction, since an int quotient is a float
@@ -358,7 +363,6 @@ class SpanBasis:
         for k in row:
             if k != p:
                 self._where.setdefault(k, set()).add(p)
-        return True
 
     def __repr__(self):
         return f"SpanBasis(dim={self.dim})"

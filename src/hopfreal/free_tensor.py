@@ -13,8 +13,7 @@ product of the letterwise counits.  Everything of interest downstream is
 grade-preserving, which is why computations truncated at degree N are exact
 on that range.
 
-When F was built as the dual of an algebra E, the context keeps E, and the
-degreewise duality pairing
+When F is the dual of an algebra E, the degreewise duality pairing
 <f_{i1} ... f_{in}, e^{j1} (x) ... (x) e^{jn}> = prod delta(i_k, j_k)
 identifies the coproduct with multiplication in the tensor powers of E; the
 tests check that identity (``tests/oracles.py``).
@@ -45,12 +44,10 @@ def graded_key(w: Word):
 
 @dataclass(frozen=True)
 class TensorContext:
-    """A coalgebra F together with the truncation degree N (and optionally
-    the algebra F was dualized from, enabling the duality pairing)."""
+    """A coalgebra F together with the truncation degree N."""
 
     f: Coalgebra
     max_degree: int
-    algebra: AlgebraPresentation = None
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
@@ -74,7 +71,7 @@ class TensorContext:
 def context_from_algebra(e: AlgebraPresentation, max_degree: int) -> TensorContext:
     from .coalgebra import dual_coalgebra
 
-    return TensorContext(dual_coalgebra(e), max_degree, algebra=e)
+    return TensorContext(dual_coalgebra(e), max_degree)
 
 
 def concat_product(a: TensorElement, b: TensorElement) -> TensorElement:

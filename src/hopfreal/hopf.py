@@ -101,11 +101,13 @@ def reduce_expression(spec: RealizationSpec, expr: dict, max_degree: int):
     pi_N(T(L)), in graded-lex order, or None when one of their words is
     longer than the bound.  Coordinates on a basis are unique, so this is
     the echelon particular solution on the classes of the monomials of any
-    degree that reaches the class, and no lower degree reaches it."""
+    degree that reaches the class, and no lower degree reaches it.  A word's
+    coordinates lie on standard words no longer than it, so the walk grows
+    only to expr's longest word, not to the bound."""
     walk, top = image_walk(spec), spec.max_degree
     coords = walk.classes(expr, top)
-    words = walk.basis(top, max_degree)
-    if any(k >= len(words) for k in coords):
+    words = walk.basis(top, max(map(len, expr), default=0))
+    if any(len(words[k]) > max_degree for k in coords):
         return None
     return {words[k]: c for k, c in sorted(coords.items())}
 

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .coalgebra import (
     AlgebraPresentation,
@@ -53,6 +52,7 @@ from .coalgebra import (
     triangular_coalgebra,
 )
 from .errors import ParseError, ResolutionError, ResourceLimitError, ValidationError
+from .exactlin import scalar
 from .free_tensor import TensorContext
 from .invariant import RIOp
 from .lifting import RealizationSpec, make_spec
@@ -129,8 +129,8 @@ class _Parser:
     def line_error(self, toks, message):
         raise ParseError(toks[0].line, toks[0].col, message)
 
-    def number(self, tok, kind=Fraction):
-        """A numeric token as an exact Fraction, or as an int for counts."""
+    def number(self, tok, kind=scalar):
+        """A numeric token as a canonical exact scalar, or as an int for counts."""
         try:
             return kind(tok.text)
         except ZeroDivisionError:
@@ -160,7 +160,7 @@ class _Parser:
             key = resolve(name)
             coeff = self.number(toks[i + 1])
             if coeff:
-                out[key] = out.get(key, Fraction(0)) + coeff
+                out[key] = scalar(out.get(key, 0) + coeff)
             i += 2
             if i < len(toks):
                 if toks[i].text != ",":
@@ -350,7 +350,7 @@ class _Parser:
             lid = self.resolve_label(real.l_name, toks[1])
             if lid in real.x_table:
                 self.error(toks[1], f"duplicate x entry for {toks[1].text!r}")
-            id_coeff = Fraction(0)
+            id_coeff = 0
             form = {}
             i = 3
             if len(toks) == 4 and toks[3].text == "0":
@@ -360,13 +360,13 @@ class _Parser:
                 if part == "id":
                     if i + 1 >= len(toks) or toks[i + 1].kind != "rat":
                         self.error(toks[i], "expected: id C")
-                    id_coeff += self.number(toks[i + 1])
+                    id_coeff = scalar(id_coeff + self.number(toks[i + 1]))
                     i += 2
                 elif part == "form":
                     if i + 2 >= len(toks) or toks[i + 2].kind != "rat":
                         self.error(toks[i], "expected: form FID C")
                     fid = self.resolve_label(real.f_name, toks[i + 1])
-                    form[fid] = form.get(fid, Fraction(0)) + self.number(toks[i + 2])
+                    form[fid] = scalar(form.get(fid, 0) + self.number(toks[i + 2]))
                     i += 3
                 else:
                     self.error(toks[i], f"expected 'id' or 'form', got {part!r}")
@@ -474,12 +474,7 @@ def build_spec(doc: InputDocument) -> RealizationSpec:
     the window preflight."""
     preflight(doc)
     real = doc.realization
-    f_coalg = doc.coalgebras[real.f_name]
-    f_def = doc.coalgebra_defs.get(real.f_name, "")
-    algebra = None
-    if f_def.startswith("dual of algebra "):
-        algebra = doc.algebras[f_def[len("dual of algebra "):]]
-    ctx = TensorContext(f_coalg, doc.truncation, algebra=algebra)
+    ctx = TensorContext(doc.coalgebras[real.f_name], doc.truncation)
     try:
         return make_spec(doc.coalgebras[real.l_name], ctx, real.x_table,
                          real.diag_pairs)

@@ -158,9 +158,9 @@ class _Pipeline:
     def stage_relations(self):
         lines = []
         n = self.doc.truncation
-        for (d, kern, wider, flagged) in self.kernels():
+        for (d, kern, wider_dim, flagged) in self.kernels():
             lines.append(
-                f"degree {d} kernel: dim {kern.dim} [N={n}], dim {wider.dim} "
+                f"degree {d} kernel: dim {kern.dim} [N={n}], dim {wider_dim} "
                 f"[N={n + 1}], truncation-flagged candidates: {flagged}")
             for k, rel in enumerate(kern.basis):
                 lines.append(f"  r{k + 1}: {format_element(rel, self.labels)}")
@@ -332,7 +332,7 @@ def stage_artifacts_text(pipe: "_Pipeline", pipe_stages) -> str:
         return ", ".join(parts)
 
     if "relations" in pipe_stages:
-        for (d, kern, wider, flagged) in pipe.kernels():
+        for (d, kern, _, flagged) in pipe.kernels():
             out.append("relations {")
             out.append(f"  degree {d}")
             out.append(f"  truncation {doc.truncation}")

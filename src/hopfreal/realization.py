@@ -8,13 +8,17 @@ ideal of relations.  Both are read off one :class:`ImageWalk` per spec,
 without forming a block of pi(w): the walk's standard words on the window
 W_N of blocks 0 .. N, in graded-lex order, are a basis of A, and the
 coordinates of an element of T(L) on that basis are its class, zero exactly
-when pi kills it.  The degree-d kernel is the nullspace of the coordinate
-columns of the monomials (in the global lexicographic order over the sorted
-basis of L), a matrix with dim A rows.  The tests compose the T(F) blocks
+when pi kills it.  The homogeneous degree-d kernel is the nullspace of the
+coordinate columns of the degree-d monomials (in the global lexicographic
+order over the sorted basis of L), a matrix with dim A rows: one
+elimination per degree.  The degree-mixing kernel on the monomials of
+degree <= d needs none, since the standard words are the pivots of its
+matrix (:func:`relation_kernel_upto`).  The tests compose the T(F) blocks
 of pi(w) as an oracle for the walk (``tests/oracles.py``).  A kernel
 element is certified *relative to the truncation N*:
-:func:`kernel_persistence` also computes the kernel on the next window
-W_{N + 1} of blocks 0 .. N + 1, and flags candidates that fail to persist.
+:func:`kernel_persistence` takes the classes of the kernel's basis on the
+next window W_{N + 1} of blocks 0 .. N + 1, flags the candidates whose
+class is not zero, and reads the N + 1 kernel's dimension off their rank.
 
 The degree-bounded span S_b of the two-sided ideal generated by a set of
 relations (every a . g . c with deg a + top g + deg c <= b) is never built
@@ -50,15 +54,14 @@ from .reportkit import CheckReport
 class RelationSpace:
     """Canonical basis of the kernel of pi on monomials over L.
 
-    ``degree`` is the homogeneous degree, or the degree cap if ``upto`` is
-    set (kernel on all monomials of degree <= cap, empty word included).
+    ``degree`` is the homogeneous degree, or the degree cap of a mixed
+    kernel (all monomials of degree <= cap, empty word included).
     ``truncation`` records the T(F) window the relations are certified on.
     """
 
     degree: int
     basis: list
     truncation: int
-    upto: bool = False
 
     @property
     def dim(self) -> int:
@@ -101,8 +104,8 @@ class _Layer:
         red = self.span.reduce(vec)
         if all(key[0] == -1 for key in red):
             return {key[1]: -c for key, c in red.items()}
-        red[(-1, len(self.ambient))] = ONE
-        self.span.add(red)
+        red[(-1, len(self.ambient))] = ONE  # a tag is never a pivot: red stays reduced
+        self.span.insert(red)
         self.ambient.append(vec)
         self.words.append(w)
         return {len(self.ambient) - 1: ONE}
@@ -227,55 +230,65 @@ def image_walk(spec: RealizationSpec) -> ImageWalk:
     return spec._cache[("walk",)]
 
 
-def _window_kernel(spec: RealizationSpec, degree: int, top: int, upto: bool = False) -> list:
-    """Canonical basis of ker pi on blocks 0 .. top, over the monomials of
-    degree d (of degree <= d if upto), as sparse dicts over monomials: the
-    kernel of the matrix whose columns are their coordinates on the basis of
-    pi_top(T(L)), with one row per basis word.  Coordinates have the same
-    relations as the blocks, and the canonical kernel_basis depends only on
-    that subspace and the column order, which ``monomials(d)`` keeps inside
-    ``monomials_upto(d)``.
-    """
-    walk = image_walk(spec)
-    mons = monomials_upto(spec.l_coalg, degree) if upto else monomials(spec.l_coalg, degree)
-    entries = {(k, j): c for j, w in enumerate(mons) for k, c in walk.coordinates(w, top).items()}
-    matrix = Matrix.trusted(len(walk.basis(top, degree)), len(mons), entries)
-    return [{mons[j]: c for j, c in vec.items()} for vec in kernel_basis(matrix)]
-
-
-def _relation_space(spec: RealizationSpec, degree: int, upto: bool) -> RelationSpace:
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
-    key = ("relker_upto" if upto else "relker", degree)
-    if key not in spec._cache:
-        basis = _window_kernel(spec, degree, spec.max_degree, upto)
-        spec._cache[key] = RelationSpace(degree, basis, spec.max_degree, upto)
-    return spec._cache[key]
-
-
 def relation_kernel(spec: RealizationSpec, degree: int) -> RelationSpace:
     """Canonical basis of ker pi restricted to homogeneous degree-d monomials
-    (cached per spec and degree; callers never write into the result)."""
-    return _relation_space(spec, degree, upto=False)
+    (cached per spec and degree; callers never write into the result): the
+    kernel of the matrix whose columns are the coordinates of the monomials
+    on the basis of pi_N(T(L)), one row per basis word.  Coordinates have
+    the same relations as the blocks."""
+    if degree < 1:
+        raise ValueError("degree must be >= 1")
+    key = ("relker", degree)
+    if key not in spec._cache:
+        walk, top = image_walk(spec), spec.max_degree
+        mons = monomials(spec.l_coalg, degree)
+        entries = {(k, j): c for j, w in enumerate(mons) for k, c in walk.coordinates(w, top).items()}
+        matrix = Matrix.trusted(len(walk.basis(top, degree)), len(mons), entries)
+        basis = [{mons[j]: c for j, c in vec.items()} for vec in kernel_basis(matrix)]
+        spec._cache[key] = RelationSpace(degree, basis, top)
+    return spec._cache[key]
 
 
 def relation_kernel_upto(spec: RealizationSpec, degree: int) -> RelationSpace:
     """Canonical basis of ker pi on all monomials of degree <= d (empty word
     included), so degree-mixing relations such as unit relations appear
-    (cached per spec and degree)."""
-    return _relation_space(spec, degree, upto=True)
+    (cached per spec and degree).  Read off the walk with no elimination: in
+    ``monomials_upto`` order, one element w - sum c_k s_k per word w that is
+    not standard, where c_k are its coordinates on the standard words s_k.
+
+    This is the canonical kernel basis of the coordinate matrix with one
+    column per monomial of degree <= d, in graded-lex order, and one row per
+    standard word of length <= d.  The column of s_k is the unit vector e_k,
+    and every other word's class depends on the classes of the words before
+    it, so its coordinates lie on standard words before it.  The matrix is
+    thus its own reduced row echelon form, with the standard words as
+    pivots, and the kernel vector of a free column w is w minus that
+    column."""
+    if degree < 1:
+        raise ValueError("degree must be >= 1")
+    key = ("relker_upto", degree)
+    if key not in spec._cache:
+        walk, top = image_walk(spec), spec.max_degree
+        standard = walk.basis(top, degree)
+        known = set(standard)
+        basis = [{w: ONE, **{standard[k]: -c for k, c in sorted(walk.coordinates(w, top).items())}}
+                 for w in monomials_upto(spec.l_coalg, degree) if w not in known]
+        spec._cache[key] = RelationSpace(degree, basis, top)
+    return spec._cache[key]
 
 
 def kernel_persistence(spec: RealizationSpec, degree: int):
-    """(kernel_at_N, kernel_at_N_plus_1, flagged): the N + 1 kernel is read
-    off the walk on blocks 0 .. N + 1, and flagged counts the basis elements
-    of the N kernel whose class there is not zero (not relations at N + 1).
-    """
-    kern = relation_kernel(spec, degree)
-    top = spec.max_degree + 1
-    wider = RelationSpace(degree, _window_kernel(spec, degree, top), top)
-    walk = image_walk(spec)
-    return kern, wider, sum(1 for r in kern.basis if walk.classes(r, top))
+    """(kernel at N, its dimension at N + 1, flagged): flagged counts the
+    basis elements of the N kernel whose class on blocks 0 .. N + 1 is not
+    zero (not relations at N + 1).
+
+    A relation at N + 1 vanishes on blocks 0 .. N too, so the N + 1 kernel
+    is K_N with class_{N + 1} = 0, and its dimension is dim K_N minus the
+    rank of the classes of the basis of K_N: no second kernel is formed."""
+    kern, walk = relation_kernel(spec, degree), image_walk(spec)
+    classes = [walk.classes(r, spec.max_degree + 1) for r in kern.basis]
+    rank = sum(map(SpanBasis().add, classes))
+    return kern, kern.dim - rank, sum(1 for c in classes if c)
 
 
 class BoundedIdeal:

@@ -31,10 +31,3 @@ class CheckReport:
         bad = len(self.failures())
         verdict = "PASS" if bad == 0 else "FAIL"
         return f"{self.title}: {verdict} ({len(self.checks)} checks, {bad} failed)"
-
-    def lines(self) -> list:
-        out = [self.summary()]
-        for desc, ok in self.checks:
-            if not ok:
-                out.append(f"  FAIL {desc}")
-        return out

@@ -5,10 +5,12 @@ package decides another way: pi(w) as composed T(F) blocks (against the
 image walk), the lift by the splitting recursion (against the iterated
 coproduct), the form convolution algebra (against composing the X_omega),
 the T(F)/T(E) duality pairing, relabelled coalgebras, the pivots and
-rows of a bounded ideal (against an enumerated span), and the reduced
-echelon form by Gauss-Jordan elimination (against ``SpanBasis``).  Linear
-combinations of blocks and operators, which the package no longer forms,
-and dense-row conversions of matrices live here too.
+rows of a bounded ideal (against an enumerated span), the relation kernels
+of a window by elimination (against reading them off the image walk), and
+the reduced echelon form by Gauss-Jordan elimination (against
+``SpanBasis``).  Linear combinations of blocks and operators, which the
+package no longer forms, and dense-row conversions of matrices live here
+too.
 """
 
 from __future__ import annotations
@@ -18,14 +20,22 @@ from fractions import Fraction
 
 from hopfreal.coalgebra import (
     AlgebraPresentation, BasisId, Coalgebra, dual_coalgebra, make_coalgebra, triangular_units)
-from hopfreal.errors import InternalInconsistencyError, InvarianceError, UnsupportedStructureError
+from hopfreal.errors import HopfrealError, InternalInconsistencyError, UnsupportedStructureError
 from hopfreal.exactlin import (
-    Matrix, ONE, ZERO, kron_combination, mat_mul, solve, vec_add_scaled, vec_clean)
+    Matrix, ONE, ZERO, kernel_basis, kron_combination, mat_mul, solve, vec_add_scaled, vec_clean)
 from hopfreal.free_tensor import TensorContext, graded_key, word_coproduct
 from hopfreal.invariant import LinOp, RIOp, op_from_form, verify_right_invariance
 from hopfreal.lifting import RealizationSpec, lift_operator, split_witness
-from hopfreal.realization import BoundedIdeal, l_context
+from hopfreal.realization import BoundedIdeal, image_walk, l_context, monomials, monomials_upto
 from hopfreal.reportkit import CheckReport
+
+
+class InvarianceError(HopfrealError):
+    """An operator expected to be right-invariant is not; carries a witness."""
+
+    def __init__(self, witness, message="operator is not right-invariant"):
+        self.witness = witness
+        super().__init__(f"{message} (witness: {witness})")
 
 
 def from_rows(data) -> Matrix:
@@ -132,7 +142,7 @@ def right_invariance_on_f(f: Coalgebra, m: Matrix):
 
 def with_truncation(spec: RealizationSpec, max_degree: int) -> RealizationSpec:
     """Same realization data at another truncation degree (fresh caches)."""
-    ctx = TensorContext(spec.f_ctx.f, max_degree, algebra=spec.f_ctx.algebra)
+    ctx = TensorContext(spec.f_ctx.f, max_degree)
     return RealizationSpec(spec.l_coalg, ctx, spec.x_map, spec.diag_pairs)
 
 
@@ -158,6 +168,18 @@ def represent(spec: RealizationSpec, w) -> LinOp:
         (represent_word(spec, mono), coeff)
         for mono, coeff in sorted(w.items(), key=lambda kv: graded_key(kv[0]))
     ])
+
+
+def window_kernel(spec: RealizationSpec, degree: int, top: int, upto: bool = False) -> list:
+    """Canonical basis of ker pi on blocks 0 .. top, over the monomials of
+    degree d (of degree <= d if upto), by one elimination: the kernel of the
+    matrix whose columns are their coordinates on the basis of
+    pi_top(T(L)), with one row per basis word."""
+    walk = image_walk(spec)
+    mons = monomials_upto(spec.l_coalg, degree) if upto else monomials(spec.l_coalg, degree)
+    entries = {(k, j): c for j, w in enumerate(mons) for k, c in walk.coordinates(w, top).items()}
+    matrix = Matrix.trusted(len(walk.basis(top, degree)), len(mons), entries)
+    return [{mons[j]: c for j, c in vec.items()} for vec in kernel_basis(matrix)]
 
 
 def verify_splitting(spec: RealizationSpec, w: tuple, bound: int) -> bool:
@@ -291,20 +313,16 @@ def transpose_left_mult(e: AlgebraPresentation, elem: dict) -> Matrix:
     return m
 
 
-def _require_algebra(ctx: TensorContext) -> AlgebraPresentation:
-    if ctx.algebra is None:
-        raise UnsupportedStructureError(
-            "duality pairing needs a context built from an algebra presentation")
-    return ctx.algebra
-
-
-def duality_pairing(ctx: TensorContext, w: tuple, t: tuple) -> Fraction:
+def duality_pairing(e: AlgebraPresentation, w: tuple, t: tuple) -> Fraction:
     """<f_{i1}...f_{in}, e^{j1}(x)...(x)e^{jn}> = prod delta(i_k, j_k).
 
-    w is a word over the dual basis; t a pure basis tensor of the same rank
-    given by algebra basis indices.
+    w is a word over the basis of dual(e); t a pure basis tensor of the same
+    rank given by algebra basis indices.  UnsupportedStructureError when a
+    letter of w is not a basis element of dual(e).
     """
-    _require_algebra(ctx)
+    if any(letter not in {BasisId.plain(k) for k in range(e.dim)} for letter in w):
+        raise UnsupportedStructureError(
+            f"duality pairing needs a word over the dual of the algebra, got {w}")
     if len(w) != len(t):
         raise ValueError(f"rank mismatch: word degree {len(w)} vs tensor rank {len(t)}")
     for letter, idx in zip(w, t):
@@ -313,13 +331,13 @@ def duality_pairing(ctx: TensorContext, w: tuple, t: tuple) -> Fraction:
     return ONE
 
 
-def pairing_bilinear(ctx: TensorContext, elem: dict, tens: dict) -> Fraction:
+def pairing_bilinear(e: AlgebraPresentation, elem: dict, tens: dict) -> Fraction:
     """Bilinear extension of the pairing to sparse combinations on both sides."""
     total = ZERO
     for w, cw in elem.items():
         for t, ct in tens.items():
             if len(t) == len(w):
-                total += cw * ct * duality_pairing(ctx, w, t)
+                total += cw * ct * duality_pairing(e, w, t)
     return total
 
 
@@ -338,10 +356,10 @@ def tensor_power_product(e: AlgebraPresentation, t1: tuple, t2: tuple) -> dict:
     return acc
 
 
-def verify_pairing(ctx: TensorContext) -> CheckReport:
+def verify_pairing(ctx: TensorContext, e: AlgebraPresentation) -> CheckReport:
     """Check <delta(w), t1 (x) t2> = <w, t1 . t2> on all basis words of degree
-    <= min(N, 2) and all pairs of basis tensors of the matching rank."""
-    e = _require_algebra(ctx)
+    <= min(N, 2) and all pairs of basis tensors of the matching rank, for F
+    the dual of the algebra e."""
     report = CheckReport("duality pairing intertwines coproduct and product")
     for n in range(min(2, ctx.max_degree) + 1):
         tensors = list(itertools.product(range(e.dim), repeat=n))
@@ -351,8 +369,8 @@ def verify_pairing(ctx: TensorContext) -> CheckReport:
                 for t2 in tensors:
                     lhs = ZERO
                     for (w1, w2), coeff in pairs.items():
-                        lhs += coeff * duality_pairing(ctx, w1, t1) * duality_pairing(ctx, w2, t2)
-                    rhs = pairing_bilinear(ctx, {w: ONE}, tensor_power_product(e, t1, t2))
+                        lhs += coeff * duality_pairing(e, w1, t1) * duality_pairing(e, w2, t2)
+                    rhs = pairing_bilinear(e, {w: ONE}, tensor_power_product(e, t1, t2))
                     report.record(f"pairing identity on w={w}, t1={t1}, t2={t2}", lhs == rhs)
     return report
 

@@ -129,8 +129,8 @@ def test_criterion_03_anti_isomorphism():
 
 def test_criterion_04_duality_pairing():
     with _Timer(4, "duality pairing", 1.0):
-        ctx = context_from_algebra(upper_triangular_algebra(2), 3)
-        report = verify_pairing(ctx)
+        alg = upper_triangular_algebra(2)
+        report = verify_pairing(context_from_algebra(alg, 3), alg)
         assert report.ok, report.failures()
 
 

@@ -16,10 +16,12 @@ import pytest
 from hypothesis import given, settings
 
 import hopfreal
+from conftest import canonical
 from hopfreal import inputdoc
 from hopfreal.cli import main
 from hopfreal.coalgebra import BasisId
-from hopfreal.errors import ParseError, ResolutionError, ResourceLimitError, ValidationError
+from hopfreal.errors import (
+    InputError, InvalidAlgebraError, ParseError, ResolutionError, ResourceLimitError, ValidationError)
 from hopfreal.inputdoc import build_spec, parse_input, preflight
 from hopfreal.pipeline import run_pipeline
 
@@ -72,6 +74,25 @@ def test_rational_literals_canonicalize():
     text = MINIMAL.replace("x l[2,1] = form e12 1", "x l[2,1] = form e12 2/4")
     doc = parse_input(text)
     assert doc.realization.x_table[tri(2, 1)].form == {BasisId.plain(1): F(1, 2)}
+
+
+def test_parsed_coefficients_are_canonical():
+    # every x coefficient of a fixture, and sums of halves that make 1 or 0
+    parsed = 0
+    for path in sorted(FIXTURES.glob("*.hra")):
+        try:
+            doc = parse_input(path.read_text(encoding="utf-8"))
+        except (InputError, InvalidAlgebraError):
+            continue
+        parsed += 1
+        for op in doc.realization.x_table.values():
+            assert all(canonical(v) for v in (op.id_coeff, *op.form.values())), path.name
+    assert parsed >= 8
+    text = MINIMAL.replace("x l[2,1] = form e12 1",
+                           "x l[2,1] = id 1/2, id 1/2, form e12 1/2, form e12 1/2")
+    op = parse_input(text).realization.x_table[tri(2, 1)]
+    assert type(op.id_coeff) is int and op.id_coeff == 1
+    assert [type(v) for v in op.form.values()] == [int]
 
 
 def test_missing_x_entry_names_the_basis_id():

@@ -43,6 +43,7 @@ from hopfreal.lifting import lift_operator, make_spec, split_witness
 from hopfreal.realization import (
     BoundedIdeal,
     ideal_span,
+    image_walk,
     l_context,
     monomials_upto,
     relation_kernel_upto,
@@ -652,6 +653,14 @@ def test_reduce_expression_none_paths(example_w, trivial):
     for expr, bound in (({(z,): ONE}, 0), ({(z, z): ONE, (z,): F(-1)}, 1), ({(z,) * 3: F(2)}, 2)):
         assert reduce_expression(example_w, expr, bound) is None
         assert reduce_expression_loop(example_w, represent(example_w, expr), bound) is None
+
+
+def test_reduce_expression_grows_the_walk_only_to_the_expression(example_w):
+    # coordinates lie on standard words no longer than the word, so a bound
+    # past the expression's longest word grows nothing
+    z = tri(2, 1)
+    assert reduce_expression(example_w, {(z, z): ONE}, 3) == {(z, z): ONE}
+    assert image_walk(example_w).layers[example_w.max_degree].length == 2
 
 
 def system_flags(spec, ops):

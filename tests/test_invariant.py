@@ -21,7 +21,6 @@ from hopfreal.coalgebra import (
     upper_triangular_algebra,
     verify_coalgebra,
 )
-from hopfreal.errors import InvarianceError
 from hopfreal.exactlin import Matrix, kron_combination, mat_mul, vec_add_scaled, vec_clean
 from hopfreal.free_tensor import TensorContext, coproduct, word_coproduct
 from hopfreal.inputdoc import build_spec, parse_input
@@ -34,6 +33,7 @@ from hopfreal.invariant import (
 )
 from hopfreal.lifting import lift_operator
 from oracles import (
+    InvarianceError,
     convolution,
     convolution_inverse,
     delta_vect,

@@ -46,8 +46,10 @@ from oracles import (
     represent,
     represent_word,
     verify_splitting,
+    window_kernel,
     with_truncation,
 )
+from test_cli import WORKLOADS
 
 ONE = F(1)
 
@@ -120,7 +122,9 @@ def test_relation_kernel_stable_under_truncation_growth(example_w, trivial):
         for d in (1, 2):
             kern, wider, flagged = kernel_persistence(spec, d)
             assert flagged == 0
-            assert span_of(kern.basis).basis() == span_of(wider.basis).basis()
+            assert wider == kern.dim
+            assert span_of(kern.basis).basis() == span_of(
+                window_kernel(spec, d, spec.max_degree + 1)).basis()
 
 
 def test_relation_kernel_flags_truncation_sensitive_candidates():
@@ -129,7 +133,7 @@ def test_relation_kernel_flags_truncation_sensitive_candidates():
     spec = example_w_spec(truncation=1)
     kern, wider, flagged = kernel_persistence(spec, 2)
     assert flagged > 0
-    assert wider.dim < kern.dim
+    assert wider < kern.dim
 
 
 def test_relation_kernel_upto_contains_unit_relations(example_w):
@@ -439,9 +443,8 @@ def test_kernel_persistence_matches_wider_spec(make, truncation, degree):
     kern, wider, flagged = kernel_persistence(spec, degree)
     old_kern, old_wider, old_flagged = wider_spec_persistence(make(truncation), degree)
     assert kern.basis == old_kern.basis
-    assert wider.basis == old_wider.basis == operator_column_kernel(
-        with_truncation(spec, truncation + 1), monomials(spec.l_coalg, degree))
-    assert wider.truncation == truncation + 1 == old_wider.truncation
+    assert wider == old_wider.dim == len(operator_column_kernel(
+        with_truncation(spec, truncation + 1), monomials(spec.l_coalg, degree)))
     assert flagged == old_flagged
 
 
@@ -464,15 +467,62 @@ def test_report_runs_one_image_walk_per_spec(monkeypatch):
     assert isinstance(realization.image_walk(pipe.spec), Counted)
 
 
+def document_text(name):
+    """A shipped fixture, or a benchmark workload's document at seed 1."""
+    if name in WORKLOADS.WORKLOADS:
+        return WORKLOADS.generate(name, 1)
+    return (FIXTURE_DIR / f"{name}.hra").read_text(encoding="utf-8")
+
+
 def fixture_spec(name):
-    """(spec, d) of a shipped fixture, built once per test session."""
+    """(spec, d) of a :func:`document_text`, built once per test session."""
     if name not in _FIXTURE_SPECS:
-        doc = parse_input((FIXTURE_DIR / f"{name}.hra").read_text(encoding="utf-8"))
+        doc = parse_input(document_text(name))
         _FIXTURE_SPECS[name] = build_spec(doc), doc.max_degree
     return _FIXTURE_SPECS[name]
 
 
 _FIXTURE_SPECS = {}
+DOCUMENTS = ["example_w", "general_w", "projection", "three_block", "trivial",
+             *sorted(WORKLOADS.WORKLOADS)]
+
+
+@pytest.mark.parametrize("name", DOCUMENTS)
+def test_mixed_kernel_read_off_the_walk_matches_elimination(name):
+    # w minus its coordinates, for each word w that is not standard, is the
+    # canonical kernel basis of the coordinate columns: same elements, same
+    # order, and the same terms in the same order
+    spec, d = fixture_spec(name)
+    got = relation_kernel_upto(spec, d).basis
+    want = window_kernel(spec, d, spec.max_degree, upto=True)
+    assert [list(r.items()) for r in got] == [list(r.items()) for r in want]
+
+
+@settings(max_examples=40, deadline=None)
+@given(make=SPECS, truncation=st.integers(1, 3), degree=st.integers(1, 3))
+def test_mixed_kernel_keeps_the_term_order_of_elimination(make, truncation, degree):
+    # random x tables give relations with several standard words
+    spec = make(truncation)
+    got = relation_kernel_upto(spec, degree).basis
+    want = window_kernel(spec, degree, truncation, upto=True)
+    assert [list(r.items()) for r in got] == [list(r.items()) for r in want]
+
+
+@pytest.mark.parametrize("name", DOCUMENTS)
+def test_relations_stage_eliminates_once_per_degree(name, monkeypatch):
+    # one kernel_basis per homogeneous degree; the mixed kernel and the
+    # N + 1 dimensions are read off the walk
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return kernel_basis(m)
+
+    monkeypatch.setattr(realization, "kernel_basis", counted)
+    doc = parse_input(document_text(name))
+    report, _ = _run(doc, ("relations",))
+    assert report.ok
+    assert len(calls) == doc.max_degree
 
 
 @settings(max_examples=60, deadline=None)
@@ -509,7 +559,7 @@ def layer_specs(make):
         wider = with_truncation(spec, spec.max_degree + 1)
         relations = []
         for t in range(spec.max_degree + 2):
-            kernel = realization._window_kernel(spec, 2, t, upto=True)
+            kernel = window_kernel(spec, 2, t, upto=True)
             edge = [r for r in kernel
                     if t <= spec.max_degree and not represent(wider, r).blocks[t + 1].is_zero()]
             relations.append(edge or kernel)
