@@ -23,7 +23,6 @@ modelling infinite-dimensional coalgebras.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import InvalidAlgebraError
@@ -94,7 +93,6 @@ class BasisId(tuple):
 Vect = dict
 
 
-@dataclass(frozen=True)
 class AlgebraPresentation:
     """Associative unital algebra given by structure constants.
 
@@ -103,10 +101,11 @@ class AlgebraPresentation:
     algebra unit.  Basis indices run 0..dim-1; ``names`` are display labels.
     """
 
-    dim: int
-    structure: dict
-    unit: dict
-    names: tuple = None
+    def __init__(self, dim: int, structure: dict, unit: dict, names: tuple = None):
+        self.dim = dim
+        self.structure = structure
+        self.unit = unit
+        self.names = names
 
     def basis_product(self, l: int, m: int) -> dict:
         return self.structure.get((l, m), {})
@@ -198,13 +197,19 @@ def _norm_delta(delta: dict) -> dict:
     return out
 
 
-@dataclass(frozen=True)
 class Coalgebra:
-    """Coalgebra as structure constants: delta(b) = sum of c * p (x) q per basis b."""
+    """Coalgebra as structure constants: delta(b) = sum of c * p (x) q per basis b.
 
-    basis: tuple
-    delta: dict
-    epsilon: dict
+    Two coalgebras are equal when their basis, coproduct and counit are."""
+
+    def __init__(self, basis: tuple, delta: dict, epsilon: dict):
+        self.basis = basis
+        self.delta = delta
+        self.epsilon = epsilon
+
+    def __eq__(self, other):
+        return (isinstance(other, Coalgebra) and self.basis == other.basis
+                and self.delta == other.delta and self.epsilon == other.epsilon)
 
     @property
     def dim(self) -> int:

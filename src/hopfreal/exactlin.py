@@ -133,15 +133,9 @@ class Matrix:
             rows[r][c] = v
         return rows
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows
                 and self.cols == other.cols and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, frozenset(self.entries.items())))
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
@@ -320,9 +314,6 @@ class SpanBasis:
                 else:
                     v.pop(k2, None)
         return v
-
-    def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)
 
     def copy(self) -> "SpanBasis":
         """An independent copy of the span, rows and index included."""

@@ -22,7 +22,6 @@ tests check that identity (``tests/oracles.py``).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .coalgebra import AlgebraPresentation, Coalgebra
 from .exactlin import ONE, ZERO, Scalar, vec_add_scaled
@@ -42,17 +41,15 @@ def graded_key(w: Word):
     return (len(w), w)
 
 
-@dataclass(frozen=True)
 class TensorContext:
     """A coalgebra F together with the truncation degree N."""
 
-    f: Coalgebra
-    max_degree: int
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.max_degree < 1:
+    def __init__(self, f: Coalgebra, max_degree: int):
+        if max_degree < 1:
             raise ValueError("truncation degree must be >= 1")
+        self.f = f
+        self.max_degree = max_degree
+        self._cache = {}
 
     def word_basis(self, n: int) -> tuple:
         """All words of length n over the sorted basis of F, in lex order."""

@@ -37,7 +37,6 @@ by one exact joint linear solve; infeasibility at the bound is reported as
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .coalgebra import BasisId, triangular_blocks
 from .errors import (
@@ -60,17 +59,19 @@ from .realization import (
 from .reportkit import CheckReport
 
 
-@dataclass
 class AntipodeTable:
     """Solved antipode data: per generator the canonical word expression y
     with pi(y) = Y (a section of pi), and the raw determination record."""
 
-    entries: dict          # BasisId -> expression (sparse dict of L-monomials)
-    raw_entries: dict      # BasisId -> back-substitution expression
-    mode: str              # "triangular" | "general"
-    determination: dict = None   # diagonal id -> chosen inverse id
-    unique: bool = True
-    report: CheckReport = None
+    def __init__(self, entries: dict, raw_entries: dict, mode: str,
+                 determination: dict = None, unique: bool = True,
+                 report: CheckReport = None):
+        self.entries = entries            # BasisId -> expression (sparse dict of L-monomials)
+        self.raw_entries = raw_entries    # BasisId -> back-substitution expression
+        self.mode = mode                  # "triangular" | "general"
+        self.determination = determination  # diagonal id -> chosen inverse id
+        self.unique = unique
+        self.report = report
 
 
 def _splits(spec: RealizationSpec, y: dict, parts, bound: int) -> bool:
@@ -263,29 +264,32 @@ def extend_antihom(memo: dict, table: AntipodeTable, w, cap: int = None):
     return out, truncated
 
 
-@dataclass
 class ClosureStage:
-    index: int
-    space_dim: int
-    ideal_dim: int
-    new_directions: int
-    coideal_ok: bool
+    def __init__(self, index: int, space_dim: int, ideal_dim: int, new_directions: int,
+                 coideal_ok: bool):
+        self.index = index
+        self.space_dim = space_dim
+        self.ideal_dim = ideal_dim
+        self.new_directions = new_directions
+        self.coideal_ok = coideal_ok
 
 
-@dataclass
 class ClosureResult:
     """Record of the S^r-closure iteration R_{n+1} = R_n + S^r(R_n)."""
 
-    stages: list
-    stabilized: bool
-    stable_at: int
-    degree_bound: int
-    truncation: int
-    final_basis: list
-    quotient_dims: dict
-    ideal: BoundedIdeal  # the bounded ideal span of final_basis at degree_bound
-    r0_coideal_ok: bool = True
-    overflow: bool = False
+    def __init__(self, stages: list, stabilized: bool, stable_at: int, degree_bound: int,
+                 truncation: int, final_basis: list, quotient_dims: dict,
+                 ideal: BoundedIdeal, r0_coideal_ok: bool = True, overflow: bool = False):
+        self.stages = stages
+        self.stabilized = stabilized
+        self.stable_at = stable_at
+        self.degree_bound = degree_bound
+        self.truncation = truncation
+        self.final_basis = final_basis
+        self.quotient_dims = quotient_dims
+        self.ideal = ideal  # the bounded ideal span of final_basis at degree_bound
+        self.r0_coideal_ok = r0_coideal_ok
+        self.overflow = overflow
 
 
 def closure_iterate(spec: RealizationSpec, table: AntipodeTable, r0,

@@ -43,7 +43,6 @@ raise :class:`ResolutionError`, and structural problems raise
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .coalgebra import (
     AlgebraPresentation,
@@ -65,12 +64,12 @@ _TOKEN = re.compile(
 )
 
 
-@dataclass
 class _Tok:
-    line: int
-    col: int
-    text: str
-    kind: str  # "id" | "rat" | "punct"
+    def __init__(self, line: int, col: int, text: str, kind: str):
+        self.line = line
+        self.col = col
+        self.text = text
+        self.kind = kind  # "id" | "rat" | "punct"
 
 
 def _tokenize(text: str) -> list:
@@ -93,24 +92,28 @@ def _tokenize(text: str) -> list:
     return lines
 
 
-@dataclass
 class RealizationInput:
-    l_name: str = None
-    f_name: str = None
-    x_table: dict = field(default_factory=dict)   # BasisId -> RIOp
-    diag_pairs: list = None
+    def __init__(self, l_name: str = None, f_name: str = None, x_table: dict = None,
+                 diag_pairs: list = None):
+        self.l_name = l_name
+        self.f_name = f_name
+        self.x_table = {} if x_table is None else x_table   # BasisId -> RIOp
+        self.diag_pairs = diag_pairs
 
 
-@dataclass
 class InputDocument:
-    algebras: dict = field(default_factory=dict)
-    coalgebras: dict = field(default_factory=dict)
-    coalgebra_defs: dict = field(default_factory=dict)   # name -> description
-    labels: dict = field(default_factory=dict)           # name -> {label: BasisId}
-    realization: RealizationInput = None
-    truncation: int = 3
-    max_degree: int = 3
-    max_stages: int = 4
+    def __init__(self, algebras: dict = None, coalgebras: dict = None,
+                 coalgebra_defs: dict = None, labels: dict = None,
+                 realization: RealizationInput = None, truncation: int = 3,
+                 max_degree: int = 3, max_stages: int = 4):
+        self.algebras = {} if algebras is None else algebras
+        self.coalgebras = {} if coalgebras is None else coalgebras
+        self.coalgebra_defs = {} if coalgebra_defs is None else coalgebra_defs  # name -> description
+        self.labels = {} if labels is None else labels   # name -> {label: BasisId}
+        self.realization = realization
+        self.truncation = truncation
+        self.max_degree = max_degree
+        self.max_stages = max_stages
 
     def display_labels(self, name: str) -> dict:
         return {b: lab for lab, b in self.labels.get(name, {}).items()}

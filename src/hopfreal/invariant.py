@@ -23,8 +23,6 @@ the same check at n = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .coalgebra import BasisId, Coalgebra
 from .exactlin import (
     Matrix,
@@ -42,15 +40,12 @@ from .free_tensor import TensorContext, word_coproduct
 Form = dict
 
 
-@dataclass(frozen=True)
 class RIOp:
     """A regular right-invariant operator: id_coeff * id + X_{form}."""
 
-    id_coeff: Scalar = ZERO
-    form: Form = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "form", vec_clean(self.form or {}))
+    def __init__(self, id_coeff: Scalar = ZERO, form: Form = None):
+        self.id_coeff = id_coeff
+        self.form = vec_clean(form or {})
 
     @staticmethod
     def identity() -> "RIOp":
@@ -70,12 +65,12 @@ class RIOp:
         return RIOp(ZERO, {})
 
 
-@dataclass(frozen=True)
 class LinOp:
     """Grade-preserving operator on T(F) truncated at degree N: one square
     matrix per degree, on the lexicographic word basis of that degree."""
 
-    blocks: dict  # degree -> Matrix
+    def __init__(self, blocks: dict):
+        self.blocks = blocks  # degree -> Matrix
 
     def __eq__(self, other):
         return isinstance(other, LinOp) and self.blocks == other.blocks

@@ -29,8 +29,6 @@ safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .coalgebra import BasisId, Coalgebra, grouplikes
 from .errors import InternalInconsistencyError, ValidationError
 from .exactlin import Matrix, ONE, kron_combination, kron_sums, mat_mul, vec_add_scaled
@@ -39,17 +37,18 @@ from .invariant import LinOp, op_from_form, verify_right_invariance
 from .reportkit import CheckReport
 
 
-@dataclass
 class RealizationSpec:
     """The full datum of a realization: L, the truncated context over F, the
     map x on the basis of L, and (optionally) the diagonal inverse pairs
     (l, l') with x(l) o x(l') = id used by the triangular antipode."""
 
-    l_coalg: Coalgebra
-    f_ctx: TensorContext
-    x_map: dict  # BasisId -> RIOp (a raw degree-1 Matrix is accepted for tests)
-    diag_pairs: tuple = None
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    def __init__(self, l_coalg: Coalgebra, f_ctx: TensorContext, x_map: dict,
+                 diag_pairs: tuple = None):
+        self.l_coalg = l_coalg
+        self.f_ctx = f_ctx
+        self.x_map = x_map  # BasisId -> RIOp (a raw degree-1 Matrix is accepted for tests)
+        self.diag_pairs = diag_pairs
+        self._cache = {}
 
     @property
     def max_degree(self) -> int:

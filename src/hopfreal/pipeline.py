@@ -10,8 +10,6 @@ it was certified under.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .coalgebra import is_cotriangular, verify_coalgebra
 from .errors import PreconditionError
 from .fmt import format_element
@@ -43,22 +41,22 @@ STAGE_ORDER = (
 )
 
 
-@dataclass
 class StageResult:
-    name: str
-    status: str  # "pass" | "fail" | "failed-precondition"
-    lines: list = field(default_factory=list)
+    def __init__(self, name: str, status: str, lines: list = None):
+        self.name = name
+        self.status = status  # "pass" | "fail" | "failed-precondition"
+        self.lines = [] if lines is None else lines
 
     @property
     def ok(self) -> bool:
         return self.status == "pass"
 
 
-@dataclass
 class Report:
-    header: list
-    results: list
-    skipped: list
+    def __init__(self, header: list, results: list, skipped: list):
+        self.header = header
+        self.results = results
+        self.skipped = skipped
 
     @property
     def ok(self) -> bool:

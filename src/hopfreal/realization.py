@@ -38,7 +38,6 @@ sum of c_w R(w) over the words of r, R(w) memoized on the ideal object.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .coalgebra import Coalgebra
 from .exactlin import Matrix, ONE, SpanBasis, kernel_basis, mat_mul, vec_add_scaled
@@ -50,18 +49,12 @@ from .reportkit import CheckReport
 # of free_tensor: an LWord is a tuple of BasisId over the basis of L.
 
 
-@dataclass
 class RelationSpace:
-    """Canonical basis of the kernel of pi on monomials over L.
+    """Canonical basis of the kernel of pi on monomials over L, in a
+    homogeneous degree or up to a degree cap (empty word included)."""
 
-    ``degree`` is the homogeneous degree, or the degree cap of a mixed
-    kernel (all monomials of degree <= cap, empty word included).
-    ``truncation`` records the T(F) window the relations are certified on.
-    """
-
-    degree: int
-    basis: list
-    truncation: int
+    def __init__(self, basis: list):
+        self.basis = basis
 
     @property
     def dim(self) -> int:
@@ -245,7 +238,7 @@ def relation_kernel(spec: RealizationSpec, degree: int) -> RelationSpace:
         entries = {(k, j): c for j, w in enumerate(mons) for k, c in walk.coordinates(w, top).items()}
         matrix = Matrix.trusted(len(walk.basis(top, degree)), len(mons), entries)
         basis = [{mons[j]: c for j, c in vec.items()} for vec in kernel_basis(matrix)]
-        spec._cache[key] = RelationSpace(degree, basis, top)
+        spec._cache[key] = RelationSpace(basis)
     return spec._cache[key]
 
 
@@ -273,7 +266,7 @@ def relation_kernel_upto(spec: RealizationSpec, degree: int) -> RelationSpace:
         known = set(standard)
         basis = [{w: ONE, **{standard[k]: -c for k, c in sorted(walk.coordinates(w, top).items())}}
                  for w in monomials_upto(spec.l_coalg, degree) if w not in known]
-        spec._cache[key] = RelationSpace(degree, basis, top)
+        spec._cache[key] = RelationSpace(basis)
     return spec._cache[key]
 
 

@@ -8,13 +8,11 @@ in full instead of stopping at the first defect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-
-@dataclass
 class CheckReport:
-    title: str
-    checks: list = field(default_factory=list)  # (description, ok) pairs
+    def __init__(self, title: str, checks: list = None):
+        self.title = title
+        self.checks = [] if checks is None else checks  # (description, ok) pairs
 
     def record(self, description: str, ok: bool) -> bool:
         self.checks.append((description, bool(ok)))

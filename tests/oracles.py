@@ -9,8 +9,8 @@ rows of a bounded ideal (against an enumerated span), the relation kernels
 of a window by elimination (against reading them off the image walk), and
 the reduced echelon form by Gauss-Jordan elimination (against
 ``SpanBasis``).  Linear combinations of blocks and operators, which the
-package no longer forms, and dense-row conversions of matrices live here
-too.
+package no longer forms, dense-row conversions of matrices, the zero test
+of a matrix and membership in a ``SpanBasis`` live here too.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from hopfreal.coalgebra import (
     AlgebraPresentation, BasisId, Coalgebra, dual_coalgebra, make_coalgebra, triangular_units)
 from hopfreal.errors import HopfrealError, InternalInconsistencyError, UnsupportedStructureError
 from hopfreal.exactlin import (
-    Matrix, ONE, ZERO, kernel_basis, kron_combination, mat_mul, solve, vec_add_scaled, vec_clean)
+    Matrix, ONE, ZERO, SpanBasis, kernel_basis, kron_combination, mat_mul, solve, vec_add_scaled, vec_clean)
 from hopfreal.free_tensor import TensorContext, graded_key, word_coproduct
 from hopfreal.invariant import LinOp, RIOp, op_from_form, verify_right_invariance
 from hopfreal.lifting import RealizationSpec, lift_operator, split_witness
@@ -44,6 +44,15 @@ def from_rows(data) -> Matrix:
     cols = len(data[0]) if rows else 0
     return Matrix(rows, cols, {(r, c): v for r, row in enumerate(data)
                                for c, v in enumerate(row) if v})
+
+
+def matrix_is_zero(m: Matrix) -> bool:
+    return not m.entries
+
+
+def span_contains(span: SpanBasis, vec: dict) -> bool:
+    """Membership in a span: vec reduces to zero modulo its basis."""
+    return not span.reduce(vec)
 
 
 def to_rows(m: Matrix) -> list:
@@ -130,7 +139,7 @@ def op_vector(op: LinOp) -> dict:
 
 
 def op_is_zero(op: LinOp) -> bool:
-    return all(m.is_zero() for m in op.blocks.values())
+    return all(matrix_is_zero(m) for m in op.blocks.values())
 
 
 def right_invariance_on_f(f: Coalgebra, m: Matrix):

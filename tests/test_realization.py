@@ -40,11 +40,13 @@ from oracles import (
     counit_check,
     ideal_basis,
     ideal_pivots,
+    matrix_is_zero,
     op_is_zero,
     op_identity,
     op_vector,
     represent,
     represent_word,
+    span_contains,
     verify_splitting,
     window_kernel,
     with_truncation,
@@ -113,8 +115,8 @@ def test_relation_kernel_example_w_degree_two_contains_products(example_w):
     d = {(tri(1, 1),): ONE, (tri(2, 2),): F(-1)}
     left = {(z,) + w: c for w, c in d.items()}
     right = {w + (z,): c for w, c in d.items()}
-    assert got.contains(left)
-    assert got.contains(right)
+    assert span_contains(got, left)
+    assert span_contains(got, right)
 
 
 def test_relation_kernel_stable_under_truncation_growth(example_w, trivial):
@@ -140,9 +142,9 @@ def test_relation_kernel_upto_contains_unit_relations(example_w):
     space = relation_kernel_upto(example_w, 2)
     got = span_of(space.basis)
     # X(l[1,1]) = id:  l[1,1] - 1 is a relation
-    assert got.contains({(tri(1, 1),): ONE, (): F(-1)})
+    assert span_contains(got, {(tri(1, 1),): ONE, (): F(-1)})
     # diagonal inverse words: l[1,1] l[1,1] - 1
-    assert got.contains({(tri(1, 1), tri(1, 1)): ONE, (): F(-1)})
+    assert span_contains(got, {(tri(1, 1), tri(1, 1)): ONE, (): F(-1)})
 
 
 def test_verify_coideal_passes_on_computed_kernels(example_w, trivial):
@@ -153,7 +155,7 @@ def test_verify_coideal_passes_on_computed_kernels(example_w, trivial):
 
 
 def test_verify_coideal_fails_on_planted_subspace(trivial):
-    planted = RelationSpace(1, [{(tri(1, 1),): ONE}], trivial.max_degree)
+    planted = RelationSpace([{(tri(1, 1),): ONE}])
     report = verify_coideal(trivial, planted, 2)
     assert not report.ok
 
@@ -251,7 +253,7 @@ def assert_same_normal_forms(l_coalg, gens, bound):
     for k in range(bound + 1):
         assert len(got.standard_words(k)) == len(l_coalg.basis) ** k - sum(len(p) == k for p in pivots)
     for g in gens:
-        assert got.contains(g) == want.contains(g)
+        assert got.contains(g) == span_contains(want, g)
     for k in range(bound + 2):
         for w in monomials(l_coalg, k):
             assert got.reduce({w: F(3)}) == want.reduce({w: F(3)})
@@ -425,7 +427,7 @@ def wider_spec_persistence(spec, degree):
     kern = relation_kernel(spec, degree)
     wider = relation_kernel(with_truncation(spec, spec.max_degree + 1), degree)
     span = span_of(wider.basis)
-    return kern, wider, sum(1 for r in kern.basis if not span.contains(r))
+    return kern, wider, sum(1 for r in kern.basis if not span_contains(span, r))
 
 
 def same_spec(truncation):
@@ -561,7 +563,7 @@ def layer_specs(make):
         for t in range(spec.max_degree + 2):
             kernel = window_kernel(spec, 2, t, upto=True)
             edge = [r for r in kernel
-                    if t <= spec.max_degree and not represent(wider, r).blocks[t + 1].is_zero()]
+                    if t <= spec.max_degree and not matrix_is_zero(represent(wider, r).blocks[t + 1])]
             relations.append(edge or kernel)
         _LAYER_SPECS[make] = spec, wider, relations
     return _LAYER_SPECS[make]
@@ -589,7 +591,7 @@ def test_window_layers_match_blocks_of_pi(make, data):
     walk = realization.image_walk(spec)
     blocks = represent(spec, y).blocks
     for t in range(top + 1):
-        assert (not walk.classes(y, t)) == all(blocks[n].is_zero() for n in range(t + 1)), t
+        assert (not walk.classes(y, t)) == all(matrix_is_zero(blocks[n]) for n in range(t + 1)), t
     assert (not walk.classes(y, top + 1)) == op_is_zero(represent(wider, y))
 
 
