@@ -39,12 +39,7 @@ from .hopf import (
     verify_hopf_quotient,
     verify_Y_coproduct,
 )
-from .invariant import (
-    LinOp,
-    RIOp,
-    op_from_form,
-    verify_right_invariance,
-)
+from .invariant import RIOp, op_from_form, verify_right_invariance
 from .lifting import (
     RealizationSpec,
     iterated_coproduct,
@@ -54,11 +49,6 @@ from .lifting import (
 )
 from .inputdoc import InputDocument, build_spec, parse_input
 from .pipeline import run_pipeline
-from .realization import (
-    RelationSpace,
-    relation_kernel,
-    relation_kernel_upto,
-    verify_coideal,
-)
+from .realization import relation_kernel, relation_kernel_upto, verify_coideal
 
 __version__ = "0.1.0"

@@ -49,7 +49,6 @@ from .free_tensor import concat_product, coproduct, counit, graded_key, word_cop
 from .lifting import RealizationSpec, iterated_coproduct
 from .realization import (
     BoundedIdeal,
-    RelationSpace,
     ideal_span,
     image_walk,
     l_context,
@@ -63,12 +62,10 @@ class AntipodeTable:
     """Solved antipode data: per generator the canonical word expression y
     with pi(y) = Y (a section of pi), and the raw determination record."""
 
-    def __init__(self, entries: dict, raw_entries: dict, mode: str,
-                 determination: dict = None, unique: bool = True,
-                 report: CheckReport = None):
+    def __init__(self, entries: dict, raw_entries: dict, determination: dict = None,
+                 unique: bool = True, report: CheckReport = None):
         self.entries = entries            # BasisId -> expression (sparse dict of L-monomials)
         self.raw_entries = raw_entries    # BasisId -> back-substitution expression
-        self.mode = mode                  # "triangular" | "general"
         self.determination = determination  # diagonal id -> chosen inverse id
         self.unique = unique
         self.report = report
@@ -189,7 +186,7 @@ def antipode_triangular(spec: RealizationSpec) -> AntipodeTable:
 
     if not triangular_systems_ok(spec, entries):
         raise InternalInconsistencyError("triangular antipode systems failed to verify")
-    return AntipodeTable(entries, raw, "triangular", determination=dict(inverse))
+    return AntipodeTable(entries, raw, determination=dict(inverse))
 
 
 def _composite_split_ok(spec: RealizationSpec, table: AntipodeTable, u: BasisId,
@@ -277,22 +274,22 @@ class ClosureStage:
 class ClosureResult:
     """Record of the S^r-closure iteration R_{n+1} = R_n + S^r(R_n)."""
 
-    def __init__(self, stages: list, stabilized: bool, stable_at: int, degree_bound: int,
-                 truncation: int, final_basis: list, quotient_dims: dict,
+    def __init__(self, stages: list, stable_at: int, final_basis: list, quotient_dims: dict,
                  ideal: BoundedIdeal, r0_coideal_ok: bool = True, overflow: bool = False):
         self.stages = stages
-        self.stabilized = stabilized
-        self.stable_at = stable_at
-        self.degree_bound = degree_bound
-        self.truncation = truncation
+        self.stable_at = stable_at  # None when not stabilized
         self.final_basis = final_basis
         self.quotient_dims = quotient_dims
-        self.ideal = ideal  # the bounded ideal span of final_basis at degree_bound
+        self.ideal = ideal  # the bounded ideal span of final_basis at the degree bound
         self.r0_coideal_ok = r0_coideal_ok
         self.overflow = overflow
 
+    @property
+    def stabilized(self) -> bool:
+        return self.stable_at is not None
 
-def closure_iterate(spec: RealizationSpec, table: AntipodeTable, r0,
+
+def closure_iterate(spec: RealizationSpec, table: AntipodeTable, r0: list,
                     max_stages: int, degree_bound: int) -> ClosureResult:
     """Iterate R_{n+1} = R_n + S^r(R_n) in the bounded monomial space.
 
@@ -303,8 +300,6 @@ def closure_iterate(spec: RealizationSpec, table: AntipodeTable, r0,
     (overflow flag, no stabilization claim).  Word residues stay on each
     stage's ideal object, word images of S^r in a memo owned by this call.
     """
-    if isinstance(r0, RelationSpace):
-        r0 = r0.basis
     ctx, images_of = l_context(spec), {}
     current = SpanBasis(graded_key)
     for rel in r0:
@@ -313,7 +308,6 @@ def closure_iterate(spec: RealizationSpec, table: AntipodeTable, r0,
     r0_coideal_ok = all(not pair_reduce(ideal, rel) for rel in current.basis())
 
     stages = []
-    stabilized = False
     stable_at = None
     overflow = False
     for stage in range(max_stages + 1):
@@ -337,7 +331,6 @@ def closure_iterate(spec: RealizationSpec, table: AntipodeTable, r0,
         stages.append(ClosureStage(stage, current.dim, ideal.dim,
                                    new_directions, coideal_ok))
         if contained:
-            stabilized = True
             stable_at = stage
             break
         current = nxt
@@ -345,8 +338,7 @@ def closure_iterate(spec: RealizationSpec, table: AntipodeTable, r0,
 
     final_basis = current.basis()
     quotient = {k: len(ideal.standard_words(k)) for k in range(degree_bound + 1)}
-    return ClosureResult(stages, stabilized, stable_at, degree_bound,
-                         spec.max_degree, final_basis, quotient, ideal,
+    return ClosureResult(stages, stable_at, final_basis, quotient, ideal,
                          r0_coideal_ok=r0_coideal_ok, overflow=overflow)
 
 
@@ -387,8 +379,8 @@ def verify_hopf_quotient(spec: RealizationSpec, table: AntipodeTable,
             tests.append((tag, w, test, bound))
 
     top = max(bound for *_, bound in tests)
-    built = closure.ideal if closure.degree_bound >= top else ideal_span(ctx, gens, top)
-    views = {closure.degree_bound: closure.ideal, built.bound: built}
+    built = closure.ideal if closure.ideal.bound >= top else ideal_span(ctx, gens, top)
+    views = {closure.ideal.bound: closure.ideal, built.bound: built}
 
     def bounded_ideal(bound):
         if bound not in views:
@@ -410,16 +402,13 @@ def verify_hopf_quotient(spec: RealizationSpec, table: AntipodeTable,
 
 def operator_algebra_basis(spec: RealizationSpec, bound: int) -> list:
     """Monomials (graded-lex order) whose pi-images form a basis of the span
-    of pi(monomials of degree <= bound); cached on the spec.
+    of pi(monomials of degree <= bound).
 
     These are the image walk's standard words of length <= bound over
     blocks 0 .. N: each monomial whose class is independent of the classes
     of the monomials before it.
     """
-    key = ("opalg", bound)
-    if key not in spec._cache:
-        spec._cache[key] = image_walk(spec).basis(spec.max_degree, bound)
-    return spec._cache[key]
+    return image_walk(spec).basis(spec.max_degree, bound)
 
 
 def antipode_general(spec: RealizationSpec, bound: int):
@@ -466,15 +455,17 @@ def antipode_general(spec: RealizationSpec, bound: int):
          for bi, b in enumerate(basis_l)}
 
     report = CheckReport(f"general antipode verification at bound {bound}")
+    systems_ok = True
     for b, side, ok in _system_checks(spec, y):
         report.record(f"{side} system at {b}", ok)
+        systems_ok = systems_ok and ok
         if side == "right":
             parts = [(y[q], y[p], c) for p, q, c in spec.l_coalg.delta_terms(b)]
             report.record(f"reversed coproduct law at {b}", _splits(spec, y[b], parts, bound))
-    if not all(ok for d, ok in report.checks if "system" in d):
+    if not systems_ok:
         raise InternalInconsistencyError("general antipode solve failed re-verification")
 
-    return AntipodeTable(y, dict(y), "general", unique=unique, report=report)
+    return AntipodeTable(y, dict(y), unique=unique, report=report)
 
 
 def verify_uniqueness_perturbations(spec: RealizationSpec, table: AntipodeTable,

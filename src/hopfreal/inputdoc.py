@@ -54,7 +54,7 @@ from .errors import ParseError, ResolutionError, ResourceLimitError, ValidationE
 from .exactlin import scalar
 from .free_tensor import TensorContext
 from .invariant import RIOp
-from .lifting import RealizationSpec, make_spec
+from .lifting import RealizationSpec
 
 _TOKEN = re.compile(
     r"(?P<id>[A-Za-z_][A-Za-z0-9_.-]*(\[\d+,\d+\])?)"
@@ -124,7 +124,6 @@ class _Parser:
         self.lines = _tokenize(text)
         self.idx = 0
         self.doc = InputDocument()
-        self.pending_realization = []  # statement token lists, resolved last
 
     def error(self, tok, message):
         raise ParseError(tok.line, tok.col, message)
@@ -269,15 +268,16 @@ class _Parser:
                     raise ResolutionError(p, f"unknown coalgebra {p!r}")
                 summands.append(self.doc.coalgebras[p])
             coalg = direct_sum(summands)
-            ids = {(b.block, b.i, b.j): b for b in coalg.basis}
+            # direct_sum renumbers the blocks consecutively and in increasing
+            # order, summand after summand, so the sorted basis of the sum is
+            # each summand's sorted basis, retagged, one after another.
             labels = {}
-            offset = 0
+            start = 0
             for pname, c in zip(parts, summands):
-                blocks = sorted({b.block for b in c.basis})
-                remap = {old: offset + k for k, old in enumerate(blocks)}
-                offset += len(blocks)
+                retagged = dict(zip(c.basis, coalg.basis[start:start + c.dim]))
+                start += c.dim
                 for lab, b in self.doc.labels[pname].items():
-                    labels[f"{pname}.{lab}"] = ids[remap[b.block], b.i, b.j]
+                    labels[f"{pname}.{lab}"] = retagged[b]
             self.doc.coalgebra_defs[name] = "direct sum of " + ", ".join(parts)
         else:
             self.error(toks[3], f"unknown coalgebra construction {kind!r}")
@@ -466,23 +466,16 @@ def preflight(doc: InputDocument) -> None:
                 f"{unit} (dim {name} = {dim}); the limit is {limit_name} = {limit}")
 
 
-# A whole basis id as BasisId.__str__ prints it, block prefix included, so
-# that l[1,1] of block 0 never matches inside 1:l[1,1].
-_BASIS_ID_TOKEN = re.compile(r"(?:\d+:)?(?:l\[\d+,\d+\]|f\[\d+\])")
-
-
 def build_spec(doc: InputDocument) -> RealizationSpec:
     """Realize the document: checks x covers the basis of L and the diagonal
-    pairs are genuine inverses (ValidationError lists every failure), after
-    the window preflight."""
+    pairs are genuine inverses (ValidationError lists every failure, each
+    element named by its document label), after the window preflight."""
     preflight(doc)
     real = doc.realization
     ctx = TensorContext(doc.coalgebras[real.f_name], doc.truncation)
-    try:
-        return make_spec(doc.coalgebras[real.l_name], ctx, real.x_table,
-                         real.diag_pairs)
-    except ValidationError as err:
-        names = {str(b): lab for b, lab in doc.display_labels(real.l_name).items()}
-        raise ValidationError([
-            _BASIS_ID_TOKEN.sub(lambda m: names.get(m[0], m[0]), f) for f in err.failures
-        ]) from None
+    spec = RealizationSpec(doc.coalgebras[real.l_name], ctx, dict(real.x_table),
+                           None if real.diag_pairs is None else tuple(real.diag_pairs))
+    failures = spec.validate(doc.display_labels(real.l_name))
+    if failures:
+        raise ValidationError(failures)
+    return spec

@@ -13,12 +13,12 @@ spans of such X_omega together with the identity; :class:`RIOp` keeps the
 identity coefficient split off explicitly.
 
 Grade-preserving operators on the truncated tensor algebra are stored
-block-per-degree (:class:`LinOp`), one exact sparse matrix on the word basis
-of each degree up to the truncation.  Right-invariance of such an operator
-is one block identity per degree, D_n X_n = (X_n (x) I) D_n with D_n the
-letterwise coproduct matrix of degree-n words, decided on integer
-numerators (:func:`verify_right_invariance`); a degree-1 operator on F is
-the same check at n = 1.
+block-per-degree, as a dict from each degree up to the truncation to one
+exact sparse matrix on the word basis of that degree.  Right-invariance of
+such an operator is one block identity per degree, D_n X_n = (X_n (x) I) D_n
+with D_n the letterwise coproduct matrix of degree-n words, decided on
+integer numerators (:func:`verify_right_invariance`); a degree-1 operator
+on F is the same check at n = 1.
 """
 
 from __future__ import annotations
@@ -65,17 +65,6 @@ class RIOp:
         return RIOp(ZERO, {})
 
 
-class LinOp:
-    """Grade-preserving operator on T(F) truncated at degree N: one square
-    matrix per degree, on the lexicographic word basis of that degree."""
-
-    def __init__(self, blocks: dict):
-        self.blocks = blocks  # degree -> Matrix
-
-    def __eq__(self, other):
-        return isinstance(other, LinOp) and self.blocks == other.blocks
-
-
 def op_from_form(f: Coalgebra, x: RIOp) -> Matrix:
     """Degree-1 matrix of id_coeff * id + (omega (x) id) o delta on F."""
     basis = list(f.basis)
@@ -114,9 +103,9 @@ def _coproduct_blocks(ctx: TensorContext, n: int):
     return ctx._cache[key]
 
 
-def verify_right_invariance(ctx: TensorContext, x: LinOp):
-    """Exact check of delta o X = (X (x) id) o delta on every block of x;
-    returns (ok, witness or None).
+def verify_right_invariance(ctx: TensorContext, x: dict):
+    """Exact check of delta o X = (X (x) id) o delta on every block of x
+    (degree -> Matrix); returns (ok, witness or None).
 
     Each degree is one exact identity D_n X_n = (X_n (x) I) D_n; its column w
     is the equation at the word w, and the witness is the first failing word
@@ -125,7 +114,7 @@ def verify_right_invariance(ctx: TensorContext, x: LinOp):
     :func:`~hopfreal.exactlin.intertwiner_defect`, and a degree that holds
     builds no Fraction: an int entry is its own numerator.
     """
-    for n, m in sorted(x.blocks.items()):
+    for n, m in sorted(x.items()):
         col = intertwiner_defect(ctx.f.dim ** n, _coproduct_blocks(ctx, n)[1], m)
         if col is not None:
             return False, ctx.word_basis(n)[col]

@@ -22,9 +22,9 @@ are lex-ordered products, so the rule on all word pairs of degrees
 operator against one Kronecker sum (:func:`~hopfreal.exactlin.kron_sums`)
 of blocks n1 and n2 (as are the lifted blocks).
 
-Lifted blocks and the operators X(b) are memoized per spec and basis
-element; the caches are pure (same key, same value) so concurrent use is
-safe.
+The operators X(b), each a dict from degree to block, are memoized per
+spec and basis element; the cache is pure (same key, same value) so
+concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -32,8 +32,9 @@ from __future__ import annotations
 from .coalgebra import BasisId, Coalgebra, grouplikes
 from .errors import InternalInconsistencyError, ValidationError
 from .exactlin import Matrix, ONE, kron_combination, kron_sums, mat_mul, vec_add_scaled
+from .fmt import format_id
 from .free_tensor import TensorContext
-from .invariant import LinOp, op_from_form, verify_right_invariance
+from .invariant import op_from_form, verify_right_invariance
 from .reportkit import CheckReport
 
 
@@ -64,11 +65,16 @@ class RealizationSpec:
                 self._cache[key] = op_from_form(self.f_ctx.f, x)
         return self._cache[key]
 
-    def validate(self) -> list:
+    def validate(self, labels: dict = None) -> list:
+        """Every failure of the datum, each basis element of L named by its
+        label in labels, or by str(b) when it has none."""
+        def name(b):
+            return format_id(b, labels)
+
         failures = []
         missing = [b for b in self.l_coalg.basis if b not in self.x_map]
         for b in missing:
-            failures.append(f"x is not defined on basis element {b}")
+            failures.append(f"x is not defined on basis element {name(b)}")
         if missing:
             return failures
         if self.diag_pairs is not None:
@@ -76,11 +82,11 @@ class RealizationSpec:
             n = self.f_ctx.f.dim
             for (l, lp) in self.diag_pairs:
                 if l not in glikes:
-                    failures.append(f"diag pair element {l} is not grouplike")
+                    failures.append(f"diag pair element {name(l)} is not grouplike")
                 elif lp not in glikes:
-                    failures.append(f"diag pair element {lp} is not grouplike")
+                    failures.append(f"diag pair element {name(lp)} is not grouplike")
                 elif mat_mul(self.x_matrix(l), self.x_matrix(lp)) != Matrix.identity(n):
-                    failures.append(f"x({l}) o x({lp}) is not the identity on F")
+                    failures.append(f"x({name(l)}) o x({name(lp)}) is not the identity on F")
         return failures
 
 
@@ -132,37 +138,33 @@ def iterated_coproduct(l_coalg: Coalgebra, v: dict, n: int) -> dict:
 
 
 def lift_basis_block(spec: RealizationSpec, b: BasisId, n: int) -> Matrix:
-    """Degree-n block of X(b) via the iterated-coproduct construction."""
-    key = ("lift", b, n)
-    if key in spec._cache:
-        return spec._cache[key]
+    """Degree-n block of X(b) via the iterated-coproduct construction
+    (unmemoized: :func:`lift_operator` memoizes the blocks it builds)."""
     size = spec.f_ctx.f.dim ** n
     if n == 0:
-        block = Matrix(1, 1, {(0, 0): spec.l_coalg.eps(b)})
-    else:
-        block = kron_combination(size, size, [
-            ([spec.x_matrix(p) for p in tup], coeff)
-            for tup, coeff in iterated_coproduct(spec.l_coalg, {b: ONE}, n - 1).items()])
-    spec._cache[key] = block
-    return block
+        return Matrix(1, 1, {(0, 0): spec.l_coalg.eps(b)})
+    return kron_combination(size, size, [
+        ([spec.x_matrix(p) for p in tup], coeff)
+        for tup, coeff in iterated_coproduct(spec.l_coalg, {b: ONE}, n - 1).items()])
 
 
-def lift_operator(spec: RealizationSpec, b: BasisId) -> LinOp:
-    """X(b) on T(F) up to the truncation degree, for a basis element b of L.
+def lift_operator(spec: RealizationSpec, b: BasisId) -> dict:
+    """X(b) on T(F) up to the truncation degree, for a basis element b of L,
+    as a dict from degree to block.
 
-    Memoized per spec and shares the memoized blocks; no LinOp or Matrix is
-    written to after it is built.
+    Memoized per spec; no dict or Matrix is written to after it is built.
     """
     key = ("X", b)
     if key not in spec._cache:
-        spec._cache[key] = LinOp({n: lift_basis_block(spec, b, n)
-                                  for n in range(spec.max_degree + 1)})
+        spec._cache[key] = {n: lift_basis_block(spec, b, n)
+                            for n in range(spec.max_degree + 1)}
     return spec._cache[key]
 
 
-def split_witness(ctx: TensorContext, outer: LinOp, parts, bound: int):
+def split_witness(ctx: TensorContext, outer: dict, parts, bound: int):
     """Check outer(w1 . w2) = sum c * left(w1) . right(w2) over the parts
-    (left, right, c) for every word pair with deg w1 + deg w2 <= min(bound, N).
+    (left, right, c), operators given as dicts from degree to block, for
+    every word pair with deg w1 + deg w2 <= min(bound, N).
 
     Word bases are lex-ordered products, so idx(w1 . w2) = idx(w1) * dim^n2 +
     idx(w2), and the check for all pairs of degrees (n1, n2) is the exact
@@ -179,9 +181,9 @@ def split_witness(ctx: TensorContext, outer: LinOp, parts, bound: int):
     views = {}
     for n1 in range(bound + 1):
         for n2 in range(bound + 1 - n1):
-            block = outer.blocks[n1 + n2]
+            block = outer[n1 + n2]
             _, sums = kron_sums(block.rows, block.cols, [((block,), -ONE)] + [
-                ((left.blocks[n1], right.blocks[n2]), c) for left, right, c in parts], views)
+                ((left[n1], right[n2]), c) for left, right, c in parts], views)
             cols = [c for out in sums.values() for c, s in out.items() if s]
             if cols:
                 col = max(cols)
@@ -202,9 +204,9 @@ def verify_lift(spec: RealizationSpec, b: BasisId) -> CheckReport:
     x = lift_operator(spec, b)
 
     report.record("unit action X(l)(1) = eps(l) 1",
-                  x.blocks[0] == Matrix(1, 1, {(0, 0): spec.l_coalg.eps(b)}))
+                  x[0] == Matrix(1, 1, {(0, 0): spec.l_coalg.eps(b)}))
 
-    report.record("degree-1 action agrees with x", x.blocks[1] == spec.x_matrix(b))
+    report.record("degree-1 action agrees with x", x[1] == spec.x_matrix(b))
 
     split_ops = [(lift_operator(spec, p), lift_operator(spec, q), coeff)
                  for p, q, coeff in spec.l_coalg.delta_terms(b)]
@@ -213,7 +215,7 @@ def verify_lift(spec: RealizationSpec, b: BasisId) -> CheckReport:
         "splitting rule on word pairs" + ("" if witness is None else f" (witness {witness})"),
         witness is None)
 
-    graded = all(m.rows == m.cols == ctx.f.dim ** n for n, m in x.blocks.items())
+    graded = all(m.rows == m.cols == ctx.f.dim ** n for n, m in x.items())
     report.record("grade preservation (square block per degree)", graded)
 
     ok_inv, w = verify_right_invariance(ctx, x)

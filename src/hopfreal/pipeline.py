@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .coalgebra import is_cotriangular, verify_coalgebra
 from .errors import PreconditionError
-from .fmt import format_element
+from .fmt import format_element, format_id
 from .free_tensor import verify_free_bialgebra
 from .hopf import (
     antipode_general,
@@ -29,6 +29,7 @@ from .realization import (
     relation_kernel_upto,
     verify_coideal,
 )
+
 STAGE_ORDER = (
     "verify-coalgebras",
     "verify-free-bialgebra",
@@ -76,13 +77,17 @@ class Report:
         return "\n".join(out) + "\n"
 
 
+def _check_lines(report, head: str = "", bounds: str = "") -> list:
+    """A check report's summary line, between head and bounds, then each
+    failed check indented under it."""
+    return [f"{head}{report.summary()}{bounds}"] + ["  " + f for f in report.failures()]
+
+
 class _Pipeline:
-    def __init__(self, doc: InputDocument, input_name: str = "<input>"):
+    def __init__(self, doc: InputDocument):
         self.doc = doc
-        self.input_name = input_name
         self.spec = build_spec(doc)
         self.labels = doc.display_labels(doc.realization.l_name)
-        self.f_labels = doc.display_labels(doc.realization.f_name)
         self.artifacts = {}
 
     # ----- shared artifacts ---------------------------------------------------
@@ -96,9 +101,7 @@ class _Pipeline:
         return self.artifacts["kernels"]
 
     def r0(self):
-        if "r0" not in self.artifacts:
-            self.artifacts["r0"] = relation_kernel_upto(self.spec, self.doc.max_degree)
-        return self.artifacts["r0"]
+        return relation_kernel_upto(self.spec, self.doc.max_degree)
 
     def table(self):
         """(table or None, mode) for the antipode artifact."""
@@ -130,15 +133,13 @@ class _Pipeline:
             c = self.doc.coalgebras[name]
             report = verify_coalgebra(c)
             ok = ok and report.ok
-            lines.append(f"coalgebra {name} ({self.doc.coalgebra_defs[name]}): "
-                         f"dim {c.dim}, {report.summary()}")
-            lines.extend("  " + f for f in report.failures())
+            lines.extend(_check_lines(
+                report, f"coalgebra {name} ({self.doc.coalgebra_defs[name]}): dim {c.dim}, "))
         return StageResult("verify-coalgebras", "pass" if ok else "fail", lines)
 
     def stage_verify_free_bialgebra(self):
         report = verify_free_bialgebra(self.spec.f_ctx)
-        lines = [f"free bialgebra over F at N={self.doc.truncation}: {report.summary()}"]
-        lines.extend("  " + f for f in report.failures())
+        lines = _check_lines(report, f"free bialgebra over F at N={self.doc.truncation}: ")
         return StageResult("verify-free-bialgebra",
                            "pass" if report.ok else "fail", lines)
 
@@ -148,9 +149,8 @@ class _Pipeline:
         for b in self.spec.l_coalg.basis:
             report = verify_lift(self.spec, b)
             ok = ok and report.ok
-            label = self.labels.get(b, str(b))
-            lines.append(f"X({label}): {report.summary()} [N={self.doc.truncation}]")
-            lines.extend("  " + f for f in report.failures())
+            lines.extend(_check_lines(report, f"X({format_id(b, self.labels)}): ",
+                                      f" [N={self.doc.truncation}]"))
         return StageResult("verify-lift", "pass" if ok else "fail", lines)
 
     def stage_relations(self):
@@ -158,13 +158,12 @@ class _Pipeline:
         n = self.doc.truncation
         for (d, kern, wider_dim, flagged) in self.kernels():
             lines.append(
-                f"degree {d} kernel: dim {kern.dim} [N={n}], dim {wider_dim} "
+                f"degree {d} kernel: dim {len(kern)} [N={n}], dim {wider_dim} "
                 f"[N={n + 1}], truncation-flagged candidates: {flagged}")
-            for k, rel in enumerate(kern.basis):
+            for k, rel in enumerate(kern):
                 lines.append(f"  r{k + 1}: {format_element(rel, self.labels)}")
-        r0 = self.r0()
-        lines.append(
-            f"mixed-degree kernel (degree <= {self.doc.max_degree}): dim {r0.dim} [N={n}]")
+        lines.append(f"mixed-degree kernel (degree <= {self.doc.max_degree}): "
+                     f"dim {len(self.r0())} [N={n}]")
         return StageResult("relations", "pass", lines)
 
     def stage_coideal_check(self):
@@ -174,8 +173,7 @@ class _Pipeline:
         for (dd, kern, _, _) in self.kernels():
             report = verify_coideal(self.spec, kern, d)
             ok = ok and report.ok
-            lines.append(f"degree {dd} kernel: {report.summary()} [d={d}]")
-            lines.extend("  " + f for f in report.failures())
+            lines.extend(_check_lines(report, f"degree {dd} kernel: ", f" [d={d}]"))
         return StageResult("coideal-check", "pass" if ok else "fail", lines)
 
     def stage_antipode(self):
@@ -186,30 +184,26 @@ class _Pipeline:
             lines.append(f"no antipode found at degree bound {d} [N={n}] "
                          "(not a nonexistence proof)")
             return StageResult("antipode", "fail", lines)
+        labels = self.labels
         for b in sorted(table.entries):
-            label = self.labels.get(b, str(b))
-            lines.append(
-                f"Y({label}) = {format_element(table.entries[b], self.labels)} [N={n}]")
+            lines.append(f"Y({format_id(b, labels)}) = "
+                         f"{format_element(table.entries[b], labels)} [N={n}]")
         if mode == "triangular":
             lines.append("determination (diagonal inverse letters): " + ", ".join(
-                f"{self.labels.get(k, str(k))} -> {self.labels.get(v, str(v))}"
+                f"{format_id(k, labels)} -> {format_id(v, labels)}"
                 for k, v in sorted(table.determination.items())))
             for b in sorted(table.raw_entries):
-                label = self.labels.get(b, str(b))
-                lines.append(f"raw determination Y({label}) = "
-                             f"{format_element(table.raw_entries[b], self.labels)}")
+                lines.append(f"raw determination Y({format_id(b, labels)}) = "
+                             f"{format_element(table.raw_entries[b], labels)}")
             cop = verify_Y_coproduct(self.spec, table, d)
-            lines.append(f"{cop.summary()} [d={d}]")
-            lines.extend("  " + f for f in cop.failures())
+            lines.extend(_check_lines(cop, bounds=f" [d={d}]"))
             uniq = verify_uniqueness_perturbations(self.spec, table, bound=d)
-            lines.append(f"{uniq.summary()} [N={n}]")
-            lines.extend("  " + f for f in uniq.failures())
+            lines.extend(_check_lines(uniq, bounds=f" [N={n}]"))
             ok = cop.ok and uniq.ok
         else:
             lines.append(f"solution unique in the bounded operator algebra: "
                          f"{'yes' if table.unique else 'no'} [d={d}]")
-            lines.append(f"{table.report.summary()} [N={n}, d={d}]")
-            lines.extend("  " + f for f in table.report.failures())
+            lines.extend(_check_lines(table.report, bounds=f" [N={n}, d={d}]"))
             ok = table.report.ok
         return StageResult("antipode", "pass" if ok else "fail", lines)
 
@@ -217,7 +211,7 @@ class _Pipeline:
         closure = self.closure()
         n, d = self.doc.truncation, self.doc.max_degree
         lines = [
-            f"starting relations: dim {self.r0().dim} [N={n}, d={d}]",
+            f"starting relations: dim {len(self.r0())} [N={n}, d={d}]",
             f"starting space is a coideal: {'yes' if closure.r0_coideal_ok else 'NO'}",
         ]
         for stage in closure.stages:
@@ -244,9 +238,9 @@ class _Pipeline:
         if not closure.stabilized:
             raise PreconditionError("closure did not stabilize")
         table, _ = self.table()
-        report = verify_hopf_quotient(self.spec, table, closure, self.doc.max_degree)
-        lines = [f"{report.summary()} [N={self.doc.truncation}, d={self.doc.max_degree}]"]
-        lines.extend("  " + f for f in report.failures())
+        n, d = self.doc.truncation, self.doc.max_degree
+        report = verify_hopf_quotient(self.spec, table, closure, d)
+        lines = _check_lines(report, bounds=f" [N={n}, d={d}]")
         return StageResult("hopf-check", "pass" if report.ok else "fail", lines)
 
     STAGES = {
@@ -269,7 +263,7 @@ def _run(doc: InputDocument, stages, input_name: str = "<input>"):
     unknown = [s for s in stages if s not in STAGE_ORDER]
     if unknown:
         raise PreconditionError(f"unknown stages: {', '.join(unknown)}")
-    pipe = _Pipeline(doc, input_name)
+    pipe = _Pipeline(doc)
     header = [
         "== hopfreal pipeline report ==",
         f"input: {input_name}",
@@ -325,7 +319,7 @@ def stage_artifacts_text(pipe: "_Pipeline", pipe_stages) -> str:
     def element_terms(elem):
         parts = []
         for w in sorted(elem, key=lambda u: (len(u), u)):
-            mono = "*".join(labels.get(b, str(b)) for b in w) if w else "1"
+            mono = "*".join(format_id(b, labels) for b in w) if w else "1"
             parts.append(f"{mono} {elem[w]}")
         return ", ".join(parts)
 
@@ -335,7 +329,7 @@ def stage_artifacts_text(pipe: "_Pipeline", pipe_stages) -> str:
             out.append(f"  degree {d}")
             out.append(f"  truncation {doc.truncation}")
             out.append(f"  flagged {flagged}")
-            for rel in kern.basis:
+            for rel in kern:
                 out.append(f"  rel {element_terms(rel)}")
             out.append("}")
     if "antipode" in pipe_stages:
@@ -346,8 +340,8 @@ def stage_artifacts_text(pipe: "_Pipeline", pipe_stages) -> str:
             out.append("  none true")
         else:
             for b in sorted(table.entries):
-                lab = labels.get(b, str(b))
-                out.append(f"  y {lab} = {element_terms(table.entries[b]) or '0 0'}")
+                out.append(f"  y {format_id(b, labels)} = "
+                           f"{element_terms(table.entries[b]) or '0 0'}")
         out.append("}")
     if "closure" in pipe_stages:
         try:

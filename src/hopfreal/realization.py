@@ -49,18 +49,6 @@ from .reportkit import CheckReport
 # of free_tensor: an LWord is a tuple of BasisId over the basis of L.
 
 
-class RelationSpace:
-    """Canonical basis of the kernel of pi on monomials over L, in a
-    homogeneous degree or up to a degree cap (empty word included)."""
-
-    def __init__(self, basis: list):
-        self.basis = basis
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
 def l_context(spec: RealizationSpec) -> TensorContext:
     """T(L) context used for coproducts of monomials over L."""
     key = ("lctx",)
@@ -223,9 +211,10 @@ def image_walk(spec: RealizationSpec) -> ImageWalk:
     return spec._cache[("walk",)]
 
 
-def relation_kernel(spec: RealizationSpec, degree: int) -> RelationSpace:
-    """Canonical basis of ker pi restricted to homogeneous degree-d monomials
-    (cached per spec and degree; callers never write into the result): the
+def relation_kernel(spec: RealizationSpec, degree: int) -> list:
+    """Canonical basis of ker pi restricted to homogeneous degree-d monomials,
+    a list of sparse elements of T(L) (cached per spec and degree; callers
+    never write into the result): the
     kernel of the matrix whose columns are the coordinates of the monomials
     on the basis of pi_N(T(L)), one row per basis word.  Coordinates have
     the same relations as the blocks."""
@@ -237,12 +226,12 @@ def relation_kernel(spec: RealizationSpec, degree: int) -> RelationSpace:
         mons = monomials(spec.l_coalg, degree)
         entries = {(k, j): c for j, w in enumerate(mons) for k, c in walk.coordinates(w, top).items()}
         matrix = Matrix.trusted(len(walk.basis(top, degree)), len(mons), entries)
-        basis = [{mons[j]: c for j, c in vec.items()} for vec in kernel_basis(matrix)]
-        spec._cache[key] = RelationSpace(basis)
+        spec._cache[key] = [{mons[j]: c for j, c in vec.items()}
+                            for vec in kernel_basis(matrix)]
     return spec._cache[key]
 
 
-def relation_kernel_upto(spec: RealizationSpec, degree: int) -> RelationSpace:
+def relation_kernel_upto(spec: RealizationSpec, degree: int) -> list:
     """Canonical basis of ker pi on all monomials of degree <= d (empty word
     included), so degree-mixing relations such as unit relations appear
     (cached per spec and degree).  Read off the walk with no elimination: in
@@ -264,14 +253,14 @@ def relation_kernel_upto(spec: RealizationSpec, degree: int) -> RelationSpace:
         walk, top = image_walk(spec), spec.max_degree
         standard = walk.basis(top, degree)
         known = set(standard)
-        basis = [{w: ONE, **{standard[k]: -c for k, c in sorted(walk.coordinates(w, top).items())}}
-                 for w in monomials_upto(spec.l_coalg, degree) if w not in known]
-        spec._cache[key] = RelationSpace(basis)
+        spec._cache[key] = [
+            {w: ONE, **{standard[k]: -c for k, c in sorted(walk.coordinates(w, top).items())}}
+            for w in monomials_upto(spec.l_coalg, degree) if w not in known]
     return spec._cache[key]
 
 
 def kernel_persistence(spec: RealizationSpec, degree: int):
-    """(kernel at N, its dimension at N + 1, flagged): flagged counts the
+    """(kernel basis at N, its dimension at N + 1, flagged): flagged counts the
     basis elements of the N kernel whose class on blocks 0 .. N + 1 is not
     zero (not relations at N + 1).
 
@@ -279,9 +268,9 @@ def kernel_persistence(spec: RealizationSpec, degree: int):
     is K_N with class_{N + 1} = 0, and its dimension is dim K_N minus the
     rank of the classes of the basis of K_N: no second kernel is formed."""
     kern, walk = relation_kernel(spec, degree), image_walk(spec)
-    classes = [walk.classes(r, spec.max_degree + 1) for r in kern.basis]
+    classes = [walk.classes(r, spec.max_degree + 1) for r in kern]
     rank = sum(map(SpanBasis().add, classes))
-    return kern, kern.dim - rank, sum(1 for c in classes if c)
+    return kern, len(kern) - rank, sum(1 for c in classes if c)
 
 
 class BoundedIdeal:
@@ -520,12 +509,12 @@ def computed_relation_ideal(spec: RealizationSpec, degree_bound: int) -> Bounded
     if key not in spec._cache:
         gens = []
         for d in range(1, degree_bound + 1):
-            gens.extend(relation_kernel(spec, d).basis)
+            gens.extend(relation_kernel(spec, d))
         spec._cache[key] = ideal_span(l_context(spec), gens, degree_bound)
     return spec._cache[key]
 
 
-def verify_coideal(spec: RealizationSpec, r: RelationSpace, degree_bound: int) -> CheckReport:
+def verify_coideal(spec: RealizationSpec, r: list, degree_bound: int) -> CheckReport:
     """Check delta(r_i) in I (x) T(L) + T(L) (x) I for each basis relation,
     where I is the bounded ideal span of the *computed* relation kernels up
     to the degree bound (never of the candidate space itself).  Word residues
@@ -534,7 +523,7 @@ def verify_coideal(spec: RealizationSpec, r: RelationSpace, degree_bound: int) -
 
     report = CheckReport(f"coideal property at degree bound {degree_bound}")
     ideal = computed_relation_ideal(spec, degree_bound)
-    for rel in r.basis:
+    for rel in r:
         residue = pair_reduce(ideal, rel)
         report.record(
             f"delta({format_element(rel)}) decomposes"

@@ -50,9 +50,10 @@ def mat_vec(a, v):
 
 
 def apply_to_word(ctx, op, w):
-    """op(w) for a LinOp and a word: column idx(w) of the block of degree len(w)."""
+    """op(w) for an operator (a dict degree -> block) and a word: column
+    idx(w) of the block of degree len(w)."""
     words = ctx.word_basis(len(w))
-    column = mat_vec(op.blocks[len(w)], {ctx.word_index(len(w))[w]: ONE})
+    column = mat_vec(op[len(w)], {ctx.word_index(len(w))[w]: ONE})
     return {words[r]: v for r, v in column.items()}
 
 

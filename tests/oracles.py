@@ -24,7 +24,7 @@ from hopfreal.errors import HopfrealError, InternalInconsistencyError, Unsupport
 from hopfreal.exactlin import (
     Matrix, ONE, ZERO, SpanBasis, kernel_basis, kron_combination, mat_mul, solve, vec_add_scaled, vec_clean)
 from hopfreal.free_tensor import TensorContext, graded_key, word_coproduct
-from hopfreal.invariant import LinOp, RIOp, op_from_form, verify_right_invariance
+from hopfreal.invariant import RIOp, op_from_form, verify_right_invariance
 from hopfreal.lifting import RealizationSpec, lift_operator, split_witness
 from hopfreal.realization import BoundedIdeal, image_walk, l_context, monomials, monomials_upto
 from hopfreal.reportkit import CheckReport
@@ -100,15 +100,16 @@ def mat_combination(rows: int, cols: int, terms) -> Matrix:
     return kron_combination(rows, cols, [((m,), coeff) for m, coeff in terms])
 
 
-def op_combination(ctx: TensorContext, terms) -> LinOp:
+def op_combination(ctx: TensorContext, terms) -> dict:
     """sum coeff * op over (op, coeff) terms, block by block; the zero
-    operator when there are no terms."""
+    operator when there are no terms.  An operator is a dict from degree
+    to block."""
     terms = list(terms)
     blocks = {}
     for n in range(ctx.max_degree + 1):
         size = len(ctx.word_basis(n))
-        blocks[n] = mat_combination(size, size, [(op.blocks[n], coeff) for op, coeff in terms])
-    return LinOp(blocks)
+        blocks[n] = mat_combination(size, size, [(op[n], coeff) for op, coeff in terms])
+    return blocks
 
 
 def delta_vect(c: Coalgebra, v: dict) -> dict:
@@ -119,33 +120,32 @@ def delta_vect(c: Coalgebra, v: dict) -> dict:
     return out
 
 
-def op_identity(ctx: TensorContext) -> LinOp:
-    return LinOp({n: Matrix.identity(len(ctx.word_basis(n)))
-                  for n in range(ctx.max_degree + 1)})
+def op_identity(ctx: TensorContext) -> dict:
+    return {n: Matrix.identity(len(ctx.word_basis(n))) for n in range(ctx.max_degree + 1)}
 
 
-def op_compose(a: LinOp, b: LinOp) -> LinOp:
+def op_compose(a: dict, b: dict) -> dict:
     """a o b (apply b first)."""
-    return LinOp({n: mat_mul(m, b.blocks[n]) for n, m in a.blocks.items()})
+    return {n: mat_mul(m, b[n]) for n, m in a.items()}
 
 
-def op_vector(op: LinOp) -> dict:
+def op_vector(op: dict) -> dict:
     """Flatten to a sparse vector keyed (degree, row, col), for span work."""
     out = {}
-    for n, m in sorted(op.blocks.items()):
+    for n, m in sorted(op.items()):
         for (r, c), v in m.entries.items():
             out[(n, r, c)] = v
     return out
 
 
-def op_is_zero(op: LinOp) -> bool:
-    return all(matrix_is_zero(m) for m in op.blocks.values())
+def op_is_zero(op: dict) -> bool:
+    return all(matrix_is_zero(m) for m in op.values())
 
 
 def right_invariance_on_f(f: Coalgebra, m: Matrix):
     """The right-invariance check of a degree-1 operator on F, with a basis
     element of F as the witness: the package's check on TensorContext(F, 1)."""
-    ok, w = verify_right_invariance(TensorContext(f, 1), LinOp({1: m}))
+    ok, w = verify_right_invariance(TensorContext(f, 1), {1: m})
     return ok, (w[0] if w else None)
 
 
@@ -155,7 +155,7 @@ def with_truncation(spec: RealizationSpec, max_degree: int) -> RealizationSpec:
     return RealizationSpec(spec.l_coalg, ctx, spec.x_map, spec.diag_pairs)
 
 
-def represent_word(spec: RealizationSpec, w: tuple) -> LinOp:
+def represent_word(spec: RealizationSpec, w: tuple) -> dict:
     """pi on a single monomial: composition of the lifted generators
     (memoized per spec)."""
     key = ("pi", w)
@@ -169,7 +169,7 @@ def represent_word(spec: RealizationSpec, w: tuple) -> LinOp:
     return op
 
 
-def represent(spec: RealizationSpec, w) -> LinOp:
+def represent(spec: RealizationSpec, w) -> dict:
     """pi extended linearly to sparse combinations of monomials."""
     if isinstance(w, tuple):
         w = {w: ONE}
@@ -201,7 +201,7 @@ def verify_splitting(spec: RealizationSpec, w: tuple, bound: int) -> bool:
 
 def counit_check(spec: RealizationSpec, w) -> Fraction:
     """Value of pi(w) on the unit word; the counit of the operator bialgebra."""
-    return represent(spec, w).blocks[0].get(0, 0)
+    return represent(spec, w)[0].get(0, 0)
 
 
 def ideal_pivots(ideal: BoundedIdeal) -> list:
@@ -244,15 +244,15 @@ def _recursive_block(spec: RealizationSpec, b: BasisId, n: int) -> Matrix:
     return block
 
 
-def lift_operator_recursive(spec: RealizationSpec, l) -> LinOp:
+def lift_operator_recursive(spec: RealizationSpec, l) -> dict:
     """X(l) from the product-splitting rule, peeling one letter at a time.
     Must agree bit-exactly with :func:`hopfreal.lifting.lift_operator`."""
     if isinstance(l, BasisId):
         l = {l: ONE}
     sizes = {n: spec.f_ctx.f.dim ** n for n in range(spec.max_degree + 1)}
-    return LinOp({n: mat_combination(size, size, [(_recursive_block(spec, b, n), coeff)
-                                                  for b, coeff in l.items()])
-                  for n, size in sizes.items()})
+    return {n: mat_combination(size, size, [(_recursive_block(spec, b, n), coeff)
+                                            for b, coeff in l.items()])
+            for n, size in sizes.items()}
 
 
 def form_of_op(f: Coalgebra, m: Matrix) -> dict:

@@ -160,6 +160,53 @@ realization {
     build_spec(doc)
 
 
+def test_nested_sum_labels_follow_the_block_renumbering():
+    # S = sum P Q has blocks 0 (P) and 1 (Q); inside L = sum R S Q they
+    # become blocks 1 and 2, after R's block 0 and before Q's block 3
+    doc = parse_input("""
+coalgebra P = triangular 1
+coalgebra Q = triangular 2
+coalgebra R = triangular 3
+coalgebra S = sum P Q
+coalgebra L = sum R S Q
+realization {
+  l L
+  f Q
+}
+""")
+    labels = doc.labels["L"]
+    assert labels["S.Q.l[2,1]"] == BasisId(2, 2, 1)
+    assert labels["S.P.l[1,1]"] == BasisId(1, 1, 1)
+    assert labels["R.l[3,1]"] == BasisId(0, 3, 1)
+    assert labels["Q.l[2,2]"] == BasisId(3, 2, 2)
+    assert sorted(labels.values()) == list(doc.coalgebras["L"].basis)
+
+
+def test_diag_pair_failures_in_a_sum_name_the_summand_labels():
+    text = """
+coalgebra F = triangular 2
+coalgebra P = triangular 1
+coalgebra Q = triangular 2
+coalgebra L = sum P Q
+realization {
+  l L
+  f F
+  x P.l[1,1] = id 2
+  x Q.l[1,1] = id 1
+  x Q.l[2,1] = 0
+  x Q.l[2,2] = id 1
+  diag P.l[1,1] P.l[1,1]
+  diag Q.l[2,1] Q.l[1,1]
+}
+"""
+    with pytest.raises(ValidationError) as err:
+        build_spec(parse_input(text))
+    assert err.value.failures == [
+        "x(P.l[1,1]) o x(P.l[1,1]) is not the identity on F",
+        "diag pair element Q.l[2,1] is not grouplike",
+    ]
+
+
 def test_run_pipeline_stage_filtering():
     doc = parse_input(MINIMAL)
     report = run_pipeline(doc, ["verify-coalgebras"], "minimal")

@@ -25,7 +25,6 @@ from hopfreal.exactlin import Matrix, kron_combination, mat_mul, vec_add_scaled,
 from hopfreal.free_tensor import TensorContext, coproduct, word_coproduct
 from hopfreal.inputdoc import build_spec, parse_input
 from hopfreal.invariant import (
-    LinOp,
     _coproduct_blocks,
     RIOp,
     op_from_form,
@@ -241,14 +240,14 @@ CTX = TensorContext(triangular_coalgebra(2), 2)  # blocks of size 1, 3 and 9
 def fraction_op_combination(ctx, terms):
     """The Fraction loop op_combination replaced, block by block."""
     sizes = {n: len(ctx.word_basis(n)) for n in range(ctx.max_degree + 1)}
-    return LinOp({n: fraction_combination(k, k, [(op.blocks[n], c) for op, c in terms])
-                  for n, k in sizes.items()})
+    return {n: fraction_combination(k, k, [(op[n], c) for op, c in terms])
+            for n, k in sizes.items()}
 
 
 def linops(ctx):
     sizes = [len(ctx.word_basis(n)) for n in range(ctx.max_degree + 1)]
     return st.tuples(*(mixed_matrices(k, k) for k in sizes)).map(
-        lambda blocks: LinOp(dict(enumerate(blocks))))
+        lambda blocks: dict(enumerate(blocks)))
 
 
 @st.composite
@@ -267,7 +266,7 @@ def op_terms(draw):
 def test_op_combination_matches_fraction_loop(terms):
     total = op_combination(CTX, iter(terms))
     assert total == fraction_op_combination(CTX, terms)
-    for m in total.blocks.values():
+    for m in total.values():
         assert_clean(m)
     assert op_is_zero(op_combination(CTX, []))
 
@@ -284,7 +283,7 @@ def word_apply(ctx, op, t):
     for w, coeff in t.items():
         col = ctx.word_index(len(w))[w]
         words = ctx.word_basis(len(w))
-        vec_add_scaled(out, {words[r]: v for (r, c), v in op.blocks[len(w)].entries.items()
+        vec_add_scaled(out, {words[r]: v for (r, c), v in op[len(w)].entries.items()
                              if c == col}, coeff)
     return out
 
@@ -343,14 +342,14 @@ def test_block_identity_matches_per_word_loop_on_planted_defects(name):
     for b in spec.l_coalg.basis:
         x = lift_operator(spec, b)
         assert verify_right_invariance(ctx, x) == per_word_invariance(ctx, x) == (True, None)
-        for n, m in x.blocks.items():
+        for n, m in x.items():
             # zero the first stored entry (add 1 in an empty block), then add
             # 1/2 and -3 at two random positions
             positions = sorted(m.entries)[:1] + [
                 (rng.randrange(m.rows), rng.randrange(m.cols)) for _ in range(2)]
             first = -m.get(*positions[0]) or ONE
             for (r, c), delta in zip(positions, (first, F(1, 2), F(-3))):
-                bad = LinOp({**x.blocks, n: planted(m, r, c, delta)})
+                bad = {**x, n: planted(m, r, c, delta)}
                 got = verify_right_invariance(ctx, bad)
                 assert got == per_word_invariance(ctx, bad), (b, n, r, c)
                 outcomes.add(got[0])
@@ -419,8 +418,8 @@ def test_coproduct_blocks_match_per_word_construction(name):
 def tensor_powers(ctx, x):
     """x^(x)n in every degree n: the lift of a grouplike that acts by x,
     right-invariant on T(F) whenever x is on F."""
-    return LinOp({n: kron_combination(ctx.f.dim ** n, ctx.f.dim ** n, [([x] * n, ONE)])
-                  if n else Matrix.identity(1) for n in range(ctx.max_degree + 1)})
+    return {n: kron_combination(ctx.f.dim ** n, ctx.f.dim ** n, [([x] * n, ONE)])
+            if n else Matrix.identity(1) for n in range(ctx.max_degree + 1)}
 
 
 SCALED_FORMS = [
@@ -440,12 +439,12 @@ def test_block_identity_carries_non_unit_coproduct_coefficients():
     for form in SCALED_FORMS:
         x = tensor_powers(ctx, op_from_form(ctx.f, form))
         assert verify_right_invariance(ctx, x) == per_word_invariance(ctx, x) == (True, None)
-        for n, m in x.blocks.items():
+        for n, m in x.items():
             for delta in (F(1, 2), F(-2, 3), F(5, 7)):
                 positions = sorted(m.entries)[:1] + [
                     (rng.randrange(m.rows), rng.randrange(m.cols)) for _ in range(2)]
                 for r, c in positions:
-                    bad = LinOp({**x.blocks, n: planted(m, r, c, delta)})
+                    bad = {**x, n: planted(m, r, c, delta)}
                     got = verify_right_invariance(ctx, bad)
                     assert got == per_word_invariance(ctx, bad), (form, n, r, c, delta)
                     outcomes.append(got[0])

@@ -10,7 +10,7 @@ from hopfreal.coalgebra import BasisId, triangular_coalgebra
 from hopfreal.errors import ValidationError
 from hopfreal.exactlin import Matrix, kron_combination
 from hopfreal.free_tensor import TensorContext
-from hopfreal.invariant import LinOp, RIOp
+from hopfreal.invariant import RIOp
 from hopfreal.lifting import (
     iterated_coproduct,
     lift_operator,
@@ -66,9 +66,9 @@ def test_lift_leibniz_on_degree_two(example_w):
 
 def test_lift_unit_action(example_w):
     x = lift_operator(example_w, tri(2, 1))
-    assert x.blocks[0] == Matrix(1, 1)
+    assert x[0] == Matrix(1, 1)
     y = lift_operator(example_w, tri(2, 2))
-    assert y.blocks[0] == Matrix(1, 1, {(0, 0): ONE})
+    assert y[0] == Matrix(1, 1, {(0, 0): ONE})
 
 
 def test_lift_agrees_with_recursive_oracle_example_w(example_w):
@@ -95,7 +95,7 @@ def test_trusted_lift_blocks_and_combinations_are_clean():
     sums = [op_combination(spec.f_ctx, [(ops[0], ONE), (ops[0], -ONE)]),
             op_combination(spec.f_ctx, [(op, F(k - 2, 3)) for k, op in enumerate(ops)])]
     for op in ops + sums:
-        for m in op.blocks.values():
+        for m in op.values():
             assert all(canonical(v) and v for v in m.entries.values())
             assert m == Matrix(m.rows, m.cols, m.entries)
     assert op_is_zero(sums[0])
@@ -144,7 +144,7 @@ def test_grouplike_lift_is_letterwise_power(example_w):
                 for (r2, c2), v2 in base.entries.items():
                     acc[(r1 * dim + r2, c1 * dim + c2)] = v1 * v2
             expected = Matrix(expected.rows * dim, expected.cols * dim, acc)
-        assert x.blocks[n] == expected
+        assert x[n] == expected
 
 
 small_fracs = st.fractions(min_value=-2, max_value=2, max_denominator=2)
@@ -163,11 +163,11 @@ def test_lift_linear_in_l(ca, cb):
     lifted = lift_operator_recursive(spec, combo)
     for n in range(spec.max_degree + 1):
         expect = {}
-        for (key, v) in lift_operator(spec, a).blocks[n].entries.items():
+        for (key, v) in lift_operator(spec, a)[n].entries.items():
             expect[key] = expect.get(key, F(0)) + ca * v
-        for (key, v) in lift_operator(spec, b).blocks[n].entries.items():
+        for (key, v) in lift_operator(spec, b)[n].entries.items():
             expect[key] = expect.get(key, F(0)) + cb * v
-        assert lifted.blocks[n] == Matrix(
+        assert lifted[n] == Matrix(
             spec.f_ctx.f.dim ** n, spec.f_ctx.f.dim ** n, expect)
 
 
@@ -217,10 +217,10 @@ def test_split_witness_names_planted_defect(example_w, b, n, cells):
     # the witness is the largest perturbed column
     ctx = example_w.f_ctx
     x = lift_operator(example_w, b)
-    entries = dict(x.blocks[n].entries)
+    entries = dict(x[n].entries)
     for cell in cells:
         entries[cell] = entries.get(cell, F(0)) + 1
-    bad = LinOp({**x.blocks, n: Matrix(x.blocks[n].rows, x.blocks[n].cols, entries)})
+    bad = {**x, n: Matrix(x[n].rows, x[n].cols, entries)}
     witness = split_witness(ctx, bad, _split_parts(example_w, b), ctx.max_degree)
     assert witness == (ctx.word_basis(n)[max(c for _, c in cells)], ())
 
@@ -232,9 +232,9 @@ def kron_split_witness(ctx, outer, parts, bound):
     witness = None
     for n1 in range(bound + 1):
         for n2 in range(bound + 1 - n1):
-            block = outer.blocks[n1 + n2]
+            block = outer[n1 + n2]
             diff = kron_combination(block.rows, block.cols, [((block,), -ONE)] + [
-                ((left.blocks[n1], right.blocks[n2]), coeff) for left, right, coeff in parts])
+                ((left[n1], right[n2]), coeff) for left, right, coeff in parts])
             if diff.entries:
                 col = max(c for _, c in diff.entries)
                 size = len(ctx.word_basis(n2))
@@ -254,11 +254,11 @@ def test_split_witness_names_planted_defect_in_a_part(make):
     for b in spec.l_coalg.basis:
         x, parts = lift_operator(spec, b), _split_parts(spec, b)
         for op in {id(op): op for left, right, _ in parts for op in (left, right)}.values():
-            for n, m in op.blocks.items():
+            for n, m in op.items():
                 cell = (rng.randrange(m.rows), rng.randrange(m.cols))
                 entries = dict(m.entries)
                 entries[cell] = entries.get(cell, F(0)) + F(2, 3)
-                bad = LinOp({**op.blocks, n: Matrix(m.rows, m.cols, entries)})
+                bad = {**op, n: Matrix(m.rows, m.cols, entries)}
                 bad_parts = [(bad if left is op else left, bad if right is op else right, c)
                              for left, right, c in parts]
                 got = split_witness(ctx, x, bad_parts, ctx.max_degree)

@@ -30,8 +30,10 @@ PACKAGE = Path(hopfreal.__file__).resolve().parent
 
 # Library constructors that build inputs for tests and the README example;
 # a report reads its input from a document, so it never calls them.
+# make_spec is the README example's constructor of a realization.
 ENTRY_POINTS = {"ground_field", "dual_numbers", "diagonal_algebra", "triangular_units",
-                "upper_triangular_algebra", "context_from_algebra", "run_pipeline"}
+                "upper_triangular_algebra", "context_from_algebra", "run_pipeline",
+                "make_spec"}
 
 # Methods no fixture report enters, each with the reason it stays.  Dunder
 # methods are exempt as a rule: the interpreter calls them, for equality,
@@ -159,3 +161,32 @@ def test_constructors_check_and_clean_their_arguments():
         TensorContext(L1, 0)
     assert RIOp(0, {BasisId(0, 1, 1): 0}).form == {}
     assert RIOp().form == {} and RIOp().id_coeff == 0
+
+
+# Attributes a class stores for readers outside the package, each with the
+# reason it stays although no code in src/hopfreal reads it by name.
+ATTRIBUTES_KEPT = {}
+
+
+def stored_and_read():
+    """({Class.attr} assigned on self inside a package class, {attr} read
+    anywhere in the package)."""
+    stored, read = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            for node in ast.walk(cls):
+                if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                    stored.add(f"{cls.name}.{node.attr}")
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return stored, read
+
+
+def test_every_stored_attribute_is_read():
+    stored, read = stored_and_read()
+    unread = {name for name in stored if name.partition(".")[2] not in read}
+    assert unread <= ATTRIBUTES_KEPT.keys(), "attributes no code reads: " + ", ".join(
+        sorted(unread - ATTRIBUTES_KEPT.keys()))
+    assert ATTRIBUTES_KEPT.keys() <= stored
