@@ -312,9 +312,9 @@ def verify_coalgebra(c: Coalgebra) -> CheckReport:
             vec_add_scaled(right, {(p, q1, q2): c2 for (q1, q2, c2) in c.delta_terms(q)}, coeff)
             vec_add_scaled(lcounit, {q: coeff}, c.eps(p))
             vec_add_scaled(rcounit, {p: coeff}, c.eps(q))
-        report.record(f"coassociativity on {b}", left == right)
-        report.record(f"left counit law on {b}", lcounit == {b: ONE})
-        report.record(f"right counit law on {b}", rcounit == {b: ONE})
+        report.record(left == right, "coassociativity on {}".format, b)
+        report.record(lcounit == {b: ONE}, "left counit law on {}".format, b)
+        report.record(rcounit == {b: ONE}, "right counit law on {}".format, b)
     return report
 
 

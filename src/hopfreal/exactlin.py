@@ -151,19 +151,18 @@ def integer_view(entries: dict):
     return den, [p * (den // q) for p, q in ratios]
 
 
-def _entries_over(acc: dict, den: int) -> dict:
-    """Entries (r, c) -> s / den, canonical, of the row-keyed integer sums
-    acc[r][c] = s, dropping the sums that cancelled to zero; equal sums
+def _entries_over(sums, den: int) -> dict:
+    """Entries (r, c) -> s / den, canonical, of the integer sums given as
+    ((r, c), s) pairs, dropping the sums that cancelled to zero; equal sums
     share one value."""
     values = {}
     entries = {}
-    for r, out in acc.items():
-        for c, s in out.items():
-            if s:
-                v = values.get(s)
-                if v is None:
-                    v = values[s] = s if den == 1 else scalar(Fraction(s, den))
-                entries[(r, c)] = v
+    for rc, s in sums:
+        if s:
+            v = values.get(s)
+            if v is None:
+                v = values[s] = s if den == 1 else scalar(Fraction(s, den))
+            entries[rc] = v
     return entries
 
 
@@ -187,21 +186,27 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                 out = acc[r] = {}
             for c, y in row:
                 out[c] = out.get(c, 0) + x * y
-    return Matrix.trusted(a.rows, b.cols, _entries_over(acc, da * db))
+    return Matrix.trusted(a.rows, b.cols, _entries_over(
+        (((r, c), s) for r, out in acc.items() for c, s in out.items()), da * db))
 
 
 def kron_sums(rows: int, cols: int, terms, views=None):
     """(den, acc): sum coeff * kron(m_1, ..., m_k) over the (mats, coeff)
     terms, k >= 1 (k = 1 is a plain linear combination of blocks), as
-    integer sums acc[r][c] over the common denominator den; entries never
-    reached are absent, and a sum that cancelled is 0.  Each product is
-    rows x cols with kron(a, m)[r_a * m.rows + r_m, c_a * m.cols + c_m] =
+    integer sums acc[r * cols + c] over the common denominator den; entries
+    never reached are absent, and a sum that cancelled is 0.  Each product
+    is rows x cols with kron(a, m)[r_a * m.rows + r_m, c_a * m.cols + c_m] =
     a[r_a, c_a] m[r_m, c_m]; ValueError on any other shape.
     A term p/q times factors with integer numerators over the lcm d_j of their
     denominators has denominator q * prod d_j; den is the lcm of those.
 
-    Each distinct factor's integer view is computed once, in ``views`` by id
-    (beside the factor, which keeps the id its own); calls may share one."""
+    So the flat index of a product entry is the sum of one offset per
+    factor: entry (r, c) of m_j adds r * R_j * cols + c * C_j, where R_j
+    and C_j are the row and column counts of the factors after it.  Each
+    distinct factor's integer view is computed once, in ``views`` by id
+    (beside the factor, which keeps the id its own), and so is its list of
+    (offset, numerator) pairs at each (R_j * cols, C_j); calls may share
+    one ``views``."""
     views = {} if views is None else views
     scaled = []
     for mats, coeff in terms:
@@ -222,18 +227,27 @@ def kron_sums(rows: int, cols: int, terms, views=None):
             scaled.append((p, d, factors))
     den = lcm(*{d for _, d, _ in scaled})
     acc = {}
-    for p, d, ((m, _, nums), *tail) in scaled:
-        items = zip(m.entries, nums)
-        for m, _, nums in tail:
-            mr, mc = m.rows, m.cols
-            items = [((row * mr + r, col * mc + c), x * y)
-                     for (row, col), x in items for (r, c), y in zip(m.entries, nums)]
+    for p, d, factors in scaled:
+        lists = []  # from the last factor to the first
+        rs, cs = cols, 1
+        for m, _, nums in reversed(factors):
+            key = (id(m), rs, cs)
+            offsets = views.get(key)
+            if offsets is None:
+                offsets = views[key] = [(r * rs + c * cs, x)
+                                        for (r, c), x in zip(m.entries, nums)]
+            lists.append(offsets)
+            rs, cs = rs * m.rows, cs * m.cols
+        last, *init = lists
+        items = init.pop() if init else [(0, 1)]
+        while init:
+            tail = init.pop()
+            items = [(k + o, x * y) for k, x in items for o, y in tail]
         f = p * (den // d)
-        for (r, c), x in items:
-            out = acc.get(r)
-            if out is None:
-                out = acc[r] = {}
-            out[c] = out.get(c, 0) + f * x
+        for k, x in items:
+            fx = f * x
+            for o, y in last:
+                acc[k + o] = acc.get(k + o, 0) + fx * y
     return den, acc
 
 
@@ -241,7 +255,8 @@ def kron_combination(rows: int, cols: int, terms, views=None) -> Matrix:
     """The :func:`kron_sums` of the terms as a Matrix: each nonzero sum s
     becomes the entry s / den."""
     den, acc = kron_sums(rows, cols, terms, views)
-    return Matrix.trusted(rows, cols, _entries_over(acc, den))
+    return Matrix.trusted(rows, cols, _entries_over(
+        ((divmod(k, cols), s) for k, s in acc.items()), den))
 
 
 def intertwiner_defect(s: int, d: dict, x: Matrix):

@@ -145,7 +145,7 @@ def verify_free_bialgebra(ctx: TensorContext) -> CheckReport:
         pairs = word_coproduct(ctx, w)
         n = len(w)
         graded = all(len(w1) == n and len(w2) == n for (w1, w2) in pairs)
-        report.record(f"coproduct grading on {w}", graded)
+        report.record(graded, "coproduct grading on {}".format, w)
 
         left = {}
         right = {}
@@ -158,9 +158,9 @@ def verify_free_bialgebra(ctx: TensorContext) -> CheckReport:
                                    for (u1, u2), c2 in word_coproduct(ctx, w2).items()}, coeff)
             vec_add_scaled(lcounit, {w2: coeff}, counit(ctx, {w1: ONE}))
             vec_add_scaled(rcounit, {w1: coeff}, counit(ctx, {w2: ONE}))
-        report.record(f"coassociativity on {w}", left == right)
+        report.record(left == right, "coassociativity on {}".format, w)
         ok = lcounit == {w: ONE} and rcounit == {w: ONE}
-        report.record(f"counit laws on {w}", ok)
+        report.record(ok, "counit laws on {}".format, w)
 
     for w1 in words:
         for w2 in words:
@@ -168,6 +168,6 @@ def verify_free_bialgebra(ctx: TensorContext) -> CheckReport:
                 continue
             lhs = word_coproduct(ctx, w1 + w2)
             rhs = pair_product(word_coproduct(ctx, w1), word_coproduct(ctx, w2))
-            report.record(f"coproduct multiplicative on {w1}*{w2}", lhs == rhs)
+            report.record(lhs == rhs, "coproduct multiplicative on {}*{}".format, w1, w2)
     return report
 

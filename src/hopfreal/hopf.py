@@ -216,7 +216,7 @@ def verify_Y_coproduct(spec: RealizationSpec, table: AntipodeTable, bound: int) 
     for b in basis:
         parts = [(y[ids[b.block, b.i, k]], y[ids[b.block, k, b.j]], ONE)
                  for k in range(b.j, b.i + 1)]
-        report.record(f"splitting of Y at {b}", _splits(spec, y[b], parts, bound))
+        report.record(_splits(spec, y[b], parts, bound), "splitting of Y at {}".format, b)
 
     off = [b for b in basis if b.i != b.j]
     diag = [b for b in basis if b.i == b.j]
@@ -226,8 +226,8 @@ def verify_Y_coproduct(spec: RealizationSpec, table: AntipodeTable, bound: int) 
     if not pairs:
         pairs = [(u, v) for u in basis for v in basis]
     for (u, v) in pairs:
-        report.record(f"splitting of composite Y at ({u},{v})",
-                      _composite_split_ok(spec, table, u, v, bound))
+        report.record(_composite_split_ok(spec, table, u, v, bound),
+                      "splitting of composite Y at ({},{})".format, u, v)
     return report
 
 
@@ -359,6 +359,9 @@ def verify_hopf_quotient(spec: RealizationSpec, table: AntipodeTable,
         raise PreconditionError("hopf quotient check needs a stabilized closure")
     from .fmt import format_word
 
+    def describe(tag, w, bound):
+        return f"{tag} = eps(w)1 mod ideal for w={format_word(w)} [ideal bound {bound}]"
+
     report = CheckReport(f"hopf quotient axioms at degree bound {degree_bound}")
     gens = closure.final_basis
     ctx = l_context(spec)
@@ -388,15 +391,13 @@ def verify_hopf_quotient(spec: RealizationSpec, table: AntipodeTable,
         return views[bound]
 
     for tag, w, test, bound in tests:
-        report.record(
-            f"{tag} = eps(w)1 mod ideal for w={format_word(w)} [ideal bound {bound}]",
-            bounded_ideal(bound).contains(test))
+        report.record(bounded_ideal(bound).contains(test), describe, tag, w, bound)
 
     ideal_d = bounded_ideal(degree_bound)
     for g in gens:
-        ok = not pair_reduce(ideal_d, g)
-        report.record(
-            f"closure ideal coideal property on generator [bound {degree_bound}]", ok)
+        report.record(not pair_reduce(ideal_d, g),
+                      "closure ideal coideal property on generator [bound {}]".format,
+                      degree_bound)
     return report
 
 
@@ -457,11 +458,12 @@ def antipode_general(spec: RealizationSpec, bound: int):
     report = CheckReport(f"general antipode verification at bound {bound}")
     systems_ok = True
     for b, side, ok in _system_checks(spec, y):
-        report.record(f"{side} system at {b}", ok)
+        report.record(ok, "{} system at {}".format, side, b)
         systems_ok = systems_ok and ok
         if side == "right":
             parts = [(y[q], y[p], c) for p, q, c in spec.l_coalg.delta_terms(b)]
-            report.record(f"reversed coproduct law at {b}", _splits(spec, y[b], parts, bound))
+            report.record(_splits(spec, y[b], parts, bound),
+                          "reversed coproduct law at {}".format, b)
     if not systems_ok:
         raise InternalInconsistencyError("general antipode solve failed re-verification")
 
@@ -488,5 +490,5 @@ def verify_uniqueness_perturbations(spec: RealizationSpec, table: AntipodeTable,
         perturbed = dict(table.entries)
         perturbed[target] = vec_add_scaled(dict(perturbed[target]), dict(zip(alg, coeffs)), ONE)
         broke = not triangular_systems_ok(spec, perturbed)
-        report.record(f"trial {t}: perturbing Y at {target} breaks a system", broke)
+        report.record(broke, "trial {}: perturbing Y at {} breaks a system".format, t, target)
     return report

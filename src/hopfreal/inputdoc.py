@@ -473,8 +473,7 @@ def build_spec(doc: InputDocument) -> RealizationSpec:
     preflight(doc)
     real = doc.realization
     ctx = TensorContext(doc.coalgebras[real.f_name], doc.truncation)
-    spec = RealizationSpec(doc.coalgebras[real.l_name], ctx, dict(real.x_table),
-                           None if real.diag_pairs is None else tuple(real.diag_pairs))
+    spec = RealizationSpec(doc.coalgebras[real.l_name], ctx, real.x_table, real.diag_pairs)
     failures = spec.validate(doc.display_labels(real.l_name))
     if failures:
         raise ValidationError(failures)

@@ -41,14 +41,15 @@ from .reportkit import CheckReport
 class RealizationSpec:
     """The full datum of a realization: L, the truncated context over F, the
     map x on the basis of L, and (optionally) the diagonal inverse pairs
-    (l, l') with x(l) o x(l') = id used by the triangular antipode."""
+    (l, l') with x(l) o x(l') = id used by the triangular antipode.  The
+    spec keeps its own copies: x as a dict, the pairs as a tuple or None."""
 
     def __init__(self, l_coalg: Coalgebra, f_ctx: TensorContext, x_map: dict,
-                 diag_pairs: tuple = None):
+                 diag_pairs=None):
         self.l_coalg = l_coalg
         self.f_ctx = f_ctx
-        self.x_map = x_map  # BasisId -> RIOp (a raw degree-1 Matrix is accepted for tests)
-        self.diag_pairs = diag_pairs
+        self.x_map = dict(x_map)  # BasisId -> RIOp (a raw degree-1 Matrix is accepted for tests)
+        self.diag_pairs = None if diag_pairs is None else tuple(diag_pairs)
         self._cache = {}
 
     @property
@@ -91,8 +92,7 @@ class RealizationSpec:
 
 
 def make_spec(l_coalg, f_ctx, x_map, diag_pairs=None) -> RealizationSpec:
-    spec = RealizationSpec(l_coalg, f_ctx, dict(x_map),
-                           tuple(diag_pairs) if diag_pairs is not None else None)
+    spec = RealizationSpec(l_coalg, f_ctx, x_map, diag_pairs)
     failures = spec.validate()
     if failures:
         raise ValidationError(failures)
@@ -184,9 +184,9 @@ def split_witness(ctx: TensorContext, outer: dict, parts, bound: int):
             block = outer[n1 + n2]
             _, sums = kron_sums(block.rows, block.cols, [((block,), -ONE)] + [
                 ((left[n1], right[n2]), c) for left, right, c in parts], views)
-            cols = [c for out in sums.values() for c, s in out.items() if s]
-            if cols:
-                col = max(cols)
+            cols = block.cols
+            col = max((k % cols for k, s in sums.items() if s), default=None)
+            if col is not None:
                 size = len(ctx.word_basis(n2))
                 witness = (ctx.word_basis(n1)[col // size], ctx.word_basis(n2)[col % size])
     return witness
@@ -203,22 +203,19 @@ def verify_lift(spec: RealizationSpec, b: BasisId) -> CheckReport:
     report = CheckReport("lifted operator properties")
     x = lift_operator(spec, b)
 
-    report.record("unit action X(l)(1) = eps(l) 1",
-                  x[0] == Matrix(1, 1, {(0, 0): spec.l_coalg.eps(b)}))
+    report.record(x[0] == Matrix(1, 1, {(0, 0): spec.l_coalg.eps(b)}),
+                  "unit action X(l)(1) = eps(l) 1".format)
 
-    report.record("degree-1 action agrees with x", x[1] == spec.x_matrix(b))
+    report.record(x[1] == spec.x_matrix(b), "degree-1 action agrees with x".format)
 
     split_ops = [(lift_operator(spec, p), lift_operator(spec, q), coeff)
                  for p, q, coeff in spec.l_coalg.delta_terms(b)]
     witness = split_witness(ctx, x, split_ops, ctx.max_degree)
-    report.record(
-        "splitting rule on word pairs" + ("" if witness is None else f" (witness {witness})"),
-        witness is None)
+    report.record(witness is None, "splitting rule on word pairs (witness {})".format, witness)
 
     graded = all(m.rows == m.cols == ctx.f.dim ** n for n, m in x.items())
-    report.record("grade preservation (square block per degree)", graded)
+    report.record(graded, "grade preservation (square block per degree)".format)
 
     ok_inv, w = verify_right_invariance(ctx, x)
-    report.record(
-        "right-invariance on T(F)" + ("" if ok_inv else f" (witness {w})"), ok_inv)
+    report.record(ok_inv, "right-invariance on T(F) (witness {})".format, w)
     return report

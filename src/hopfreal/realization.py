@@ -521,12 +521,11 @@ def verify_coideal(spec: RealizationSpec, r: list, degree_bound: int) -> CheckRe
     are memoized on that ideal, shared by every relation and degree."""
     from .fmt import format_element
 
+    def describe(rel):
+        return f"delta({format_element(rel)}) decomposes (residue nonzero)"
+
     report = CheckReport(f"coideal property at degree bound {degree_bound}")
     ideal = computed_relation_ideal(spec, degree_bound)
     for rel in r:
-        residue = pair_reduce(ideal, rel)
-        report.record(
-            f"delta({format_element(rel)}) decomposes"
-            + ("" if not residue else " (residue nonzero)"),
-            not residue)
+        report.record(not pair_reduce(ideal, rel), describe, rel)
     return report

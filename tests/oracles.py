@@ -380,7 +380,8 @@ def verify_pairing(ctx: TensorContext, e: AlgebraPresentation) -> CheckReport:
                     for (w1, w2), coeff in pairs.items():
                         lhs += coeff * duality_pairing(e, w1, t1) * duality_pairing(e, w2, t2)
                     rhs = pairing_bilinear(e, {w: ONE}, tensor_power_product(e, t1, t2))
-                    report.record(f"pairing identity on w={w}, t1={t1}, t2={t2}", lhs == rhs)
+                    report.record(lhs == rhs, "pairing identity on w={}, t1={}, t2={}".format,
+                                  w, t1, t2)
     return report
 
 

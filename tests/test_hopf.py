@@ -48,6 +48,7 @@ from hopfreal.realization import (
     monomials_upto,
     relation_kernel_upto,
 )
+from hopfreal.reportkit import CheckReport
 from oracles import (
     convolution_inverse, op_combination, op_compose, op_identity, op_is_zero, op_vector, represent,
     represent_word, span_contains)
@@ -55,6 +56,20 @@ from oracles import (
 ONE = F(1)
 GENERAL_W = Path(__file__).resolve().parent.parent / "fixtures" / "general_w.hra"
 THREE_BLOCK = GENERAL_W.with_name("three_block.hra")
+
+
+def logged_checks(monkeypatch):
+    """Every check recorded from here on, as (text, ok): the text a failed
+    check carries, built here for the passed ones too."""
+    log = []
+    record = CheckReport.record
+
+    def logged(report, ok, describe, *args):
+        log.append((describe(*args), bool(ok)))
+        record(report, ok, describe, *args)
+
+    monkeypatch.setattr(CheckReport, "record", logged)
+    return log
 
 
 def table_ops(spec, entries):
@@ -292,13 +307,17 @@ def test_hopf_quotient_reads_every_bound_off_one_basis(monkeypatch, example_w, w
         return ideal_span(ctx, gens, b)
 
     monkeypatch.setattr(hopf, "ideal_span", counted)
-    report = verify_hopf_quotient(example_w, w_table, closure, bound)
+    log = logged_checks(monkeypatch)
+    verify_hopf_quotient(example_w, w_table, closure, bound)
+    checks = log[:]
     top = max(int(m.group(1)) for m in (re.search(r"\[ideal bound (\d+)\]", desc)
-                                        for desc, _ in report.checks) if m)
+                                        for desc, _ in checks) if m)
     assert top >= bound and built == ([] if closure_bound >= top else [top])
     monkeypatch.setattr(BoundedIdeal, "view",
                         lambda own, b: ideal_span(l_context(example_w), closure.final_basis, b))
-    assert report.checks == verify_hopf_quotient(example_w, w_table, closure, bound).checks
+    del log[:]
+    verify_hopf_quotient(example_w, w_table, closure, bound)
+    assert log == checks
 
 
 def test_antipode_general_rejects_a_wrong_solution(trivial, monkeypatch):
@@ -737,7 +756,7 @@ PLANTED_DEFECTS = [
 
 @pytest.mark.parametrize("make, target, word, coeff", PLANTED_DEFECTS,
                          ids=[f"{m.__name__}-{t}-{len(w)}" for m, t, w, _ in PLANTED_DEFECTS])
-def test_planted_defects_match_operator_oracle(make, target, word, coeff):
+def test_planted_defects_match_operator_oracle(monkeypatch, make, target, word, coeff):
     # the class-based system flags, Y-coproduct checks and reversed-law flags
     # of a perturbed table equal the flags of the composed T(F) blocks; the
     # splitting checks at every bound 0 .. N, since below N the rectangles
@@ -753,6 +772,7 @@ def test_planted_defects_match_operator_oracle(make, target, word, coeff):
     assert not all(flags.values())
     if triangular:
         assert flags == triangular_system_flags(spec, ops)
+    log = logged_checks(monkeypatch)
     for bound in range(spec.max_degree + 1):
         reversed_law = {b: _splits(spec, entries[b], [(entries[q], entries[p], c)
                                                       for p, q, c in spec.l_coalg.delta_terms(b)],
@@ -760,9 +780,9 @@ def test_planted_defects_match_operator_oracle(make, target, word, coeff):
                         for b in spec.l_coalg.basis}
         assert reversed_law == reversed_law_flags(spec, ops, bound), bound
         if triangular:
-            broken = AntipodeTable(entries, entries)
-            assert verify_Y_coproduct(spec, broken, bound).checks == \
-                y_coproduct_checks(spec, ops, bound), bound
+            del log[:]
+            verify_Y_coproduct(spec, AntipodeTable(entries, entries), bound)
+            assert log == y_coproduct_checks(spec, ops, bound), bound
 
 
 def test_antipode_entry_points_refuse_non_coassociative_l():

@@ -142,7 +142,7 @@ FRESH = {
     "RealizationSpec": (lambda: RealizationSpec(L1, TensorContext(L1, 1), {}), ("_cache",)),
     "InputDocument": (InputDocument, ("algebras", "coalgebras", "coalgebra_defs", "labels")),
     "RealizationInput": (RealizationInput, ("x_table",)),
-    "CheckReport": (lambda: CheckReport("checks"), ("checks",)),
+    "CheckReport": (lambda: CheckReport("checks"), ("failed",)),
     "StageResult": (lambda: StageResult("stage", "pass"), ("lines",)),
 }
 
@@ -161,6 +161,11 @@ def test_constructors_check_and_clean_their_arguments():
         TensorContext(L1, 0)
     assert RIOp(0, {BasisId(0, 1, 1): 0}).form == {}
     assert RIOp().form == {} and RIOp().id_coeff == 0
+    x_map, pairs = {L1.basis[0]: RIOp.identity()}, [(L1.basis[0], L1.basis[0])]
+    spec = RealizationSpec(L1, TensorContext(L1, 1), x_map, pairs)
+    assert spec.x_map == x_map and spec.x_map is not x_map
+    assert spec.diag_pairs == tuple(pairs)
+    assert RealizationSpec(L1, TensorContext(L1, 1), x_map).diag_pairs is None
 
 
 # Attributes a class stores for readers outside the package, each with the
