@@ -22,6 +22,7 @@ EXPECTED = {
     "trivial.hra": 0,
     "three_block.hra": 0,
     "general_w.hra": 0,
+    "general_w_d2.hra": 0,
     "projection.hra": 1,
     "bad_syntax.hra": 2,
     "bad_dangling.hra": 2,

@@ -251,10 +251,10 @@ def kron_sums(rows: int, cols: int, terms, views=None):
     return den, acc
 
 
-def kron_combination(rows: int, cols: int, terms, views=None) -> Matrix:
+def kron_combination(rows: int, cols: int, terms) -> Matrix:
     """The :func:`kron_sums` of the terms as a Matrix: each nonzero sum s
     becomes the entry s / den."""
-    den, acc = kron_sums(rows, cols, terms, views)
+    den, acc = kron_sums(rows, cols, terms)
     return Matrix.trusted(rows, cols, _entries_over(
         ((divmod(k, cols), s) for k, s in acc.items()), den))
 

@@ -28,17 +28,31 @@ residue (NF (x) NF)(delta r) are linear, so both are summed from values on
 words, memoized per ideal object (the residue) or per call of
 :func:`closure_iterate` or :func:`verify_hopf_quotient` (S^r).
 
-The general solver drops cotriangularity: it looks for Y(l) inside the span
-of pi-images of bounded monomials satisfying the two convolution systems,
-by one exact joint linear solve; infeasibility at the bound is reported as
-"none found at this bound", never as a nonexistence proof.
+The general solver drops cotriangularity: it looks for Y(l) inside the
+span of pi-images of bounded monomials by one exact linear solve of the
+left system X * Y = eps 1 alone, where (X * Y)(b) = sum c X(p) Y(q) over
+delta(b).  The right system Y * X = eps 1 needs no rows of its own:
+
+  * Hom(L, A_N), A_N = pi_N(T(L)), is a finite-dimensional algebra under
+    convolution, with unit eps 1.  So a right inverse there is two-sided
+    (Sweedler, *Hopf Algebras*, 1969, ch. IV): X * Y = eps 1 makes
+    Z -> X * Z onto, hence one-to-one, and X * (Y * X - eps 1) = 0.
+  * An invertible X makes Y -> X * Y injective.  So the left system has at
+    most one solution, the inverse, which solves the right system too, and
+    its matrix has no free column (the basis monomials' classes are
+    independent).  The solution and the uniqueness flag are those of the
+    joint solve of both systems.
+
+Both systems are still re-checked exactly on the solution.  Infeasibility
+at the bound is reported as "none found at this bound", never as a
+nonexistence proof.
 """
 
 from __future__ import annotations
 
 import random
 
-from .coalgebra import BasisId, triangular_blocks
+from .coalgebra import BasisId, triangular_blocks, verify_coalgebra
 from .errors import (
     InternalInconsistencyError,
     PreconditionError,
@@ -46,7 +60,7 @@ from .errors import (
 )
 from .exactlin import ONE, Matrix, SpanBasis, solve, vec_add_scaled
 from .free_tensor import concat_product, coproduct, counit, graded_key, word_coproduct
-from .lifting import RealizationSpec, iterated_coproduct
+from .lifting import RealizationSpec
 from .realization import (
     BoundedIdeal,
     ideal_span,
@@ -88,9 +102,12 @@ def _splits(spec: RealizationSpec, y: dict, parts, bound: int) -> bool:
 
 
 def _require_coassociative(spec: RealizationSpec) -> None:
-    """InternalInconsistencyError unless L is coassociative (the coproduct laws rest on it)."""
-    for b in spec.l_coalg.basis:
-        iterated_coproduct(spec.l_coalg, {b: ONE}, 2)
+    """InternalInconsistencyError, naming the failed checks, unless L passes
+    ``verify_coalgebra`` (the coproduct laws rest on its coassociativity)."""
+    report = verify_coalgebra(spec.l_coalg)
+    if not report.ok:
+        raise InternalInconsistencyError(
+            "L is not a coalgebra: " + "; ".join(report.failures()))
 
 
 def reduce_expression(spec: RealizationSpec, expr: dict, max_degree: int):
@@ -413,17 +430,18 @@ def operator_algebra_basis(spec: RealizationSpec, bound: int) -> list:
 
 
 def antipode_general(spec: RealizationSpec, bound: int):
-    """Joint exact solve of both convolution systems inside the bounded
-    operator algebra; None when infeasible at this bound.
+    """Exact solve of the system X * Y = eps 1 inside the bounded operator
+    algebra; None when infeasible at this bound.
 
     The unknowns are the coefficients of y_b on the basis monomials m_s,
-    and the columns are the classes of p . m_s and m_s . q, as coordinates
-    on the basis of pi_N(T(L)): one block of dim A rows per system and
-    basis element b.  On success the table records the expressions in the
-    monomial basis, a uniqueness flag (no free column, read off the same
-    elimination that finds the solution), and a verification report
-    including the reversed-coproduct law delta y_b = sum c y_q (x) y_p,
-    split on classes.
+    and the columns are the classes of p . m_s, as coordinates on the basis
+    of pi_N(T(L)): one block of dim A rows per basis element b.  A solution
+    is the two-sided inverse (module docstring), so the other system
+    Y * X = eps 1 is a check, not part of the solve.  On success the table
+    records the expressions in the monomial basis, a uniqueness flag (no
+    free column, read off the same elimination that finds the solution),
+    and a verification report of both systems and of the reversed-coproduct
+    law delta y_b = sum c y_q (x) y_p, split on classes.
     """
     _require_coassociative(spec)
     alg = operator_algebra_basis(spec, bound)
@@ -433,20 +451,17 @@ def antipode_general(spec: RealizationSpec, bound: int):
 
     walk, top = image_walk(spec), spec.max_degree
     dim = len(walk.basis(top, bound + 1))
-    entries = {}  # row (2 * bi + side) * dim + k, column bi * r + s
+    entries = {}  # row bi * dim + k, column bi * r + s
     rhs = {}
     for bi, b in enumerate(basis_l):
-        left, right = 2 * bi * dim, (2 * bi + 1) * dim
         for (p, q, c) in spec.l_coalg.delta_terms(b):
             for s, mono in enumerate(alg):
-                vec_add_scaled(entries, {(left + k, index[q] * r + s): v for k, v in
+                vec_add_scaled(entries, {(bi * dim + k, index[q] * r + s): v for k, v in
                                          walk.coordinates((p,) + mono, top).items()}, c)
-                vec_add_scaled(entries, {(right + k, index[p] * r + s): v for k, v in
-                                         walk.coordinates(mono + (q,), top).items()}, c)
         for k, v in walk.coordinates((), top).items():
-            vec_add_scaled(rhs, {left + k: v, right + k: v}, spec.l_coalg.eps(b))
+            vec_add_scaled(rhs, {bi * dim + k: v}, spec.l_coalg.eps(b))
 
-    matrix = Matrix.trusted(2 * len(basis_l) * dim, len(basis_l) * r, entries)
+    matrix = Matrix.trusted(len(basis_l) * dim, len(basis_l) * r, entries)
     solved = solve(matrix, rhs)
     if solved is None:
         return None
@@ -465,7 +480,8 @@ def antipode_general(spec: RealizationSpec, bound: int):
             report.record(_splits(spec, y[b], parts, bound),
                           "reversed coproduct law at {}".format, b)
     if not systems_ok:
-        raise InternalInconsistencyError("general antipode solve failed re-verification")
+        raise InternalInconsistencyError("general antipode solve failed re-verification: "
+                                         + "; ".join(report.failures()))
 
     return AntipodeTable(y, dict(y), unique=unique, report=report)
 

@@ -6,13 +6,17 @@ l in L lifts to a unique grade-preserving operator X(l) on T(F):
 
   * X(l)(1) = eps_L(l) . 1,
   * X(l) = x(l) on F,
-  * on a degree-n word, X(l) acts through the (n-1)-fold iterated coproduct
-    of l, letter by letter:  sum  x(l_(1))(f_1) (x) ... (x) x(l_(n))(f_n).
+  * X(l)(w1 . w2) = sum X(l') (w1) . X(l'') (w2) over delta(l).
 
-The same operator is characterized by the product-splitting rule
-X(l)(w1 . w2) = sum X(l') (w1) . X(l'') (w2) over delta(l).  The tests
-build it that way too, one letter at a time, and require bit-exact
-agreement with :func:`lift_operator` (``tests/oracles.py``).
+:func:`lift_operator` builds X(l) by the last rule with w1 a letter: block
+n is X_n(l) = sum c * kron(x(p), X_{n-1}(q)) over delta(l), so each block
+is one Kronecker sum of blocks already built.  The rule on all other
+splittings then follows from the coassociativity of L, which
+``coalgebra.verify_coalgebra`` decides, and :func:`verify_lift` checks it
+block by block.  The tests build X(l) twice more (``tests/oracles.py``):
+by the same recursion in independent code, and letter by letter through
+the (n-1)-fold iterated coproduct, sum x(l_(1))(f_1) (x) ... (x)
+x(l_(n))(f_n); both must agree bit-exactly with :func:`lift_operator`.
 
 :func:`split_witness` checks the splitting rule exactly on the T(F)
 blocks, for lifted operators and (in the tests) for pi of monomials;
@@ -30,8 +34,8 @@ concurrent use is safe.
 from __future__ import annotations
 
 from .coalgebra import BasisId, Coalgebra, grouplikes
-from .errors import InternalInconsistencyError, ValidationError
-from .exactlin import Matrix, ONE, kron_combination, kron_sums, mat_mul, vec_add_scaled
+from .errors import ValidationError
+from .exactlin import Matrix, ONE, kron_combination, kron_sums, mat_mul
 from .fmt import format_id
 from .free_tensor import TensorContext
 from .invariant import op_from_form, verify_right_invariance
@@ -99,65 +103,36 @@ def make_spec(l_coalg, f_ctx, x_map, diag_pairs=None) -> RealizationSpec:
     return spec
 
 
-def _iterate_last(c: Coalgebra, terms: dict, steps: int) -> dict:
-    for _ in range(steps):
-        nxt = {}
-        for tup, coeff in terms.items():
-            head, last = tup[:-1], tup[-1]
-            vec_add_scaled(nxt, {head + (p, q): cc for (p, q, cc) in c.delta_terms(last)}, coeff)
-        terms = nxt
-    return terms
-
-
-def _iterate_first(c: Coalgebra, terms: dict, steps: int) -> dict:
-    for _ in range(steps):
-        nxt = {}
-        for tup, coeff in terms.items():
-            first, tail = tup[0], tup[1:]
-            vec_add_scaled(nxt, {(p, q) + tail: cc for (p, q, cc) in c.delta_terms(first)}, coeff)
-        terms = nxt
-    return terms
-
-
-def iterated_coproduct(l_coalg: Coalgebra, v: dict, n: int) -> dict:
-    """n-fold iterated coproduct of a sparse vector, as (n+1)-tuples -> Scalar.
-
-    Computed by expanding the last tensor factor at each step and checked
-    against the first-factor recursion; coassociativity makes the two agree,
-    and a disagreement means the coalgebra data is corrupt.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    start = {(b,): c for b, c in v.items() if c}
-    left = _iterate_last(l_coalg, start, n)
-    right = _iterate_first(l_coalg, start, n)
-    if left != right:
-        raise InternalInconsistencyError(
-            "iterated coproduct recursions disagree (coalgebra is not coassociative)")
-    return left
-
-
-def lift_basis_block(spec: RealizationSpec, b: BasisId, n: int) -> Matrix:
-    """Degree-n block of X(b) via the iterated-coproduct construction
-    (unmemoized: :func:`lift_operator` memoizes the blocks it builds)."""
-    size = spec.f_ctx.f.dim ** n
+def lift_basis_block(spec: RealizationSpec, b: BasisId, n: int, lower: dict) -> Matrix:
+    """Degree-n block of X(b): eps(b) at n = 0, x(b) at n = 1, and above that
+    sum c * kron(x(p), X_{n-1}(q)) over delta(b), read from ``lower``, the
+    degree n - 1 blocks of every basis element of L."""
     if n == 0:
         return Matrix(1, 1, {(0, 0): spec.l_coalg.eps(b)})
-    return kron_combination(size, size, [
-        ([spec.x_matrix(p) for p in tup], coeff)
-        for tup, coeff in iterated_coproduct(spec.l_coalg, {b: ONE}, n - 1).items()])
+    if n == 1:
+        return spec.x_matrix(b)
+    size = spec.f_ctx.f.dim ** n
+    return kron_combination(size, size, [((spec.x_matrix(p), lower[q]), c)
+                                         for p, q, c in spec.l_coalg.delta_terms(b)])
 
 
 def lift_operator(spec: RealizationSpec, b: BasisId) -> dict:
     """X(b) on T(F) up to the truncation degree, for a basis element b of L,
     as a dict from degree to block.
 
-    Memoized per spec; no dict or Matrix is written to after it is built.
+    The first call lifts all of L, degree by degree, since block n of X(b)
+    reads block n - 1 of every X(q) with q in delta(b), and the triangular
+    delta(b) contains b itself.  Memoized per spec; no dict or Matrix is
+    written to after it is built.
     """
     key = ("X", b)
     if key not in spec._cache:
-        spec._cache[key] = {n: lift_basis_block(spec, b, n)
-                            for n in range(spec.max_degree + 1)}
+        basis, levels, lower = spec.l_coalg.basis, [], None
+        for n in range(spec.max_degree + 1):
+            lower = {l: lift_basis_block(spec, l, n, lower) for l in basis}
+            levels.append(lower)
+        for l in basis:
+            spec._cache["X", l] = {n: level[l] for n, level in enumerate(levels)}
     return spec._cache[key]
 
 

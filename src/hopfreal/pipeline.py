@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from .coalgebra import is_cotriangular, verify_coalgebra
 from .errors import PreconditionError
-from .fmt import format_element, format_id
-from .free_tensor import verify_free_bialgebra
+from .fmt import format_element, format_id, format_word
+from .free_tensor import graded_key, verify_free_bialgebra
 from .hopf import (
     antipode_general,
     antipode_triangular,
@@ -318,9 +318,8 @@ def stage_artifacts_text(pipe: "_Pipeline", pipe_stages) -> str:
 
     def element_terms(elem):
         parts = []
-        for w in sorted(elem, key=lambda u: (len(u), u)):
-            mono = "*".join(format_id(b, labels) for b in w) if w else "1"
-            parts.append(f"{mono} {elem[w]}")
+        for w in sorted(elem, key=graded_key):
+            parts.append(f"{format_word(w, labels)} {elem[w]}")
         return ", ".join(parts)
 
     if "relations" in pipe_stages:

@@ -2,10 +2,11 @@
 
 No report runs these.  Each computes by the direct route an object the
 package decides another way: pi(w) as composed T(F) blocks (against the
-image walk), the lift by the splitting recursion (against the iterated
-coproduct), the form convolution algebra (against composing the X_omega),
-the T(F)/T(E) duality pairing, relabelled coalgebras, the pivots and
-rows of a bounded ideal (against an enumerated span), the relation kernels
+image walk), the lift twice, by the splitting recursion and through the
+iterated coproduct (against the package's degree recursion), the form
+convolution algebra (against composing the X_omega), the T(F)/T(E)
+duality pairing, relabelled coalgebras, the pivots and rows of a bounded
+ideal (against an enumerated span), the relation kernels
 of a window by elimination (against reading them off the image walk), and
 the reduced echelon form by Gauss-Jordan elimination (against
 ``SpanBasis``).  Linear combinations of blocks and operators, which the
@@ -242,6 +243,32 @@ def _recursive_block(spec: RealizationSpec, b: BasisId, n: int) -> Matrix:
         block = Matrix(dim ** n, dim ** n, acc)
     spec._cache[key] = block
     return block
+
+
+def iterated_coproduct(l_coalg: Coalgebra, v: dict, n: int) -> dict:
+    """n-fold iterated coproduct of a sparse vector, as (n+1)-tuples -> Scalar,
+    by expanding the last tensor factor n times."""
+    terms = {(b,): c for b, c in v.items() if c}
+    for _ in range(n):
+        nxt = {}
+        for tup, coeff in terms.items():
+            vec_add_scaled(nxt, {tup[:-1] + (p, q): cc
+                                 for p, q, cc in l_coalg.delta_terms(tup[-1])}, coeff)
+        terms = nxt
+    return terms
+
+
+def lift_operator_iterated(spec: RealizationSpec, b: BasisId) -> dict:
+    """X(b) letter by letter: block n is sum c * kron(x(l_1), ..., x(l_n))
+    over the (n-1)-fold iterated coproduct of b.  Must agree bit-exactly
+    with :func:`hopfreal.lifting.lift_operator`."""
+    blocks = {0: Matrix(1, 1, {(0, 0): spec.l_coalg.eps(b)})}
+    for n in range(1, spec.max_degree + 1):
+        size = spec.f_ctx.f.dim ** n
+        blocks[n] = kron_combination(size, size, [
+            ([spec.x_matrix(p) for p in tup], coeff)
+            for tup, coeff in iterated_coproduct(spec.l_coalg, {b: ONE}, n - 1).items()])
+    return blocks
 
 
 def lift_operator_recursive(spec: RealizationSpec, l) -> dict:

@@ -11,6 +11,9 @@ import time
 from fractions import Fraction as F
 from pathlib import Path
 
+import hypothesis.strategies as st
+from hypothesis import given, settings
+
 from conftest import example_w_spec, projection_spec, tri, trivial_spec
 from hopfreal.cli import main
 from hopfreal.coalgebra import (
@@ -37,6 +40,7 @@ from hopfreal.hopf import (
     verify_uniqueness_perturbations,
     verify_Y_coproduct,
 )
+from hopfreal.inputdoc import build_spec, parse_input
 from hopfreal.invariant import RIOp, op_from_form
 from hopfreal.lifting import (
     lift_operator,
@@ -50,6 +54,7 @@ from hopfreal.realization import (
 from oracles import (
     convolution,
     dual_triangular_relabeling,
+    lift_operator_iterated,
     lift_operator_recursive,
     op_combination,
     relabel,
@@ -57,6 +62,7 @@ from oracles import (
     verify_pairing,
     with_truncation,
 )
+from test_realization import SPECS
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 ONE = F(1)
@@ -134,15 +140,31 @@ def test_criterion_04_duality_pairing():
         assert report.ok, report.failures()
 
 
+def assert_lift_matches_oracles(spec):
+    for b in spec.l_coalg.basis:
+        direct = lift_operator(spec, b)
+        # bit-exact block agreement with both independent constructions
+        assert direct == lift_operator_recursive(spec, b) == lift_operator_iterated(spec, b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(make=SPECS, truncation=st.integers(1, 4))
+def lift_matches_oracles_on_specs(make, truncation):
+    assert_lift_matches_oracles(make(truncation))
+
+
 def test_criterion_05_lifting_oracle_equivalence():
     with _Timer(5, "lifting oracle equivalence", 5.0):
         spec = example_w_spec(truncation=3)
+        assert_lift_matches_oracles(spec)
         for b in spec.l_coalg.basis:
-            direct = lift_operator(spec, b)
-            recursive = lift_operator_recursive(spec, b)
-            assert direct == recursive  # bit-exact block agreement
             report = verify_lift(spec, b)
             assert report.ok, report.failures()
+        # every fixture that builds a realization, at its own truncation
+        for path in sorted(FIXTURES.glob("*.hra")):
+            if not path.name.startswith("bad_"):
+                assert_lift_matches_oracles(build_spec(parse_input(path.read_text(encoding="utf-8"))))
+        lift_matches_oracles_on_specs()
 
 
 def test_criterion_06_relation_kernels():

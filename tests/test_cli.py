@@ -292,6 +292,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
     ("projection", 1),
     ("three_block", 0),
     ("general_w", 0),
+    ("general_w_d2", 0),
 ])
 def test_cli_report_matches_golden(name, expected, capsys):
     code = main(["report", "--input", str(FIXTURES / f"{name}.hra")])
@@ -316,7 +317,8 @@ def stage_blocks(text):
 
 
 @pytest.mark.parametrize("stages", ["antipode", "closure,hopf-check"])
-@pytest.mark.parametrize("name", ["example_w", "trivial", "projection", "three_block", "general_w"])
+@pytest.mark.parametrize("name", ["example_w", "trivial", "projection", "three_block", "general_w",
+                                  "general_w_d2"])
 def test_cli_stage_subsets_reproduce_golden_blocks(name, stages, capsys):
     # the image walk is shared across stages and grown on demand, so a stage
     # run without the relations stage before it reads the same classes
@@ -442,7 +444,8 @@ def test_reports_do_not_depend_on_string_hashing(hashseed, tmp_path):
     digests = json.loads((PERFBENCH / "digests.json").read_text(encoding="utf-8"))
     runs = [(FIXTURES / f"{name}.hra", int(name == "projection"),
              (GOLDEN / f"{name}.out").read_bytes(), None)
-            for name in ("example_w", "trivial", "projection", "three_block", "general_w")]
+            for name in ("example_w", "trivial", "projection", "three_block", "general_w",
+                         "general_w_d2")]
     for workload in sorted(WORKLOADS.WORKLOADS):
         doc = tmp_path / f"{workload}.hra"
         doc.write_text(WORKLOADS.generate(workload, 1), encoding="utf-8")

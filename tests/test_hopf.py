@@ -39,7 +39,7 @@ from hopfreal.hopf import (
 from hopfreal.free_tensor import concat_product, context_from_algebra, graded_key
 from hopfreal.inputdoc import build_spec, parse_input
 from hopfreal.invariant import RIOp
-from hopfreal.lifting import lift_operator, make_spec, split_witness
+from hopfreal.lifting import lift_operator, make_spec, split_witness, verify_lift
 from hopfreal.realization import (
     BoundedIdeal,
     ideal_span,
@@ -324,7 +324,7 @@ def test_antipode_general_rejects_a_wrong_solution(trivial, monkeypatch):
     # the zero table solves neither system (eps(l[1,1]) = 1), so a solve
     # that returned it fails the re-verification
     monkeypatch.setattr(hopf, "solve", lambda matrix, rhs: ({}, True))
-    with pytest.raises(InternalInconsistencyError, match="re-verification"):
+    with pytest.raises(InternalInconsistencyError, match="re-verification: left system at"):
         antipode_general(trivial, 3)
 
 
@@ -427,7 +427,8 @@ def test_general_solver_matches_joint_solve_on_operators(make):
 
 def test_general_solver_eliminates_once_per_call(monkeypatch):
     # the solution and its uniqueness come from one rref, of [m | rhs]: one
-    # column per unknown, the coefficient of y_b on a basis monomial, and rhs
+    # column per unknown, the coefficient of y_b on a basis monomial, and rhs;
+    # one row per basis element of L and basis word of A (the left system)
     spec = build_spec(parse_input(GENERAL_W.read_text()))
     first = antipode_general(spec, spec.max_degree)
     calls = []
@@ -435,7 +436,8 @@ def test_general_solver_eliminates_once_per_call(monkeypatch):
     monkeypatch.setattr(exactlin, "rref", lambda m: calls.append(m) or rref(m))
     again = antipode_general(spec, spec.max_degree)
     unknowns = spec.l_coalg.dim * len(hopf.operator_algebra_basis(spec, spec.max_degree))
-    assert [m.cols for m in calls] == [unknowns + 1]
+    dim = len(image_walk(spec).basis(spec.max_degree, spec.max_degree + 1))
+    assert [(m.rows, m.cols) for m in calls] == [(spec.l_coalg.dim * dim, unknowns + 1)]
     assert again.unique and first.entries == again.entries
 
 
@@ -793,9 +795,11 @@ def test_antipode_entry_points_refuse_non_coassociative_l():
     assert not verify_coalgebra(l_coalg).ok
     spec = make_spec(l_coalg, context_from_algebra(dual_numbers(), 3),
                      {P0: RIOp.identity(), P1: RIOp.from_eval(P1)})
-    with pytest.raises(InternalInconsistencyError):
-        lift_operator(spec, P1)
-    with pytest.raises(InternalInconsistencyError):
+    # the lift is built from delta alone; the splitting check finds the defect
+    failures = verify_lift(spec, P1).failures()
+    assert any(re.fullmatch(r"splitting rule on word pairs \(witness \(.+\)\)", f)
+               for f in failures), failures
+    with pytest.raises(InternalInconsistencyError, match="coassociativity on"):
         antipode_general(spec, 2)
-    with pytest.raises(InternalInconsistencyError):
+    with pytest.raises(InternalInconsistencyError, match="coassociativity on"):
         antipode_triangular(spec)

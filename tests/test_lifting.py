@@ -12,13 +12,13 @@ from hopfreal.exactlin import Matrix, kron_combination
 from hopfreal.free_tensor import TensorContext
 from hopfreal.invariant import RIOp
 from hopfreal.lifting import (
-    iterated_coproduct,
     lift_operator,
     make_spec,
     split_witness,
     verify_lift,
 )
-from oracles import lift_operator_recursive, op_combination, op_identity, op_is_zero
+from oracles import (
+    iterated_coproduct, lift_operator_recursive, op_combination, op_identity, op_is_zero)
 
 ONE = F(1)
 

@@ -44,7 +44,6 @@ METHODS_KEPT = {
     "RIOp.from_eval": "input constructor of the README example",
     "RIOp.zero": "input constructor of the README example",
     "_Parser.error": "input-error path, covered by test_cli",
-    "BoundedIdeal.view": "the hopf check's smaller-bound branch, which no fixture reaches",
 }
 
 
