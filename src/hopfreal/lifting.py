@@ -26,9 +26,18 @@ are lex-ordered products, so the rule on all word pairs of degrees
 operator against one Kronecker sum (:func:`~hopfreal.exactlin.kron_sums`)
 of blocks n1 and n2 (as are the lifted blocks).
 
-The operators X(b), each a dict from degree to block, are memoized per
-spec and basis element; the cache is pure (same key, same value) so
-concurrent use is safe.
+Each distinct lifted operator is built and verified once.  x(b) is
+interned by content, so letters with equal x share one Matrix.  Block n of
+X(b) is read off its signature: eps(b) at n = 0, the interned x(b) at
+n = 1, and the tuple of (id(x(p)), id(X_{n-1}(q)), c) over delta(b) above
+that; :func:`lift_basis_block` reads nothing else, so equal signatures give
+equal blocks, and sharing the block is exact.  By induction on n, letters
+with equal lifts get the same blocks, and then the same dict.  The
+splitting and right-invariance checks of :func:`verify_lift` read only
+X(b) and the (X(p), X(q), c) of delta(b), so they are decided once per
+key of those objects' ids, each object pinned by the spec's cache.  The
+cache is pure (same key, same value) and nothing in it is written to after
+it is built.
 """
 
 from __future__ import annotations
@@ -61,13 +70,14 @@ class RealizationSpec:
         return self.f_ctx.max_degree
 
     def x_matrix(self, b: BasisId) -> Matrix:
+        """x(b) on F, interned by content: letters with equal x share it."""
         key = ("xmat", b)
         if key not in self._cache:
             x = self.x_map[b]
-            if isinstance(x, Matrix):
-                self._cache[key] = x
-            else:
-                self._cache[key] = op_from_form(self.f_ctx.f, x)
+            if not isinstance(x, Matrix):
+                x = op_from_form(self.f_ctx.f, x)
+            content = ("xmat", x.rows, x.cols, frozenset(x.entries.items()))
+            self._cache[key] = self._cache.setdefault(content, x)
         return self._cache[key]
 
     def validate(self, labels: dict = None) -> list:
@@ -122,17 +132,32 @@ def lift_operator(spec: RealizationSpec, b: BasisId) -> dict:
 
     The first call lifts all of L, degree by degree, since block n of X(b)
     reads block n - 1 of every X(q) with q in delta(b), and the triangular
-    delta(b) contains b itself.  Memoized per spec; no dict or Matrix is
-    written to after it is built.
+    delta(b) contains b itself.  Each level builds one block per distinct
+    signature (module docstring), and letters with the same blocks share
+    one dict.  Memoized per spec; no dict or Matrix is written to after it
+    is built.
     """
     key = ("X", b)
     if key not in spec._cache:
-        basis, levels, lower = spec.l_coalg.basis, [], None
+        coalg, x, levels, lower = spec.l_coalg, spec.x_matrix, [], None
         for n in range(spec.max_degree + 1):
-            lower = {l: lift_basis_block(spec, l, n, lower) for l in basis}
-            levels.append(lower)
-        for l in basis:
-            spec._cache["X", l] = {n: level[l] for n, level in enumerate(levels)}
+            made, level = {}, {}
+            for l in coalg.basis:
+                if n == 0:
+                    sig = coalg.eps(l)
+                elif n == 1:
+                    sig = id(x(l))
+                else:
+                    sig = tuple((id(x(p)), id(lower[q]), c) for p, q, c in coalg.delta_terms(l))
+                if sig not in made:
+                    made[sig] = lift_basis_block(spec, l, n, lower)
+                level[l] = made[sig]
+            levels.append(level)
+            lower = level
+        ops = {}
+        for l in coalg.basis:
+            blocks = tuple(level[l] for level in levels)
+            spec._cache["X", l] = ops.setdefault(tuple(map(id, blocks)), dict(enumerate(blocks)))
     return spec._cache[key]
 
 
@@ -173,6 +198,11 @@ def verify_lift(spec: RealizationSpec, b: BasisId) -> CheckReport:
     F, the splitting rule on all word pairs, grade preservation, and
     right-invariance on every word of T(F) (one block identity per degree,
     see :func:`~hopfreal.invariant.verify_right_invariance`).
+
+    The unit and degree-1 checks read b itself and run per element.  The
+    splitting and right-invariance checks read only the operators, so
+    they are decided once per distinct (X(b), its delta(b) parts), keyed
+    by the ids of those shared objects, and memoized per spec.
     """
     ctx = spec.f_ctx
     report = CheckReport("lifted operator properties")
@@ -185,12 +215,15 @@ def verify_lift(spec: RealizationSpec, b: BasisId) -> CheckReport:
 
     split_ops = [(lift_operator(spec, p), lift_operator(spec, q), coeff)
                  for p, q, coeff in spec.l_coalg.delta_terms(b)]
-    witness = split_witness(ctx, x, split_ops, ctx.max_degree)
+    key = ("verified", id(x), tuple((id(p), id(q), c) for p, q, c in split_ops))
+    if key not in spec._cache:
+        spec._cache[key] = (split_witness(ctx, x, split_ops, ctx.max_degree),
+                            verify_right_invariance(ctx, x))
+    witness, (ok_inv, w) = spec._cache[key]
     report.record(witness is None, "splitting rule on word pairs (witness {})".format, witness)
 
     graded = all(m.rows == m.cols == ctx.f.dim ** n for n, m in x.items())
     report.record(graded, "grade preservation (square block per degree)".format)
 
-    ok_inv, w = verify_right_invariance(ctx, x)
     report.record(ok_inv, "right-invariance on T(F) (witness {})".format, w)
     return report

@@ -234,6 +234,38 @@ def test_cli_exit_codes(capsys):
         assert code == expected, f"{name}: expected exit {expected}, got {code}"
 
 
+@pytest.mark.parametrize("was_enabled", [True, False])
+def test_cli_pauses_the_collector_and_restores_it(capsys, monkeypatch, was_enabled):
+    # the run itself goes without the cycle collector; the caller's state
+    # comes back on every exit code, and when argparse exits
+    import gc
+
+    import hopfreal.cli
+
+    seen = []
+    run = hopfreal.cli._run
+
+    def watched(*args):
+        seen.append(gc.isenabled())
+        return run(*args)
+
+    monkeypatch.setattr(hopfreal.cli, "_run", watched)
+    prior = gc.isenabled()
+    try:
+        (gc.enable if was_enabled else gc.disable)()
+        for name, expected in (("example_w.hra", 0), ("projection.hra", 1),
+                               ("bad_syntax.hra", 2), ("no_such_file.hra", 2)):
+            assert main(["report", "--input", str(FIXTURES / name)]) == expected
+            assert gc.isenabled() is was_enabled, name
+        with pytest.raises(SystemExit):
+            main(["report"])
+        assert gc.isenabled() is was_enabled
+    finally:
+        (gc.enable if prior else gc.disable)()
+        capsys.readouterr()
+    assert seen == [False, False]  # bad_syntax stops in the parser
+
+
 def test_cli_report_determinism(capsys):
     outputs = []
     for _ in range(2):

@@ -5,13 +5,16 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import apply_to_word, canonical, example_w_spec, three_block_spec, tri, trivial_spec
-from hopfreal.coalgebra import BasisId, triangular_coalgebra
+from conftest import (
+    apply_to_word, canonical, example_w_spec, projection_spec, three_block_spec, tri, trivial_spec)
+from hopfreal.coalgebra import BasisId, direct_sum, make_coalgebra, triangular_coalgebra, verify_coalgebra
 from hopfreal.errors import ValidationError
 from hopfreal.exactlin import Matrix, kron_combination
 from hopfreal.free_tensor import TensorContext
-from hopfreal.invariant import RIOp
+from hopfreal import lifting
+from hopfreal.invariant import RIOp, verify_right_invariance
 from hopfreal.lifting import (
+    RealizationSpec,
     lift_operator,
     make_spec,
     split_witness,
@@ -127,6 +130,92 @@ def test_verify_lift_fails_on_non_invariant_x():
     report = verify_lift(spec, tri(2, 1))
     # the first failing word in (degree, index) order: bad sends l[1,1] to l[2,1]
     assert report.failures() == [f"right-invariance on T(F) (witness {(tri(1, 1),)})"]
+
+
+def test_letters_with_equal_x_share_every_block(example_w):
+    a, b = lift_operator(example_w, tri(1, 1)), lift_operator(example_w, tri(2, 2))
+    assert a is b
+    assert all(a[n] is b[n] for n in range(example_w.max_degree + 1))
+    assert lift_operator(example_w, tri(2, 1))[1] is not a[1]
+
+
+def test_letters_with_different_x_share_no_block():
+    # x = id and x = 2 id on two grouplikes: equal counits, so only the
+    # degree-0 blocks are the same object
+    l_coalg = direct_sum([triangular_coalgebra(1), triangular_coalgebra(1)])
+    a, b = l_coalg.basis
+    ctx = TensorContext(triangular_coalgebra(2), 3)
+    spec = make_spec(l_coalg, ctx, {a: RIOp.identity(), b: RIOp(F(2), {})})
+    xa, xb = lift_operator(spec, a), lift_operator(spec, b)
+    assert xa[0] is xb[0]
+    assert all(xa[n] is not xb[n] and xa[n] != xb[n] for n in range(1, 4))
+    for l, x in ((a, xa), (b, xb)):
+        expected = lift_operator_recursive(spec, l)
+        assert x == expected
+        assert all(list(x[n].entries.items()) == list(expected[n].entries.items())
+                   for n in expected)
+        assert verify_lift(spec, l).ok
+
+
+def test_letters_whose_coproducts_differ_in_a_coefficient_share_no_higher_block(example_w):
+    # delta(a) = g(x)a + a(x)g + p(x)p and delta(b) = g(x)b + b(x)g + 2 p(x)p
+    # (g grouplike, p primitive), all of a, b, p sent to the same x: their
+    # degree-2 signatures differ only in the coefficient of p(x)p
+    g, p, a, b = (BasisId.plain(k) for k in range(4))
+    delta = {g: [(g, g, ONE)], p: [(g, p, ONE), (p, g, ONE)]}
+    for l, c in ((a, ONE), (b, F(2))):
+        delta[l] = [(g, l, ONE), (l, g, ONE), (p, p, c)]
+    l_coalg = make_coalgebra([g, p, a, b], delta, {g: ONE})
+    assert verify_coalgebra(l_coalg).ok
+    d = RIOp.from_eval(BasisId.plain(1))
+    spec = make_spec(l_coalg, example_w.f_ctx, {g: RIOp.identity(), p: d, a: d, b: d})
+    xa, xb = lift_operator(spec, a), lift_operator(spec, b)
+    assert xa[1] is xb[1] and xa[2] != xb[2]
+    for l in (a, b):
+        assert lift_operator(spec, l) == lift_operator_recursive(spec, l)
+        assert verify_lift(spec, l).ok
+
+
+def test_planted_non_invariant_x_fails_for_its_letter_alone():
+    # three grouplikes: x = id as a form, x = id as a raw Matrix (interned
+    # with the first), and a raw non-right-invariant Matrix
+    l_coalg = direct_sum([triangular_coalgebra(1)] * 3)
+    a, b, c = l_coalg.basis
+    ctx = TensorContext(triangular_coalgebra(2), 2)
+    bad = Matrix(3, 3, {(0, 0): ONE, (1, 0): ONE, (1, 1): ONE, (2, 2): ONE})
+    spec = RealizationSpec(l_coalg, ctx, {a: RIOp.identity(), b: bad,
+                                          c: Matrix.identity(3)})
+    assert lift_operator(spec, a) is lift_operator(spec, c)
+    assert verify_lift(spec, a).ok and verify_lift(spec, c).ok
+    x = lift_operator(spec, b)
+    witness = split_witness(ctx, x, _split_parts(spec, b), ctx.max_degree)
+    ok, w = verify_right_invariance(ctx, x)
+    assert witness is None and not ok
+    assert verify_lift(spec, b).failures() == [f"right-invariance on T(F) (witness {w})"]
+    assert verify_lift(spec, a).ok
+
+
+@pytest.mark.parametrize("make, blocks, splits", [
+    (example_w_spec, 8, 2),
+    (projection_spec, 3, 1),
+])
+def test_verify_lift_decides_each_distinct_operator_once(monkeypatch, make, blocks, splits):
+    # example_w: l[1,1] and l[2,2] share one lift; projection has one
+    # letter, so nothing is shared (one block per degree)
+    calls = {"lift_basis_block": 0, "split_witness": 0, "verify_right_invariance": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(lifting, name, counted(name, getattr(lifting, name)))
+    spec = make()
+    assert all(verify_lift(spec, b).ok for b in spec.l_coalg.basis)
+    assert calls == {"lift_basis_block": blocks, "split_witness": splits,
+                     "verify_right_invariance": splits}
 
 
 def test_grouplike_lift_is_letterwise_power(example_w):
