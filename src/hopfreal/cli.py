@@ -103,9 +103,6 @@ def _main(argv) -> int:
             doc.max_degree = args.max_degree
         if args.max_stages is not None:
             doc.max_stages = args.max_stages
-        if doc.truncation < 1 or doc.max_degree < 1 or doc.max_stages < 0:
-            print("error: parameters must be positive", file=sys.stderr)
-            return 2
         report, pipe = _run(doc, stages, os.path.basename(args.input))
     except (InputError, InvalidAlgebraError, ResourceLimitError) as err:
         print(f"error: {err}", file=sys.stderr)

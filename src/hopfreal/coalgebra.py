@@ -331,29 +331,22 @@ def grouplikes(c: Coalgebra) -> list:
 def triangular_blocks(c: Coalgebra) -> dict:
     """Map block index -> size n if the coalgebra is cotriangular, else None.
 
-    Cotriangular means: every basis id is triangular, each block's ids are
-    exactly {(i,j): 1 <= j <= i <= n}, the coproduct is the triangular one and
-    the counit is the diagonal indicator.
+    Cotriangular means: every basis id is triangular, and the ids, coproduct
+    and counit of each block are those of ``triangular_coalgebra(n, block)``
+    for its largest row index n.
     """
     if not all(b.is_triangular for b in c.basis):
         return None
     sizes = {}
     for b in c.basis:
         sizes[b.block] = max(sizes.get(b.block, 0), b.i)
-    expect = []
-    for block, n in sorted(sizes.items()):
-        expect.extend(BasisId.tri(i, j, block) for i in range(1, n + 1) for j in range(1, i + 1))
-    if tuple(sorted(expect)) != c.basis:
+    blocks = [triangular_coalgebra(n, block) for block, n in sorted(sizes.items())]
+    if tuple(sorted(b for t in blocks for b in t.basis)) != c.basis:
         return None
-    for b in c.basis:
-        want = tuple(
-            (BasisId.tri(k, b.j, b.block), BasisId.tri(b.i, k, b.block), ONE)
-            for k in range(b.j, b.i + 1)
-        )
-        if c.delta_terms(b) != want:
-            return None
-        if c.eps(b) != (ONE if b.i == b.j else ZERO):
-            return None
+    for t in blocks:
+        for b in t.basis:
+            if c.delta_terms(b) != t.delta_terms(b) or c.eps(b) != t.eps(b):
+                return None
     return sizes
 
 

@@ -24,11 +24,12 @@ numerators alone, because both sides share one denominator, and builds no
 Fraction.
 
 Elimination has one implementation, :class:`SpanBasis`, in exact rational
-arithmetic.  :func:`rref` adds a matrix's rows to a SpanBasis whose pivot is
-a row's smallest column and reads the canonical basis back as the reduced
-row echelon form; :func:`kernel_basis` reads the null space off that form,
-and :func:`solve` reads both the solution and its uniqueness off the form
-of [m | rhs].
+arithmetic.  Its rows are fixed at insert (echelon, not inter-reduced) and
+the canonical reduced basis is built only when it is read.  :func:`rref`
+adds a matrix's rows to a SpanBasis whose pivot is a row's smallest column
+and reads the canonical basis back as the reduced row echelon form;
+:func:`kernel_basis` reads the null space off that form, and :func:`solve`
+reads both the solution and its uniqueness off the form of [m | rhs].
 
 Sparse vectors are plain dicts ``key -> Scalar`` with no stored zeros.
 This module is the only one that writes the cancel-and-drop step: every
@@ -38,6 +39,7 @@ whose inline loops (and that of ``SpanBasis.reduce``) are this module's own.
 
 from __future__ import annotations
 
+import heapq
 import operator
 from fractions import Fraction
 from math import lcm
@@ -287,55 +289,70 @@ def intertwiner_defect(s: int, d: dict, x: Matrix):
 
 
 class SpanBasis:
-    """Incrementally maintained canonical basis of a subspace of sparse vectors.
+    """Incrementally grown basis of a subspace of sparse vectors.
 
     Vectors are dicts ``key -> Scalar`` over arbitrary hashable keys; the
-    pivot of a row is its largest key under ``keyfunc``.  Rows are normalized
-    (pivot coefficient 1) and fully inter-reduced, so the stored rows form
-    the canonical reduced basis of the span, independent of insertion order.
+    pivot of a row is its largest key under ``keyfunc``.  Each row is
+    written once: stored as inserted, monic at its pivot and holding no
+    pivot of an earlier row.  The pivots are thus the span's leading keys,
+    so the representative of a vector that holds no pivot (:meth:`reduce`)
+    and the canonical reduced basis (:meth:`basis`, built when read) are
+    unique, whatever the insertion order.
     """
 
     def __init__(self, keyfunc=None):
         self._key = keyfunc if keyfunc is not None else (lambda k: k)
-        self._rows = {}    # pivot key -> row dict
-        self._where = {}   # key -> set of pivots of rows whose tail contains key
+        self._rows = []      # (pivot key, row dict) in insertion order
+        self._index = {}     # pivot key -> position in _rows
+        self._basis = None   # canonical rows in increasing pivot order, until an insert
 
     @property
     def dim(self) -> int:
         return len(self._rows)
 
     def pivots(self) -> list:
-        return sorted(self._rows, key=self._key)
+        return sorted(self._index, key=self._key)
 
     def basis(self) -> list:
-        """Rows in increasing pivot order (canonical)."""
-        return [dict(self._rows[p]) for p in self.pivots()]
+        """The canonical reduced rows in increasing pivot order (shared
+        dicts, not to be written to).  Built newest row first: row i minus
+        c times the canonical row of each later pivot it holds with
+        coefficient c, a row that holds no other pivot."""
+        if self._basis is None:
+            canon = {}
+            for p, row in reversed(self._rows):
+                later = [k for k in row if k in canon]
+                canon[p] = out = dict(row) if later else row
+                for k in later:
+                    vec_add_scaled(out, canon[k], -row[k])
+            self._basis = [canon[p] for p in self.pivots()]
+        return list(self._basis)
 
     def reduce(self, vec: dict) -> dict:
-        """Canonical representative of vec modulo the current span.
-
-        No row's tail holds a pivot, so subtracting a row changes no other
-        pivot's coefficient: one pass over the pivots vec holds suffices."""
+        """Canonical representative of vec modulo the current span: the one
+        that holds no pivot key.  A row holds no pivot of an earlier row, so
+        the rows are subtracted in increasing insertion order, through a
+        heap of the positions of the pivots vec holds."""
         v = vec_clean(vec)
-        rows = self._rows
-        for k in [k for k in v if k in rows]:
-            coeff = v.pop(k)
-            for k2, c2 in rows[k].items():
-                if k2 == k:
+        index, rows = self._index, self._rows
+        heap = [index[k] for k in v if k in index]
+        heapq.heapify(heap)
+        while heap:
+            p, row = rows[heapq.heappop(heap)]
+            coeff = v.pop(p, None)
+            if coeff is None:  # cancelled since it was pushed
+                continue
+            for k2, c2 in row.items():
+                if k2 == p:
                     continue
                 w = v.get(k2, ZERO) - coeff * c2
                 if w:
+                    if k2 in index and k2 not in v:
+                        heapq.heappush(heap, index[k2])
                     v[k2] = w if type(w) is int else scalar(w)
                 else:
-                    v.pop(k2, None)
+                    del v[k2]
         return v
-
-    def copy(self) -> "SpanBasis":
-        """An independent copy of the span, rows and index included."""
-        other = SpanBasis(self._key)
-        other._rows = {p: dict(row) for p, row in self._rows.items()}
-        other._where = {k: set(ps) for k, ps in self._where.items()}
-        return other
 
     def add(self, vec: dict) -> bool:
         """Add a vector to the span; True iff it added a new direction."""
@@ -352,23 +369,9 @@ class SpanBasis:
             # the one true division: Fraction, since an int quotient is a float
             inv = Fraction(1, v[p])
             v = {k: scalar(c * inv) for k, c in v.items()}
-        row = v
-        # Inter-reduce: eliminate the new pivot from every existing row tail.
-        # Only the keys of row (none of them a pivot) can enter or leave a tail.
-        for q in list(self._where.get(p, ())):
-            other = self._rows[q]
-            vec_add_scaled(other, row, -other[p])
-            for k in row:
-                tails = self._where.setdefault(k, set())
-                if k in other:
-                    tails.add(q)
-                else:
-                    tails.discard(q)
-        self._where.pop(p, None)
-        self._rows[p] = row
-        for k in row:
-            if k != p:
-                self._where.setdefault(k, set()).add(p)
+        self._index[p] = len(self._rows)
+        self._rows.append((p, v))
+        self._basis = None
 
     def __repr__(self):
         return f"SpanBasis(dim={self.dim})"
@@ -384,9 +387,9 @@ def rref(m: Matrix):
     span = SpanBasis(operator.neg)
     for row in m.row_maps():
         span.add(row)
-    pivots = span.pivots()[::-1]
-    entries = {(r, c): v for r, p in enumerate(pivots) for c, v in span._rows[p].items()}
-    return Matrix.trusted(m.rows, m.cols, entries), pivots
+    rows = span.basis()[::-1]
+    entries = {(r, c): v for r, row in enumerate(rows) for c, v in row.items()}
+    return Matrix.trusted(m.rows, m.cols, entries), span.pivots()[::-1]
 
 
 def kernel_basis(m: Matrix) -> list:

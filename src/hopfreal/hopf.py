@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import random
 
-from .coalgebra import BasisId, triangular_blocks, verify_coalgebra
+from .coalgebra import BasisId, grouplikes, triangular_blocks, verify_coalgebra
 from .errors import (
     InternalInconsistencyError,
     PreconditionError,
@@ -206,37 +206,42 @@ def antipode_triangular(spec: RealizationSpec) -> AntipodeTable:
     return AntipodeTable(entries, raw, determination=dict(inverse))
 
 
+def _reversed_parts(spec: RealizationSpec, y: dict, b: BasisId) -> list:
+    """The parts (y_q, y_p, c) over delta(b) = sum c p (x) q: the right side
+    of the reversed coproduct law delta y_b = sum c y_q (x) y_p."""
+    return [(y[q], y[p], c) for p, q, c in spec.l_coalg.delta_terms(b)]
+
+
 def _composite_split_ok(spec: RealizationSpec, table: AntipodeTable, u: BasisId,
                        v: BasisId, bound: int) -> bool:
-    """Y(u v) = Y(v) o Y(u) splits products by the product rule, summing
-    over both intermediate indices."""
-    y, ids = table.entries, _tri_ids(spec)
-    parts = [(concat_product(y[ids[v.block, v.i, k2]], y[ids[u.block, u.i, k1]]),
-              concat_product(y[ids[v.block, k2, v.j]], y[ids[u.block, k1, u.j]]), ONE)
-             for k1 in range(u.j, u.i + 1) for k2 in range(v.j, v.i + 1)]
+    """Y(u v) = Y(v) o Y(u) splits products by the product rule: its parts
+    are the products of the parts of Y(v) and Y(u), pair by pair."""
+    y = table.entries
+    parts = [(concat_product(a2, a1), concat_product(b2, b1), c1 * c2)
+             for a1, b1, c1 in _reversed_parts(spec, y, u)
+             for a2, b2, c2 in _reversed_parts(spec, y, v)]
     return _splits(spec, concat_product(y[v], y[u]), parts, bound)
 
 
 def verify_Y_coproduct(spec: RealizationSpec, table: AntipodeTable, bound: int) -> CheckReport:
-    """Operational form of delta(Y_i^j) = sum Y_i^k (x) Y_k^j: the antipode
-    operators split products the way the coproduct formula says.
+    """Operational form of the reversed coproduct law delta y_b = sum c
+    y_q (x) y_p over delta(b) (for triangular L, delta(Y_i^j) = sum
+    Y_i^k (x) Y_k^j): the antipode operators split products the way it says.
 
     Also checks composite indices (:func:`_composite_split_ok`) on all ordered
-    pairs of off-diagonal ids and the mixed pairs (diag[0], off[0]) and
-    (off[0], diag[0]), where the content is; on all pairs if none is off-diagonal.
+    pairs of letters that are not grouplike and the mixed pairs (g[0], off[0])
+    and (off[0], g[0]) with the first grouplike g[0], where the content is;
+    on all pairs if every letter is grouplike or none is.
     """
     report = CheckReport(f"antipode coproduct law at degree bound {bound}")
-    if triangular_blocks(spec.l_coalg) is None:
-        raise UnsupportedStructureError("Y-coproduct law is for cotriangular L")
-    basis, ids = list(spec.l_coalg.basis), _tri_ids(spec)
-    y = table.entries
+    basis, y = spec.l_coalg.basis, table.entries
     for b in basis:
-        parts = [(y[ids[b.block, b.i, k]], y[ids[b.block, k, b.j]], ONE)
-                 for k in range(b.j, b.i + 1)]
-        report.record(_splits(spec, y[b], parts, bound), "splitting of Y at {}".format, b)
+        report.record(_splits(spec, y[b], _reversed_parts(spec, y, b), bound),
+                      "splitting of Y at {}".format, b)
 
-    off = [b for b in basis if b.i != b.j]
-    diag = [b for b in basis if b.i == b.j]
+    glikes = set(grouplikes(spec.l_coalg))
+    off = [b for b in basis if b not in glikes]
+    diag = [b for b in basis if b in glikes]
     pairs = [(u, v) for u in off for v in off]
     if off and diag:
         pairs += [(diag[0], off[0]), (off[0], diag[0])]
@@ -314,8 +319,9 @@ def closure_iterate(spec: RealizationSpec, table: AntipodeTable, r0: list,
     in the bounded ideal span of R_n; each stage also verifies that the
     coideal defect of S^r(R_n) falls inside the next stage's ideal.  S^r
     images escaping the degree bound make the result non-certifiable
-    (overflow flag, no stabilization claim).  Word residues stay on each
-    stage's ideal object, word images of S^r in a memo owned by this call.
+    (overflow flag, no stabilization claim).  One space grows in place.
+    Word residues stay on each stage's ideal object, word images of S^r in
+    a memo owned by this call.
     """
     ctx, images_of = l_context(spec), {}
     current = SpanBasis(graded_key)
@@ -338,22 +344,20 @@ def closure_iterate(spec: RealizationSpec, table: AntipodeTable, r0: list,
         overflow = overflow or stage_overflow
         contained = (not stage_overflow) and all(ideal.contains(img) for img in images)
 
-        nxt = current.copy()
-        new_directions = 0
-        for img in images:
-            if nxt.add(img):
-                new_directions += 1
-        ideal_next = ideal if new_directions == 0 else ideal_span(ctx, nxt.basis(), degree_bound)
+        space_dim = current.dim
+        new_directions = sum(map(current.add, images))
+        ideal_next = ideal if new_directions == 0 else ideal_span(ctx, current.basis(), degree_bound)
         coideal_ok = all(not pair_reduce(ideal_next, img) for img in images)
-        stages.append(ClosureStage(stage, current.dim, ideal.dim,
+        stages.append(ClosureStage(stage, space_dim, ideal.dim,
                                    new_directions, coideal_ok))
         if contained:
             stable_at = stage
+            final_basis = basis
             break
-        current = nxt
         ideal = ideal_next
+    else:
+        final_basis = current.basis()
 
-    final_basis = current.basis()
     quotient = {k: len(ideal.standard_words(k)) for k in range(degree_bound + 1)}
     return ClosureResult(stages, stable_at, final_basis, quotient, ideal,
                          r0_coideal_ok=r0_coideal_ok, overflow=overflow)
@@ -476,8 +480,7 @@ def antipode_general(spec: RealizationSpec, bound: int):
         report.record(ok, "{} system at {}".format, side, b)
         systems_ok = systems_ok and ok
         if side == "right":
-            parts = [(y[q], y[p], c) for p, q, c in spec.l_coalg.delta_terms(b)]
-            report.record(_splits(spec, y[b], parts, bound),
+            report.record(_splits(spec, y[b], _reversed_parts(spec, y, b), bound),
                           "reversed coproduct law at {}".format, b)
     if not systems_ok:
         raise InternalInconsistencyError("general antipode solve failed re-verification: "

@@ -412,16 +412,6 @@ class _Parser:
         if realization_body is None:
             raise ValidationError(["document has no realization block"])
         self.parse_realization(realization_body)
-        failures = []
-        for pname, value in (("truncation", self.doc.truncation),
-                             ("max-degree", self.doc.max_degree),
-                             ("max-stages", self.doc.max_stages)):
-            if value < 1 and pname != "max-stages":
-                failures.append(f"parameter {pname} must be positive, got {value}")
-            if pname == "max-stages" and value < 0:
-                failures.append(f"parameter {pname} must be >= 0, got {value}")
-        if failures:
-            raise ValidationError(failures)
         return self.doc
 
 
@@ -451,8 +441,17 @@ def _graded_count(dim: int, degree: int, limit: int) -> int:
 
 
 def preflight(doc: InputDocument) -> None:
-    """Refuse a window past MAX_WINDOW_WORDS or MAX_WINDOW_MONOMIALS
-    (ResourceLimitError), before any word basis or monomial list exists."""
+    """Refuse window parameters out of range (ValidationError, one failure
+    per parameter) and a window past MAX_WINDOW_WORDS or
+    MAX_WINDOW_MONOMIALS (ResourceLimitError), before any word basis or
+    monomial list exists.  Every run passes here after its overrides."""
+    failures = [f"parameter {name} must be {rule}, got {value}"
+                for name, value, low, rule in (("truncation", doc.truncation, 1, "positive"),
+                                               ("max-degree", doc.max_degree, 1, "positive"),
+                                               ("max-stages", doc.max_stages, 0, ">= 0"))
+                if value < low]
+    if failures:
+        raise ValidationError(failures)
     real = doc.realization
     for space, name, degree, unit, limit_name, limit in (
             ("T(F)", real.f_name, doc.truncation, "words",

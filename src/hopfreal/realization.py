@@ -138,11 +138,14 @@ class ImageWalk:
     _BASE = "block 1"  # the base layer's key; the windows W_t are keyed t
 
     def __init__(self, spec: RealizationSpec):
-        self.spec, self.layers = spec, {}
+        # what the walk reads of the spec, not the spec: the spec's cache
+        # holds the walk, and a walk holding the spec would make a cycle
+        self.l_coalg, self.f_dim, self.layers = spec.l_coalg, spec.f_ctx.f.dim, {}
+        self.x = {l: spec.x_matrix(l) for l in spec.l_coalg.basis}
 
     def _unit(self, key) -> dict:
         if key == self._BASE:
-            return {(i, i): ONE for i in range(self.spec.f_ctx.f.dim)}
+            return {(i, i): ONE for i in range(self.f_dim)}
         unit = {(0,): ONE}
         if key:
             below = self._grown(key - 1, 0).coords(())
@@ -151,17 +154,15 @@ class ImageWalk:
         return unit
 
     def _act(self, key, v: dict, l) -> dict:
-        spec = self.spec
         if key == self._BASE:
-            dim = spec.f_ctx.f.dim
-            return mat_mul(Matrix.trusted(dim, dim, v), spec.x_matrix(l)).entries
-        eps, out = spec.l_coalg.eps(l), {}
+            return mat_mul(Matrix.trusted(self.f_dim, self.f_dim, v), self.x[l]).entries
+        eps, out = self.l_coalg.eps(l), {}
         for pair, cv in v.items():
             if len(pair) == 1:
                 if eps:
                     out[pair] = cv * eps
                 continue
-            for p, q, c in spec.l_coalg.delta_terms(l):
+            for p, q, c in self.l_coalg.delta_terms(l):
                 rho2 = self.layers[key - 1].rho[q][pair[1]]
                 for k1, c1 in self.layers[self._BASE].rho[p][pair[0]].items():
                     vec_add_scaled(out, {(k1, k2): c2 for k2, c2 in rho2.items()}, c * cv * c1)
@@ -175,7 +176,7 @@ class ImageWalk:
             if key != self._BASE and key:
                 self._grown(self._BASE, layer.length + 1)
                 self._grown(key - 1, layer.length + 1)
-            layer.extend(self.spec.l_coalg.basis, lambda v, l: self._act(key, v, l))
+            layer.extend(self.l_coalg.basis, lambda v, l: self._act(key, v, l))
         layer.length = max(layer.length, length)
         return layer
 

@@ -399,6 +399,40 @@ def test_cli_fractional_parameter_is_input_error(tmp_path, capsys):
     assert "error:" in err and "expected an integer" in err and "line 22" in err
 
 
+@pytest.mark.parametrize("edit, extra, failure", [
+    (None, ("--truncation", "0"), "parameter truncation must be positive, got 0"),
+    (None, ("--max-stages", "-1"), "parameter max-stages must be >= 0, got -1"),
+    ("truncation 0", (), "parameter truncation must be positive, got 0"),
+])
+def test_window_parameters_out_of_range_are_input_errors(tmp_path, capsys, edit, extra, failure):
+    # checked once, after the overrides, with one failure per parameter
+    text = MINIMAL if edit is None else MINIMAL.replace("truncation 3", edit)
+    code, err = _cli_on_text(tmp_path, capsys, text, *extra)
+    assert code == 2 and err == f"error: validation failed: {failure}\n"
+
+
+@pytest.mark.parametrize("name", ["example_w.hra", "general_w.hra", "projection.hra"])
+def test_report_leaves_no_package_object_in_cyclic_garbage(name, capsys):
+    # a report's objects are freed by reference counting alone: whatever
+    # the collector finds unreachable is no object of the package
+    import gc
+
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        del gc.garbage[:]
+        main(["report", "--input", str(FIXTURES / name)])
+        gc.collect()
+        leaked = {type(o).__qualname__ for o in gc.garbage
+                  if type(o).__module__.startswith("hopfreal")}
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[:]
+        capsys.readouterr()
+    assert not leaked
+
+
 def test_cli_non_utf8_input_is_input_error(tmp_path, capsys):
     doc = tmp_path / "doc.hra"
     doc.write_bytes(b"\xff\xfe\x00")

@@ -175,38 +175,6 @@ def test_spanbasis_canonical_under_insertion_order(a, b):
     assert sb1.basis() == sb2.basis()
 
 
-def test_spanbasis_copy_stays_independent_after_add():
-    # adding e0 inter-reduces the row e0 + e1 and drops it from the index of
-    # key 0; a copy that shared rows or index sets would change the original
-    sb = SpanBasis()
-    sb.add({0: ONE, 1: ONE})
-    twin = sb.copy()
-    assert twin.add({0: ONE})
-    assert sb.basis() == [{0: ONE, 1: ONE}]
-    assert twin.basis() == [{0: ONE}, {1: ONE}]
-    assert sb.add({0: F(2)})
-    assert sb.basis() == twin.basis()
-
-
-@given(matrices(3), matrices(3))
-@settings(max_examples=30, deadline=None)
-def test_spanbasis_copy_matches_a_rebuild(a, b):
-    if a.cols != b.cols:
-        return
-    sb = SpanBasis()
-    for v in a.row_maps():
-        sb.add(v)
-    before, twin, both = sb.basis(), sb.copy(), SpanBasis()
-    for v in a.row_maps() + b.row_maps():
-        both.add(v)
-    for v in b.row_maps():
-        twin.add(v)
-    assert sb.basis() == before and twin.basis() == both.basis()
-    for v in b.row_maps():
-        sb.add(v)
-    assert sb.basis() == both.basis()
-
-
 @given(matrices(3))
 @settings(max_examples=40, deadline=None)
 def test_solve_solutions_verify(m):
@@ -317,16 +285,17 @@ def test_rref_kernel_basis_and_solve_eliminate_in_spanbasis(monkeypatch):
 
 
 def reduce_by_largest_pivot(span, vec):
-    """The loop SpanBasis.reduce replaced: eliminate the largest pivot vec
-    still holds until none is left."""
+    """Eliminate the largest pivot vec still holds, by the canonical rows,
+    until none is left."""
+    rows = {p: row for p, row in zip(span.pivots(), span.basis())}
     v = {k: F(c) for k, c in vec.items() if c}
     while True:
-        reducible = [k for k in v if k in span._rows]
+        reducible = [k for k in v if k in rows]
         if not reducible:
             return v
         k = max(reducible, key=span._key)
         coeff = v.pop(k)
-        vec_add_scaled(v, {k2: c2 for k2, c2 in span._rows[k].items() if k2 != k}, -coeff)
+        vec_add_scaled(v, {k2: c2 for k2, c2 in rows[k].items() if k2 != k}, -coeff)
 
 
 sparse_vectors = st.dictionaries(st.integers(0, 5), small_fracs, max_size=4)
@@ -336,6 +305,7 @@ sparse_vectors = st.dictionaries(st.integers(0, 5), small_fracs, max_size=4)
        st.lists(sparse_vectors, max_size=4))
 @settings(max_examples=150, deadline=None)
 def test_spanbasis_rows_stay_inter_reduced_and_reduce_in_one_pass(keyfunc, added, probes):
+    # the canonical rows read back are monic and hold no other pivot
     sb = SpanBasis(keyfunc)
     for v in added:
         sb.add(v)
@@ -344,6 +314,52 @@ def test_spanbasis_rows_stay_inter_reduced_and_reduce_in_one_pass(keyfunc, added
             assert row[p] == 1 and not pivots & (row.keys() - {p})
     for v in added + probes:
         assert sb.reduce(v) == reduce_by_largest_pivot(sb, v)
+
+
+@given(st.sampled_from([None, operator.neg]), st.lists(sparse_vectors, min_size=1, max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_spanbasis_rows_are_written_once(keyfunc, added):
+    # each stored row keeps its object and content through later inserts,
+    # monic at its pivot and holding no pivot of an earlier row
+    sb = SpanBasis(keyfunc)
+    seen = []
+    for v in added:
+        sb.add(v)
+        seen += [(p, row, dict(row)) for p, row in sb._rows[len(seen):]]
+        sb.basis()
+    assert len(seen) == sb.dim
+    for i, (p, row, content) in enumerate(seen):
+        assert row is sb._rows[i][1] and row == content and row[p] == 1
+        assert p == max(row, key=sb._key)
+        assert not {q for q, _, _ in seen[:i]} & row.keys()
+
+
+@given(st.sampled_from([None, operator.neg]), st.lists(sparse_vectors, max_size=8),
+       st.lists(sparse_vectors, max_size=4), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_spanbasis_reduce_and_basis_match_gauss_jordan(keyfunc, added, probes, rng):
+    # Column c of the oracle matrix is the key of rank c under "pivot
+    # first", so the oracle's leading columns are the span's pivots.
+    key = (lambda k: k) if keyfunc is None else keyfunc
+    keys = sorted({k for v in added + probes for k in v}, key=key, reverse=True)
+    col = {k: c for c, k in enumerate(keys)}
+    red, pivots = gauss_jordan_rref(Matrix(len(added), len(keys), {
+        (r, col[k]): c for r, v in enumerate(added) for k, c in v.items()}))
+    rows = [{keys[c]: v for (r, c), v in red.entries.items() if r == k}
+            for k in range(len(pivots))]
+    lead = {keys[p]: row for p, row in zip(pivots, rows)}
+    for order in range(3):
+        shuffled = list(added)
+        rng.shuffle(shuffled)
+        sb = SpanBasis(keyfunc)
+        for v in shuffled:
+            sb.add(v)
+        assert sb.basis() == rows[::-1]
+        for v in added + probes:
+            want = {k: c for k, c in v.items() if c}
+            for p in [k for k in want if k in lead]:
+                vec_add_scaled(want, lead[p], -want[p])
+            assert sb.reduce(v) == want
 
 
 # --- integer-scaled block kernels ----------------------------------------------

@@ -164,6 +164,24 @@ def test_verify_y_coproduct(example_w, w_table):
     assert all(_composite_split_ok(example_w, w_table, u, v, 3) for u in basis for v in basis)
 
 
+def test_verify_y_coproduct_on_a_non_cotriangular_l(monkeypatch):
+    # dual numbers: f[0] is grouplike, delta f[1] = f[0] (x) f[1] + f[1] (x) f[0];
+    # the general solver's table passes every check, each one the operator
+    # oracle's, at every bound
+    spec = primitive_spec()
+    assert triangular_blocks(spec.l_coalg) is None
+    table = antipode_general(spec, spec.max_degree)
+    ops = table_ops(spec, table.entries)
+    log = logged_checks(monkeypatch)
+    for bound in range(spec.max_degree + 1):
+        del log[:]
+        report = verify_Y_coproduct(spec, table, bound)
+        assert report.ok, report.failures()
+        assert log == y_coproduct_checks(spec, ops, bound), bound
+        assert [text for text, _ in log[-3:]] == [
+            f"splitting of composite Y at ({u},{v})" for u, v in ((P1, P1), (P0, P1), (P1, P0))]
+
+
 def test_extend_antihom_unit(example_w, w_table):
     out, truncated = extend_antihom({}, w_table, ())
     assert out == {(): ONE} and not truncated
@@ -707,22 +725,29 @@ def system_flags(spec, ops):
 
 def y_coproduct_checks(spec, ops, bound):
     """Reference: the checks of verify_Y_coproduct on operators, each one
-    split_witness identity on composed T(F) blocks."""
+    split_witness identity on composed T(F) blocks, for any L: the parts of
+    Y(b) are (Y(q), Y(p), c) over delta(b), those of Y(u v) = Y(v) o Y(u)
+    the products of the parts of Y(v) and Y(u), and the composite pairs are
+    the ordered pairs of letters that are not grouplike, plus the mixed
+    pairs of the first of each kind."""
     ids = list(spec.l_coalg.basis)
+
+    def parts(b):
+        return [(ops[q], ops[p], c) for p, q, c in spec.l_coalg.delta_terms(b)]
+
     checks = []
     for b in ids:
-        parts = [(ops[tri(b.i, k, b.block)], ops[tri(k, b.j, b.block)], ONE)
-                 for k in range(b.j, b.i + 1)]
         checks.append((f"splitting of Y at {b}",
-                       split_witness(spec.f_ctx, ops[b], parts, bound) is None))
-    off = [b for b in ids if b.i != b.j]
-    diag = [b for b in ids if b.i == b.j]
+                       split_witness(spec.f_ctx, ops[b], parts(b), bound) is None))
+    glike = [spec.l_coalg.delta_terms(b) == ((b, b, 1),) and spec.l_coalg.eps(b) == 1
+             for b in ids]
+    off = [b for b, g in zip(ids, glike) if not g]
+    diag = [b for b, g in zip(ids, glike) if g]
     pairs = [(u, v) for u in off for v in off] + [(diag[0], off[0]), (off[0], diag[0])]
     for u, v in pairs:
-        parts = [(op_compose(ops[tri(v.i, k2, v.block)], ops[tri(u.i, k1, u.block)]),
-                  op_compose(ops[tri(k2, v.j, v.block)], ops[tri(k1, u.j, u.block)]), ONE)
-                 for k1 in range(u.j, u.i + 1) for k2 in range(v.j, v.i + 1)]
-        ok = split_witness(spec.f_ctx, op_compose(ops[v], ops[u]), parts, bound) is None
+        composite = [(op_compose(a2, a1), op_compose(b2, b1), c1 * c2)
+                     for a1, b1, c1 in parts(u) for a2, b2, c2 in parts(v)]
+        ok = split_witness(spec.f_ctx, op_compose(ops[v], ops[u]), composite, bound) is None
         checks.append((f"splitting of composite Y at ({u},{v})", ok))
     return checks
 
@@ -781,10 +806,9 @@ def test_planted_defects_match_operator_oracle(monkeypatch, make, target, word, 
                                    bound)
                         for b in spec.l_coalg.basis}
         assert reversed_law == reversed_law_flags(spec, ops, bound), bound
-        if triangular:
-            del log[:]
-            verify_Y_coproduct(spec, AntipodeTable(entries, entries), bound)
-            assert log == y_coproduct_checks(spec, ops, bound), bound
+        del log[:]
+        verify_Y_coproduct(spec, AntipodeTable(entries, entries), bound)
+        assert log == y_coproduct_checks(spec, ops, bound), bound
 
 
 def test_antipode_entry_points_refuse_non_coassociative_l():
