@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run the full pipeline over every shipped fixture and summarize outcomes.
 
-The bad_* fixtures and the projection fixture are supposed to fail (input
-errors and a stage failure respectively); this script checks each exit code
+The bad_* fixtures are supposed to fail with input errors, and the
+projection, comatrix and H4 fixtures with a failed stage (no antipode at
+their window); this script checks each exit code
 against the expected value, and stdout against tests/golden/<name>.out
 wherever that file exists, and reports the matrix.
 
@@ -24,6 +25,8 @@ EXPECTED = {
     "general_w.hra": 0,
     "general_w_d2.hra": 0,
     "projection.hra": 1,
+    "comatrix.hra": 1,
+    "h4_regular.hra": 1,
     "bad_syntax.hra": 2,
     "bad_dangling.hra": 2,
     "bad_algebra.hra": 2,

@@ -42,7 +42,6 @@ from .hopf import (
 from .invariant import RIOp, op_from_form, verify_right_invariance
 from .lifting import (
     RealizationSpec,
-    lift_operator,
     make_spec,
     verify_lift,
 )

@@ -299,22 +299,31 @@ def direct_sum(cs) -> Coalgebra:
     return make_coalgebra(basis, delta, epsilon)
 
 
+AXIOMS = ("coassociativity", "left counit law", "right counit law")
+
+
+def axioms_at(c: Coalgebra, b: BasisId) -> tuple:
+    """Whether each of the :data:`AXIOMS` holds at b, as a tuple of bools:
+    (delta (x) id) delta(b) = (id (x) delta) delta(b), and both counit laws
+    sum c eps(p) q = b = sum c eps(q) p over delta(b) = sum c p (x) q."""
+    left = {}
+    right = {}
+    lcounit = {}
+    rcounit = {}
+    for (p, q, coeff) in c.delta_terms(b):
+        vec_add_scaled(left, {(p1, p2, q): c2 for (p1, p2, c2) in c.delta_terms(p)}, coeff)
+        vec_add_scaled(right, {(p, q1, q2): c2 for (q1, q2, c2) in c.delta_terms(q)}, coeff)
+        vec_add_scaled(lcounit, {q: coeff}, c.eps(p))
+        vec_add_scaled(rcounit, {p: coeff}, c.eps(q))
+    return left == right, lcounit == {b: ONE}, rcounit == {b: ONE}
+
+
 def verify_coalgebra(c: Coalgebra) -> CheckReport:
     """Exact per-basis-element check of coassociativity and both counit laws."""
     report = CheckReport("coalgebra axioms")
     for b in c.basis:
-        left = {}
-        right = {}
-        lcounit = {}
-        rcounit = {}
-        for (p, q, coeff) in c.delta_terms(b):
-            vec_add_scaled(left, {(p1, p2, q): c2 for (p1, p2, c2) in c.delta_terms(p)}, coeff)
-            vec_add_scaled(right, {(p, q1, q2): c2 for (q1, q2, c2) in c.delta_terms(q)}, coeff)
-            vec_add_scaled(lcounit, {q: coeff}, c.eps(p))
-            vec_add_scaled(rcounit, {p: coeff}, c.eps(q))
-        report.record(left == right, "coassociativity on {}".format, b)
-        report.record(lcounit == {b: ONE}, "left counit law on {}".format, b)
-        report.record(rcounit == {b: ONE}, "right counit law on {}".format, b)
+        for ok, law in zip(axioms_at(c, b), AXIOMS):
+            report.record(ok, "{} on {}".format, law, b)
     return report
 
 

@@ -15,11 +15,10 @@ build a Fraction.  The pivot inverse in :meth:`SpanBasis.insert` is the one
 true division, and it goes through ``Fraction``: an int quotient would be
 a float.
 
-The block kernels run over Python ints.  :func:`mat_mul` and
-:func:`kron_combination` (sums of Kronecker products) scale each operand to
-integer numerators over the lcm of its denominators, sum the integer
-products on one common denominator, and make each nonzero sum one canonical
-scalar.  :func:`intertwiner_defect` decides D X = (X (x) I) D on integer
+The block kernels run over Python ints.  :func:`mat_mul` scales each
+operand to integer numerators over the lcm of its denominators, sums the
+integer products on one common denominator, and makes each nonzero sum one
+canonical scalar.  :func:`intertwiner_defect` decides D X = (X (x) I) D on integer
 numerators alone, because both sides share one denominator, and builds no
 Fraction.
 
@@ -190,75 +189,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                 out[c] = out.get(c, 0) + x * y
     return Matrix.trusted(a.rows, b.cols, _entries_over(
         (((r, c), s) for r, out in acc.items() for c, s in out.items()), da * db))
-
-
-def kron_sums(rows: int, cols: int, terms, views=None):
-    """(den, acc): sum coeff * kron(m_1, ..., m_k) over the (mats, coeff)
-    terms, k >= 1 (k = 1 is a plain linear combination of blocks), as
-    integer sums acc[r * cols + c] over the common denominator den; entries
-    never reached are absent, and a sum that cancelled is 0.  Each product
-    is rows x cols with kron(a, m)[r_a * m.rows + r_m, c_a * m.cols + c_m] =
-    a[r_a, c_a] m[r_m, c_m]; ValueError on any other shape.
-    A term p/q times factors with integer numerators over the lcm d_j of their
-    denominators has denominator q * prod d_j; den is the lcm of those.
-
-    So the flat index of a product entry is the sum of one offset per
-    factor: entry (r, c) of m_j adds r * R_j * cols + c * C_j, where R_j
-    and C_j are the row and column counts of the factors after it.  Each
-    distinct factor's integer view is computed once, in ``views`` by id
-    (beside the factor, which keeps the id its own), and so is its list of
-    (offset, numerator) pairs at each (R_j * cols, C_j); calls may share
-    one ``views``."""
-    views = {} if views is None else views
-    scaled = []
-    for mats, coeff in terms:
-        r = c = 1
-        for m in mats:
-            r, c = r * m.rows, c * m.cols
-        if not mats or (r, c) != (rows, cols):
-            raise ValueError("shape mismatch")
-        if coeff:
-            p, d = coeff.as_integer_ratio()
-            factors = []
-            for m in mats:
-                view = views.get(id(m))
-                if view is None:
-                    view = views[id(m)] = (m, *integer_view(m.entries))
-                d *= view[1]
-                factors.append(view)
-            scaled.append((p, d, factors))
-    den = lcm(*{d for _, d, _ in scaled})
-    acc = {}
-    for p, d, factors in scaled:
-        lists = []  # from the last factor to the first
-        rs, cs = cols, 1
-        for m, _, nums in reversed(factors):
-            key = (id(m), rs, cs)
-            offsets = views.get(key)
-            if offsets is None:
-                offsets = views[key] = [(r * rs + c * cs, x)
-                                        for (r, c), x in zip(m.entries, nums)]
-            lists.append(offsets)
-            rs, cs = rs * m.rows, cs * m.cols
-        last, *init = lists
-        items = init.pop() if init else [(0, 1)]
-        while init:
-            tail = init.pop()
-            items = [(k + o, x * y) for k, x in items for o, y in tail]
-        f = p * (den // d)
-        for k, x in items:
-            fx = f * x
-            for o, y in last:
-                acc[k + o] = acc.get(k + o, 0) + fx * y
-    return den, acc
-
-
-def kron_combination(rows: int, cols: int, terms) -> Matrix:
-    """The :func:`kron_sums` of the terms as a Matrix: each nonzero sum s
-    becomes the entry s / den."""
-    den, acc = kron_sums(rows, cols, terms)
-    return Matrix.trusted(rows, cols, _entries_over(
-        ((divmod(k, cols), s) for k, s in acc.items()), den))
 
 
 def intertwiner_defect(s: int, d: dict, x: Matrix):

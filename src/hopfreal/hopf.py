@@ -364,7 +364,8 @@ def closure_iterate(spec: RealizationSpec, table: AntipodeTable, r0: list,
 
 
 def verify_hopf_quotient(spec: RealizationSpec, table: AntipodeTable,
-                         closure: ClosureResult, degree_bound: int) -> CheckReport:
+                         closure: ClosureResult, degree_bound: int,
+                         labels: dict = None) -> CheckReport:
     """Both antipode identities modulo the closure ideal, on all monomials of
     degree <= min(2, degree_bound), plus a re-check that the ideal is a coideal.
 
@@ -374,14 +375,15 @@ def verify_hopf_quotient(spec: RealizationSpec, table: AntipodeTable,
     Groebner basis built at the largest bound needed (see
     ``realization.ideal_span``), the closure's own where the bounds agree.
     The generator lines reuse the word residues memoized on that ideal;
-    S^r images sit in a memo owned by this call.
+    S^r images sit in a memo owned by this call.  A failure names the
+    letters of L by their labels, where labels has one.
     """
     if not closure.stabilized:
         raise PreconditionError("hopf quotient check needs a stabilized closure")
     from .fmt import format_word
 
     def describe(tag, w, bound):
-        return f"{tag} = eps(w)1 mod ideal for w={format_word(w)} [ideal bound {bound}]"
+        return f"{tag} = eps(w)1 mod ideal for w={format_word(w, labels)} [ideal bound {bound}]"
 
     report = CheckReport(f"hopf quotient axioms at degree bound {degree_bound}")
     gens = closure.final_basis

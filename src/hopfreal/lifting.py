@@ -8,43 +8,57 @@ l in L lifts to a unique grade-preserving operator X(l) on T(F):
   * X(l) = x(l) on F,
   * X(l)(w1 . w2) = sum X(l') (w1) . X(l'') (w2) over delta(l).
 
-:func:`lift_operator` builds X(l) by the last rule with w1 a letter: block
-n is X_n(l) = sum c * kron(x(p), X_{n-1}(q)) over delta(l), so each block
-is one Kronecker sum of blocks already built.  The rule on all other
-splittings then follows from the coassociativity of L, which
-``coalgebra.verify_coalgebra`` decides, and :func:`verify_lift` checks it
-block by block.  The tests build X(l) twice more (``tests/oracles.py``):
-by the same recursion in independent code, and letter by letter through
-the (n-1)-fold iterated coproduct, sum x(l_(1))(f_1) (x) ... (x)
-x(l_(n))(f_n); both must agree bit-exactly with :func:`lift_operator`.
+Word bases are lex-ordered products, so the last rule with w1 a letter
+gives X(b) block by block: X_0(b) = eps(b), X_1(b) = x(b), and for n >= 2
 
-:func:`split_witness` checks the splitting rule exactly on the T(F)
-blocks, for lifted operators and (in the tests) for pi of monomials;
-the antipode coproduct laws are decided on classes in ``hopf``.  Word bases
-are lex-ordered products, so the rule on all word pairs of degrees
-(n1, n2) is one block identity: the degree n1 + n2 block of the outer
-operator against one Kronecker sum (:func:`~hopfreal.exactlin.kron_sums`)
-of blocks n1 and n2 (as are the lifted blocks).
+    X_n(b) = sum c * kron(x(p), X_{n-1}(q))  over delta(b) = sum c p (x) q.
 
-Each distinct lifted operator is built and verified once.  x(b) is
-interned by content, so letters with equal x share one Matrix.  Block n of
-X(b) is read off its signature: eps(b) at n = 0, the interned x(b) at
-n = 1, and the tuple of (id(x(p)), id(X_{n-1}(q)), c) over delta(b) above
-that; :func:`lift_basis_block` reads nothing else, so equal signatures give
-equal blocks, and sharing the block is exact.  By induction on n, letters
-with equal lifts get the same blocks, and then the same dict.  The
-splitting and right-invariance checks of :func:`verify_lift` read only
-X(b) and the (X(p), X(q), c) of delta(b), so they are decided once per
-key of those objects' ids, each object pinned by the spec's cache.  The
-cache is pure (same key, same value) and nothing in it is written to after
-it is built.
+No report builds these blocks: the image walk (``realization``) reads the
+same recursion on classes, and the tests build the blocks in
+``tests/oracles.py``, by this recursion and through the iterated
+coproduct.  :func:`verify_lift` decides the lift's properties from the data
+the recursion reads, by two inductions on the degree; N is the truncation.
+
+Right-invariance.  The coproduct of degree-(m + 1) words is
+D_{m+1} = sigma (D_1 (x) D_m), sigma the swap of the two middle tensor
+factors.  If A on F and B on F^m are right-invariant, D_1 A = (A (x) I) D_1
+and D_m B = (B (x) I) D_m, then
+
+    D_{m+1} kron(A, B) = sigma (A (x) I (x) B (x) I) (D_1 (x) D_m)
+                       = (kron(A, B) (x) I) D_{m+1},
+
+so kron(A, B) is right-invariant, and so is a sum of such products.  X_0(b)
+is a scalar on degree 0, and X_1(r) = x(r), so by induction on n every
+block of X(b) is right-invariant once each x(l) the recursion reads is:
+the check is the degree-1 identity on those letters.  Each X_n(b) is
+likewise square of side dim F^n once those x(l) are dim F x dim F.
+
+Splitting.  The rule on the words of degrees (n1, n2) is the block identity
+X_{n1+n2}(b) = sum c kron(X_{n1}(p), X_{n2}(q)) over delta(b).  By
+induction on n1:
+
+  * n1 = 0: the right side is X_{n2}(sum c eps(p) q), which is X_{n2}(b)
+    by the left counit law at b; n2 = 0 likewise by the right counit law;
+  * n1 = 1, n2 >= 1: the identity is the recursion;
+  * n1 >= 2, n2 >= 1: the recursion, then the rule at each q for
+    (n1 - 1, n2), write the left side as the sum of
+    c c' kron(x(p), X_{n1-1}(q'), X_{n2}(q'')) over (id (x) delta) delta(b);
+    expanding X_{n1}(p) by the recursion writes the right side as the same
+    sum over (delta (x) id) delta(b).  They agree where delta is
+    coassociative at b.
+
+The rule at q is called for only at elements whose own coproduct the
+recursion reads.  So both counit laws and coassociativity at those
+elements, b among them, give the rule on every word pair of degree <= N.
+An L that fails them there fails the check, even where the blocks happen
+to agree: the lift's theorems need a coalgebra.
 """
 
 from __future__ import annotations
 
-from .coalgebra import BasisId, Coalgebra, grouplikes
+from .coalgebra import AXIOMS, BasisId, Coalgebra, axioms_at, grouplikes
 from .errors import ValidationError
-from .exactlin import Matrix, ONE, kron_combination, kron_sums, mat_mul
+from .exactlin import Matrix, mat_mul
 from .fmt import format_id
 from .free_tensor import TensorContext
 from .invariant import op_from_form, verify_right_invariance
@@ -70,14 +84,11 @@ class RealizationSpec:
         return self.f_ctx.max_degree
 
     def x_matrix(self, b: BasisId) -> Matrix:
-        """x(b) on F, interned by content: letters with equal x share it."""
+        """x(b) on F as a matrix, built once per letter."""
         key = ("xmat", b)
         if key not in self._cache:
             x = self.x_map[b]
-            if not isinstance(x, Matrix):
-                x = op_from_form(self.f_ctx.f, x)
-            content = ("xmat", x.rows, x.cols, frozenset(x.entries.items()))
-            self._cache[key] = self._cache.setdefault(content, x)
+            self._cache[key] = x if isinstance(x, Matrix) else op_from_form(self.f_ctx.f, x)
         return self._cache[key]
 
     def validate(self, labels: dict = None) -> list:
@@ -113,117 +124,62 @@ def make_spec(l_coalg, f_ctx, x_map, diag_pairs=None) -> RealizationSpec:
     return spec
 
 
-def lift_basis_block(spec: RealizationSpec, b: BasisId, n: int, lower: dict) -> Matrix:
-    """Degree-n block of X(b): eps(b) at n = 0, x(b) at n = 1, and above that
-    sum c * kron(x(p), X_{n-1}(q)) over delta(b), read from ``lower``, the
-    degree n - 1 blocks of every basis element of L."""
-    if n == 0:
-        return Matrix(1, 1, {(0, 0): spec.l_coalg.eps(b)})
-    if n == 1:
-        return spec.x_matrix(b)
-    size = spec.f_ctx.f.dim ** n
-    return kron_combination(size, size, [((spec.x_matrix(p), lower[q]), c)
-                                         for p, q, c in spec.l_coalg.delta_terms(b)])
+def _read_by_lift(spec: RealizationSpec, b: BasisId):
+    """(split, letters): the elements of L whose coproduct the recursion of
+    X(b) up to the truncation reads, and the letters l whose x(l) it reads,
+    b first, each list in the order first met.
 
-
-def lift_operator(spec: RealizationSpec, b: BasisId) -> dict:
-    """X(b) on T(F) up to the truncation degree, for a basis element b of L,
-    as a dict from degree to block.
-
-    The first call lifts all of L, degree by degree, since block n of X(b)
-    reads block n - 1 of every X(q) with q in delta(b), and the triangular
-    delta(b) contains b itself.  Each level builds one block per distinct
-    signature (module docstring), and letters with the same blocks share
-    one dict.  Memoized per spec; no dict or Matrix is written to after it
-    is built.
-    """
-    key = ("X", b)
-    if key not in spec._cache:
-        coalg, x, levels, lower = spec.l_coalg, spec.x_matrix, [], None
-        for n in range(spec.max_degree + 1):
-            made, level = {}, {}
-            for l in coalg.basis:
-                if n == 0:
-                    sig = coalg.eps(l)
-                elif n == 1:
-                    sig = id(x(l))
-                else:
-                    sig = tuple((id(x(p)), id(lower[q]), c) for p, q, c in coalg.delta_terms(l))
-                if sig not in made:
-                    made[sig] = lift_basis_block(spec, l, n, lower)
-                level[l] = made[sig]
-            levels.append(level)
-            lower = level
-        ops = {}
-        for l in coalg.basis:
-            blocks = tuple(level[l] for level in levels)
-            spec._cache["X", l] = ops.setdefault(tuple(map(id, blocks)), dict(enumerate(blocks)))
-    return spec._cache[key]
-
-
-def split_witness(ctx: TensorContext, outer: dict, parts, bound: int):
-    """Check outer(w1 . w2) = sum c * left(w1) . right(w2) over the parts
-    (left, right, c), operators given as dicts from degree to block, for
-    every word pair with deg w1 + deg w2 <= min(bound, N).
-
-    Word bases are lex-ordered products, so idx(w1 . w2) = idx(w1) * dim^n2 +
-    idx(w2), and the check for all pairs of degrees (n1, n2) is the exact
-    block identity  outer_{n1+n2} = sum c * kron(left_{n1}, right_{n2}).
-    Returns None when every identity holds, else the last failing (w1, w2) in
-    (n1, n2, w1, w2) order: the largest differing column of the last failing
-    block.  Each identity is read off the integer sums of
-    :func:`~hopfreal.exactlin.kron_sums`: its nonzero sums are the differing
-    entries, so no Fraction is built.  A block's integer view is computed
-    once per call, however many pairs it appears in.
-    """
-    bound = min(bound, ctx.max_degree)
-    witness = None
-    views = {}
-    for n1 in range(bound + 1):
-        for n2 in range(bound + 1 - n1):
-            block = outer[n1 + n2]
-            _, sums = kron_sums(block.rows, block.cols, [((block,), -ONE)] + [
-                ((left[n1], right[n2]), c) for left, right, c in parts], views)
-            cols = block.cols
-            col = max((k % cols for k, s in sums.items() if s), default=None)
-            if col is not None:
-                size = len(ctx.word_basis(n2))
-                witness = (ctx.word_basis(n1)[col // size], ctx.word_basis(n2)[col % size])
-    return witness
+    An element r at depth k from b along the second legs of coproducts has
+    its blocks up to X_{N-k}(r) read: X_1(r) = x(r) at k <= N - 1, and the
+    higher ones through its coproduct, whose first legs are letters too, at
+    k <= N - 2."""
+    top = spec.max_degree
+    order, depth, letters = [b], {b: 0}, {b: None}
+    for r in order:
+        if depth[r] <= top - 2:
+            for p, q, _ in spec.l_coalg.delta_terms(r):
+                letters[p] = letters[q] = None
+                if q not in depth:
+                    depth[q] = depth[r] + 1
+                    order.append(q)
+    return [r for r in order if depth[r] <= top - 2], list(letters)
 
 
 def verify_lift(spec: RealizationSpec, b: BasisId) -> CheckReport:
-    """Exhaustive exact check of the five lifted-operator properties of the
-    memoized X(b) up to the truncation: the unit action, agreement with x on
-    F, the splitting rule on all word pairs, grade preservation, and
-    right-invariance on every word of T(F) (one block identity per degree,
-    see :func:`~hopfreal.invariant.verify_right_invariance`).
-
-    The unit and degree-1 checks read b itself and run per element.  The
-    splitting and right-invariance checks read only the operators, so
-    they are decided once per distinct (X(b), its delta(b) parts), keyed
-    by the ids of those shared objects, and memoized per spec.
-    """
-    ctx = spec.f_ctx
+    """Exact check of the five lifted-operator properties of X(b) up to the
+    truncation, decided from the data its recursion reads (module
+    docstring): the unit action and the agreement with x on F, which hold
+    by the recursion's definition; the splitting rule on all word pairs,
+    from the coalgebra axioms at the elements whose coproduct it reads
+    (the first failing law names its element); grade preservation, from the
+    shape of each x(l) it reads; and right-invariance on every word of
+    T(F), from the degree-1 identity on those x(l), b first (a failure
+    names its word, and its letter when that is not b).  No T(F) block is
+    built, so the cost does not grow with dim F^N."""
     report = CheckReport("lifted operator properties")
-    x = lift_operator(spec, b)
+    split, letters = _read_by_lift(spec, b)
+    # X_0(b) = eps(b) and X_1(b) = x(b) define the lift
+    report.record(True, "unit action X(l)(1) = eps(l) 1".format)
+    report.record(True, "degree-1 action agrees with x".format)
 
-    report.record(x[0] == Matrix(1, 1, {(0, 0): spec.l_coalg.eps(b)}),
-                  "unit action X(l)(1) = eps(l) 1".format)
+    broken = ()
+    for r in split or [b]:
+        laws = [law for ok, law in zip(axioms_at(spec.l_coalg, r), AXIOMS) if not ok]
+        if laws:
+            broken = (laws[0], r)
+            break
+    report.record(not broken, "splitting rule on word pairs ({} fails on {})".format, *broken)
 
-    report.record(x[1] == spec.x_matrix(b), "degree-1 action agrees with x".format)
+    dim = spec.f_ctx.f.dim
+    square = [l for l in letters if spec.x_matrix(l).rows == spec.x_matrix(l).cols == dim]
+    report.record(len(square) == len(letters),
+                  "grade preservation (square block per degree)".format)
 
-    split_ops = [(lift_operator(spec, p), lift_operator(spec, q), coeff)
-                 for p, q, coeff in spec.l_coalg.delta_terms(b)]
-    key = ("verified", id(x), tuple((id(p), id(q), c) for p, q, c in split_ops))
-    if key not in spec._cache:
-        spec._cache[key] = (split_witness(ctx, x, split_ops, ctx.max_degree),
-                            verify_right_invariance(ctx, x))
-    witness, (ok_inv, w) = spec._cache[key]
-    report.record(witness is None, "splitting rule on word pairs (witness {})".format, witness)
-
-    graded = all(m.rows == m.cols == ctx.f.dim ** n for n, m in x.items())
-    report.record(graded, "grade preservation (square block per degree)".format)
-
-    report.record(ok_inv, "right-invariance on T(F) (witness {})".format, w)
+    failed = ()
+    for l in square:
+        ok, w = verify_right_invariance(spec.f_ctx, {1: spec.x_matrix(l)})
+        if not ok:
+            failed = (w, "" if l == b else f" of x({l})")
+            break
+    report.record(not failed, "right-invariance on T(F) (witness {}{})".format, *failed)
     return report

@@ -171,7 +171,7 @@ class _Pipeline:
         ok = True
         d = self.doc.max_degree
         for (dd, kern, _, _) in self.kernels():
-            report = verify_coideal(self.spec, kern, d)
+            report = verify_coideal(self.spec, kern, d, self.labels)
             ok = ok and report.ok
             lines.extend(_check_lines(report, f"degree {dd} kernel: ", f" [d={d}]"))
         return StageResult("coideal-check", "pass" if ok else "fail", lines)
@@ -239,7 +239,7 @@ class _Pipeline:
             raise PreconditionError("closure did not stabilize")
         table, _ = self.table()
         n, d = self.doc.truncation, self.doc.max_degree
-        report = verify_hopf_quotient(self.spec, table, closure, d)
+        report = verify_hopf_quotient(self.spec, table, closure, d, self.labels)
         lines = _check_lines(report, bounds=f" [N={n}, d={d}]")
         return StageResult("hopf-check", "pass" if report.ok else "fail", lines)
 

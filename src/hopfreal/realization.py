@@ -515,15 +515,17 @@ def computed_relation_ideal(spec: RealizationSpec, degree_bound: int) -> Bounded
     return spec._cache[key]
 
 
-def verify_coideal(spec: RealizationSpec, r: list, degree_bound: int) -> CheckReport:
+def verify_coideal(spec: RealizationSpec, r: list, degree_bound: int,
+                   labels: dict = None) -> CheckReport:
     """Check delta(r_i) in I (x) T(L) + T(L) (x) I for each basis relation,
     where I is the bounded ideal span of the *computed* relation kernels up
     to the degree bound (never of the candidate space itself).  Word residues
-    are memoized on that ideal, shared by every relation and degree."""
+    are memoized on that ideal, shared by every relation and degree.  A
+    failure names the letters of L by their labels, where labels has one."""
     from .fmt import format_element
 
     def describe(rel):
-        return f"delta({format_element(rel)}) decomposes (residue nonzero)"
+        return f"delta({format_element(rel, labels)}) decomposes (residue nonzero)"
 
     report = CheckReport(f"coideal property at degree bound {degree_bound}")
     ideal = computed_relation_ideal(spec, degree_bound)

@@ -2,8 +2,10 @@
 
 No report runs these.  Each computes by the direct route an object the
 package decides another way: pi(w) as composed T(F) blocks (against the
-image walk), the lift twice, by the splitting recursion and through the
-iterated coproduct (against the package's degree recursion), the form
+image walk), the lift on T(F) twice, by the splitting recursion and
+through the iterated coproduct, with the splitting and right-invariance
+checks on its blocks (against verify-lift, which decides them from
+degree-1 data), sums of Kronecker products by a Fraction loop, the form
 convolution algebra (against composing the X_omega), the T(F)/T(E)
 duality pairing, relabelled coalgebras, the pivots and rows of a bounded
 ideal (against an enumerated span), the relation kernels
@@ -23,10 +25,10 @@ from hopfreal.coalgebra import (
     AlgebraPresentation, BasisId, Coalgebra, dual_coalgebra, make_coalgebra, triangular_units)
 from hopfreal.errors import HopfrealError, InternalInconsistencyError, UnsupportedStructureError
 from hopfreal.exactlin import (
-    Matrix, ONE, ZERO, SpanBasis, kernel_basis, kron_combination, mat_mul, solve, vec_add_scaled, vec_clean)
+    Matrix, ONE, ZERO, SpanBasis, kernel_basis, mat_mul, solve, vec_add_scaled, vec_clean)
 from hopfreal.free_tensor import TensorContext, graded_key, word_coproduct
 from hopfreal.invariant import RIOp, op_from_form, verify_right_invariance
-from hopfreal.lifting import RealizationSpec, lift_operator, split_witness
+from hopfreal.lifting import RealizationSpec
 from hopfreal.realization import BoundedIdeal, image_walk, l_context, monomials, monomials_upto
 from hopfreal.reportkit import CheckReport
 
@@ -93,6 +95,23 @@ def gauss_jordan_rref(m: Matrix):
             break
     entries = {(r, c): v for r, row in enumerate(rows) for c, v in row.items()}
     return Matrix(m.rows, m.cols, entries), pivots
+
+
+def kron_combination(rows: int, cols: int, terms) -> Matrix:
+    """sum coeff * kron(m_1, ..., m_k) over the (mats, coeff) terms, k >= 1,
+    by a Fraction loop: kron(a, m)[r_a * m.rows + r_m, c_a * m.cols + c_m] =
+    a[r_a, c_a] m[r_m, c_m].  ValueError unless each product is rows x cols."""
+    acc = {}
+    for mats, coeff in terms:
+        shape, kron = (1, 1), {(0, 0): ONE}
+        for m in mats:
+            kron = {(row * m.rows + r, col * m.cols + c): value * v
+                    for (row, col), value in kron.items() for (r, c), v in m.entries.items()}
+            shape = (shape[0] * m.rows, shape[1] * m.cols)
+        if not mats or shape != (rows, cols):
+            raise ValueError("shape mismatch")
+        vec_add_scaled(acc, kron, coeff)
+    return Matrix(rows, cols, acc)
 
 
 def mat_combination(rows: int, cols: int, terms) -> Matrix:
@@ -165,7 +184,7 @@ def represent_word(spec: RealizationSpec, w: tuple) -> dict:
     if not w:
         op = op_identity(spec.f_ctx)
     else:
-        op = op_compose(represent_word(spec, w[:-1]), lift_operator(spec, w[-1]))
+        op = op_compose(represent_word(spec, w[:-1]), lift_operator_recursive(spec, w[-1]))
     spec._cache[key] = op
     return op
 
@@ -190,6 +209,47 @@ def window_kernel(spec: RealizationSpec, degree: int, top: int, upto: bool = Fal
     entries = {(k, j): c for j, w in enumerate(mons) for k, c in walk.coordinates(w, top).items()}
     matrix = Matrix.trusted(len(walk.basis(top, degree)), len(mons), entries)
     return [{mons[j]: c for j, c in vec.items()} for vec in kernel_basis(matrix)]
+
+
+def split_witness(ctx: TensorContext, outer: dict, parts, bound: int):
+    """Check outer(w1 . w2) = sum c * left(w1) . right(w2) over the parts
+    (left, right, c), operators given as dicts from degree to block, for
+    every word pair with deg w1 + deg w2 <= min(bound, N).  Returns None
+    when every pair holds, else the last failing (w1, w2) in
+    (n1, n2, w1, w2) order.
+
+    Word bases are lex-ordered products, so idx(w1 . w2) = idx(w1) * dim^n2
+    + idx(w2), and the rule on all word pairs of degrees (n1, n2) is the
+    block identity outer_{n1+n2} = sum c * kron(left_{n1}, right_{n2}): one
+    :func:`kron_combination` per degree pair, whose largest nonzero column
+    is the last failing pair."""
+    bound = min(bound, ctx.max_degree)
+    witness = None
+    for n1 in range(bound + 1):
+        for n2 in range(bound + 1 - n1):
+            block = outer[n1 + n2]
+            diff = kron_combination(block.rows, block.cols, [((block,), -ONE)] + [
+                ((left[n1], right[n2]), c) for left, right, c in parts])
+            if diff.entries:
+                col = max(c for _, c in diff.entries)
+                size = len(ctx.word_basis(n2))
+                witness = (ctx.word_basis(n1)[col // size], ctx.word_basis(n2)[col % size])
+    return witness
+
+
+def lift_checks(spec: RealizationSpec, b: BasisId) -> tuple:
+    """(splitting, grade, right-invariance) of X(b), each True when it holds,
+    decided on the blocks of :func:`lift_operator_recursive` up to the
+    truncation: :func:`split_witness` against the parts of delta(b), square
+    blocks of side dim F^n, and
+    :func:`~hopfreal.invariant.verify_right_invariance` on every degree."""
+    x = lift_operator_recursive(spec, b)
+    parts = [(lift_operator_recursive(spec, p), lift_operator_recursive(spec, q), c)
+             for p, q, c in spec.l_coalg.delta_terms(b)]
+    ctx = spec.f_ctx
+    return (split_witness(ctx, x, parts, ctx.max_degree) is None,
+            all(m.rows == m.cols == ctx.f.dim ** n for n, m in x.items()),
+            verify_right_invariance(ctx, x)[0])
 
 
 def verify_splitting(spec: RealizationSpec, w: tuple, bound: int) -> bool:
@@ -260,8 +320,8 @@ def iterated_coproduct(l_coalg: Coalgebra, v: dict, n: int) -> dict:
 
 def lift_operator_iterated(spec: RealizationSpec, b: BasisId) -> dict:
     """X(b) letter by letter: block n is sum c * kron(x(l_1), ..., x(l_n))
-    over the (n-1)-fold iterated coproduct of b.  Must agree bit-exactly
-    with :func:`hopfreal.lifting.lift_operator`."""
+    over the (n-1)-fold iterated coproduct of b.  Must agree with
+    :func:`lift_operator_recursive`."""
     blocks = {0: Matrix(1, 1, {(0, 0): spec.l_coalg.eps(b)})}
     for n in range(1, spec.max_degree + 1):
         size = spec.f_ctx.f.dim ** n
@@ -272,8 +332,10 @@ def lift_operator_iterated(spec: RealizationSpec, b: BasisId) -> dict:
 
 
 def lift_operator_recursive(spec: RealizationSpec, l) -> dict:
-    """X(l) from the product-splitting rule, peeling one letter at a time.
-    Must agree bit-exactly with :func:`hopfreal.lifting.lift_operator`."""
+    """X(l) from the product-splitting rule, peeling one letter at a time:
+    X_n(b) = sum c * kron(x(p), X_{n-1}(q)) over delta(b), the recursion
+    :func:`hopfreal.lifting.verify_lift` reasons about.  Each block is
+    memoized per spec."""
     if isinstance(l, BasisId):
         l = {l: ONE}
     sizes = {n: spec.f_ctx.f.dim ** n for n in range(spec.max_degree + 1)}

@@ -42,10 +42,7 @@ from hopfreal.hopf import (
 )
 from hopfreal.inputdoc import build_spec, parse_input
 from hopfreal.invariant import RIOp, op_from_form
-from hopfreal.lifting import (
-    lift_operator,
-    verify_lift,
-)
+from hopfreal.lifting import verify_lift
 from hopfreal.realization import (
     relation_kernel,
     relation_kernel_upto,
@@ -54,6 +51,7 @@ from hopfreal.realization import (
 from oracles import (
     convolution,
     dual_triangular_relabeling,
+    lift_checks,
     lift_operator_iterated,
     lift_operator_recursive,
     op_combination,
@@ -142,9 +140,12 @@ def test_criterion_04_duality_pairing():
 
 def assert_lift_matches_oracles(spec):
     for b in spec.l_coalg.basis:
-        direct = lift_operator(spec, b)
-        # bit-exact block agreement with both independent constructions
-        assert direct == lift_operator_recursive(spec, b) == lift_operator_iterated(spec, b)
+        # exact block agreement of the two independent constructions, and
+        # verify-lift's verdict from degree-1 data against the exhaustive
+        # splitting, grade and right-invariance checks on those blocks
+        assert lift_operator_recursive(spec, b) == lift_operator_iterated(spec, b)
+        report = verify_lift(spec, b)
+        assert report.ok == all(lift_checks(spec, b)), report.failures()
 
 
 @settings(max_examples=30, deadline=None)
@@ -199,7 +200,7 @@ def test_criterion_07_triangular_antipode():
         spec = example_w_spec(truncation=3)
         table = antipode_triangular(spec)
         z = tri(2, 1)
-        negated = op_combination(spec.f_ctx, [(lift_operator(spec, z), F(-1))])
+        negated = op_combination(spec.f_ctx, [(lift_operator_recursive(spec, z), F(-1))])
         assert represent(spec, table.entries[z]) == negated
         assert triangular_systems_ok(spec, table.entries)
         cop = verify_Y_coproduct(spec, table, 3)

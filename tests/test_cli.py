@@ -325,6 +325,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
     ("three_block", 0),
     ("general_w", 0),
     ("general_w_d2", 0),
+    ("comatrix", 1),
+    ("h4_regular", 1),
 ])
 def test_cli_report_matches_golden(name, expected, capsys):
     code = main(["report", "--input", str(FIXTURES / f"{name}.hra")])

@@ -7,7 +7,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 from conftest import canonical, mat_vec
-from oracles import from_rows, gauss_jordan_rref, mat_combination, span_contains, to_rows
+from oracles import (
+    from_rows, gauss_jordan_rref, kron_combination, mat_combination, span_contains, to_rows)
 
 import hopfreal
 from hopfreal.exactlin import (
@@ -15,7 +16,6 @@ from hopfreal.exactlin import (
     Matrix,
     SpanBasis,
     kernel_basis,
-    kron_combination,
     mat_mul,
     rref,
     solve,
@@ -450,22 +450,6 @@ def test_mat_combination_matches_fraction_loop(case):
     assert mat_combination(rows, cols, []) == Matrix(rows, cols)
 
 
-# kron_combination sums Kronecker products the same way; this is the
-# Fraction loop it replaced (the old lifting._kron_entries, accumulated by
-# vec_add_scaled), kept as an oracle.
-
-
-def fraction_kron_combination(rows, cols, terms):
-    acc = {}
-    for mats, coeff in terms:
-        kron = mats[0].entries
-        for m in mats[1:]:
-            kron = {(row * m.rows + r, col * m.cols + c): value * v
-                    for (row, col), value in kron.items() for (r, c), v in m.entries.items()}
-        vec_add_scaled(acc, kron, coeff)
-    return Matrix.trusted(rows, cols, acc)
-
-
 def _dense_kron(mats):
     out = [[F(1)]]
     for m in mats:
@@ -475,8 +459,9 @@ def _dense_kron(mats):
 
 
 def test_kron_combination_uses_each_factor_shape():
-    # row counts multiply (1 * 2) and column counts multiply (2 * 1), so a
-    # 1x2 row (x) a 2x1 column is the 2x2 outer product col . row
+    # the oracle's Fraction loop: row counts multiply (1 * 2) and column
+    # counts multiply (2 * 1), so a 1x2 row (x) a 2x1 column is the 2x2
+    # outer product col . row
     row = Matrix(1, 2, {(0, 0): F(1), (0, 1): F(2)})
     col = Matrix(2, 1, {(0, 0): F(3), (1, 0): F(5)})
     assert kron_combination(2, 2, [([row, col], F(1))]).entries == {
@@ -495,44 +480,6 @@ def test_kron_combination_uses_each_factor_shape():
                 for c, v in enumerate(line) if v}
         assert kron_combination(rows, cols, [(mats, F(3, 2))]).entries == want
         assert kron_combination(rows, cols, [(mats, F(3, 2)), (mats, F(-3, 2))]).entries == {}
-
-
-@st.composite
-def kron_combinations(draw):
-    """A rows x cols shape and (mats, coeff) terms: each term is 1-3 factors
-    with the drawn shapes (now and then one with 0 rows or columns) or one
-    rows x cols factor, with mixed denominators, zero coefficients, and negated copies of
-    earlier terms that cancel them."""
-    shapes = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3))
-    if draw(st.integers(0, 7)) == 0:
-        i = draw(st.integers(0, len(shapes) - 1))
-        shapes[i] = draw(st.sampled_from([(0, shapes[i][1]), (shapes[i][0], 0)]))
-    rows = cols = 1
-    for r, c in shapes:
-        rows, cols = rows * r, cols * c
-    factors = st.tuples(*(mixed_matrices(r, c) for r, c in shapes)).map(list)
-    flat = mixed_matrices(rows, cols).map(lambda m: [m])
-    terms = draw(st.lists(st.tuples(factors | flat, MIXED | st.just(F(0))), max_size=4))
-    for mats, coeff in draw(st.lists(st.sampled_from(terms), max_size=2) if terms else st.just([])):
-        terms.append((mats, -coeff))
-    return rows, cols, draw(st.permutations(terms))
-
-
-@given(kron_combinations())
-@settings(max_examples=150, deadline=None)
-@example((2, 1, [([Matrix(1, 1, {(0, 0): F(1, 2)}), Matrix(2, 1, {(1, 0): F(2, 3)})], F(3))]))
-@example((2, 2, [([Matrix(1, 2, {(0, 1): F(1, 2)}), Matrix(2, 1, {(1, 0): F(2, 3)})], c)
-                 for c in (F(3, 7), F(0), F(-3, 7))]))
-def test_kron_combination_matches_fraction_loop(case):
-    rows, cols, terms = case
-    total = kron_combination(rows, cols, terms)
-    assert total == fraction_kron_combination(rows, cols, terms)
-    assert_clean(total)
-    if terms:
-        with pytest.raises(ValueError):
-            kron_combination(rows + 1, cols, terms)
-        with pytest.raises(ValueError):
-            kron_combination(rows, cols + 1, [(mats, F(0)) for mats, _ in terms])
 
 
 def test_block_kernels_cancel_to_clean_zero_and_check_shapes():
@@ -648,7 +595,6 @@ def test_every_writer_stores_canonical_scalars(vectors, probe, coeff):
     m = Matrix(len(vectors), 4, {(r, c): x for r, v in enumerate(vectors) for c, x in v.items()})
     check(m.entries.values())
     check(mat_mul(m, Matrix(4, 2, {(c, c % 2): x for c, x in probe.items()})).entries.values())
-    check(kron_combination(len(vectors), 4, [([m], coeff), ([m], F(1, 2))]).entries.values())
     check(rref(m)[0].entries.values())
     for v in kernel_basis(m):
         check(v.values())

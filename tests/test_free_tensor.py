@@ -209,6 +209,8 @@ def letterwise_coproduct(f, w):
 
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+# the fixtures whose report fails its antipode stage (no antipode at their window)
+NO_ANTIPODE = ("comatrix", "h4_regular", "projection")
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURE_DIR.glob("*.hra")))
@@ -222,7 +224,7 @@ def test_memoized_word_coproducts_survive_a_report(name):
     except (InputError, InvalidAlgebraError):
         assert name.startswith("bad_")
         return
-    assert report.ok or name == "projection"
+    assert report.ok or name in NO_ANTIPODE
     checked = 0
     for ctx in (pipe.spec.f_ctx, l_context(pipe.spec)):
         for key, pairs in ctx._cache.items():

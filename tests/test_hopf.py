@@ -39,7 +39,7 @@ from hopfreal.hopf import (
 from hopfreal.free_tensor import concat_product, context_from_algebra, graded_key
 from hopfreal.inputdoc import build_spec, parse_input
 from hopfreal.invariant import RIOp
-from hopfreal.lifting import lift_operator, make_spec, split_witness, verify_lift
+from hopfreal.lifting import make_spec, verify_lift
 from hopfreal.realization import (
     BoundedIdeal,
     ideal_span,
@@ -50,8 +50,8 @@ from hopfreal.realization import (
 )
 from hopfreal.reportkit import CheckReport
 from oracles import (
-    convolution_inverse, op_combination, op_compose, op_identity, op_is_zero, op_vector, represent,
-    represent_word, span_contains)
+    convolution_inverse, lift_operator_recursive, op_combination, op_compose, op_identity,
+    op_is_zero, op_vector, represent, represent_word, span_contains, split_witness)
 
 ONE = F(1)
 GENERAL_W = Path(__file__).resolve().parent.parent / "fixtures" / "general_w.hra"
@@ -85,10 +85,11 @@ def back_substituted_ops(spec):
     ops = {}
     for block, n in sorted(triangular_blocks(spec.l_coalg).items()):
         for i in range(1, n + 1):
-            ops[tri(i, i, block)] = lift_operator(spec, inverse[tri(i, i, block)])
+            ops[tri(i, i, block)] = lift_operator_recursive(spec, inverse[tri(i, i, block)])
             for j in range(i - 1, 0, -1):
                 acc = op_combination(spec.f_ctx, [
-                    (op_compose(lift_operator(spec, tri(k, j, block)), ops[tri(i, k, block)]), -ONE)
+                    (op_compose(lift_operator_recursive(spec, tri(k, j, block)),
+                                ops[tri(i, k, block)]), -ONE)
                     for k in range(j + 1, i + 1)])
                 ops[tri(i, j, block)] = op_compose(ops[tri(j, j, block)], acc)
     return ops
@@ -107,7 +108,7 @@ def test_diagonal_entries_are_inverse_words(example_w, w_table):
 
 def test_off_diagonal_entry_example_w(example_w, w_table):
     z = tri(2, 1)
-    negated = op_combination(example_w.f_ctx, [(lift_operator(example_w, z), F(-1))])
+    negated = op_combination(example_w.f_ctx, [(lift_operator_recursive(example_w, z), F(-1))])
     assert represent(example_w, w_table.entries[z]) == negated
     assert w_table.entries[z] == {(z,): F(-1)}
     assert w_table.raw_entries[z] == {(tri(1, 1), z, tri(2, 2)): F(-1)}
@@ -122,8 +123,8 @@ def test_second_system_cancellation(example_w, w_table):
     z = tri(2, 1)
     ops = table_ops(example_w, w_table.entries)
     lhs = op_combination(example_w.f_ctx, [
-        (op_compose(ops[tri(1, 1)], lift_operator(example_w, z)), F(1)),
-        (op_compose(ops[z], lift_operator(example_w, tri(2, 2))), F(1)),
+        (op_compose(ops[tri(1, 1)], lift_operator_recursive(example_w, z)), F(1)),
+        (op_compose(ops[z], lift_operator_recursive(example_w, tri(2, 2))), F(1)),
     ])
     assert op_is_zero(lhs)
 
@@ -378,7 +379,7 @@ def test_general_solver_non_cotriangular_primitive():
     table = antipode_general(spec, 3)
     assert table is not None and table.unique and table.report.ok
     t_hat = BasisId.plain(1)
-    negated = op_combination(spec.f_ctx, [(lift_operator(spec, t_hat), F(-1))])
+    negated = op_combination(spec.f_ctx, [(lift_operator_recursive(spec, t_hat), F(-1))])
     assert represent(spec, table.entries[t_hat]) == negated
 
 
@@ -519,7 +520,7 @@ def test_three_block_antipode():
     # zero form is the divided square of the Leibniz operator, which is
     # exactly what back-substitution produces
     corner = tri(3, 1, 2)
-    assert represent(spec, table.entries[corner]) == lift_operator(spec, corner)
+    assert represent(spec, table.entries[corner]) == lift_operator_recursive(spec, corner)
     assert table.entries[corner] == {(corner,): ONE}
     assert triangular_systems_ok(spec, table.entries)
     assert verify_Y_coproduct(spec, table, 2).ok
@@ -594,10 +595,12 @@ def triangular_system_flags(spec, ops):
                 want = ident if i == j else zero
                 ks = range(j, i + 1)
                 left = op_combination(spec.f_ctx, [
-                    (op_compose(lift_operator(spec, tri(k, j, block)), ops[tri(i, k, block)]), ONE)
+                    (op_compose(lift_operator_recursive(spec, tri(k, j, block)),
+                                ops[tri(i, k, block)]), ONE)
                     for k in ks])
                 right = op_combination(spec.f_ctx, [
-                    (op_compose(ops[tri(k, j, block)], lift_operator(spec, tri(i, k, block))), ONE)
+                    (op_compose(ops[tri(k, j, block)],
+                                lift_operator_recursive(spec, tri(i, k, block))), ONE)
                     for k in ks])
                 flags[(tri(i, j, block), "left")] = left == want
                 flags[(tri(i, j, block), "right")] = right == want
@@ -716,8 +719,8 @@ def system_flags(spec, ops):
     for b in spec.l_coalg.basis:
         terms = spec.l_coalg.delta_terms(b)
         unit = [(ident, -spec.l_coalg.eps(b))]
-        left = [(op_compose(lift_operator(spec, p), ops[q]), c) for p, q, c in terms]
-        right = [(op_compose(ops[p], lift_operator(spec, q)), c) for p, q, c in terms]
+        left = [(op_compose(lift_operator_recursive(spec, p), ops[q]), c) for p, q, c in terms]
+        right = [(op_compose(ops[p], lift_operator_recursive(spec, q)), c) for p, q, c in terms]
         flags[(b, "left")] = op_is_zero(op_combination(spec.f_ctx, left + unit))
         flags[(b, "right")] = op_is_zero(op_combination(spec.f_ctx, right + unit))
     return flags
@@ -819,10 +822,10 @@ def test_antipode_entry_points_refuse_non_coassociative_l():
     assert not verify_coalgebra(l_coalg).ok
     spec = make_spec(l_coalg, context_from_algebra(dual_numbers(), 3),
                      {P0: RIOp.identity(), P1: RIOp.from_eval(P1)})
-    # the lift is built from delta alone; the splitting check finds the defect
-    failures = verify_lift(spec, P1).failures()
-    assert any(re.fullmatch(r"splitting rule on word pairs \(witness \(.+\)\)", f)
-               for f in failures), failures
+    # verify-lift decides splitting from the coalgebra axioms, and names the
+    # element where coassociativity fails
+    assert verify_lift(spec, P1).failures() == [
+        f"splitting rule on word pairs (coassociativity fails on {P1})"]
     with pytest.raises(InternalInconsistencyError, match="coassociativity on"):
         antipode_general(spec, 2)
     with pytest.raises(InternalInconsistencyError, match="coassociativity on"):

@@ -21,7 +21,7 @@ from hopfreal.coalgebra import (
     upper_triangular_algebra,
     verify_coalgebra,
 )
-from hopfreal.exactlin import Matrix, kron_combination, mat_mul, vec_add_scaled, vec_clean
+from hopfreal.exactlin import Matrix, mat_mul, vec_add_scaled, vec_clean
 from hopfreal.free_tensor import TensorContext, coproduct, word_coproduct
 from hopfreal.inputdoc import build_spec, parse_input
 from hopfreal.invariant import (
@@ -30,13 +30,14 @@ from hopfreal.invariant import (
     op_from_form,
     verify_right_invariance,
 )
-from hopfreal.lifting import lift_operator
 from oracles import (
     InvarianceError,
     convolution,
     convolution_inverse,
     delta_vect,
     form_of_op,
+    kron_combination,
+    lift_operator_recursive,
     op_combination,
     op_is_zero,
     right_invariance_on_f,
@@ -340,7 +341,7 @@ def test_block_identity_matches_per_word_loop_on_planted_defects(name):
     rng = random.Random(name)
     outcomes = set()
     for b in spec.l_coalg.basis:
-        x = lift_operator(spec, b)
+        x = lift_operator_recursive(spec, b)
         assert verify_right_invariance(ctx, x) == per_word_invariance(ctx, x) == (True, None)
         for n, m in x.items():
             # zero the first stored entry (add 1 in an empty block), then add
@@ -456,7 +457,7 @@ def test_passing_right_invariance_builds_no_fraction():
     # method it may call is as_integer_ratio (an int entry is its own
     # numerator), so it builds no Fraction, and it multiplies no matrices
     spec = fixture_spec("three_block")
-    ops = [lift_operator(spec, b) for b in spec.l_coalg.basis]
+    ops = [lift_operator_recursive(spec, b) for b in spec.l_coalg.basis]
     assert verify_right_invariance(spec.f_ctx, ops[0]) == (True, None)  # D_n memoized
     calls = set()
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from conftest import example_w_spec, primitive_spec, tri
-from hopfreal import fmt, free_tensor, hopf
+from hopfreal import fmt, free_tensor, hopf, pipeline
 from hopfreal.coalgebra import (
     BasisId,
     is_cotriangular,
@@ -34,7 +34,7 @@ from hopfreal.hopf import (
     verify_Y_coproduct,
 )
 from hopfreal.inputdoc import build_spec, parse_input
-from hopfreal.lifting import lift_operator, verify_lift
+from hopfreal.lifting import RealizationSpec, verify_lift
 from hopfreal.realization import (
     ideal_span,
     l_context,
@@ -42,6 +42,7 @@ from hopfreal.realization import (
     relation_kernel_upto,
     verify_coideal,
 )
+from hopfreal.cli import main
 from hopfreal.reportkit import CheckReport
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -76,14 +77,11 @@ def free_bialgebra_case(monkeypatch):
 
 
 def lift_case(monkeypatch):
-    # X(l[2,1]) with a wrong unit action, a non-invariant degree-1 block,
-    # and a non-square block past the truncation
-    spec = example_w_spec(2)
-    x = dict(lift_operator(spec, Z))
-    x[0] = Matrix(1, 1, {(0, 0): 2})
-    x[1] = Matrix(3, 3, {(1, 0): 1})
-    x[3] = Matrix(2, 3)
-    spec._cache["X", Z] = x
+    # X(l[2,1]) over the broken coalgebra, reading a non-square x(l[1,1])
+    # and a non-invariant x(l[2,2]) through delta(l[2,1])
+    ctx = example_w_spec(2).f_ctx
+    spec = RealizationSpec(broken_coalgebra(), ctx, {
+        A: Matrix(2, 3), Z: Matrix.identity(3), D: Matrix(3, 3, {(1, 0): 1})})
     return verify_lift(spec, Z)
 
 
@@ -180,14 +178,11 @@ PINNED = {
             '(BasisId(block=0, i=2, j=1),)',
         ]),
     'lift': (
-        'lifted operator properties: FAIL (5 checks, 5 failed)',
+        'lifted operator properties: FAIL (5 checks, 3 failed)',
         [
-            'unit action X(l)(1) = eps(l) 1',
-            'degree-1 action agrees with x',
-            'splitting rule on word pairs (witness ((BasisId(block=0, i=2, j=0), '
-            'BasisId(block=0, i=2, j=0)), ()))',
+            'splitting rule on word pairs (coassociativity fails on l[2,1])',
             'grade preservation (square block per degree)',
-            'right-invariance on T(F) (witness (BasisId(block=0, i=0, j=0),))',
+            'right-invariance on T(F) (witness (BasisId(block=0, i=0, j=0),) of x(l[2,2]))',
         ]),
     'coideal': (
         'coideal property at degree bound 2: FAIL (7 checks, 1 failed)',
@@ -289,3 +284,37 @@ def test_passed_checks_build_no_text(monkeypatch, name):
     closure = closure_iterate(spec, table, relation_kernel_upto(spec, d), doc.max_stages, d)
     reports.append(verify_hopf_quotient(spec, table, closure, d))
     assert all(report.ok for report in reports)
+
+
+def test_failure_lines_use_the_document_labels(monkeypatch, capsys):
+    # three_block names its letters P.l[1,1], Q.l[2,1], ...; a relation
+    # planted into the degree-2 kernel is no coideal element, and the
+    # coideal-check and hopf-check failure lines name it by those labels
+    doc = parse_input((FIXTURES / "three_block.hra").read_text(encoding="utf-8"))
+    spec = build_spec(doc)
+    labels = doc.display_labels(doc.realization.l_name)
+    a, z = tri(1, 1, 1), tri(2, 1, 1)
+    planted = {(a, z): 1, (z,): -1}
+    assert verify_coideal(spec, [planted], 2).failures() == [
+        "delta(-1:l[2,1] + 1:l[1,1]*1:l[2,1]) decomposes (residue nonzero)"]
+    labelled = "delta(-Q.l[2,1] + Q.l[1,1]*Q.l[2,1]) decomposes (residue nonzero)"
+    assert verify_coideal(spec, [planted], 2, labels).failures() == [labelled]
+
+    table = antipode_triangular(spec)
+    closure = ClosureResult([], 0, [planted], {}, ideal_span(l_context(spec), [planted], 2))
+    texts = verify_hopf_quotient(spec, table, closure, 2, labels).failures()
+    assert "sum S(w')w'' = eps(w)1 mod ideal for w=Q.l[1,1]*Q.l[2,1] [ideal bound 4]" in texts
+    assert not any(":l[" in t for t in texts)
+
+    honest = pipeline.kernel_persistence
+
+    def with_planted(spec, d):
+        kern, wider, flagged = honest(spec, d)
+        return (kern + [planted] if d == 2 else kern), wider, flagged
+
+    monkeypatch.setattr(pipeline, "kernel_persistence", with_planted)
+    code = main(["report", "--input", str(FIXTURES / "three_block.hra"),
+                 "--stages", "coideal-check"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert "    " + labelled in lines
