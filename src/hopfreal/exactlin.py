@@ -15,12 +15,9 @@ build a Fraction.  The pivot inverse in :meth:`SpanBasis.insert` is the one
 true division, and it goes through ``Fraction``: an int quotient would be
 a float.
 
-The block kernels run over Python ints.  :func:`mat_mul` scales each
-operand to integer numerators over the lcm of its denominators, sums the
-integer products on one common denominator, and makes each nonzero sum one
-canonical scalar.  :func:`intertwiner_defect` decides D X = (X (x) I) D on integer
-numerators alone, because both sides share one denominator, and builds no
-Fraction.
+:func:`mat_mul` runs over Python ints: it scales each operand to integer
+numerators over the lcm of its denominators, sums the integer products on
+one common denominator, and makes each nonzero sum one canonical scalar.
 
 Elimination has one implementation, :class:`SpanBasis`, in exact rational
 arithmetic.  Its rows are fixed at insert (echelon, not inter-reduced) and
@@ -189,33 +186,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                 out[c] = out.get(c, 0) + x * y
     return Matrix.trusted(a.rows, b.cols, _entries_over(
         (((r, c), s) for r, out in acc.items() for c, s in out.items()), da * db))
-
-
-def intertwiner_defect(s: int, d: dict, x: Matrix):
-    """The smallest column at which d x and (x (x) I) d differ, or None.
-
-    x is s x s, and d is an s^2 x s matrix given by integer numerators
-    d[(u * s + v, k)] over any common denominator den(d).  Both products have
-    the denominator den(d) den(x), so they are equal iff their difference of
-    integer numerators is zero: one pass over d adds c x[k, w] at (r, w) and
-    subtracts c x[u, u'] at (u * s + v, k) for each entry c at (r, k), with
-    r = u' * s + v.  No Fraction is built."""
-    if (x.rows, x.cols) != (s, s):
-        raise ValueError("shape mismatch")
-    rows = [[] for _ in range(s)]
-    cols = [[] for _ in range(s)]
-    for (i, j), y in zip(x.entries, integer_view(x.entries)[1]):
-        rows[i].append((j, y))
-        cols[j].append((i * s * s, y))
-    acc = {}
-    for (r, k), c in d.items():
-        base = r * s
-        for w, y in rows[k]:
-            acc[base + w] = acc.get(base + w, 0) + c * y
-        rest = r % s * s + k
-        for top, y in cols[r // s]:
-            acc[top + rest] = acc.get(top + rest, 0) - c * y
-    return min((key % s for key, t in acc.items() if t), default=None)
 
 
 class SpanBasis:

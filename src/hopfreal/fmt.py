@@ -13,6 +13,13 @@ def format_id(b, labels: dict = None) -> str:
     return str(b)
 
 
+def labelled(text: str, labels: dict = None):
+    """A describe callable for ``CheckReport.record``: text formatted with
+    its arguments, each named by :func:`format_id` (a basis id by its
+    label, where labels has one)."""
+    return lambda *args: text.format(*(format_id(a, labels) for a in args))
+
+
 def format_word(w: tuple, labels: dict = None) -> str:
     if not w:
         return "1"

@@ -59,6 +59,7 @@ from .errors import (
     UnsupportedStructureError,
 )
 from .exactlin import ONE, Matrix, SpanBasis, solve, vec_add_scaled
+from .fmt import format_word, labelled
 from .free_tensor import concat_product, coproduct, counit, graded_key, word_coproduct
 from .lifting import RealizationSpec
 from .realization import (
@@ -223,7 +224,8 @@ def _composite_split_ok(spec: RealizationSpec, table: AntipodeTable, u: BasisId,
     return _splits(spec, concat_product(y[v], y[u]), parts, bound)
 
 
-def verify_Y_coproduct(spec: RealizationSpec, table: AntipodeTable, bound: int) -> CheckReport:
+def verify_Y_coproduct(spec: RealizationSpec, table: AntipodeTable, bound: int,
+                       labels: dict = None) -> CheckReport:
     """Operational form of the reversed coproduct law delta y_b = sum c
     y_q (x) y_p over delta(b) (for triangular L, delta(Y_i^j) = sum
     Y_i^k (x) Y_k^j): the antipode operators split products the way it says.
@@ -231,13 +233,14 @@ def verify_Y_coproduct(spec: RealizationSpec, table: AntipodeTable, bound: int) 
     Also checks composite indices (:func:`_composite_split_ok`) on all ordered
     pairs of letters that are not grouplike and the mixed pairs (g[0], off[0])
     and (off[0], g[0]) with the first grouplike g[0], where the content is;
-    on all pairs if every letter is grouplike or none is.
+    on all pairs if every letter is grouplike or none is.  A failure names
+    the letters of L by their labels, where labels has one.
     """
     report = CheckReport(f"antipode coproduct law at degree bound {bound}")
     basis, y = spec.l_coalg.basis, table.entries
+    describe = labelled("splitting of Y at {}", labels)
     for b in basis:
-        report.record(_splits(spec, y[b], _reversed_parts(spec, y, b), bound),
-                      "splitting of Y at {}".format, b)
+        report.record(_splits(spec, y[b], _reversed_parts(spec, y, b), bound), describe, b)
 
     glikes = set(grouplikes(spec.l_coalg))
     off = [b for b in basis if b not in glikes]
@@ -247,9 +250,9 @@ def verify_Y_coproduct(spec: RealizationSpec, table: AntipodeTable, bound: int) 
         pairs += [(diag[0], off[0]), (off[0], diag[0])]
     if not pairs:
         pairs = [(u, v) for u in basis for v in basis]
+    describe = labelled("splitting of composite Y at ({},{})", labels)
     for (u, v) in pairs:
-        report.record(_composite_split_ok(spec, table, u, v, bound),
-                      "splitting of composite Y at ({},{})".format, u, v)
+        report.record(_composite_split_ok(spec, table, u, v, bound), describe, u, v)
     return report
 
 
@@ -380,7 +383,6 @@ def verify_hopf_quotient(spec: RealizationSpec, table: AntipodeTable,
     """
     if not closure.stabilized:
         raise PreconditionError("hopf quotient check needs a stabilized closure")
-    from .fmt import format_word
 
     def describe(tag, w, bound):
         return f"{tag} = eps(w)1 mod ideal for w={format_word(w, labels)} [ideal bound {bound}]"
@@ -435,7 +437,7 @@ def operator_algebra_basis(spec: RealizationSpec, bound: int) -> list:
     return image_walk(spec).basis(spec.max_degree, bound)
 
 
-def antipode_general(spec: RealizationSpec, bound: int):
+def antipode_general(spec: RealizationSpec, bound: int, labels: dict = None):
     """Exact solve of the system X * Y = eps 1 inside the bounded operator
     algebra; None when infeasible at this bound.
 
@@ -447,7 +449,8 @@ def antipode_general(spec: RealizationSpec, bound: int):
     records the expressions in the monomial basis, a uniqueness flag (no
     free column, read off the same elimination that finds the solution),
     and a verification report of both systems and of the reversed-coproduct
-    law delta y_b = sum c y_q (x) y_p, split on classes.
+    law delta y_b = sum c y_q (x) y_p, split on classes, whose failures
+    name the letters of L by their labels, where labels has one.
     """
     _require_coassociative(spec)
     alg = operator_algebra_basis(spec, bound)
@@ -478,12 +481,14 @@ def antipode_general(spec: RealizationSpec, bound: int):
 
     report = CheckReport(f"general antipode verification at bound {bound}")
     systems_ok = True
+    system_at = labelled("{} system at {}", labels)
+    law_at = labelled("reversed coproduct law at {}", labels)
     for b, side, ok in _system_checks(spec, y):
-        report.record(ok, "{} system at {}".format, side, b)
+        report.record(ok, system_at, side, b)
         systems_ok = systems_ok and ok
         if side == "right":
             report.record(_splits(spec, y[b], _reversed_parts(spec, y, b), bound),
-                          "reversed coproduct law at {}".format, b)
+                          law_at, b)
     if not systems_ok:
         raise InternalInconsistencyError("general antipode solve failed re-verification: "
                                          + "; ".join(report.failures()))
@@ -492,18 +497,20 @@ def antipode_general(spec: RealizationSpec, bound: int):
 
 
 def verify_uniqueness_perturbations(spec: RealizationSpec, table: AntipodeTable,
-                                    bound: int = None) -> CheckReport:
+                                    bound: int = None, labels: dict = None) -> CheckReport:
     """Randomized uniqueness witness: adding a nonzero combination of the
     bounded operator algebra's basis monomials to some Y expression must
     break one of the systems, in each of 10 trials.
 
-    Seeded, so reports stay byte-identical run to run.
+    Seeded, so reports stay byte-identical run to run.  A failure names
+    the perturbed letter of L by its label, where labels has one.
     """
     bound = bound if bound is not None else spec.max_degree
     alg = operator_algebra_basis(spec, bound)
     rng = random.Random(7919)
     ids = sorted(table.entries)
     report = CheckReport("uniqueness under perturbation (10 trials)")
+    describe = labelled("trial {}: perturbing Y at {} breaks a system", labels)
     for t in range(10):
         target = ids[rng.randrange(len(ids))]
         coeffs = [rng.randint(-2, 2) for _ in alg]
@@ -511,5 +518,5 @@ def verify_uniqueness_perturbations(spec: RealizationSpec, table: AntipodeTable,
         perturbed = dict(table.entries)
         perturbed[target] = vec_add_scaled(dict(perturbed[target]), dict(zip(alg, coeffs)), ONE)
         broke = not triangular_systems_ok(spec, perturbed)
-        report.record(broke, "trial {}: perturbing Y at {} breaks a system".format, t, target)
+        report.record(broke, describe, t, target)
     return report

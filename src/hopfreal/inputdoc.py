@@ -423,7 +423,8 @@ def parse_input(text: str) -> InputDocument:
 # monomials of T(L) up to the degree bound d.  The shipped fixtures and the
 # benchmark workloads stay under 400 words and 130 monomials.  No stage builds
 # a word of degree N + 1 (the N + 1 kernel is one more layer of the image walk),
-# and only verify-free-bialgebra and verify-lift form blocks on T(F).
+# and no stage forms a block on T(F): the verify stages decide T(F)'s laws from
+# F's letters.  The word limit stays until the image walk's own cost is capped.
 MAX_WINDOW_WORDS = 50_000
 MAX_WINDOW_MONOMIALS = 50_000
 

@@ -145,7 +145,8 @@ def _read_by_lift(spec: RealizationSpec, b: BasisId):
     return [r for r in order if depth[r] <= top - 2], list(letters)
 
 
-def verify_lift(spec: RealizationSpec, b: BasisId) -> CheckReport:
+def verify_lift(spec: RealizationSpec, b: BasisId, labels: dict = None,
+                f_labels: dict = None) -> CheckReport:
     """Exact check of the five lifted-operator properties of X(b) up to the
     truncation, decided from the data its recursion reads (module
     docstring): the unit action and the agreement with x on F, which hold
@@ -154,8 +155,10 @@ def verify_lift(spec: RealizationSpec, b: BasisId) -> CheckReport:
     (the first failing law names its element); grade preservation, from the
     shape of each x(l) it reads; and right-invariance on every word of
     T(F), from the degree-1 identity on those x(l), b first (a failure
-    names its word, and its letter when that is not b).  No T(F) block is
-    built, so the cost does not grow with dim F^N."""
+    names its letter of F, and its letter of L when that is not b).  No
+    T(F) block is built, so the cost does not grow with dim F^N.  Failures
+    name the elements of L by labels and those of F by f_labels, where
+    they have one."""
     report = CheckReport("lifted operator properties")
     split, letters = _read_by_lift(spec, b)
     # X_0(b) = eps(b) and X_1(b) = x(b) define the lift
@@ -166,7 +169,7 @@ def verify_lift(spec: RealizationSpec, b: BasisId) -> CheckReport:
     for r in split or [b]:
         laws = [law for ok, law in zip(axioms_at(spec.l_coalg, r), AXIOMS) if not ok]
         if laws:
-            broken = (laws[0], r)
+            broken = (laws[0], format_id(r, labels))
             break
     report.record(not broken, "splitting rule on word pairs ({} fails on {})".format, *broken)
 
@@ -177,9 +180,9 @@ def verify_lift(spec: RealizationSpec, b: BasisId) -> CheckReport:
 
     failed = ()
     for l in square:
-        ok, w = verify_right_invariance(spec.f_ctx, {1: spec.x_matrix(l)})
+        ok, w = verify_right_invariance(spec.f_ctx.f, spec.x_matrix(l))
         if not ok:
-            failed = (w, "" if l == b else f" of x({l})")
+            failed = (format_id(w, f_labels), "" if l == b else f" of x({format_id(l, labels)})")
             break
     report.record(not failed, "right-invariance on T(F) (witness {}{})".format, *failed)
     return report

@@ -88,6 +88,7 @@ class _Pipeline:
         self.doc = doc
         self.spec = build_spec(doc)
         self.labels = doc.display_labels(doc.realization.l_name)
+        self.f_labels = doc.display_labels(doc.realization.f_name)
         self.artifacts = {}
 
     # ----- shared artifacts ---------------------------------------------------
@@ -111,7 +112,7 @@ class _Pipeline:
                 mode = "triangular"
             else:
                 mode = "general"
-                table = antipode_general(self.spec, self.doc.max_degree)
+                table = antipode_general(self.spec, self.doc.max_degree, self.labels)
             self.artifacts["table"] = (table, mode)
         return self.artifacts["table"]
 
@@ -138,7 +139,7 @@ class _Pipeline:
         return StageResult("verify-coalgebras", "pass" if ok else "fail", lines)
 
     def stage_verify_free_bialgebra(self):
-        report = verify_free_bialgebra(self.spec.f_ctx)
+        report = verify_free_bialgebra(self.spec.f_ctx, self.f_labels)
         lines = _check_lines(report, f"free bialgebra over F at N={self.doc.truncation}: ")
         return StageResult("verify-free-bialgebra",
                            "pass" if report.ok else "fail", lines)
@@ -147,7 +148,7 @@ class _Pipeline:
         lines = []
         ok = True
         for b in self.spec.l_coalg.basis:
-            report = verify_lift(self.spec, b)
+            report = verify_lift(self.spec, b, self.labels, self.f_labels)
             ok = ok and report.ok
             lines.extend(_check_lines(report, f"X({format_id(b, self.labels)}): ",
                                       f" [N={self.doc.truncation}]"))
@@ -195,9 +196,9 @@ class _Pipeline:
             for b in sorted(table.raw_entries):
                 lines.append(f"raw determination Y({format_id(b, labels)}) = "
                              f"{format_element(table.raw_entries[b], labels)}")
-            cop = verify_Y_coproduct(self.spec, table, d)
+            cop = verify_Y_coproduct(self.spec, table, d, labels)
             lines.extend(_check_lines(cop, bounds=f" [d={d}]"))
-            uniq = verify_uniqueness_perturbations(self.spec, table, bound=d)
+            uniq = verify_uniqueness_perturbations(self.spec, table, bound=d, labels=labels)
             lines.extend(_check_lines(uniq, bounds=f" [N={n}]"))
             ok = cop.ok and uniq.ok
         else:

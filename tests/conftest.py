@@ -17,6 +17,7 @@ from hopfreal.coalgebra import (
     direct_sum,
     dual_coalgebra,
     dual_numbers,
+    make_coalgebra,
     triangular_coalgebra,
     upper_triangular_algebra,
 )
@@ -47,14 +48,6 @@ def mat_vec(a, v):
         if c in v:
             vec_add_scaled(out, {r: w}, v[c])
     return out
-
-
-def apply_to_word(ctx, op, w):
-    """op(w) for an operator (a dict degree -> block) and a word: column
-    idx(w) of the block of degree len(w)."""
-    words = ctx.word_basis(len(w))
-    column = mat_vec(op[len(w)], {ctx.word_index(len(w))[w]: ONE})
-    return {words[r]: v for r, v in column.items()}
 
 
 def example_w_spec(truncation=3):
@@ -118,6 +111,50 @@ def three_block_spec(truncation=3):
             x_map[b] = RIOp.zero()
     pairs = [(b, b) for b in l_coalg.basis if b.i == b.j]
     return make_spec(l_coalg, ctx, x_map, pairs)
+
+
+def scaled_coalgebra():
+    """Non-unit, non-cocommutative coefficients: g = 2 e11 and y = e21 of
+    the upper-triangular 2x2 dual, beside the divided powers 1, x/2, x^2/3
+    of k[x]/(x^3) with h = e22 as their unit:
+    delta(y) = h (x) y + 1/2 y (x) g and delta(x^2/3) has 8/3 (x/2) (x) (x/2)."""
+    g, h, y, half, third = (BasisId.plain(i) for i in range(5))
+    return make_coalgebra([g, h, y, half, third], {
+        g: [(g, g, F(1, 2))],
+        h: [(h, h, ONE)],
+        y: [(h, y, ONE), (y, g, F(1, 2))],
+        half: [(h, half, ONE), (half, h, ONE)],
+        third: [(h, third, ONE), (half, half, F(8, 3)), (third, h, ONE)],
+    }, {g: F(2), h: ONE})
+
+
+def non_coassociative_coalgebra():
+    """g grouplike, q primitive, and a with delta(a) = g(x)a + a(x)g + a(x)q:
+    counital everywhere, coassociative except at a, where
+    (delta (x) id) delta(a) has a (x) q (x) q and (id (x) delta) delta(a) has not."""
+    g, q, a = (BasisId.plain(k) for k in range(3))
+    return make_coalgebra([g, q, a], {
+        g: [(g, g, ONE)],
+        q: [(g, q, ONE), (q, g, ONE)],
+        a: [(g, a, ONE), (a, g, ONE), (a, q, ONE)],
+    }, {g: ONE})
+
+
+def one_sided_counit_coalgebra(side):
+    """e grouplike, c primitive, and b with delta(b) = b (x) e (side
+    "left") or e (x) b (side "right"), eps(b) = 0: coassociative
+    everywhere, and counital except for that one law at b."""
+    e, b, c = (BasisId.plain(k) for k in range(3))
+    terms = {"left": [(b, e, ONE)], "right": [(e, b, ONE)]}[side]
+    return make_coalgebra([e, b, c], {
+        e: [(e, e, ONE)], b: terms, c: [(e, c, ONE), (c, e, ONE)]}, {e: ONE})
+
+
+BROKEN_COALGEBRAS = {
+    "non-coassociative": non_coassociative_coalgebra,
+    "left-counit": lambda: one_sided_counit_coalgebra("left"),
+    "right-counit": lambda: one_sided_counit_coalgebra("right"),
+}
 
 
 @pytest.fixture

@@ -5,7 +5,10 @@ package decides another way: pi(w) as composed T(F) blocks (against the
 image walk), the lift on T(F) twice, by the splitting recursion and
 through the iterated coproduct, with the splitting and right-invariance
 checks on its blocks (against verify-lift, which decides them from
-degree-1 data), sums of Kronecker products by a Fraction loop, the form
+degree-1 data), right-invariance word by word on T(F) and basis element
+by basis element on F, the bialgebra identities of T(F) on its words
+(against verify-free-bialgebra, which decides them from the coalgebra
+laws at F's letters), sums of Kronecker products by a Fraction loop, the form
 convolution algebra (against composing the X_omega), the T(F)/T(E)
 duality pairing, relabelled coalgebras, the pivots and rows of a bounded
 ideal (against an enumerated span), the relation kernels
@@ -18,6 +21,7 @@ of a matrix and membership in a ``SpanBasis`` live here too.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -26,7 +30,8 @@ from hopfreal.coalgebra import (
 from hopfreal.errors import HopfrealError, InternalInconsistencyError, UnsupportedStructureError
 from hopfreal.exactlin import (
     Matrix, ONE, ZERO, SpanBasis, kernel_basis, mat_mul, solve, vec_add_scaled, vec_clean)
-from hopfreal.free_tensor import TensorContext, graded_key, word_coproduct
+from hopfreal.fmt import format_word
+from hopfreal.free_tensor import TensorContext, coproduct, counit, graded_key, word_coproduct
 from hopfreal.invariant import RIOp, op_from_form, verify_right_invariance
 from hopfreal.lifting import RealizationSpec
 from hopfreal.realization import BoundedIdeal, image_walk, l_context, monomials, monomials_upto
@@ -162,11 +167,109 @@ def op_is_zero(op: dict) -> bool:
     return all(matrix_is_zero(m) for m in op.values())
 
 
-def right_invariance_on_f(f: Coalgebra, m: Matrix):
-    """The right-invariance check of a degree-1 operator on F, with a basis
-    element of F as the witness: the package's check on TensorContext(F, 1)."""
-    ok, w = verify_right_invariance(TensorContext(f, 1), {1: m})
-    return ok, (w[0] if w else None)
+@functools.cache
+def word_index(ctx: TensorContext, n: int) -> dict:
+    """The position of each word of length n in ``ctx.word_basis(n)``, its
+    row and column in a block of degree n."""
+    return {w: k for k, w in enumerate(ctx.word_basis(n))}
+
+
+def apply_to_word(ctx: TensorContext, op: dict, w: tuple) -> dict:
+    """op(w) for an operator (a dict degree -> block) and a word: column
+    idx(w) of the block of degree len(w)."""
+    col = word_index(ctx, len(w))[w]
+    words = ctx.word_basis(len(w))
+    return {words[r]: v for (r, c), v in op[len(w)].entries.items() if c == col}
+
+
+def per_word_invariance(ctx: TensorContext, x: dict):
+    """Right-invariance of an operator on T(F), a dict from degree to block,
+    word by word: delta(X w) against (X (x) id) delta(w) on every word of
+    degree <= N, in (degree, index) order.  Returns (ok, first failing word
+    or None)."""
+    for n in range(ctx.max_degree + 1):
+        for w in ctx.word_basis(n):
+            lhs = coproduct(ctx, apply_to_word(ctx, x, w))
+            rhs = {}
+            for (w1, w2), coeff in word_coproduct(ctx, w).items():
+                image = apply_to_word(ctx, x, w1)
+                vec_add_scaled(rhs, {(u, w2): v for u, v in image.items()}, coeff)
+            if lhs != rhs:
+                return False, w
+    return True, None
+
+
+def per_basis_invariance(f: Coalgebra, m: Matrix):
+    """Right-invariance of a degree-1 operator on F, basis element by basis
+    element through dense columns and :func:`delta_vect`.  Returns (ok,
+    first failing basis element or None)."""
+    basis = list(f.basis)
+    index = {b: k for k, b in enumerate(basis)}
+    rows = to_rows(m)
+
+    def image(b):
+        return {basis[r]: rows[r][index[b]] for r in range(len(basis)) if rows[r][index[b]]}
+
+    for b in basis:
+        lhs = delta_vect(f, image(b))
+        rhs = {}
+        for (p, q, c) in f.delta_terms(b):
+            vec_add_scaled(rhs, {(u, q): v for u, v in image(p).items()}, c)
+        if lhs != rhs:
+            return False, b
+    return True, None
+
+
+def pair_product(a: dict, b: dict) -> dict:
+    """Componentwise product in T(F) (x) T(F) (no truncation)."""
+    out = {}
+    for (a1, a2), c1 in a.items():
+        vec_add_scaled(out, {(a1 + b1, a2 + b2): c2 for (b1, b2), c2 in b.items()}, c1)
+    return out
+
+
+def free_bialgebra_checks(ctx: TensorContext, labels: dict = None) -> CheckReport:
+    """The records of :func:`hopfreal.free_tensor.verify_free_bialgebra`,
+    with its texts and in its order, each decided on T(F) words: on every
+    word of degree <= min(N, 3) the grading of its coproduct,
+    coassociativity and both counit laws, and multiplicativity
+    delta(w1 w2) = delta(w1) delta(w2) on every pair within the bound."""
+    def describe(law, *words):
+        return f"{law} on " + "*".join(format_word(w, labels) for w in words)
+
+    report = CheckReport("free bialgebra structure")
+    bound = min(ctx.max_degree, 3)
+    words = [w for n in range(bound + 1) for w in ctx.word_basis(n)]
+
+    for w in words:
+        pairs = word_coproduct(ctx, w)
+        n = len(w)
+        graded = all(len(w1) == n and len(w2) == n for (w1, w2) in pairs)
+        report.record(graded, describe, "coproduct grading", w)
+
+        left = {}
+        right = {}
+        lcounit = {}
+        rcounit = {}
+        for (w1, w2), coeff in pairs.items():
+            vec_add_scaled(left, {(u1, u2, w2): c2
+                                  for (u1, u2), c2 in word_coproduct(ctx, w1).items()}, coeff)
+            vec_add_scaled(right, {(w1, u1, u2): c2
+                                   for (u1, u2), c2 in word_coproduct(ctx, w2).items()}, coeff)
+            vec_add_scaled(lcounit, {w2: coeff}, counit(ctx, {w1: ONE}))
+            vec_add_scaled(rcounit, {w1: coeff}, counit(ctx, {w2: ONE}))
+        report.record(left == right, describe, "coassociativity", w)
+        ok = lcounit == {w: ONE} and rcounit == {w: ONE}
+        report.record(ok, describe, "counit laws", w)
+
+    for w1 in words:
+        for w2 in words:
+            if len(w1) + len(w2) > bound:
+                continue
+            lhs = word_coproduct(ctx, w1 + w2)
+            rhs = pair_product(word_coproduct(ctx, w1), word_coproduct(ctx, w2))
+            report.record(lhs == rhs, describe, "coproduct multiplicative", w1, w2)
+    return report
 
 
 def with_truncation(spec: RealizationSpec, max_degree: int) -> RealizationSpec:
@@ -241,15 +344,15 @@ def lift_checks(spec: RealizationSpec, b: BasisId) -> tuple:
     """(splitting, grade, right-invariance) of X(b), each True when it holds,
     decided on the blocks of :func:`lift_operator_recursive` up to the
     truncation: :func:`split_witness` against the parts of delta(b), square
-    blocks of side dim F^n, and
-    :func:`~hopfreal.invariant.verify_right_invariance` on every degree."""
+    blocks of side dim F^n, and :func:`per_word_invariance` on every
+    degree."""
     x = lift_operator_recursive(spec, b)
     parts = [(lift_operator_recursive(spec, p), lift_operator_recursive(spec, q), c)
              for p, q, c in spec.l_coalg.delta_terms(b)]
     ctx = spec.f_ctx
     return (split_witness(ctx, x, parts, ctx.max_degree) is None,
             all(m.rows == m.cols == ctx.f.dim ** n for n, m in x.items()),
-            verify_right_invariance(ctx, x)[0])
+            per_word_invariance(ctx, x)[0])
 
 
 def verify_splitting(spec: RealizationSpec, w: tuple, bound: int) -> bool:
@@ -347,7 +450,7 @@ def lift_operator_recursive(spec: RealizationSpec, l) -> dict:
 def form_of_op(f: Coalgebra, m: Matrix) -> dict:
     """eps o X for a right-invariant degree-1 operator X; the inverse of
     op_from_form on such operators.  Raises on a non-invariant input."""
-    ok, witness = right_invariance_on_f(f, m)
+    ok, witness = verify_right_invariance(f, m)
     if not ok:
         raise InvarianceError(witness)
     basis = list(f.basis)

@@ -5,13 +5,15 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import example_w_spec
+from conftest import (
+    BROKEN_COALGEBRAS, example_w_spec, non_coassociative_coalgebra, scaled_coalgebra)
 from hopfreal.coalgebra import (
     BasisId,
     dual_numbers,
     make_coalgebra,
     triangular_coalgebra,
     upper_triangular_algebra,
+    verify_coalgebra,
 )
 from hopfreal.errors import InputError, InvalidAlgebraError, UnsupportedStructureError
 from hopfreal.exactlin import vec_add_scaled
@@ -24,10 +26,11 @@ from hopfreal.free_tensor import (
     verify_free_bialgebra,
     word_coproduct,
 )
+from hopfreal.fmt import format_word
 from hopfreal.inputdoc import parse_input
 from hopfreal.pipeline import STAGE_ORDER, _run
 from hopfreal.realization import l_context
-from oracles import duality_pairing, verify_pairing
+from oracles import duality_pairing, free_bialgebra_checks, verify_pairing
 
 ONE = F(1)
 
@@ -209,26 +212,127 @@ def letterwise_coproduct(f, w):
 
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+REALIZATIONS = sorted(p.stem for p in FIXTURE_DIR.glob("*.hra") if not p.name.startswith("bad_"))
 # the fixtures whose report fails its antipode stage (no antipode at their window)
 NO_ANTIPODE = ("comatrix", "h4_regular", "projection")
+
+
+def full_report(name):
+    """(report, pipeline) of a report with every stage on a fixture."""
+    doc = parse_input((FIXTURE_DIR / f"{name}.hra").read_text(encoding="utf-8"))
+    return _run(doc, STAGE_ORDER, name)
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURE_DIR.glob("*.hra")))
 def test_memoized_word_coproducts_survive_a_report(name):
     # word_coproduct hands every caller the same dict: after a full report,
-    # each memoized entry must still be the letterwise product (a caller
-    # that wrote into one would show here), in the same order
+    # each entry memoized on T(L) must still be the letterwise product (a
+    # caller that wrote into one would show here), in the same order.  The
+    # reports that find no antipode stop before any stage that forms one
     try:
-        doc = parse_input((FIXTURE_DIR / f"{name}.hra").read_text(encoding="utf-8"))
-        report, pipe = _run(doc, STAGE_ORDER, name)
+        report, pipe = full_report(name)
     except (InputError, InvalidAlgebraError):
         assert name.startswith("bad_")
         return
     assert report.ok or name in NO_ANTIPODE
+    ctx = l_context(pipe.spec)
     checked = 0
-    for ctx in (pipe.spec.f_ctx, l_context(pipe.spec)):
-        for key, pairs in ctx._cache.items():
-            if key[0] == "delta":
-                assert list(pairs.items()) == list(letterwise_coproduct(ctx.f, key[1]).items())
-                checked += 1
-    assert checked
+    for key, pairs in ctx._cache.items():
+        if key[0] == "delta":
+            assert list(pairs.items()) == list(letterwise_coproduct(ctx.f, key[1]).items())
+            checked += 1
+    assert checked or name in NO_ANTIPODE
+
+
+@pytest.mark.parametrize("name", REALIZATIONS)
+def test_report_forms_no_word_coproduct_over_f(name):
+    # the verify stages decide T(F)'s laws from F's letters, and no other
+    # stage reads a coproduct on T(F): a full report memoizes none
+    _, pipe = full_report(name)
+    assert not [key for key in pipe.spec.f_ctx._cache if key[0] == "delta"]
+
+
+# --- verify-free-bialgebra against the word-level checks --------------------------
+
+
+def fixture_f(name):
+    doc = parse_input((FIXTURE_DIR / f"{name}.hra").read_text(encoding="utf-8"))
+    return doc.coalgebras[doc.realization.f_name], doc.display_labels(doc.realization.f_name)
+
+
+def assert_same_records(ctx, labels=None):
+    """verify_free_bialgebra and the word-level oracle agree record by
+    record: every record has its own text, and both keep the failed texts in
+    record order."""
+    got, want = verify_free_bialgebra(ctx, labels), free_bialgebra_checks(ctx, labels)
+    assert got.summary() == want.summary()
+    assert got.failures() == want.failures()
+    return got
+
+
+@pytest.mark.parametrize("name", REALIZATIONS)
+def test_free_bialgebra_matches_word_level_checks_on_fixtures(name):
+    f, labels = fixture_f(name)
+    for n in (1, 2, 3):
+        assert assert_same_records(TensorContext(f, n), labels).ok
+
+
+def test_free_bialgebra_matches_word_level_checks_on_scaled_coalgebra():
+    # coproduct coefficients 1/2 and 8/3, and a counit value 2
+    for n in (1, 2, 3):
+        assert assert_same_records(TensorContext(scaled_coalgebra(), n)).ok
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_COALGEBRAS))
+def test_free_bialgebra_matches_word_level_checks_on_broken_coalgebras(name):
+    # one law broken at one letter: each word holding that letter fails that
+    # law's record, at the word level too, since every other letter's two
+    # sides agree and are nonzero
+    c = BROKEN_COALGEBRAS[name]()
+    (broken,) = verify_coalgebra(c).failures()
+    law = "coassociativity" if broken.startswith("coassociativity") else "counit laws"
+    letter = next(b for b in c.basis if broken.endswith(f" on {b}"))
+    for n in (1, 2, 3):
+        ctx = TensorContext(c, n)
+        words = [w for k in range(1, n + 1) for w in ctx.word_basis(k) if letter in w]
+        assert assert_same_records(ctx).failures() == [f"{law} on {format_word(w)}" for w in words]
+
+
+def cancelling_counits():
+    """Grouplike g and h with eps(g) = 2 and eps(h) = 1/2: coassociative,
+    and neither counit law holds at either letter."""
+    g, h = BasisId.plain(0), BasisId.plain(1)
+    return make_coalgebra([g, h], {g: [(g, g, ONE)], h: [(h, h, ONE)]}, {g: 2, h: F(1, 2)})
+
+
+def test_free_bialgebra_fails_where_counit_defects_cancel():
+    # (eps (x) id) delta(gh) = eps(g) eps(h) gh = gh, and likewise on the
+    # right and at hg, so the word-level counit laws hold at gh and hg.  The
+    # check fails them: the theorem that lifts the laws from letters to words
+    # needs a coalgebra, and F is none at g or h.  Every other record agrees
+    ctx = TensorContext(cancelling_counits(), 2)
+    g, h = ctx.f.basis
+    got, want = verify_free_bialgebra(ctx), free_bialgebra_checks(ctx)
+    extra = ["counit laws on f[0]*f[1]", "counit laws on f[1]*f[0]"]
+    assert [t for t in got.failures() if t not in extra] == want.failures()
+    assert [t for t in got.failures() if t in extra] == extra
+    assert "counit laws on f[0]*f[0]" in want.failures()
+    assert counit(ctx, {(g, h): ONE}) == 1
+
+
+def test_free_bialgebra_fails_where_a_zero_coproduct_hides_a_defect():
+    # z has delta(z) = 0, so delta(w) = 0 for every word w holding z, and the
+    # word-level coassociativity holds at such a w whatever its other
+    # letters.  The check fails it at the words that also hold the
+    # non-coassociative a: the theorem needs coassociativity at each letter
+    base = non_coassociative_coalgebra()
+    g, q, a = base.basis
+    z = BasisId.plain(3)
+    c = make_coalgebra(base.basis + (z,), {**base.delta}, base.epsilon)
+    assert c.delta_terms(z) == ()
+    ctx = TensorContext(c, 2)
+    got, want = verify_free_bialgebra(ctx), free_bialgebra_checks(ctx)
+    extra = [f"coassociativity on {format_word(w)}" for w in ((a, z), (z, a))]
+    assert [t for t in got.failures() if t not in extra] == want.failures()
+    assert [t for t in got.failures() if t in extra] == extra
+    assert "coassociativity on f[2]*f[2]" in want.failures()

@@ -1,13 +1,12 @@
 import itertools
 import random
-import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
-from conftest import mat_vec
+from conftest import BROKEN_COALGEBRAS, scaled_coalgebra
 from test_exactlin import MIXED, assert_clean, fraction_combination, mixed_matrices
 
 from hopfreal.coalgebra import (
@@ -21,27 +20,24 @@ from hopfreal.coalgebra import (
     upper_triangular_algebra,
     verify_coalgebra,
 )
-from hopfreal.exactlin import Matrix, mat_mul, vec_add_scaled, vec_clean
-from hopfreal.free_tensor import TensorContext, coproduct, word_coproduct
+from hopfreal.exactlin import Matrix, mat_mul, vec_clean
+from hopfreal.free_tensor import TensorContext
 from hopfreal.inputdoc import build_spec, parse_input
-from hopfreal.invariant import (
-    _coproduct_blocks,
-    RIOp,
-    op_from_form,
-    verify_right_invariance,
-)
+from hopfreal.invariant import RIOp, op_from_form, verify_right_invariance
+from hopfreal.lifting import RealizationSpec, verify_lift
 from oracles import (
     InvarianceError,
     convolution,
     convolution_inverse,
-    delta_vect,
     form_of_op,
     kron_combination,
     lift_operator_recursive,
     op_combination,
     op_is_zero,
-    right_invariance_on_f,
+    per_basis_invariance,
+    per_word_invariance,
     transpose_left_mult,
+    with_truncation,
 )
 
 ONE = F(1)
@@ -102,7 +98,7 @@ def test_form_of_op_rejects_non_invariant():
 def test_op_from_form_outputs_are_invariant():
     f = triangular_coalgebra(3)
     for b in f.basis:
-        ok, witness = right_invariance_on_f(f, op_from_form(f, RIOp.from_eval(b)))
+        ok, witness = verify_right_invariance(f, op_from_form(f, RIOp.from_eval(b)))
         assert ok and witness is None
 
 
@@ -223,13 +219,13 @@ def test_transpose_left_mult_all_basis_elements(n):
     for i in range(e.dim):
         m = transpose_left_mult(e, {i: ONE})
         assert m == op_from_form(f, RIOp.from_eval(BasisId.plain(i)))
-        assert right_invariance_on_f(f, m)[0]
+        assert verify_right_invariance(f, m)[0]
 
 
 def test_verify_right_invariance_false_with_witness():
     f = triangular_coalgebra(2)
     bad = Matrix(3, 3, {(1, 0): ONE})
-    ok, witness = right_invariance_on_f(f, bad)
+    ok, witness = verify_right_invariance(f, bad)
     assert not ok and witness is not None
 
 
@@ -272,52 +268,10 @@ def test_op_combination_matches_fraction_loop(terms):
     assert op_is_zero(op_combination(CTX, []))
 
 
-# --- right-invariance as one block identity per degree ---------------------------
+# --- right-invariance letter by letter, against the per-basis and per-word loops --
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-SHIPPED = ["example_w", "general_w", "projection", "three_block", "trivial"]
-
-
-def word_apply(ctx, op, t):
-    """op applied to a tensor element, one block column per word."""
-    out = {}
-    for w, coeff in t.items():
-        col = ctx.word_index(len(w))[w]
-        words = ctx.word_basis(len(w))
-        vec_add_scaled(out, {words[r]: v for (r, c), v in op[len(w)].entries.items()
-                             if c == col}, coeff)
-    return out
-
-
-def per_word_invariance(ctx, x):
-    """The per-word loop the block identity replaced: delta(X w) against
-    (X (x) id) delta(w) on every word, in (degree, index) order."""
-    for n in range(ctx.max_degree + 1):
-        for w in ctx.word_basis(n):
-            lhs = coproduct(ctx, word_apply(ctx, x, {w: ONE}))
-            rhs = {}
-            for (w1, w2), coeff in word_coproduct(ctx, w).items():
-                image = word_apply(ctx, x, {w1: ONE})
-                vec_add_scaled(rhs, {(u, w2): v for u, v in image.items()}, coeff)
-            if lhs != rhs:
-                return False, w
-    return True, None
-
-
-def per_basis_invariance(f, m):
-    """The degree-1 loop the block identity replaced, over the basis of F."""
-    basis = list(f.basis)
-    index = {b: k for k, b in enumerate(basis)}
-    for b in basis:
-        image = mat_vec(m, {index[b]: ONE})
-        lhs = delta_vect(f, {basis[r]: coeff for r, coeff in image.items()})
-        rhs = {}
-        for (p, q, c) in f.delta_terms(b):
-            column = mat_vec(m, {index[p]: ONE})
-            vec_add_scaled(rhs, {(basis[r], q): v for r, v in column.items()}, c)
-        if lhs != rhs:
-            return False, b
-    return True, None
+SHIPPED = sorted(p.stem for p in FIXTURES.glob("*.hra") if not p.name.startswith("bad_"))
 
 
 def planted(m, r, c, delta):
@@ -331,89 +285,29 @@ def fixture_spec(name):
     return build_spec(parse_input((FIXTURES / f"{name}.hra").read_text(encoding="utf-8")))
 
 
-@pytest.mark.parametrize("name", SHIPPED)
-def test_block_identity_matches_per_word_loop_on_planted_defects(name):
-    # single-entry perturbations of every lifted X(b) at every degree, degree
-    # 0 included, on positions inside and outside the support: (ok, witness)
-    # must equal the per-word loop's, and both outcomes must occur
-    spec = fixture_spec(name)
-    ctx = spec.f_ctx
-    rng = random.Random(name)
-    outcomes = set()
-    for b in spec.l_coalg.basis:
-        x = lift_operator_recursive(spec, b)
-        assert verify_right_invariance(ctx, x) == per_word_invariance(ctx, x) == (True, None)
-        for n, m in x.items():
-            # zero the first stored entry (add 1 in an empty block), then add
-            # 1/2 and -3 at two random positions
-            positions = sorted(m.entries)[:1] + [
-                (rng.randrange(m.rows), rng.randrange(m.cols)) for _ in range(2)]
-            first = -m.get(*positions[0]) or ONE
-            for (r, c), delta in zip(positions, (first, F(1, 2), F(-3))):
-                bad = {**x, n: planted(m, r, c, delta)}
-                got = verify_right_invariance(ctx, bad)
-                assert got == per_word_invariance(ctx, bad), (b, n, r, c)
-                outcomes.add(got[0])
-    assert outcomes == {True, False}
+def assert_matches_per_basis_loop(f, ops, deltas):
+    """verify_right_invariance against the per-basis loop on each operator
+    and on each single-entry perturbation of it by each delta; returns the
+    verdicts of the perturbed operators."""
+    outcomes = []
+    for m in ops:
+        assert verify_right_invariance(f, m) == per_basis_invariance(f, m), m
+        for r, c in itertools.product(range(f.dim), repeat=2):
+            for delta in deltas:
+                bad = planted(m, r, c, delta)
+                got = verify_right_invariance(f, bad)
+                assert got == per_basis_invariance(f, bad), (m, r, c, delta)
+                outcomes.append(got[0])
+    return outcomes
 
 
 @pytest.mark.parametrize("name", SHIPPED)
 def test_degree_one_check_matches_per_basis_loop_on_planted_defects(name):
     spec = fixture_spec(name)
     f = spec.f_ctx.f
-    outcomes = set()
-    for b in spec.l_coalg.basis:
-        m = spec.x_matrix(b)
-        assert right_invariance_on_f(f, m) == per_basis_invariance(f, m) == (True, None)
-        for r, c in itertools.product(range(f.dim), repeat=2):
-            bad = planted(m, r, c, F(2, 3))
-            got = right_invariance_on_f(f, bad)
-            assert got == per_basis_invariance(f, bad), (b, r, c)
-            outcomes.add(got[0])
-    assert False in outcomes
-
-
-def per_word_coproduct_block(ctx, n):
-    """D_n built word by word from word_coproduct, the construction the
-    D_{n-1}, D_1 recursion replaced."""
-    words = ctx.word_basis(n)
-    index = ctx.word_index(n)
-    s = len(words)
-    return Matrix(s * s, s, {(index[u] * s + index[v], col): c for col, w in enumerate(words)
-                             for (u, v), c in word_coproduct(ctx, w).items()})
-
-
-def scaled_coalgebra():
-    """Non-unit, non-cocommutative coefficients: g = 2 e11 and y = e21 of
-    the upper-triangular 2x2 dual, beside the divided powers 1, x/2, x^2/3
-    of k[x]/(x^3) with h = e22 as their unit:
-    delta(y) = h (x) y + 1/2 y (x) g and delta(x^2/3) has 8/3 (x/2) (x) (x/2)."""
-    g, h, y, half, third = (BasisId.plain(i) for i in range(5))
-    return make_coalgebra([g, h, y, half, third], {
-        g: [(g, g, F(1, 2))],
-        h: [(h, h, ONE)],
-        y: [(h, y, ONE), (y, g, F(1, 2))],
-        half: [(h, half, ONE), (half, h, ONE)],
-        third: [(h, third, ONE), (half, half, F(8, 3)), (third, h, ONE)],
-    }, {g: F(2), h: ONE})
-
-
-@pytest.mark.parametrize("name", SHIPPED + ["scaled"])
-def test_coproduct_blocks_match_per_word_construction(name):
-    # every coefficient of the M2 dual is 1, so the scaled coalgebra is
-    # what shows a dropped or misplaced coefficient
-    if name == "scaled":
-        ctx = TensorContext(scaled_coalgebra(), 3)
-        assert verify_coalgebra(ctx.f).ok
-    else:
-        f_ctx = fixture_spec(name).f_ctx
-        ctx = TensorContext(f_ctx.f, f_ctx.max_degree)
-    for n in range(ctx.max_degree + 1):
-        den, nums = _coproduct_blocks(ctx, n)
-        assert all(type(v) is int and v for v in nums.values())
-        s = len(ctx.word_basis(n))
-        d = Matrix(s * s, s, {key: F(v, den) for key, v in nums.items()})
-        assert d == per_word_coproduct_block(ctx, n), n
+    ops = [spec.x_matrix(b) for b in spec.l_coalg.basis]
+    assert all(verify_right_invariance(f, m) == (True, None) for m in ops)
+    assert False in assert_matches_per_basis_loop(f, ops, [F(2, 3)])
 
 
 def tensor_powers(ctx, x):
@@ -430,46 +324,73 @@ SCALED_FORMS = [
 ]
 
 
-def test_block_identity_carries_non_unit_coproduct_coefficients():
-    # the scaled coalgebra's D_n has entries 1/2, 8/3 and their products, so
-    # a check that dropped den(D_n) or misplaced a coefficient would disagree
-    # with the per-word loop; defects carry denominators 2, 3 and 7
-    ctx = TensorContext(scaled_coalgebra(), 3)
+def test_right_invariance_carries_non_unit_coproduct_coefficients():
+    # the scaled coalgebra's coproduct has coefficients 1/2 and 8/3, so a
+    # check that dropped or misplaced one would disagree with the per-basis
+    # loop; defects carry denominators 2, 3 and 7.  verify-lift's verdict on
+    # a grouplike acting by such an operator equals the per-word loop on its
+    # lift, the tensor powers of the operator
+    f = scaled_coalgebra()
+    assert verify_coalgebra(f).ok
+    ops = [op_from_form(f, form) for form in SCALED_FORMS]
+    assert all(verify_right_invariance(f, m) == (True, None) for m in ops)
+    outcomes = assert_matches_per_basis_loop(f, ops, [F(1, 2), F(-2, 3), F(5, 7)])
+    assert outcomes.count(True) >= 10 and outcomes.count(False) >= 100
+    ctx = TensorContext(f, 2)
+    g = triangular_coalgebra(1).basis[0]
     rng = random.Random("scaled")
-    outcomes = []
-    for form in SCALED_FORMS:
-        x = tensor_powers(ctx, op_from_form(ctx.f, form))
-        assert verify_right_invariance(ctx, x) == per_word_invariance(ctx, x) == (True, None)
-        for n, m in x.items():
-            for delta in (F(1, 2), F(-2, 3), F(5, 7)):
-                positions = sorted(m.entries)[:1] + [
-                    (rng.randrange(m.rows), rng.randrange(m.cols)) for _ in range(2)]
-                for r, c in positions:
-                    bad = {**x, n: planted(m, r, c, delta)}
-                    got = verify_right_invariance(ctx, bad)
-                    assert got == per_word_invariance(ctx, bad), (form, n, r, c, delta)
-                    outcomes.append(got[0])
-    assert outcomes.count(True) >= 40 and outcomes.count(False) >= 60
+    for m in ops:
+        for r, c in [(rng.randrange(f.dim), rng.randrange(f.dim)) for _ in range(3)]:
+            bad = planted(m, r, c, F(5, 7))
+            spec = RealizationSpec(triangular_coalgebra(1), ctx, {g: bad})
+            ok, w = per_word_invariance(ctx, tensor_powers(ctx, bad))
+            assert verify_lift(spec, g).ok == ok
+            if not ok:
+                assert verify_lift(spec, g).failures() == [
+                    f"right-invariance on T(F) (witness {w[0]})"]
 
 
-def test_passing_right_invariance_builds_no_fraction():
-    # a check that holds runs on integer numerators only: the one fractions
-    # method it may call is as_integer_ratio (an int entry is its own
-    # numerator), so it builds no Fraction, and it multiplies no matrices
-    spec = fixture_spec("three_block")
-    ops = [lift_operator_recursive(spec, b) for b in spec.l_coalg.basis]
-    assert verify_right_invariance(spec.f_ctx, ops[0]) == (True, None)  # D_n memoized
-    calls = set()
+@pytest.mark.parametrize("name", sorted(BROKEN_COALGEBRAS))
+def test_degree_one_check_matches_per_basis_loop_on_broken_coalgebras(name):
+    # the identity at a letter needs no coalgebra laws, so both loops agree
+    # on every operator of a form over an F that breaks one
+    f = BROKEN_COALGEBRAS[name]()
+    assert not verify_coalgebra(f).ok
+    ops = [op_from_form(f, RIOp.from_eval(b)) for b in f.basis] + [Matrix.identity(f.dim)]
+    outcomes = assert_matches_per_basis_loop(f, ops, [ONE, F(-3, 2)])
+    assert True in outcomes and False in outcomes
 
-    def profile(frame, event, arg):
-        if event == "call":
-            calls.add((Path(frame.f_code.co_filename).name, frame.f_code.co_name))
 
-    sys.setprofile(profile)
-    try:
-        results = [verify_right_invariance(spec.f_ctx, x) for x in ops]
-    finally:
-        sys.setprofile(None)
-    assert results == [(True, None)] * len(ops)
-    assert {name for file, name in calls if file == "fractions.py"} <= {"as_integer_ratio"}
-    assert "mat_mul" not in {name for _, name in calls}
+def letter_replaced(spec, l, m):
+    """spec with x(l) replaced by the raw matrix m (a fresh spec cache)."""
+    return RealizationSpec(spec.l_coalg, spec.f_ctx, {**spec.x_map, l: m}, spec.diag_pairs)
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_verify_lift_matches_per_word_loop_on_planted_defects(name):
+    # a single-entry defect planted in one x(l) at a time (at the top right
+    # corner and at a random entry), at N <= 3: for every letter b,
+    # verify-lift's right-invariance verdict is the per-word loop's on the
+    # blocks of X(b), and so is its witness where l is b.  The degree-1 check
+    # is stricter where X(b) reads a non-invariant x(l) whose effect cancels
+    # in the blocks (an x(l) beside a zero block, say): it fails there,
+    # because the lift's theorems take x into the right-invariant operators
+    spec = fixture_spec(name)
+    spec = with_truncation(spec, min(spec.max_degree, 3))
+    f, ctx = spec.f_ctx.f, spec.f_ctx
+    rng = random.Random(name)
+    outcomes = set()
+    for l, (r, c) in itertools.product(spec.l_coalg.basis, [
+            (0, f.dim - 1), (rng.randrange(f.dim), rng.randrange(f.dim))]):
+        bad = letter_replaced(spec, l, planted(spec.x_matrix(l), r, c, F(1, 2)))
+        for b in bad.l_coalg.basis:
+            report = verify_lift(bad, b)
+            got = not any(t.startswith("right-invariance") for t in report.failures())
+            ok, w = per_word_invariance(ctx, lift_operator_recursive(bad, b))
+            if got != ok:
+                assert ok and not got, (l, b)
+                assert not verify_right_invariance(f, bad.x_matrix(l))[0]
+            elif not ok and l == b:
+                assert f"right-invariance on T(F) (witness {w[0]})" in report.failures()
+            outcomes.add((got, ok))
+    assert (False, False) in outcomes

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import (
-    apply_to_word, canonical, example_w_spec, three_block_spec, tri, trivial_spec)
+    canonical, example_w_spec, non_coassociative_coalgebra, three_block_spec, tri, trivial_spec)
 from hopfreal.coalgebra import BasisId, direct_sum, make_coalgebra, triangular_coalgebra, verify_coalgebra
 from hopfreal.errors import ValidationError
 from hopfreal.exactlin import Matrix, vec_add_scaled
@@ -21,8 +21,8 @@ from hopfreal.lifting import (
     verify_lift,
 )
 from oracles import (
-    iterated_coproduct, lift_checks, lift_operator_iterated, lift_operator_recursive,
-    op_combination, op_identity, op_is_zero, split_witness)
+    apply_to_word, iterated_coproduct, lift_checks, lift_operator_iterated, lift_operator_recursive,
+    op_combination, op_identity, op_is_zero, per_word_invariance, split_witness, word_index)
 from test_realization import SPECS
 
 ONE = F(1)
@@ -125,8 +125,8 @@ def test_verify_lift_fails_on_non_invariant_x():
         tri(2, 1): bad,
     })
     report = verify_lift(spec, tri(2, 1))
-    # the first failing word in (degree, index) order: bad sends l[1,1] to l[2,1]
-    assert report.failures() == [f"right-invariance on T(F) (witness {(tri(1, 1),)})"]
+    # the first failing letter of F: bad sends l[1,1] to l[2,1]
+    assert report.failures() == ["right-invariance on T(F) (witness l[1,1])"]
 
 
 def test_letters_with_different_x_share_no_block():
@@ -176,9 +176,9 @@ def test_planted_non_invariant_x_fails_for_its_letter_alone():
     assert verify_lift(spec, a).ok and verify_lift(spec, c).ok
     x = lift_operator_recursive(spec, b)
     witness = split_witness(ctx, x, _split_parts(spec, b), ctx.max_degree)
-    ok, w = verify_right_invariance(ctx, x)
-    assert witness is None and not ok
-    assert verify_lift(spec, b).failures() == [f"right-invariance on T(F) (witness {w})"]
+    ok, w = per_word_invariance(ctx, x)
+    assert witness is None and not ok and len(w) == 1
+    assert verify_lift(spec, b).failures() == [f"right-invariance on T(F) (witness {w[0]})"]
     assert verify_lift(spec, a).ok
 
 
@@ -323,14 +323,15 @@ def test_split_witness_names_planted_defect_in_a_part(make):
 
 
 def test_word_index_is_lex_product(example_w):
+    # the block oracles index words by their position in word_basis
     ctx = example_w.f_ctx
     dim = ctx.f.dim
     for n1 in range(4):
         for n2 in range(4 - n1):
             for w1 in ctx.word_basis(n1):
                 for w2 in ctx.word_basis(n2):
-                    assert ctx.word_index(n1 + n2)[w1 + w2] == (
-                        ctx.word_index(n1)[w1] * dim ** n2 + ctx.word_index(n2)[w2])
+                    assert word_index(ctx, n1 + n2)[w1 + w2] == (
+                        word_index(ctx, n1)[w1] * dim ** n2 + word_index(ctx, n2)[w2])
 
 
 # --- verify-lift against the exhaustive checks on the T(F) blocks -----------------
@@ -383,7 +384,7 @@ def test_non_invariant_letter_reached_through_a_delta_leg(truncation):
     # X(l[2,2]) never reads it: both checks agree on every letter
     spec = planted_spec(truncation, NON_INVARIANT, RIOp.identity(), RIOp.identity())
     assert_verify_lift_matches_block_checks(spec)
-    _, w = verify_right_invariance(spec.f_ctx, {1: NON_INVARIANT})
+    _, w = verify_right_invariance(spec.f_ctx.f, NON_INVARIANT)
     assert verify_lift(spec, tri(1, 1)).failures() == [f"right-invariance on T(F) (witness {w})"]
     assert verify_lift(spec, tri(2, 1)).failures() == [
         f"right-invariance on T(F) (witness {w} of x(l[1,1]))"]
@@ -401,7 +402,7 @@ def test_non_invariant_letter_whose_effect_cancels_fails():
     spec = planted_spec(3, NON_INVARIANT, RIOp.zero(), RIOp.identity())
     assert lift_checks(spec, tri(2, 1)) == (True, True, True)
     assert all(not m.entries for m in lift_operator_recursive(spec, tri(2, 1)).values())
-    _, w = verify_right_invariance(spec.f_ctx, {1: NON_INVARIANT})
+    _, w = verify_right_invariance(spec.f_ctx.f, NON_INVARIANT)
     assert verify_lift(spec, tri(2, 1)).failures() == [
         f"right-invariance on T(F) (witness {w} of x(l[1,1]))"]
 
@@ -415,18 +416,6 @@ def test_non_square_letter_fails_grade_preservation():
         assert report.summary() == "lifted operator properties: FAIL (5 checks, 1 failed)"
         assert report.failures() == ["grade preservation (square block per degree)"]
     assert verify_lift(spec, tri(1, 1)).ok
-
-
-def non_coassociative_coalgebra():
-    """g grouplike, q primitive, and a with delta(a) = g(x)a + a(x)g + a(x)q:
-    counital everywhere, coassociative except at a, where
-    (delta (x) id) delta(a) has a (x) q (x) q and (id (x) delta) delta(a) has not."""
-    g, q, a = (BasisId.plain(k) for k in range(3))
-    return make_coalgebra([g, q, a], {
-        g: [(g, g, ONE)],
-        q: [(g, q, ONE), (q, g, ONE)],
-        a: [(g, a, ONE), (a, g, ONE), (a, q, ONE)],
-    }, {g: ONE})
 
 
 @pytest.mark.parametrize("truncation", [1, 2, 3])

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 
 from conftest import (
-    apply_to_word,
     example_w_spec,
     primitive_spec,
     projection_spec,
@@ -36,6 +35,7 @@ from hopfreal.realization import (
     verify_coideal,
 )
 from oracles import (
+    apply_to_word,
     counit_check,
     ideal_basis,
     ideal_pivots,

@@ -1,8 +1,10 @@
 """Check reports: the text of a failed check, and no text for a passed one.
 
 Each planted case below breaks one input so that every ``record`` site of
-one ``verify_*`` operation fails at least once; the summary and failure
-lines are pinned byte for byte.  The passing fixtures then run every
+one ``verify_*`` operation fails at least once, except the sites whose
+records hold by a definition (the lift's unit and degree-1 records, and
+the free bialgebra's grading and multiplicativity); the summary and
+failure lines are pinned byte for byte.  The passing fixtures then run every
 ``verify_*`` operation with the formatters patched to raise, so a passed
 check can build no text.
 """
@@ -12,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from conftest import example_w_spec, primitive_spec, tri
-from hopfreal import fmt, free_tensor, hopf, pipeline
+from hopfreal import fmt, hopf, pipeline
 from hopfreal.coalgebra import (
     BasisId,
     is_cotriangular,
@@ -63,17 +65,9 @@ def coalgebra_case(monkeypatch):
 
 
 def free_bialgebra_case(monkeypatch):
-    # the word l[2,1] gains the term 1 (x) 1: ungraded, not counital, not
-    # coassociative, and not multiplicative in products with a letter
-    ctx = TensorContext(triangular_coalgebra(2), 2)
-    honest = free_tensor.word_coproduct
-
-    def corrupted(c, w):
-        pairs = honest(c, w)
-        return {**pairs, ((), ()): 1} if w == (Z,) else pairs
-
-    monkeypatch.setattr(free_tensor, "word_coproduct", corrupted)
-    return verify_free_bialgebra(ctx)
+    # F is the broken coalgebra: each word holding l[2,1] fails its
+    # coassociativity and counit records
+    return verify_free_bialgebra(TensorContext(broken_coalgebra(), 2))
 
 
 def lift_case(monkeypatch):
@@ -161,28 +155,27 @@ PINNED = {
             'right counit law on l[2,1]',
         ]),
     'free-bialgebra': (
-        'free bialgebra structure: FAIL (73 checks, 8 failed)',
+        'free bialgebra structure: FAIL (73 checks, 12 failed)',
         [
-            'coproduct grading on (BasisId(block=0, i=2, j=1),)',
-            'coassociativity on (BasisId(block=0, i=2, j=1),)',
-            'counit laws on (BasisId(block=0, i=2, j=1),)',
-            'coproduct multiplicative on (BasisId(block=0, i=1, j=1),)*'
-            '(BasisId(block=0, i=2, j=1),)',
-            'coproduct multiplicative on (BasisId(block=0, i=2, j=1),)*'
-            '(BasisId(block=0, i=1, j=1),)',
-            'coproduct multiplicative on (BasisId(block=0, i=2, j=1),)*'
-            '(BasisId(block=0, i=2, j=1),)',
-            'coproduct multiplicative on (BasisId(block=0, i=2, j=1),)*'
-            '(BasisId(block=0, i=2, j=2),)',
-            'coproduct multiplicative on (BasisId(block=0, i=2, j=2),)*'
-            '(BasisId(block=0, i=2, j=1),)',
+            'coassociativity on l[2,1]',
+            'counit laws on l[2,1]',
+            'coassociativity on l[1,1]*l[2,1]',
+            'counit laws on l[1,1]*l[2,1]',
+            'coassociativity on l[2,1]*l[1,1]',
+            'counit laws on l[2,1]*l[1,1]',
+            'coassociativity on l[2,1]*l[2,1]',
+            'counit laws on l[2,1]*l[2,1]',
+            'coassociativity on l[2,1]*l[2,2]',
+            'counit laws on l[2,1]*l[2,2]',
+            'coassociativity on l[2,2]*l[2,1]',
+            'counit laws on l[2,2]*l[2,1]',
         ]),
     'lift': (
         'lifted operator properties: FAIL (5 checks, 3 failed)',
         [
             'splitting rule on word pairs (coassociativity fails on l[2,1])',
             'grade preservation (square block per degree)',
-            'right-invariance on T(F) (witness (BasisId(block=0, i=0, j=0),) of x(l[2,2]))',
+            'right-invariance on T(F) (witness f[0] of x(l[2,2]))',
         ]),
     'coideal': (
         'coideal property at degree bound 2: FAIL (7 checks, 1 failed)',
@@ -287,20 +280,54 @@ def test_passed_checks_build_no_text(monkeypatch, name):
 
 
 def test_failure_lines_use_the_document_labels(monkeypatch, capsys):
-    # three_block names its letters P.l[1,1], Q.l[2,1], ...; a relation
-    # planted into the degree-2 kernel is no coideal element, and the
-    # coideal-check and hopf-check failure lines name it by those labels
+    # three_block names the letters of L P.l[1,1], Q.l[2,1], ... and those of
+    # F e11, e12, e22; a failure planted into each stage's input is named by
+    # those labels, and by the plain ids without them
     doc = parse_input((FIXTURES / "three_block.hra").read_text(encoding="utf-8"))
     spec = build_spec(doc)
     labels = doc.display_labels(doc.realization.l_name)
+    f_labels = doc.display_labels(doc.realization.f_name)
     a, z = tri(1, 1, 1), tri(2, 1, 1)
+
+    # verify-free-bialgebra: delta(e12) gains e12 (x) e12, no longer coassociative
+    f = spec.f_ctx.f
+    e12 = f.basis[1]
+    bad_f = make_coalgebra(f.basis, {**f.delta, e12: f.delta[e12] + ((e12, e12, 1),)},
+                           f.epsilon)
+    assert verify_free_bialgebra(TensorContext(bad_f, 1)).failures() == [
+        "coassociativity on f[1]"]
+    assert verify_free_bialgebra(TensorContext(bad_f, 2), f_labels).failures()[:2] == [
+        "coassociativity on e12", "coassociativity on e11*e12"]
+
+    # verify-lift: x(Q.l[1,1]) is not right-invariant, and X(Q.l[2,1]) reads it
+    bad_x = RealizationSpec(spec.l_coalg, spec.f_ctx,
+                            {**spec.x_map, a: Matrix(3, 3, {(1, 0): 1})})
+    assert verify_lift(bad_x, z).failures() == [
+        "right-invariance on T(F) (witness f[0] of x(1:l[1,1]))"]
+    assert verify_lift(bad_x, z, labels, f_labels).failures() == [
+        "right-invariance on T(F) (witness e11 of x(Q.l[1,1]))"]
+
+    # antipode: Y(Q.l[2,1]) gains the word Q.l[2,1]*Q.l[2,1]
+    table = antipode_triangular(spec)
+    entries = {**table.entries, z: {**table.entries[z], (z, z): 1}}
+    broken = AntipodeTable(entries, entries)
+    assert verify_Y_coproduct(spec, broken, 2, labels).failures() == [
+        "splitting of Y at Q.l[2,1]",
+        "splitting of composite Y at (P.l[1,1],Q.l[2,1])",
+        "splitting of composite Y at (Q.l[2,1],P.l[1,1])"]
+    assert verify_Y_coproduct(spec, broken, 2).failures()[0] == "splitting of Y at 1:l[2,1]"
+    with monkeypatch.context() as patch:
+        patch.setattr(hopf, "triangular_systems_ok", lambda s, e: True)
+        texts = verify_uniqueness_perturbations(spec, table, bound=2, labels=labels).failures()
+    assert len(texts) == 10 and not any(":l[" in t for t in texts)
+    assert texts[0] == "trial 0: perturbing Y at R.l[3,1] breaks a system"
+
     planted = {(a, z): 1, (z,): -1}
     assert verify_coideal(spec, [planted], 2).failures() == [
         "delta(-1:l[2,1] + 1:l[1,1]*1:l[2,1]) decomposes (residue nonzero)"]
     labelled = "delta(-Q.l[2,1] + Q.l[1,1]*Q.l[2,1]) decomposes (residue nonzero)"
     assert verify_coideal(spec, [planted], 2, labels).failures() == [labelled]
 
-    table = antipode_triangular(spec)
     closure = ClosureResult([], 0, [planted], {}, ideal_span(l_context(spec), [planted], 2))
     texts = verify_hopf_quotient(spec, table, closure, 2, labels).failures()
     assert "sum S(w')w'' = eps(w)1 mod ideal for w=Q.l[1,1]*Q.l[2,1] [ideal bound 4]" in texts
